@@ -72,11 +72,12 @@ from .losses import (
     expected_loss,
     expected_loss_grad,
     expected_loss_series,
+    expert_loss_matrix,
     lipschitz_constant,
     point_loss_many,
-    point_loss_series,
 )
 from .losses import _point_grad_many  # package-internal MC plumbing
+from .losses import point_loss_series  # noqa: F401  (a name the benchmark's tracer wraps)
 from .rng import CounterRng
 
 EXIT_OK = 0
@@ -261,6 +262,27 @@ class RunContext:
         return self.stream.T
 
 
+def _positive(spec: AlgoSpec, key: str, default: str | None = None,
+              allow_auto: bool = False) -> float | None:
+    """The positive number under ``key`` in an ``[algorithm.<name>]``
+    section; None for ``auto`` where that is allowed."""
+    where = f"[algorithm.{spec.name}] {key}"
+    raw = spec.options.get(key, default)
+    if raw is None:
+        raise ConfigError(f"{where} is required")
+    raw = raw.strip().lower()
+    if allow_auto and raw == "auto":
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        expected = "a positive number or auto" if allow_auto else "a positive number"
+        raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
+    if not (np.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{where} must be positive and finite, got {raw!r}")
+    return value
+
+
 def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
                        stream: data_mod.Dataset, box: BoxConstraints,
                        prior: GaussianPrior):
@@ -269,8 +291,8 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
     auto_eta = 1.0 / np.sqrt(t_len)
 
     def eta_value(default: float) -> float:
-        raw = opts.get("eta", "auto").strip().lower()
-        return default if raw == "auto" else float(raw)
+        eta = _positive(spec, "eta", "auto", allow_auto=True)
+        return default if eta is None else eta
 
     meta: dict = {}
     if spec.tag == "sva":
@@ -283,26 +305,27 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
         if name == "inv_sigma_sqrt_t":
             schedule = InvSigmaSqrtT()
         elif name == "fixed":
-            schedule = FixedEta(float(opts["eta"]))
+            schedule = FixedEta(_positive(spec, "eta"))
         elif name == "thm3_convex":
-            d_raw = opts.get("d", "auto").strip().lower()
-            l_raw = opts.get("l", "auto").strip().lower()
-            d_val = box.diameter() if d_raw == "auto" else float(d_raw)
-            l_val = (lipschitz_constant(kind, stream.examples(), box)
-                     if l_raw == "auto" else float(l_raw))
+            d_val = _positive(spec, "d", "auto", allow_auto=True)
+            l_val = _positive(spec, "l", "auto", allow_auto=True)
+            if d_val is None:
+                d_val = box.diameter()
+            if l_val is None:
+                l_val = lipschitz_constant(kind, stream, box)
             schedule = Thm3ConvexSchedule(D=d_val, L=l_val)
             meta.update(D=d_val, L=l_val)
         elif name == "thm3_strong":
-            schedule = Thm3StrongSchedule(H=float(opts["h"]))
+            schedule = Thm3StrongSchedule(H=_positive(spec, "h"))
         else:
             raise ConfigError(f"[algorithm.{spec.name}] unknown schedule {name!r}")
         config = SvbConfig(schedule=schedule, prior=prior, box=box)
         meta["schedule"] = schedule.describe()
     elif spec.tag == "ngvi":
-        eta = float(opts.get("eta", "1"))
+        eta = _positive(spec, "eta", "1")
         # default mixing step matches the usual natural-gradient step sizes;
         # large alpha makes the iterate jitter at the per-example noise scale
-        alpha = float(opts.get("alpha", "0.02"))
+        alpha = _positive(spec, "alpha", "0.02")
         config = NgviConfig(eta=eta, alpha=alpha, prior=prior, box=box)
         meta.update(eta=eta, alpha=alpha)
     elif spec.tag == "oga":
@@ -316,43 +339,25 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
     elif spec.tag == "ewagrid":
         experts_raw = opts.get("experts", "diagonal:41").strip().lower()
         form, _, count = experts_raw.partition(":")
-        lo = float(np.min(box.m_lo))
-        hi = float(np.max(box.m_hi))
-        if form == "diagonal":
-            experts = diagonal_lattice(lo, hi, int(count or "41"), box.d)
-        elif form == "product":
-            experts = product_lattice(lo, hi, int(count or "5"), box.d)
-        else:
-            raise ConfigError(f"[algorithm.{spec.name}] experts must be "
-                              f"diagonal:<k> or product:<per-axis>, got {experts_raw!r}")
-        losses = _expert_loss_matrix(kind, experts, stream)
+        count = count.strip() or ("41" if form == "diagonal" else "5")
+        if form not in ("diagonal", "product") or not count.isdecimal() or int(count) < 1:
+            raise ConfigError(f"[algorithm.{spec.name}] experts must be diagonal:<k> or "
+                              f"product:<per-axis> with a count >= 1, got {experts_raw!r}")
+        lattice = diagonal_lattice if form == "diagonal" else product_lattice
+        experts = lattice(float(np.min(box.m_lo)), float(np.max(box.m_hi)), int(count), box.d)
+        eta = _positive(spec, "eta", "auto", allow_auto=True)
+        losses = expert_loss_matrix(kind, experts, stream.features, stream.targets)
         b_max = float(np.max(losses))
         meta["B"] = b_max
-        raw = opts.get("eta", "auto").strip().lower()
-        if raw == "auto":
+        if eta is None:
             k = experts.shape[0]
             eta = float(np.sqrt(8.0 * np.log(k) / (max(b_max, 1e-12) ** 2 * t_len)))
-        else:
-            eta = float(raw)
         config = EwaGridConfig(eta=eta, experts=experts)
         meta["eta"] = eta
         meta["experts"] = experts_raw
     else:  # pragma: no cover - tags validated at parse time
         raise ConfigError(f"unknown tag {spec.tag}")
     return spec, config, meta
-
-
-def _expert_loss_matrix(kind: LossKind, experts: np.ndarray,
-                        stream: data_mod.Dataset) -> np.ndarray:
-    """(T, K) point losses of every expert along the stream."""
-    if kind.kind == "hinge":
-        scores = stream.features @ experts.T
-        return np.maximum(0.0, 1.0 - stream.targets[:, None] * scores)
-    if kind.kind == "squared_linear":
-        scores = stream.features @ experts.T
-        return (stream.targets[:, None] - scores) ** 2
-    return np.stack([point_loss_series(kind, exp, stream.features, stream.targets)
-                     for exp in experts], axis=1)
 
 
 def materialize(cfg: ExperimentConfig) -> RunContext:
@@ -407,7 +412,7 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
     t_len = ctx.horizon
     lipschitz = None
     if ctx.kind.convex:
-        lipschitz = lipschitz_constant(ctx.kind, ctx.stream.examples(), ctx.box)
+        lipschitz = lipschitz_constant(ctx.kind, ctx.stream, ctx.box)
 
     for spec, config, meta in ctx.resolved:
         if spec.name not in totals:
@@ -417,7 +422,8 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
 
         if tag == "ewagrid" and want(1) and ctx.kind.convex:
             # the grid bound's Jensen step at the prediction needs convexity
-            losses = _expert_loss_matrix(ctx.kind, config.experts, ctx.stream)
+            losses = expert_loss_matrix(ctx.kind, config.experts, ctx.stream.features,
+                                        ctx.stream.targets)
             best_expert = float(np.min(losses.sum(axis=0)))
             b_max = float(np.max(losses))
             kl = float(np.log(config.experts.shape[0]))
@@ -504,16 +510,27 @@ def _theorem4_probes(ctx: RunContext, count: int) -> list[MeanFieldGaussian]:
 # commands
 
 
+def _ms_since(start: float) -> float:
+    return round((time.perf_counter() - start) * 1000.0, 3)
+
+
 def cmd_run(config_path: str, out_dir: str) -> int:
+    start = time.perf_counter()
     cfg = load_experiment(config_path)
     ctx = materialize(cfg)
+    # wall time per phase, in ms; "write" covers comparator.csv and the series CSVs
+    phases = {"load": _ms_since(start), "learners": {}, "write": 0.0}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    start = time.perf_counter()
     comparator = best_in_hindsight(
         ctx.stream, ctx.kind, ctx.box,
         restarts=cfg.comparator_restarts, iters=cfg.comparator_iters, seed=cfg.seed)
+    phases["comparator"] = _ms_since(start)
+    start = time.perf_counter()
     _write_comparator_csv(out / "comparator.csv", comparator, ctx.horizon)
+    phases["write"] = round(phases["write"] + _ms_since(start), 3)
 
     totals: dict = {}
     algo_summaries: dict = {}
@@ -524,7 +541,6 @@ def cmd_run(config_path: str, out_dir: str) -> int:
         wall_ms = (time.perf_counter() - start) * 1000.0
         ledger = build_ledger(trace)
         totals[spec.name] = ledger.total
-        _write_series_csv(out / f"{spec.name}.csv", ledger)
         entry = {
             "final_avg_loss": ledger.final_average,
             "regret": regret(ledger, comparator),
@@ -537,6 +553,13 @@ def cmd_run(config_path: str, out_dir: str) -> int:
         entry.update({k: v for k, v in meta.items() if k != "experts"})
         if trace.in_box is not None and not bool(np.all(trace.in_box)):
             entry["box_violations"] = int(np.sum(~trace.in_box))
+        if trace.halvings is not None:
+            halved = np.flatnonzero(trace.halvings) + 1
+            entry["ngvi_halvings"] = {
+                "count": int(trace.halvings.sum()),
+                "first_step": int(halved[0]) if halved.size else None,
+                "last_step": int(halved[-1]) if halved.size else None,
+            }
         if ctx.holdout is not None:
             theta_bar = online_to_batch(trace)
             mean, se = generalization_estimate(theta_bar, ctx.holdout, ctx.kind)
@@ -545,8 +568,15 @@ def cmd_run(config_path: str, out_dir: str) -> int:
                 entry["holdout_jensen_ok"] = jensen_holdout_audit(
                     trace.predictions, ctx.holdout, ctx.kind)
         algo_summaries[spec.name] = entry
+        phases["learners"][spec.name] = _ms_since(start)
+        start = time.perf_counter()
+        _write_series_csv(out / f"{spec.name}.csv", ledger)
+        phases["write"] = round(phases["write"] + _ms_since(start), 3)
 
-    for record in bound_records(ctx, totals, comparator):
+    start = time.perf_counter()
+    records = bound_records(ctx, totals, comparator)
+    phases["bounds"] = _ms_since(start)
+    for record in records:
         entry = algo_summaries[record["algorithm"]]
         entry["bound"] = record["bound"]
         entry["slack_ratio"] = record["slack_ratio"]
@@ -572,6 +602,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
             "method": comparator.diagnostics["method"],
         },
         "algorithms": algo_summaries,
+        "phases_ms": phases,
         "config": {
             "prior_s": cfg.prior_s,
             "box_m_abs": cfg.box_m_abs,
@@ -731,7 +762,7 @@ def _gradcheck_nn(trials: int, seed: int, mc_samples: int) -> int:
         eps = CounterRng(seed, f"gradcheck-nn-mc-{trial}").normals(mc_samples * d) \
             .reshape(mc_samples, d)
         thetas = q.m[None, :] + q.sigma[None, :] * eps
-        grads = _point_grad_many(kind, thetas, ex)
+        grads = _point_grad_many(kind, thetas, x, y)
         per_sample = np.concatenate([grads, grads * eps], axis=1)
         g_mc = per_sample.mean(axis=0)
         se_mc = per_sample.std(axis=0, ddof=1) / np.sqrt(mc_samples)

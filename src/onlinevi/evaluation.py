@@ -22,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .data import Dataset
 from .errors import DataError, DimensionMismatchError, DomainError
 from .family import BoxConstraints, GaussianPrior, MeanFieldGaussian, kl_divergence
 from .losses import (
@@ -109,7 +110,7 @@ def _pgd_minimize(objective, subgrad, project, starts, iters: int, radius: float
     return best_theta, best_value, final_gnorm
 
 
-def best_in_hindsight(data, kind: LossKind, box: BoxConstraints, *,
+def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
                       restarts: int = 20, iters: int = 2000,
                       seed: int = 0) -> ComparatorResult:
     """inf over theta in M_m of the total stream loss.
@@ -120,11 +121,7 @@ def best_in_hindsight(data, kind: LossKind, box: BoxConstraints, *,
     value is within 1e-3 relative of the infimum on the validation
     instances; for squared_nn the search is local and labeled as such.
     """
-    examples = list(data.examples()) if hasattr(data, "examples") else list(data)
-    if not examples:
-        raise DataError("data must be nonempty")
-    features = np.stack([ex.x for ex in examples])
-    targets = np.array([ex.y for ex in examples], dtype=float)
+    features, targets = data.features, data.targets
     t_len, d_in = features.shape
     d_param = kind.param_dim(d_in)
     if box.d != d_param:
@@ -267,15 +264,11 @@ def online_to_batch(predictions, return_path: bool = False):
     return preds.mean(axis=0)
 
 
-def generalization_estimate(theta_bar, holdout, kind: LossKind) -> tuple[float, float]:
+def generalization_estimate(theta_bar, holdout: Dataset,
+                            kind: LossKind) -> tuple[float, float]:
     """Mean and standard error of the point loss of theta_bar on held-out
     examples."""
-    examples = list(holdout.examples()) if hasattr(holdout, "examples") else list(holdout)
-    if not examples:
-        raise DataError("holdout must be nonempty")
-    features = np.stack([ex.x for ex in examples])
-    targets = np.array([ex.y for ex in examples], dtype=float)
-    losses = point_loss_series(kind, theta_bar, features, targets)
+    losses = point_loss_series(kind, theta_bar, holdout.features, holdout.targets)
     n = losses.size
     mean = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -340,7 +333,7 @@ def alpha_estimate(prior: GaussianPrior, box: BoxConstraints,
 # per-realization Jensen audit used by the online-to-batch criterion
 
 
-def jensen_holdout_audit(predictions: np.ndarray, holdout, kind: LossKind) -> bool:
+def jensen_holdout_audit(predictions: np.ndarray, holdout: Dataset, kind: LossKind) -> bool:
     """For convex kinds: point_loss(theta_bar, ex) <= mean_t point_loss
     (theta_hat_t, ex) for every holdout example, deterministically."""
     if not kind.convex:
@@ -348,9 +341,7 @@ def jensen_holdout_audit(predictions: np.ndarray, holdout, kind: LossKind) -> bo
     preds = getattr(predictions, "predictions", predictions)
     preds = np.asarray(preds, dtype=float)
     theta_bar = preds.mean(axis=0)
-    examples = list(holdout.examples()) if hasattr(holdout, "examples") else list(holdout)
-    features = np.stack([ex.x for ex in examples])
-    targets = np.array([ex.y for ex in examples], dtype=float)
+    features, targets = holdout.features, holdout.targets
     if kind.kind == SQUARED_LINEAR:
         scores = features @ preds.T                      # (H, T)
         per_t = (targets[:, None] - scores) ** 2

@@ -14,6 +14,7 @@ pure functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,12 +135,26 @@ class BoxConstraints:
         return float(np.sqrt(d2))
 
     def contains(self, q: MeanFieldGaussian, atol: float = 0.0) -> bool:
+        return self.contains_arrays(q.m, q.sigma, atol)
+
+    def contains_arrays(self, m: np.ndarray, sigma: np.ndarray, atol: float = 0.0) -> bool:
         return bool(
-            np.all(q.m >= self.m_lo - atol)
-            and np.all(q.m <= self.m_hi + atol)
-            and np.all(q.sigma >= self.sigma_lo - atol)
-            and np.all(q.sigma <= self.sigma_hi + atol)
+            (m >= self.m_lo - atol).all()
+            and (m <= self.m_hi + atol).all()
+            and (sigma >= self.sigma_lo - atol).all()
+            and (sigma <= self.sigma_hi + atol).all()
         )
+
+    @cached_property
+    def _sigma_floor_lo(self) -> np.ndarray:
+        sigma_lo = np.maximum(self.sigma_lo, SIGMA_FLOOR)
+        if np.any(sigma_lo > self.sigma_hi):
+            raise DomainError("sigma box is empty after flooring at SIGMA_FLOOR")
+        return sigma_lo
+
+    def clip(self, m: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel of ``project_box`` on arrays of the box's dimension."""
+        return m.clip(self.m_lo, self.m_hi), sigma.clip(self._sigma_floor_lo, self.sigma_hi)
 
 
 @dataclass(frozen=True)
@@ -197,12 +212,7 @@ def project_box(q: MeanFieldGaussian, box: BoxConstraints) -> MeanFieldGaussian:
     """
     if q.d != box.d:
         raise DimensionMismatchError(f"q has dimension {q.d}, box has dimension {box.d}")
-    sigma_lo = np.maximum(box.sigma_lo, SIGMA_FLOOR)
-    if np.any(sigma_lo > box.sigma_hi):
-        raise DomainError("sigma box is empty after flooring at SIGMA_FLOOR")
-    m = np.clip(q.m, box.m_lo, box.m_hi)
-    sigma = np.clip(q.sigma, sigma_lo, box.sigma_hi)
-    return MeanFieldGaussian(m, sigma)
+    return MeanFieldGaussian(*box.clip(q.m, q.sigma))
 
 
 def to_natural(q: MeanFieldGaussian) -> NaturalParams:
@@ -212,8 +222,14 @@ def to_natural(q: MeanFieldGaussian) -> NaturalParams:
 
 def from_natural(lam: NaturalParams) -> MeanFieldGaussian:
     # NaturalParams already guarantees lambda2 < 0
-    var = -0.5 / lam.lambda2
-    return MeanFieldGaussian(var * lam.lambda1, np.sqrt(var))
+    return MeanFieldGaussian(*natural_to_standard(lam.lambda1, lam.lambda2))
+
+
+def natural_to_standard(lambda1: np.ndarray,
+                        lambda2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of ``from_natural``: (m, sigma) for arrays with lambda2 < 0."""
+    var = -0.5 / lambda2
+    return var * lambda1, np.sqrt(var)
 
 
 def to_expectation(q: MeanFieldGaussian) -> ExpectationParams:

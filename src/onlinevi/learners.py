@@ -19,18 +19,31 @@ Algorithms (all over the mean-field Gaussian family unless noted):
     EWA grid  multiplicative weights over a finite expert set; exact
               tempered Bayes on that support
 
-with h(x) = sqrt(1 + x^2) - x.  Updates are pure functions from state to
-state; a state is owned by exactly one run and runs are independent.
+with h(x) = sqrt(1 + x^2) - x.
+
+Each update is an array kernel (``sva_step``, ``svb_step``, ``ngvi_step``,
+``oga_step``, ``ogael_step``): a pure function from the current arrays
+(m, sigma and the learner's auxiliary state) and a gradient to the next
+arrays.  ``run_online`` validates its inputs once, then advances one
+learner over the rows of ``Dataset.features`` / ``Dataset.targets`` with
+those kernels, checking on each step only that the gradient and the new
+state are finite with sigma > 0.  The public ``*_update`` functions wrap
+the same kernels in the validated value objects (``LearnerState``,
+``MeanFieldGaussian``, ``ExpectedLossGradient``).  The grid's weights
+depend only on the data, so its T predictions come from the (T, K)
+expert-loss matrix in one vectorized pass.  A run owns its arrays and
+runs are independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import logsumexp
 
+from .data import Dataset
 from .errors import DimensionMismatchError, DomainError, InvalidPrecisionError
 from .family import (
     SIGMA_FLOOR,
@@ -40,20 +53,32 @@ from .family import (
     NaturalParams,
     from_natural,
     h_map,
-    project_box,
+    natural_to_standard,
     to_natural,
 )
 from .losses import (
     SQUARED_NN,
     ExpectedLossGradient,
     LossKind,
+    expected_grad_xy,
+    expert_loss_matrix,
+    mc_grad_xy,
+    point_grad_xy,
+    point_loss_rows,
+    point_loss_xy,
+)
+from .rng import derive_seed
+
+# Not called here any more; the benchmark's tracer (perfbench/tracer.py)
+# still resolves these names in this namespace.
+from .family import project_box  # noqa: F401,E402
+from .losses import (  # noqa: F401,E402
     expected_loss_grad,
     mc_expected_loss_and_grad,
     point_grad,
     point_loss,
     point_loss_many,
 )
-from .rng import derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -299,29 +324,45 @@ def predict(state: LearnerState) -> np.ndarray:
     raise DomainError("uninitialized learner state")
 
 
+def sva_step(m: np.ndarray, accum: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
+             config: SvaConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    s = config.prior.s
+    m = m - config.eta * s * s * g_m
+    accum = accum + g_sigma
+    sigma = s * h_map(0.5 * config.eta * s * accum)
+    if config.box is not None and config.project:
+        m, sigma = config.box.clip(m, sigma)
+    return m, sigma, accum
+
+
 def sva_update(state: LearnerState, grad: ExpectedLossGradient,
                config: SvaConfig) -> LearnerState:
-    s = config.prior.s
-    m = state.q.m - config.eta * s * s * grad.g_m
-    accum = state.accum_g_sigma + grad.g_sigma
-    sigma = s * h_map(0.5 * config.eta * s * accum)
-    q = MeanFieldGaussian(m, sigma)
-    if config.box is not None and config.project:
-        q = project_box(q, config.box)
-    return replace(state, t=state.t + 1, q=q, accum_g_sigma=accum)
+    m, sigma, accum = sva_step(state.q.m, state.accum_g_sigma, grad.g_m, grad.g_sigma, config)
+    return replace(state, t=state.t + 1, q=MeanFieldGaussian(m, sigma), accum_g_sigma=accum)
+
+
+def svb_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
+             t: int, config: SvbConfig) -> tuple[np.ndarray, np.ndarray]:
+    eta = config.schedule.rate(t, sigma)
+    m = m - eta * sigma ** 2 * g_m
+    sigma = sigma * h_map(0.5 * eta * sigma * g_sigma)
+    if config.box is not None:
+        m, sigma = config.box.clip(m, sigma)
+    return m, sigma
 
 
 def svb_update(state: LearnerState, grad: ExpectedLossGradient,
                config: SvbConfig) -> LearnerState:
     t = state.t + 1
-    sigma = state.q.sigma
-    eta = config.schedule.rate(t, sigma)
-    m = state.q.m - eta * sigma ** 2 * grad.g_m
-    sigma_new = sigma * h_map(0.5 * eta * sigma * grad.g_sigma)
-    q = MeanFieldGaussian(m, sigma_new)
-    if config.box is not None:
-        q = project_box(q, config.box)
-    return replace(state, t=t, q=q)
+    m, sigma = svb_step(state.q.m, state.q.sigma, grad.g_m, grad.g_sigma, t, config)
+    return replace(state, t=t, q=MeanFieldGaussian(m, sigma))
+
+
+def expectation_grad(g_m: np.ndarray, g_sigma: np.ndarray, m: np.ndarray,
+                     sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of ``grad_to_expectation_coords`` for sigma > 0."""
+    g_var = g_sigma / (2.0 * sigma)
+    return g_m - 2.0 * m * g_var, g_var
 
 
 def grad_to_expectation_coords(grad: ExpectedLossGradient,
@@ -336,26 +377,21 @@ def grad_to_expectation_coords(grad: ExpectedLossGradient,
         raise DimensionMismatchError("gradient dimension must match q")
     if np.any(q.sigma <= 0.0):
         raise DomainError("sigma must be positive")
-    g_var = grad.g_sigma / (2.0 * q.sigma)
-    return grad.g_m - 2.0 * q.m * g_var, g_var
+    return expectation_grad(grad.g_m, grad.g_sigma, q.m, q.sigma)
 
 
-def ngvi_update(state: LearnerState, grad_mu: tuple[np.ndarray, np.ndarray],
-                config: NgviConfig) -> LearnerState:
-    """Natural-parameter recursion; on a step that would push lambda2 >= 0
-    the effective eta is halved for that step only (up to
-    ``max_step_retries`` times) before aborting."""
-    g_mu1, g_mu2 = grad_mu
-    lam_prior = config.prior.natural()
-    step = state.t + 1
+def ngvi_step(lam: tuple[np.ndarray, np.ndarray], g_mu1: np.ndarray, g_mu2: np.ndarray,
+              lam_prior: NaturalParams, step: int,
+              config: NgviConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Natural-parameter recursion on (lambda1, lambda2); returns the new pair
+    and the number of eta halvings the step needed."""
     eta = config.eta
-    for _ in range(config.max_step_retries + 1):
+    for halvings in range(config.max_step_retries + 1):
         beta = 1.0 / (1.0 / config.alpha + 1.0 / eta)
-        l1 = (1.0 - beta) * state.lam.lambda1 + beta * lam_prior.lambda1 - eta * beta * g_mu1
-        l2 = (1.0 - beta) * state.lam.lambda2 + beta * lam_prior.lambda2 - eta * beta * g_mu2
-        if np.all(l2 < 0.0):
-            lam = NaturalParams(l1, l2)
-            return replace(state, t=step, q=from_natural(lam), lam=lam)
+        l1 = (1.0 - beta) * lam[0] + beta * lam_prior.lambda1 - eta * beta * g_mu1
+        l2 = (1.0 - beta) * lam[1] + beta * lam_prior.lambda2 - eta * beta * g_mu2
+        if (l2 < 0.0).all():
+            return l1, l2, halvings
         eta *= 0.5
     raise InvalidPrecisionError(
         f"NGVI step {step} left the family (lambda2 >= 0) after "
@@ -364,22 +400,43 @@ def ngvi_update(state: LearnerState, grad_mu: tuple[np.ndarray, np.ndarray],
     )
 
 
-def oga_update(state: LearnerState, g: np.ndarray, config: OgaConfig) -> LearnerState:
-    theta = state.theta - config.eta * np.asarray(g, dtype=float)
+def ngvi_update(state: LearnerState, grad_mu: tuple[np.ndarray, np.ndarray],
+                config: NgviConfig) -> LearnerState:
+    """Natural-parameter recursion; on a step that would push lambda2 >= 0
+    the effective eta is halved for that step only (up to
+    ``max_step_retries`` times) before aborting."""
+    step = state.t + 1
+    l1, l2, _ = ngvi_step((state.lam.lambda1, state.lam.lambda2), *grad_mu,
+                          config.prior.natural(), step, config)
+    lam = NaturalParams(l1, l2)
+    return replace(state, t=step, q=from_natural(lam), lam=lam)
+
+
+def oga_step(theta: np.ndarray, g: np.ndarray, config: OgaConfig) -> np.ndarray:
+    theta = theta - config.eta * g
     if config.box is not None:
-        theta = np.clip(theta, config.box.m_lo, config.box.m_hi)
-    return replace(state, t=state.t + 1, theta=theta)
+        theta = theta.clip(config.box.m_lo, config.box.m_hi)
+    return theta
+
+
+def oga_update(state: LearnerState, g: np.ndarray, config: OgaConfig) -> LearnerState:
+    return replace(state, t=state.t + 1,
+                   theta=oga_step(state.theta, np.asarray(g, dtype=float), config))
+
+
+def ogael_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
+               config: OgaElConfig) -> tuple[np.ndarray, np.ndarray]:
+    m = m - config.eta * g_m
+    sigma = np.maximum(sigma - config.eta * g_sigma, SIGMA_FLOOR)
+    if config.box is not None:
+        m, sigma = config.box.clip(m, sigma)
+    return m, sigma
 
 
 def ogael_update(state: LearnerState, grad: ExpectedLossGradient,
                  config: OgaElConfig) -> LearnerState:
-    m = state.q.m - config.eta * grad.g_m
-    sigma = state.q.sigma - config.eta * grad.g_sigma
-    sigma = np.maximum(sigma, SIGMA_FLOOR)
-    q = MeanFieldGaussian(m, sigma)
-    if config.box is not None:
-        q = project_box(q, config.box)
-    return replace(state, t=state.t + 1, q=q)
+    m, sigma = ogael_step(state.q.m, state.q.sigma, grad.g_m, grad.g_sigma, config)
+    return replace(state, t=state.t + 1, q=MeanFieldGaussian(m, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -390,106 +447,192 @@ def ogael_update(state: LearnerState, grad: ExpectedLossGradient,
 class Trace:
     """Per-step record of one online run (arrays indexed by step, 0-based)."""
 
-    predictions: np.ndarray            # (T, d_pred)
-    losses: np.ndarray                 # (T,)
-    states: tuple[LearnerState, ...]   # post-update snapshots
-    in_box: np.ndarray | None = None   # per-step box membership, if tracked
-    expert_losses: np.ndarray | None = None  # (T, K) for the expert grid
+    predictions: np.ndarray              # (T, d_pred) decision theta_hat_t
+    losses: np.ndarray                   # (T,) point loss at the decision
+    in_box: np.ndarray | None = None     # (T,) post-update box membership, if tracked
+    sigmas: np.ndarray | None = None     # (T, d) post-update sigma; None for oga, ewagrid
+    halvings: np.ndarray | None = None   # (T,) NGVI eta halvings per step; NGVI only
 
     @property
     def horizon(self) -> int:
         return self.losses.size
 
 
-def _as_examples(stream) -> list[DataExample]:
-    if hasattr(stream, "examples"):
-        return list(stream.examples())
-    return list(stream)
+# The array state of one learner inside run_online: ``m`` is the decision
+# (theta for OGA), ``sigma`` is None for OGA, ``update`` advances one step
+# with the learner's kernel, and ``projected`` means every update lands in
+# the box, so box membership needs no per-step check.
 
 
-def run_online(config: LearnerConfig, stream, kind: LossKind, *,
+class _Sva:
+    def __init__(self, config: SvaConfig):
+        self.config = config
+        self.m, self.sigma = _prior_arrays(config.prior)
+        self.accum = np.zeros(config.prior.d)
+        self.projected = config.box is not None and config.project
+
+    def update(self, g_m, g_sigma, t):
+        self.m, self.sigma, self.accum = sva_step(self.m, self.accum, g_m, g_sigma, self.config)
+
+
+class _Svb:
+    def __init__(self, config: SvbConfig):
+        self.config = config
+        self.m, self.sigma = _prior_arrays(config.prior)
+        self.projected = config.box is not None
+
+    def update(self, g_m, g_sigma, t):
+        self.m, self.sigma = svb_step(self.m, self.sigma, g_m, g_sigma, t, self.config)
+
+
+class _Ngvi:
+    projected = False  # no lambda-space projection is defined
+
+    def __init__(self, config: NgviConfig):
+        self.config = config
+        self.m, self.sigma = _prior_arrays(config.prior)
+        self.lam_prior = config.prior.natural()
+        self.lam = (self.lam_prior.lambda1, self.lam_prior.lambda2)
+        self.halvings = 0
+
+    def update(self, g_m, g_sigma, t):
+        g_mu1, g_mu2 = expectation_grad(g_m, g_sigma, self.m, self.sigma)
+        l1, l2, self.halvings = ngvi_step(self.lam, g_mu1, g_mu2, self.lam_prior, t,
+                                          self.config)
+        self.lam = (l1, l2)
+        self.m, self.sigma = natural_to_standard(l1, l2)
+
+
+class _Oga:
+    projected = True
+    sigma = None
+
+    def __init__(self, config: OgaConfig):
+        if config.box is None:
+            raise DomainError("OGA needs a box to size theta; pass BoxConstraints")
+        self.config = config
+        self.m = np.zeros(config.box.d)
+
+    def update(self, g, _, t):
+        self.m = oga_step(self.m, g, self.config)
+
+
+class _OgaEl:
+    def __init__(self, config: OgaElConfig):
+        self.config = config
+        self.m, self.sigma = _prior_arrays(config.prior)
+        self.projected = config.box is not None
+
+    def update(self, g_m, g_sigma, t):
+        self.m, self.sigma = ogael_step(self.m, self.sigma, g_m, g_sigma, self.config)
+
+
+_LEARNERS = {SvaConfig: _Sva, SvbConfig: _Svb, NgviConfig: _Ngvi, OgaConfig: _Oga,
+             OgaElConfig: _OgaEl}
+
+
+def _prior_arrays(prior: GaussianPrior) -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros(prior.d), np.full(prior.d, float(prior.s))
+
+
+def _finite(a: np.ndarray) -> bool:
+    # a - a is 0 where a is finite and NaN elsewhere, and cannot overflow
+    zeros = a - a
+    return zeros @ zeros == 0.0
+
+
+def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
                horizon: int | None = None, mc_samples: int = 32,
                seed: int = 0) -> Trace:
-    """Run one algorithm over a stream: predict, suffer the point loss at the
-    prediction, compute the gradient object the algorithm needs, update.
+    """Run one algorithm over the rows of a dataset: predict, suffer the
+    point loss at the prediction, compute the gradient the algorithm needs,
+    update.
 
-    Deterministic given (config, stream, seed); the Monte-Carlo seed at step
-    t is ``derive_seed(seed, t)`` so that all algorithms run under the same
+    Inputs are validated once here; each step then checks only that the
+    gradient and the new state are finite with sigma > 0.  Deterministic
+    given (config, data, seed); the Monte-Carlo seed at step t is
+    ``derive_seed(seed, t)`` so that all algorithms run under the same
     experiment seed share random numbers step by step.
     """
-    examples = _as_examples(stream)
+    # contiguous rows, as DataExample copies them: the dot products of the
+    # public per-example functions and of this loop then round alike
+    features, targets = np.ascontiguousarray(data.features), data.targets
     if horizon is not None:
-        examples = examples[:horizon]
-    t_max = len(examples)
+        if horizon < 0:
+            raise DomainError("horizon must be >= 0")
+        features, targets = features[:horizon], targets[:horizon]
+    d = kind.param_dim(features.shape[1])
+    if isinstance(config, EwaGridConfig):
+        if config.experts.shape[1] != d:
+            raise DimensionMismatchError(f"experts have dimension {config.experts.shape[1]}, "
+                                         f"{kind.kind} needs {d}")
+        return _run_ewa_grid(config, kind, features, targets)
+    if type(config) not in _LEARNERS:
+        raise DomainError(f"unknown learner config {type(config).__name__}")
+    box = config.box
+    learner = _LEARNERS[type(config)](config)
+    if learner.m.size != d or (box is not None and box.d != d):
+        raise DimensionMismatchError(f"learner and box must have dimension {d} "
+                                     f"for {kind.kind} on {features.shape[1]} features")
 
-    state = init_state(config)
-    d_pred = (config.experts.shape[1] if isinstance(config, EwaGridConfig)
-              else (state.theta.size if state.theta is not None else state.q.d))
-    predictions = np.zeros((t_max, d_pred))
+    if isinstance(config, OgaConfig):
+        def gradient(m, sigma, x, y, step):
+            return point_grad_xy(kind, m, x, y), None
+    elif kind.kind == SQUARED_NN:
+        if mc_samples < 1:
+            raise DomainError("mc_samples must be >= 1")
+
+        def gradient(m, sigma, x, y, step):
+            return mc_grad_xy(kind, m, sigma, x, y, mc_samples, derive_seed(seed, step))[1:]
+    else:
+        def gradient(m, sigma, x, y, step):
+            return expected_grad_xy(kind, m, sigma, x, y)
+
+    t_max = features.shape[0]
+    predictions = np.zeros((t_max, d))
     losses = np.zeros(t_max)
-    states: list[LearnerState] = []
-    track_box = getattr(config, "box", None) is not None
-    in_box = np.zeros(t_max, dtype=bool) if track_box else None
-    expert_losses = (np.zeros((t_max, config.experts.shape[0]))
-                     if isinstance(config, EwaGridConfig) else None)
-    needs_mc = kind.kind == SQUARED_NN
+    in_box = None if box is None else np.full(t_max, learner.projected)
+    sigmas = None if learner.sigma is None else np.zeros((t_max, d))
+    halvings = np.zeros(t_max, dtype=int) if isinstance(learner, _Ngvi) else None
 
-    for i, ex in enumerate(examples):
+    for i, (x, y) in enumerate(zip(features, targets.tolist())):
         step = i + 1
-        theta_hat = predict(state)
-        predictions[i] = theta_hat
-        losses[i] = point_loss(kind, theta_hat, ex)
+        m = learner.m
+        predictions[i] = m
+        losses[i] = point_loss_xy(kind, m, x, y)
+        g_m, g_sigma = gradient(m, learner.sigma, x, y, step)
+        if not (_finite(g_m) and (g_sigma is None or _finite(g_sigma))):
+            raise DomainError(f"step {step}: the gradient is not finite")
+        learner.update(g_m, g_sigma, step)
+        m, sigma = learner.m, learner.sigma
+        if not (_finite(m) and (sigma is None or (_finite(sigma) and sigma.min() > 0.0))):
+            raise DomainError(f"step {step}: the updated state is not finite with sigma > 0")
+        if sigmas is not None:
+            sigmas[i] = sigma
+        if in_box is not None and not learner.projected:
+            in_box[i] = box.contains_arrays(m, sigma)
+        if halvings is not None:
+            halvings[i] = learner.halvings
 
-        if isinstance(config, EwaGridConfig):
-            grid_losses = point_loss_many(kind, state.grid.thetas, ex)
-            expert_losses[i] = grid_losses
-            state = replace(state, t=step, grid=ewa_grid_update(state.grid, grid_losses))
-        elif isinstance(config, OgaConfig):
-            state = oga_update(state, point_grad(kind, state.theta, ex), config)
-        else:
-            if needs_mc:
-                _, grad = mc_expected_loss_and_grad(
-                    kind, state.q, ex, mc_samples, derive_seed(seed, step))
-            else:
-                grad = expected_loss_grad(kind, state.q, ex)
-            if isinstance(config, SvaConfig):
-                state = sva_update(state, grad, config)
-            elif isinstance(config, SvbConfig):
-                state = svb_update(state, grad, config)
-            elif isinstance(config, NgviConfig):
-                state = ngvi_update(state, grad_to_expectation_coords(grad, state.q), config)
-            elif isinstance(config, OgaElConfig):
-                state = ogael_update(state, grad, config)
-            else:
-                raise DomainError(f"unknown learner config {type(config).__name__}")
-
-        states.append(state)
-        if track_box:
-            if state.q is not None:
-                in_box[i] = config.box.contains(state.q)
-            elif state.theta is not None:
-                in_box[i] = bool(np.all(state.theta >= config.box.m_lo)
-                                 and np.all(state.theta <= config.box.m_hi))
-
-    return Trace(predictions=predictions, losses=losses, states=tuple(states),
-                 in_box=in_box, expert_losses=expert_losses)
+    return Trace(predictions=predictions, losses=losses, in_box=in_box, sigmas=sigmas,
+                 halvings=halvings)
 
 
-def unrolled_natural_params(config: NgviConfig,
-                            grads_mu: Sequence[tuple[np.ndarray, np.ndarray]]) -> NaturalParams:
-    """Direct geometric-weight summation equivalent to the NGVI recursion:
-
-        lambda_{t+1} = lambda_1 - eta * sum_i  beta (1-beta)^{t-i} grad_i
-
-    Kept as an independent oracle for the recursion.
-    """
-    beta = 1.0 / (1.0 / config.alpha + 1.0 / config.eta)
-    lam = config.prior.natural()
-    t = len(grads_mu)
-    l1 = lam.lambda1.astype(float).copy()
-    l2 = lam.lambda2.astype(float).copy()
-    for i, (g1, g2) in enumerate(grads_mu, start=1):
-        w = beta * (1.0 - beta) ** (t - i)
-        l1 -= config.eta * w * g1
-        l2 -= config.eta * w * g2
-    return NaturalParams(l1, l2)
+def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, features: np.ndarray,
+                  targets: np.ndarray) -> Trace:
+    """The grid's weights depend only on the data, never on its own
+    predictions, so all T steps are one pass over the (T, K) expert-loss
+    matrix: log w_t = -eta sum_{s<t} l_s up to normalization, which equals
+    the recursion of ``ewa_grid_update`` from uniform weights."""
+    expert_losses = expert_loss_matrix(kind, config.experts, features, targets)
+    if not np.all(np.isfinite(expert_losses)):
+        raise DomainError("expert losses must be finite")
+    weights = np.zeros_like(expert_losses)
+    np.cumsum(expert_losses[:-1], axis=0, out=weights[1:])
+    weights *= -config.eta
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    predictions = weights @ config.experts
+    return Trace(predictions=predictions,
+                 losses=point_loss_rows(kind, predictions, features, targets))

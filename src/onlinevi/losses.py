@@ -20,6 +20,7 @@ For the squared linear loss E[l] = (y - <m, x>)^2 + sum_j sigma_j^2 x_j^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import erfc
@@ -27,6 +28,9 @@ from scipy.special import erfc
 from .errors import DimensionMismatchError, DomainError, UnsupportedLossError
 from .family import BoxConstraints, MeanFieldGaussian
 from .rng import CounterRng
+
+if TYPE_CHECKING:
+    from .data import Dataset
 
 HINGE = "hinge"
 SQUARED_LINEAR = "squared_linear"
@@ -155,13 +159,17 @@ def _nn_forward(theta: np.ndarray, x: np.ndarray, hw: int):
 
 
 def point_loss(kind: LossKind, theta, ex: DataExample) -> float:
-    theta = _check_theta(kind, theta, ex.x.size)
+    return point_loss_xy(kind, _check_theta(kind, theta, ex.x.size), ex.x, ex.y)
+
+
+def point_loss_xy(kind: LossKind, theta: np.ndarray, x: np.ndarray, y: float) -> float:
+    """Kernel of ``point_loss`` on a validated theta and one (x, y) row."""
     if kind.kind == HINGE:
-        return max(0.0, 1.0 - ex.y * float(theta @ ex.x))
+        return max(0.0, 1.0 - y * float(theta @ x))
     if kind.kind == SQUARED_LINEAR:
-        return float((ex.y - theta @ ex.x) ** 2)
-    f, _, _, _ = _nn_forward(theta, ex.x, kind.hidden_width)
-    return float((ex.y - f) ** 2)
+        return float((y - theta @ x) ** 2)
+    f, _, _, _ = _nn_forward(theta, x, kind.hidden_width)
+    return float((y - f) ** 2)
 
 
 def point_grad(kind: LossKind, theta, ex: DataExample) -> np.ndarray:
@@ -170,38 +178,46 @@ def point_grad(kind: LossKind, theta, ex: DataExample) -> np.ndarray:
     Hinge uses the convention 1{margin > 0} (zero exactly at the kink);
     the network ReLU derivative is 0 at 0.
     """
-    theta = _check_theta(kind, theta, ex.x.size)
+    return point_grad_xy(kind, _check_theta(kind, theta, ex.x.size), ex.x, ex.y)
+
+
+def point_grad_xy(kind: LossKind, theta: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
+    """Kernel of ``point_grad`` on a validated theta and one (x, y) row."""
     if kind.kind == HINGE:
-        margin = 1.0 - ex.y * float(theta @ ex.x)
+        margin = 1.0 - y * float(theta @ x)
         if margin > 0.0:
-            return -ex.y * ex.x.copy()
+            return -y * x.copy()
         return np.zeros_like(theta)
     if kind.kind == SQUARED_LINEAR:
-        return -2.0 * (ex.y - float(theta @ ex.x)) * ex.x
+        return -2.0 * (y - float(theta @ x)) * x
     hw = kind.hidden_width
-    f, pre, hidden, w2 = _nn_forward(theta, ex.x, hw)
-    dloss = -2.0 * (ex.y - f)
+    f, pre, hidden, w2 = _nn_forward(theta, x, hw)
+    dloss = -2.0 * (y - f)
     active = (pre > 0.0).astype(float)
     g_b1 = dloss * w2 * active
     grad = np.empty_like(theta)
-    grad[: hw * ex.x.size] = np.outer(g_b1, ex.x).reshape(-1)
-    grad[hw * ex.x.size: hw * ex.x.size + hw] = g_b1
-    grad[hw * ex.x.size + hw: hw * ex.x.size + 2 * hw] = dloss * hidden
+    grad[: hw * x.size] = np.outer(g_b1, x).reshape(-1)
+    grad[hw * x.size: hw * x.size + hw] = g_b1
+    grad[hw * x.size + hw: hw * x.size + 2 * hw] = dloss * hidden
     grad[-1] = dloss
     return grad
 
 
 def point_loss_many(kind: LossKind, thetas: np.ndarray, ex: DataExample) -> np.ndarray:
-    """Point loss at each row of thetas (used by the expert grid and MC)."""
+    """Point loss of each row of thetas on one example."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != kind.param_dim(ex.x.size):
         raise DimensionMismatchError("thetas must be (n, param_dim)")
+    return _point_loss_many(kind, thetas, ex.x, ex.y)
+
+
+def _point_loss_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     if kind.kind == HINGE:
-        return np.maximum(0.0, 1.0 - ex.y * (thetas @ ex.x))
+        return np.maximum(0.0, 1.0 - y * (thetas @ x))
     if kind.kind == SQUARED_LINEAR:
-        return (ex.y - thetas @ ex.x) ** 2
-    f = _nn_forward_many(thetas, ex.x, kind.hidden_width)[0]
-    return (ex.y - f) ** 2
+        return (y - thetas @ x) ** 2
+    f = _nn_forward_many(thetas, x, kind.hidden_width)[0]
+    return (y - f) ** 2
 
 
 def point_loss_series(kind: LossKind, theta, features: np.ndarray,
@@ -220,6 +236,34 @@ def point_loss_series(kind: LossKind, theta, features: np.ndarray,
     return (targets - (hidden @ w2 + b2)) ** 2
 
 
+def point_loss_rows(kind: LossKind, thetas: np.ndarray, features: np.ndarray,
+                    targets: np.ndarray) -> np.ndarray:
+    """Point loss of row t of thetas on example t, for all t at once."""
+    if kind.kind == SQUARED_NN:
+        hw = kind.hidden_width
+        n, d_in = features.shape
+        w1 = thetas[:, : hw * d_in].reshape(n, hw, d_in)
+        pre = np.einsum("nhd,nd->nh", w1, features) + thetas[:, hw * d_in: hw * d_in + hw]
+        f = np.einsum("nh,nh->n", thetas[:, hw * d_in + hw: hw * d_in + 2 * hw],
+                      np.maximum(pre, 0.0)) + thetas[:, -1]
+        return (targets - f) ** 2
+    scores = np.einsum("nd,nd->n", thetas, features)
+    if kind.kind == HINGE:
+        return np.maximum(0.0, 1.0 - targets * scores)
+    return (targets - scores) ** 2
+
+
+def expert_loss_matrix(kind: LossKind, experts: np.ndarray, features: np.ndarray,
+                       targets: np.ndarray) -> np.ndarray:
+    """(T, K) point losses of every expert (row of ``experts``) along a stream."""
+    if kind.kind == HINGE:
+        return np.maximum(0.0, 1.0 - targets[:, None] * (features @ experts.T))
+    if kind.kind == SQUARED_LINEAR:
+        return (targets[:, None] - features @ experts.T) ** 2
+    return np.stack([point_loss_series(kind, expert, features, targets)
+                     for expert in experts], axis=1)
+
+
 def _nn_forward_many(thetas: np.ndarray, x: np.ndarray, hw: int):
     """Forward pass of many parameter vectors on one input."""
     n = thetas.shape[0]
@@ -234,22 +278,23 @@ def _nn_forward_many(thetas: np.ndarray, x: np.ndarray, hw: int):
     return f, pre, hidden, w2
 
 
-def _point_grad_many(kind: LossKind, thetas: np.ndarray, ex: DataExample) -> np.ndarray:
-    """Per-row subgradients, stacked (n, param_dim)."""
+def _point_grad_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray,
+                     y: float) -> np.ndarray:
+    """Per-row subgradients on one example (x, y), stacked (n, param_dim)."""
     n = thetas.shape[0]
     if kind.kind == HINGE:
-        margins = 1.0 - ex.y * (thetas @ ex.x)
-        return np.where(margins[:, None] > 0.0, -ex.y * ex.x[None, :], 0.0)
+        margins = 1.0 - y * (thetas @ x)
+        return np.where(margins[:, None] > 0.0, -y * x[None, :], 0.0)
     if kind.kind == SQUARED_LINEAR:
-        resid = ex.y - thetas @ ex.x
-        return -2.0 * resid[:, None] * ex.x[None, :]
+        resid = y - thetas @ x
+        return -2.0 * resid[:, None] * x[None, :]
     hw = kind.hidden_width
-    d_in = ex.x.size
-    f, pre, hidden, w2 = _nn_forward_many(thetas, ex.x, hw)
-    dloss = -2.0 * (ex.y - f)
+    d_in = x.size
+    f, pre, hidden, w2 = _nn_forward_many(thetas, x, hw)
+    dloss = -2.0 * (y - f)
     g_b1 = dloss[:, None] * w2 * (pre > 0.0)
     grads = np.empty_like(thetas)
-    grads[:, : hw * d_in] = (g_b1[:, :, None] * ex.x[None, None, :]).reshape(n, -1)
+    grads[:, : hw * d_in] = (g_b1[:, :, None] * x[None, None, :]).reshape(n, -1)
     grads[:, hw * d_in: hw * d_in + hw] = g_b1
     grads[:, hw * d_in + hw: hw * d_in + 2 * hw] = dloss[:, None] * hidden
     grads[:, -1] = dloss
@@ -315,20 +360,26 @@ def expected_loss_grad(kind: LossKind, q: MeanFieldGaussian,
                        ex: DataExample) -> ExpectedLossGradient:
     """Closed-form (dLbar/dm, dLbar/dsigma) for the convex kinds."""
     _check_q(kind, q, ex.x.size)
+    return ExpectedLossGradient(*expected_grad_xy(kind, q.m, q.sigma, ex.x, ex.y))
+
+
+def expected_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray,
+                     y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of ``expected_loss_grad``: (g_m, g_sigma) for a validated
+    (m, sigma) and one (x, y) row; the result is not checked for finiteness."""
     if kind.kind == SQUARED_LINEAR:
-        resid = ex.y - float(q.m @ ex.x)
-        return ExpectedLossGradient(-2.0 * resid * ex.x, 2.0 * q.sigma * ex.x ** 2)
+        resid = y - float(m @ x)
+        return -2.0 * resid * x, 2.0 * sigma * x ** 2
     if kind.kind == HINGE:
-        mu_z = 1.0 - ex.y * float(q.m @ ex.x)
-        s_z = float(np.sqrt(np.sum((q.sigma * ex.x) ** 2)))
+        mu_z = 1.0 - y * float(m @ x)
+        s_z = float(np.sqrt(np.sum((sigma * x) ** 2)))
         if s_z == 0.0:
             indicator = 1.0 if mu_z > 0.0 else 0.0
-            return ExpectedLossGradient(-ex.y * indicator * ex.x,
-                                        np.zeros_like(q.sigma))
+            return -y * indicator * x, np.zeros_like(sigma)
         z = mu_z / s_z
-        g_m = -ex.y * float(gaussian_cdf(z)) * ex.x
-        g_sigma = (q.sigma * ex.x ** 2 / s_z) * float(gaussian_pdf(z))
-        return ExpectedLossGradient(g_m, g_sigma)
+        g_m = -y * float(gaussian_cdf(z)) * x
+        g_sigma = (sigma * x ** 2 / s_z) * float(gaussian_pdf(z))
+        return g_m, g_sigma
     raise UnsupportedLossError(
         "squared_nn has no closed-form gradient; use mc_expected_loss_and_grad"
     )
@@ -373,38 +424,41 @@ def mc_expected_loss_and_grad(kind: LossKind, q: MeanFieldGaussian, ex: DataExam
     if samples < 1:
         raise DomainError("samples must be >= 1")
     _check_q(kind, q, ex.x.size)
-    eps = CounterRng(seed, "mc-expected-loss").normals(samples * q.d).reshape(samples, q.d)
-    thetas = q.m[None, :] + q.sigma[None, :] * eps
-    losses = point_loss_many(kind, thetas, ex)
-    grads = _point_grad_many(kind, thetas, ex)
-    estimate = float(np.mean(losses))
-    g_m = grads.mean(axis=0)
-    g_sigma = (grads * eps).mean(axis=0)
+    estimate, g_m, g_sigma = mc_grad_xy(kind, q.m, q.sigma, ex.x, ex.y, samples, seed)
     return estimate, ExpectedLossGradient(g_m, g_sigma)
+
+
+def mc_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray, y: float,
+               samples: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Kernel of ``mc_expected_loss_and_grad``: (estimate, g_m, g_sigma) for a
+    validated (m, sigma), one (x, y) row and ``samples >= 1``."""
+    eps = CounterRng(seed, "mc-expected-loss").normals(samples * m.size).reshape(samples, m.size)
+    thetas = m[None, :] + sigma[None, :] * eps
+    losses = _point_loss_many(kind, thetas, x, y)
+    grads = _point_grad_many(kind, thetas, x, y)
+    return float(np.mean(losses)), grads.mean(axis=0), (grads * eps).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # Lipschitz constants
 
 
-def lipschitz_constant(kind: LossKind, data, box: BoxConstraints) -> float:
-    """Certified Lipschitz constant L of the expected loss, L = 2 L'.
+def lipschitz_constant(kind: LossKind, data: Dataset, box: BoxConstraints) -> float:
+    """Certified Lipschitz constant L of the expected loss over a dataset,
+    L = 2 L'.
 
     L' bounds the point-loss gradient norm: max_t ||x_t|| for hinge, and
     for the squared linear loss the box-corner bound
     max_t 2 ||x_t|| (|y_t| + sum_j max(|lo_j|, |hi_j|) |x_tj|).
     """
-    examples = list(data)
-    if not examples:
-        raise DomainError("data must be nonempty")
-    features = np.stack([ex.x for ex in examples])
+    features = data.features
     norms = np.linalg.norm(features, axis=1)
     if kind.kind == HINGE:
         return 2.0 * float(np.max(norms))
     if kind.kind == SQUARED_LINEAR:
         if features.shape[1] != box.d:
             raise DimensionMismatchError("box dimension must match feature dimension")
-        targets = np.abs(np.array([ex.y for ex in examples]))
+        targets = np.abs(data.targets)
         corner = np.maximum(np.abs(box.m_lo), np.abs(box.m_hi))
         resid_bound = targets + np.abs(features) @ corner
         return 2.0 * float(np.max(2.0 * norms * resid_bound))

@@ -207,7 +207,7 @@ class TestCriterion03Theorem1Deterministic:
 class TestCriterion04Theorem3Deterministic:
     def test_svb_schedule_meets_convex_bound(self, toy10k):
         start = time.perf_counter()
-        lip = lipschitz_constant(HINGE, toy10k.examples(), BOX2)
+        lip = lipschitz_constant(HINGE, toy10k, BOX2)
         diam = BOX2.diameter()
         comparator = best_in_hindsight(toy10k, HINGE, BOX2, restarts=20,
                                        iters=2000, seed=0)
@@ -230,7 +230,7 @@ class TestCriterion05Theorem4Deterministic:
     def test_ogael_meets_bound_on_probe_set(self):
         ds = gen_toy_classification(2000, seed=0)
         t_len = ds.T
-        lip = lipschitz_constant(HINGE, ds.examples(), BOX2)
+        lip = lipschitz_constant(HINGE, ds, BOX2)
         mu1 = PRIOR2.gaussian().mu_vector()
         sigma_lo = np.maximum(BOX2.sigma_lo, SIGMA_FLOOR)
         # sup ||mu - mu_1|| over the box, coordinatewise corner maximum
@@ -264,7 +264,7 @@ class TestCriterion06Theorem2Informational:
                                                      paper_schedule_runs):
         t_len = toy10k.T
         eta = 1.0 / np.sqrt(t_len)
-        lip = lipschitz_constant(HINGE, toy10k.examples(), BOX2)
+        lip = lipschitz_constant(HINGE, toy10k, BOX2)
         alpha_box = BoxConstraints(BOX2.m_lo, BOX2.m_hi,
                                    np.full(2, 0.01), BOX2.sigma_hi)
         alpha_hat = alpha_estimate(PRIOR2, alpha_box, resolution=11)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from onlinevi.cli import main
+from onlinevi.cli import load_experiment, main, materialize
+from onlinevi.learners import run_online
 
 BASE_CONFIG = """
 [run]
@@ -84,6 +85,11 @@ class TestRun:
             for key in ("final_avg_loss", "regret", "bound", "slack_ratio", "wall_ms"):
                 assert key in entry, (name, key)
         assert summary["fastest_to_plateau"] in ALGO_NAMES
+        phases = summary["phases_ms"]
+        assert set(phases) == {"load", "comparator", "learners", "bounds", "write"}
+        assert set(phases["learners"]) == set(ALGO_NAMES)
+        assert summary["algorithms"]["ngvi"]["ngvi_halvings"] == {
+            "count": 0, "first_step": None, "last_step": None}
 
     def test_summary_recomputable_from_series(self, run_dir):
         # round-trip audit: every loss-derived number in summary.json must be
@@ -121,6 +127,24 @@ class TestRun:
         config.write_text(BASE_CONFIG.replace("seed = 1", "seed = 1\nhorizon = 0"),
                           encoding="utf-8")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("options, key", [
+        ("algo = svb\nschedule = fixed", "eta"),
+        ("algo = svb\nschedule = thm3_strong", "h"),
+        ("algo = svb\nschedule = thm3_convex\nl = 0", "l"),
+        ("algo = sva\neta = abc", "eta"),
+        ("algo = oga\neta = -0.5", "eta"),
+        ("algo = ngvi\nalpha = 0", "alpha"),
+        ("algo = ngvi\neta = nan", "eta"),
+        ("algo = ewagrid\nexperts = diagonal:abc", "experts"),
+    ])
+    def test_bad_algorithm_value_is_config_error(self, tmp_path, capsys, options, key):
+        config = tmp_path / "bad.ini"
+        config.write_text(BASE_CONFIG + f"\n[algorithm.bad]\n{options}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert f"[algorithm.bad] {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini"),
@@ -185,6 +209,44 @@ eta = auto
         assert summary["comparator"]["method"] == "local"
         for name in ("sva", "ogael"):
             assert np.isfinite(summary["algorithms"][name]["final_avg_loss"])
+
+
+class TestNgviHalvings:
+    def test_halvings_reported_in_summary(self, tmp_path):
+        # Monte-Carlo gradients can push lambda2 up; at this eta NGVI halves
+        # its step on a few steps without aborting
+        config = tmp_path / "halve.ini"
+        config.write_text("""
+[run]
+seed = 0
+mc_samples = 8
+comparator_restarts = 1
+comparator_iters = 50
+box_m_abs = 5
+
+[dataset]
+source = iid_regression
+theta_star = 1,-1
+noise_sd = 0.3
+n = 40
+loss = squared-nn
+hidden_width = 3
+
+[algorithm.ngvi]
+eta = 5
+alpha = 0.1
+""", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        reported = json.loads((out / "summary.json").read_text())["algorithms"]["ngvi"]
+        ctx = materialize(load_experiment(config))
+        _, ngvi, _ = ctx.resolved[0]
+        halvings = run_online(ngvi, ctx.stream, ctx.kind, mc_samples=8, seed=0).halvings
+        steps = np.flatnonzero(halvings) + 1
+        assert steps.size > 0
+        assert reported["ngvi_halvings"] == {"count": int(halvings.sum()),
+                                             "first_step": int(steps[0]),
+                                             "last_step": int(steps[-1])}
 
 
 class TestRuntimeErrorPath:

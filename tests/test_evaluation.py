@@ -4,7 +4,8 @@ formulas, online-to-batch conversion, and the strong-convexity estimate."""
 import numpy as np
 import pytest
 
-from onlinevi.data import gen_iid_regression, gen_toy_classification
+from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regression,
+                           gen_toy_classification)
 from onlinevi.errors import DataError, DomainError
 from onlinevi.evaluation import (
     BoundInputs,
@@ -22,7 +23,7 @@ from onlinevi.evaluation import (
     svb_bounds,
 )
 from onlinevi.family import BoxConstraints, GaussianPrior
-from onlinevi.losses import DataExample, LossKind, point_loss_series
+from onlinevi.losses import LossKind, point_loss_series
 from onlinevi.rng import CounterRng
 
 HINGE = LossKind.hinge()
@@ -53,13 +54,13 @@ class TestLedger:
 
 class TestBestInHindsight:
     def test_single_hinge_example_reaches_zero(self):
-        data = [DataExample([1.0, 0.0], 1.0)]
+        data = Dataset([[1.0, 0.0]], [1.0], CLASSIFICATION, "one")
         box = BoxConstraints.symmetric(2)
         comp = best_in_hindsight(data, HINGE, box, restarts=5, iters=300, seed=0)
         assert comp.cumulative_loss_star == pytest.approx(0.0, abs=1e-6)
 
     def test_one_dim_least_squares(self):
-        data = [DataExample([1.0], 1.0), DataExample([1.0], 3.0)]
+        data = Dataset([[1.0], [1.0]], [1.0, 3.0], REGRESSION, "two")
         box = BoxConstraints.symmetric(1)
         comp = best_in_hindsight(data, SQL, box, restarts=5, iters=300, seed=0)
         assert comp.theta_star[0] == pytest.approx(2.0, abs=1e-3)
@@ -74,7 +75,7 @@ class TestBestInHindsight:
             feats = rng.normals(n * d).reshape(n, d)
             theta = 2.0 * rng.normals(d)
             targs = feats @ theta + 0.5 * rng.normals(n)
-            data = [DataExample(feats[i], targs[i]) for i in range(n)]
+            data = Dataset(feats, targs, REGRESSION, "instance")
             box = BoxConstraints.symmetric(d)
             comp = best_in_hindsight(data, SQL, box, restarts=5, iters=500,
                                      seed=trial)
@@ -109,8 +110,10 @@ class TestBestInHindsight:
         assert abs(comp.cumulative_loss_star - oracle) / oracle <= 1e-2
 
     def test_rejects_empty(self):
+        # an empty stream is rejected at the Dataset boundary
         with pytest.raises(DataError):
-            best_in_hindsight([], HINGE, BoxConstraints.symmetric(2))
+            best_in_hindsight(Dataset(np.empty((0, 2)), [], CLASSIFICATION, "empty"),
+                              HINGE, BoxConstraints.symmetric(2))
 
     def test_nn_search_is_labeled_local(self):
         kind = LossKind.squared_nn(3)
@@ -259,7 +262,7 @@ class TestGeneralizationEstimate:
     def test_identical_examples(self):
         # loss 0.3 per example: (y - theta x)^2 with theta=0, y=sqrt(0.3)
         y = np.sqrt(0.3)
-        holdout = [DataExample([1.0], y)] * 5
+        holdout = Dataset([[1.0]] * 5, [y] * 5, REGRESSION, "identical")
         mean, se = generalization_estimate(np.zeros(1), holdout, SQL)
         assert mean == pytest.approx(0.3, rel=1e-12)
         assert se == 0.0
@@ -271,7 +274,8 @@ class TestGeneralizationEstimate:
         assert abs(mean - 0.25) <= 3.0 * se
 
     def test_single_example_se_zero(self):
-        mean, se = generalization_estimate(np.zeros(1), [DataExample([1.0], 1.0)], SQL)
+        holdout = Dataset([[1.0]], [1.0], REGRESSION, "single")
+        mean, se = generalization_estimate(np.zeros(1), holdout, SQL)
         assert se == 0.0
 
 

@@ -24,6 +24,7 @@ from onlinevi.learners import (
     ewa_grid_update,
     grad_to_expectation_coords,
     init_state,
+    ngvi_step,
     ngvi_update,
     oga_update,
     ogael_update,
@@ -33,9 +34,12 @@ from onlinevi.learners import (
     sva_update,
     svb_update,
 )
-from onlinevi.losses import DataExample, ExpectedLossGradient, LossKind, expected_loss
-from onlinevi.data import gen_toy_classification
-from onlinevi.rng import CounterRng
+from onlinevi.losses import (DataExample, ExpectedLossGradient, LossKind, expected_loss,
+                             expected_loss_grad, mc_expected_loss_and_grad, point_grad,
+                             point_loss, point_loss_many)
+from onlinevi.data import (CLASSIFICATION, Dataset, gen_iid_regression,
+                           gen_toy_classification)
+from onlinevi.rng import CounterRng, derive_seed
 
 PRIOR1 = GaussianPrior(1.0, 1)
 BOX1 = BoxConstraints.symmetric(1)
@@ -239,6 +243,16 @@ class TestNgviUpdate:
         new = ngvi_update(state, bad, self.CFG)
         assert np.all(new.lam.lambda2 < 0.0)
 
+    def test_step_counts_one_halving(self):
+        lam_prior = self.CFG.prior.natural()
+        lam = (lam_prior.lambda1, lam_prior.lambda2)
+        l1, l2, halvings = ngvi_step(lam, np.zeros(1), np.array([-1.2]), lam_prior, 1,
+                                     self.CFG)
+        assert halvings == 1
+        # eta = 1/2 gives beta = 1/3: lambda2' = -0.5 + (1/6) 1.2
+        np.testing.assert_allclose(l2, [-0.3], rtol=1e-12)
+        assert ngvi_step(lam, np.zeros(1), np.zeros(1), lam_prior, 1, self.CFG)[2] == 0
+
     def test_abort_with_step_index(self):
         state = init_state(self.CFG)
         state = ngvi_update(state, (np.zeros(1), np.zeros(1)), self.CFG)
@@ -331,6 +345,101 @@ class TestEwaGridUpdate:
             assert np.all(pred <= experts.max(axis=0) + 1e-12)
 
 
+def _reference_run(config, ds, kind, mc_samples=32, seed=0):
+    """The per-step object loop run_online replaced: value objects and the
+    public update functions, one DataExample at a time."""
+    state = init_state(config)
+    predictions, losses = [], []
+    for step, ex in enumerate(ds.examples(), start=1):
+        theta_hat = predict(state)
+        predictions.append(theta_hat)
+        losses.append(point_loss(kind, theta_hat, ex))
+        if isinstance(config, EwaGridConfig):
+            grid_losses = point_loss_many(kind, state.grid.thetas, ex)
+            state = LearnerState(t=step, grid=ewa_grid_update(state.grid, grid_losses))
+            continue
+        if isinstance(config, OgaConfig):
+            state = oga_update(state, point_grad(kind, state.theta, ex), config)
+            continue
+        if kind.kind == "squared_nn":
+            _, grad = mc_expected_loss_and_grad(kind, state.q, ex, mc_samples,
+                                                derive_seed(seed, step))
+        else:
+            grad = expected_loss_grad(kind, state.q, ex)
+        if isinstance(config, SvaConfig):
+            state = sva_update(state, grad, config)
+        elif isinstance(config, SvbConfig):
+            state = svb_update(state, grad, config)
+        elif isinstance(config, NgviConfig):
+            state = ngvi_update(state, grad_to_expectation_coords(grad, state.q), config)
+        else:
+            state = ogael_update(state, grad, config)
+    return np.array(predictions), np.array(losses)
+
+
+def _learner_configs(d, t_len, box):
+    prior = GaussianPrior(1.0, d)
+    eta = 1.0 / np.sqrt(t_len)
+    return {
+        "sva": SvaConfig(eta=eta, prior=prior, box=box),
+        "sva_unprojected": SvaConfig(eta=eta, prior=prior, box=box, project=False),
+        "svb": SvbConfig(schedule=InvSigmaSqrtT(), prior=prior, box=box),
+        "svb_thm3": SvbConfig(schedule=Thm3ConvexSchedule(D=box.diameter(), L=4.0),
+                              prior=prior, box=box),
+        "ngvi": NgviConfig(eta=1.0, alpha=0.02, prior=prior, box=box),
+        "oga": OgaConfig(eta=eta, box=box),
+        "ogael": OgaElConfig(eta=eta, prior=prior, box=box),
+    }
+
+
+class TestReferenceLoop:
+    """run_online against the object loop it replaced: identical arithmetic,
+    so identical floats."""
+
+    NN = LossKind.squared_nn(3)
+    STREAMS = {
+        "hinge": (LossKind.hinge(), gen_toy_classification(300, seed=8)),
+        "squared_linear": (LossKind.squared_linear(),
+                           gen_iid_regression(200, np.array([1.0, -2.0, 0.5]), 0.5, seed=8)),
+        "squared_nn": (NN, gen_iid_regression(60, np.array([1.0, -1.0]), 0.3, seed=8)),
+    }
+
+    @pytest.mark.parametrize("stream", list(STREAMS))
+    def test_losses_and_predictions_identical(self, stream):
+        kind, ds = self.STREAMS[stream]
+        d = kind.param_dim(ds.d)
+        box = BoxConstraints.symmetric(d, m_abs=5.0 if kind is self.NN else 20.0)
+        for name, cfg in _learner_configs(d, ds.T, box).items():
+            trace = run_online(cfg, ds, kind, mc_samples=8, seed=3)
+            predictions, losses = _reference_run(cfg, ds, kind, mc_samples=8, seed=3)
+            np.testing.assert_array_equal(trace.losses, losses, err_msg=name)
+            np.testing.assert_array_equal(trace.predictions, predictions, err_msg=name)
+
+    def test_ngvi_halving_path_identical(self):
+        # on this Monte-Carlo stream NGVI halves its step once, at step 17
+        ds = gen_iid_regression(40, np.array([1.0, -1.0]), 0.3, seed=0)
+        cfg = NgviConfig(eta=2.0, alpha=0.1, prior=GaussianPrior(1.0, self.NN.param_dim(2)))
+        trace = run_online(cfg, ds, self.NN, mc_samples=8, seed=0)
+        np.testing.assert_array_equal(np.flatnonzero(trace.halvings) + 1, [17])
+        assert trace.halvings.sum() == 1
+        predictions, losses = _reference_run(cfg, ds, self.NN, mc_samples=8, seed=0)
+        np.testing.assert_array_equal(trace.losses, losses)
+        np.testing.assert_array_equal(trace.predictions, predictions)
+
+    @pytest.mark.parametrize("stream", list(STREAMS))
+    def test_vectorized_grid_matches_recursion(self, stream):
+        kind, ds = self.STREAMS[stream]
+        d = kind.param_dim(ds.d)
+        for experts in (diagonal_lattice(-5.0, 5.0, 11, d), product_lattice(-2.0, 2.0, 2, d)):
+            if experts.shape[0] > 64:
+                continue
+            cfg = EwaGridConfig(eta=0.05, experts=experts)
+            trace = run_online(cfg, ds, kind)
+            predictions, losses = _reference_run(cfg, ds, kind)
+            np.testing.assert_allclose(trace.predictions, predictions, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(trace.losses, losses, rtol=1e-12, atol=1e-12)
+
+
 class TestRunOnline:
     KIND = LossKind.hinge()
     BOX2 = BoxConstraints.symmetric(2)
@@ -349,25 +458,33 @@ class TestRunOnline:
 
     def test_empty_horizon(self):
         ds = gen_toy_classification(10, seed=0)
-        for cfg in self._configs(10).values():
+        for name, cfg in self._configs(10).items():
             trace = run_online(cfg, ds, self.KIND, horizon=0)
-            assert trace.horizon == 0
+            assert trace.horizon == 0, name
+            assert trace.predictions.shape == (0, 2), name
+            if trace.sigmas is not None:
+                assert trace.sigmas.shape == (0, 2), name
+
+    def test_non_finite_gradient_is_domain_error(self):
+        # sigma * x^2 / s_z is inf / inf: the hinge sigma-gradient is NaN
+        ds = Dataset([[1e200, 0.0], [1.0, 1.0]], [1.0, -1.0], CLASSIFICATION, "huge")
+        for name in ("sva", "svb", "ngvi", "ogael"):
+            with pytest.raises(DomainError, match="step 1"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                run_online(self._configs(2)[name], ds, self.KIND)
 
     def test_satisfied_margins_freeze_state(self):
         # all margins > 1: hinge gradients vanish and the state never moves
-        examples = [DataExample([5.0, 0.0], 1.0)] * 20
-        cfg = SvaConfig(eta=0.1, prior=self.PRIOR2, box=self.BOX2)
-        # start from a state that classifies confidently: m = (1, 0) gives
-        # margin 1 - 5 = -4 < 0 at every step once sigma is small enough...
-        # with the prior start the margin distribution still has mass at the
-        # kink, so use OGA (point gradients) for the exact freeze
+        ds = Dataset(np.tile([5.0, 0.0], (20, 1)), np.ones(20), CLASSIFICATION, "margins")
+        # with the prior start the margin distribution of the variational
+        # learners still has mass at the kink, so use OGA (point gradients)
+        # for the exact freeze
         oga = OgaConfig(eta=0.5, box=self.BOX2)
-        trace = run_online(oga, examples, self.KIND)
-        first_theta = trace.states[0].theta
+        trace = run_online(oga, ds, self.KIND)
         # after the first step theta moves to the margin-satisfied region of
-        # this stream and stays put
-        np.testing.assert_array_equal(trace.states[5].theta, first_theta)
-        np.testing.assert_array_equal(trace.states[-1].theta, first_theta)
+        # this stream and stays put: every later decision is the same
+        np.testing.assert_array_equal(trace.predictions[2:],
+                                      np.tile(trace.predictions[1], (18, 1)))
         assert np.all(trace.losses[1:] == 0.0)
 
     def test_bit_identical_reruns(self):
@@ -380,34 +497,36 @@ class TestRunOnline:
 
     def test_box_and_positivity_invariants(self):
         # after every update: sigma > 0, and (m, sigma) inside the box for
-        # the projected algorithms
+        # the projected algorithms (the decision at step t+1 is the mean
+        # after update t)
         ds = gen_toy_classification(300, seed=4)
         for name, cfg in self._configs(300).items():
             if name == "ngvi":   # NGVI is unprojected by design
                 continue
             trace = run_online(cfg, ds, self.KIND, seed=5)
-            for state in trace.states:
-                if state.q is not None:
-                    assert np.all(state.q.sigma > 0.0), name
-                    assert self.BOX2.contains(state.q), name
-                if state.theta is not None:
-                    assert np.all(np.abs(state.theta) <= 20.0), name
+            assert np.all(np.abs(trace.predictions) <= 20.0), name
+            if trace.in_box is not None:
+                assert np.all(trace.in_box), name
+            if trace.sigmas is not None:
+                assert np.all(trace.sigmas > 0.0), name
+                assert np.all(trace.sigmas <= self.BOX2.sigma_hi), name
 
     def test_ngvi_sigma_positive_and_violations_tracked(self):
         ds = gen_toy_classification(300, seed=4)
         cfg = self._configs(300)["ngvi"]
         trace = run_online(cfg, ds, self.KIND, seed=5)
         assert trace.in_box is not None
-        for state in trace.states[::29]:
-            assert np.all(state.q.sigma > 0.0)
+        assert np.all(trace.sigmas > 0.0)
+        means = np.vstack([trace.predictions[1:], [np.nan, np.nan]])
+        inside = np.all((np.abs(means) <= 20.0) & (trace.sigmas <= 1.0), axis=1)
+        np.testing.assert_array_equal(trace.in_box[:-1], inside[:-1])
 
     def test_sva_sigma_monotone_under_hinge(self):
         # hinge has g_sigma >= 0, so h(...) <= 1 and sigma never grows
         ds = gen_toy_classification(300, seed=6)
         cfg = SvaConfig(eta=0.05, prior=self.PRIOR2, box=self.BOX2)
         trace = run_online(cfg, ds, self.KIND)
-        sigmas = np.stack([s.q.sigma for s in trace.states])
-        assert np.all(np.diff(sigmas, axis=0) <= 1e-15)
+        assert np.all(np.diff(trace.sigmas, axis=0) <= 1e-15)
 
     def test_svb_thm3_mean_path_invariant_to_sigma_init(self):
         # squared-linear g_m does not involve sigma, and under the Theorem 3
@@ -418,7 +537,6 @@ class TestRunOnline:
         sched = Thm3ConvexSchedule(D=5.0, L=3.0)
         rng = CounterRng(27, "thm3-init")
         paths = []
-        from onlinevi.losses import expected_loss_grad
         for _ in range(3):
             sigma0 = 0.2 + 0.8 * rng.uniforms(2)
             state = LearnerState(t=0, q=MeanFieldGaussian(np.zeros(2), sigma0))

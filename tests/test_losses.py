@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import fd_expected_grad, rel_vec_error
 
+from onlinevi.data import CLASSIFICATION, REGRESSION, Dataset
 from onlinevi.errors import DimensionMismatchError, UnsupportedLossError
 from onlinevi.family import BoxConstraints, MeanFieldGaussian
 from onlinevi.losses import (
@@ -218,12 +219,12 @@ class TestMonteCarlo:
 
 class TestLipschitz:
     def test_hinge_norm(self):
-        data = [DataExample([3.0, 4.0], 1.0)]
+        data = Dataset([[3.0, 4.0]], [1.0], CLASSIFICATION, "one")
         box = BoxConstraints.symmetric(2)
         assert lipschitz_constant(HINGE, data, box) == 10.0  # L' = 5, L = 2L'
 
     def test_hinge_zero_features(self):
-        data = [DataExample([0.0, 0.0], 1.0)]
+        data = Dataset([[0.0, 0.0]], [1.0], CLASSIFICATION, "zero")
         assert lipschitz_constant(HINGE, data, BoxConstraints.symmetric(2)) == 0.0
 
     def test_squared_linear_random_pair_audit(self):
@@ -231,8 +232,8 @@ class TestLipschitz:
         rng = CounterRng(15, "lip-audit")
         d = 2
         box = BoxConstraints.symmetric(d, m_abs=3.0, sigma_hi=1.0)
-        data = [DataExample(rng.normals(d), float(rng.normals(1)[0]))
-                for _ in range(10)]
+        rows = [(rng.normals(d), float(rng.normals(1)[0])) for _ in range(10)]
+        data = Dataset([x for x, _ in rows], [y for _, y in rows], REGRESSION, "audit")
         lip = lipschitz_constant(SQL, data, box)
         n = 10 ** 5
         m_a = -3.0 + 6.0 * rng.uniforms(n * d).reshape(n, d)
@@ -240,14 +241,14 @@ class TestLipschitz:
         s_a = 1e-3 + (1 - 1e-3) * rng.uniforms(n * d).reshape(n, d)
         s_b = 1e-3 + (1 - 1e-3) * rng.uniforms(n * d).reshape(n, d)
         dists = np.sqrt(np.sum((m_a - m_b) ** 2 + (s_a - s_b) ** 2, axis=1))
-        for ex in data:
-            vals_a = (ex.y - m_a @ ex.x) ** 2 + (s_a ** 2) @ (ex.x ** 2)
-            vals_b = (ex.y - m_b @ ex.x) ** 2 + (s_b ** 2) @ (ex.x ** 2)
+        for x, y in zip(data.features, data.targets):
+            vals_a = (y - m_a @ x) ** 2 + (s_a ** 2) @ (x ** 2)
+            vals_b = (y - m_b @ x) ** 2 + (s_b ** 2) @ (x ** 2)
             assert np.all(np.abs(vals_a - vals_b) <= lip * dists + 1e-9)
 
     def test_nn_unsupported(self):
         kind = LossKind.squared_nn(2)
-        data = [DataExample([1.0], 0.0)]
+        data = Dataset([[1.0]], [0.0], REGRESSION, "nn")
         with pytest.raises(UnsupportedLossError):
             lipschitz_constant(kind, data, BoxConstraints.symmetric(7))
 
