@@ -11,17 +11,13 @@ gradients), ``learners`` (the online update rules and the run loop),
 from .family import (
     SIGMA_FLOOR,
     BoxConstraints,
-    ExpectationParams,
     GaussianPrior,
     MeanFieldGaussian,
     NaturalParams,
-    from_expectation,
     from_natural,
     h_map,
     kl_divergence,
-    posterior_mean,
     project_box,
-    to_expectation,
     to_natural,
 )
 from .losses import (
@@ -36,11 +32,9 @@ from .losses import (
     point_loss,
 )
 from .learners import (
-    EwaGrid,
     EwaGridConfig,
     FixedEta,
     InvSigmaSqrtT,
-    LearnerState,
     NgviConfig,
     OgaConfig,
     OgaElConfig,
@@ -49,16 +43,7 @@ from .learners import (
     Thm3ConvexSchedule,
     Thm3StrongSchedule,
     Trace,
-    ewa_grid_update,
-    grad_to_expectation_coords,
-    init_state,
-    ngvi_update,
-    oga_update,
-    ogael_update,
-    predict,
     run_online,
-    sva_update,
-    svb_update,
 )
 from .evaluation import (
     AlphaEstimate,

@@ -61,7 +61,6 @@ from .learners import (
     SvbConfig,
     Thm3ConvexSchedule,
     Thm3StrongSchedule,
-    algorithm_tag,
     diagonal_lattice,
     product_lattice,
     run_online,
@@ -124,72 +123,125 @@ class ExperimentConfig:
     algorithms: list[AlgoSpec] = field(default_factory=list)
 
 
-def _get(section, key, default=None):
-    if key in section:
-        return section[key].strip()
-    return default
+#: The keys each section may hold (README, "Config format"); an unknown key
+#: is a typo and is rejected, never ignored.  Every algorithm section also
+#: takes ``algo``.
+_RUN_KEYS = {"seed", "horizon", "mc_samples", "holdout_fraction", "prior_s", "box_m_abs",
+             "box_sigma_hi", "box_sigma_lo", "comparator_restarts", "comparator_iters"}
+_DATASET_KEYS = {"source", "loss", "hidden_width", "n", "data_seed", "theta_star", "noise_sd",
+                 "path", "label", "positive_label", "delimiter", "has_header", "name",
+                 "permute", "standardize", "subsample"}
+_ALGORITHM_KEYS = {
+    "sva": {"eta", "project"},
+    "svb": {"schedule", "eta", "d", "l", "h"},
+    "ngvi": {"eta", "alpha"},
+    "oga": {"eta"},
+    "ogael": {"eta"},
+    "ewagrid": {"experts", "eta"},
+}
+
+#: Cap on the values the expert grid holds: K experts of dimension d and
+#: their (T, K) loss matrix, K (T + d) float64 values in at most 1 GiB.
+_MAX_GRID_VALUES = 2 ** 27
 
 
-def _get_bool(section, key, default: bool) -> bool:
-    raw = _get(section, key)
-    if raw is None:
-        return default
+def _parse_bool(raw: str) -> bool:
     if raw.lower() in ("true", "yes", "1", "on"):
         return True
     if raw.lower() in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
+
+
+# (parse, accept, what is expected) for one config value
+_BOOL = (_parse_bool, lambda v: True, "true or false")
+_INT = (int, lambda v: True, "an integer")
+_COUNT = (int, lambda v: v >= 1, "an integer >= 1")
+_NONNEG_INT = (int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = (float, lambda v: np.isfinite(v) and v > 0.0, "a positive finite number")
+_NONNEG = (float, lambda v: np.isfinite(v) and v >= 0.0, "a finite number >= 0")
+_FRACTION = (float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+_CHAR = (str, lambda v: len(v) == 1, "one character")
+_FLOATS = (lambda raw: [float(v) for v in raw.split(",")],
+           lambda v: bool(np.all(np.isfinite(v))), "comma-separated finite numbers")
+
+
+def _parse(where: str, raw: str, rule):
+    """``raw`` parsed by ``rule``; ConfigError naming ``where`` otherwise."""
+    parse, accept, expected = rule
+    try:
+        value = parse(raw.strip())
+    except ValueError:
+        value = None
+    if value is None or not accept(value):
+        raise ConfigError(f"{where}: expected {expected}, got {raw!r}")
+    return value
+
+
+def _option(section: str, options, key: str, default, rule):
+    """The value under ``key`` in ``[section]`` parsed by ``rule``, or
+    ``default`` when the key is absent."""
+    if key not in options:
+        return default
+    return _parse(f"[{section}] {key}", options[key], rule)
+
+
+def _check_keys(section: str, options, known) -> None:
+    unknown = sorted(set(options) - set(known))
+    if unknown:
+        raise ConfigError(f"[{section}] {unknown[0]}: unknown key; expected one of "
+                          f"{', '.join(sorted(known))}")
 
 
 def load_experiment(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    if "run" not in parser or "dataset" not in parser:
+    if "run" not in sections or "dataset" not in sections:
         raise ConfigError("config needs [run] and [dataset] sections")
-    run = parser["run"]
+    run = sections["run"]
+    _check_keys("run", run, _RUN_KEYS)
+    _check_keys("dataset", sections["dataset"], _DATASET_KEYS)
     if "seed" not in run:
         raise ConfigError("[run] seed is required (no entropy from the environment)")
-    try:
-        seed = int(run["seed"])
-        horizon = int(run["horizon"]) if "horizon" in run else None
-        mc_samples = int(_get(run, "mc_samples", "32"))
-        holdout_fraction = float(_get(run, "holdout_fraction", "0"))
-        prior_s = float(_get(run, "prior_s", "1"))
-        box_m_abs = float(_get(run, "box_m_abs", "20"))
-        box_sigma_hi = float(_get(run, "box_sigma_hi", "1"))
-        box_sigma_lo = float(_get(run, "box_sigma_lo", "0"))
-        comparator_restarts = int(_get(run, "comparator_restarts", "20"))
-        comparator_iters = int(_get(run, "comparator_iters", "2000"))
-    except ValueError as exc:
-        raise ConfigError(f"[run]: {exc}") from None
-    if horizon is not None and horizon <= 0:
-        raise ConfigError("horizon must be a positive step count")
-    if mc_samples < 1:
-        raise ConfigError("mc_samples must be >= 1")
-    if not (0.0 <= holdout_fraction < 1.0):
-        raise ConfigError("holdout_fraction must be in [0, 1)")
 
-    dataset = dict(parser["dataset"])
+    def get(key, default, rule):
+        return _option("run", run, key, default, rule)
+
+    box_sigma_hi = get("box_sigma_hi", 1.0, (float, lambda v: SIGMA_FLOOR <= v < np.inf,
+                                             f"a finite number >= {SIGMA_FLOOR:g}"))
+    sigma_lo_rule = (float, lambda v: 0.0 <= v <= box_sigma_hi,
+                     f"a number in [0, box_sigma_hi = {box_sigma_hi:g}]")
+
     algorithms = []
-    for section in parser.sections():
-        if not section.startswith("algorithm."):
+    for section, options in sections.items():
+        if section in ("run", "dataset"):
             continue
+        if not section.startswith("algorithm."):
+            raise ConfigError(f"[{section}]: unknown section; expected [run], [dataset] "
+                              "or [algorithm.<name>]")
         name = section[len("algorithm."):]
-        options = dict(parser[section])
         tag = options.pop("algo", name).strip().lower()
-        if tag not in ("sva", "svb", "ngvi", "oga", "ogael", "ewagrid"):
+        if tag not in _ALGORITHM_KEYS:
             raise ConfigError(f"[{section}]: unknown algorithm tag {tag!r}")
+        _check_keys(section, options, {"algo"} | _ALGORITHM_KEYS[tag])
         algorithms.append(AlgoSpec(name=name, tag=tag, options=options))
     if not algorithms:
         raise ConfigError("at least one [algorithm.<name>] section is required")
     return ExperimentConfig(
-        seed=seed, horizon=horizon, mc_samples=mc_samples,
-        holdout_fraction=holdout_fraction, prior_s=prior_s,
-        box_m_abs=box_m_abs, box_sigma_hi=box_sigma_hi, box_sigma_lo=box_sigma_lo,
-        comparator_restarts=comparator_restarts, comparator_iters=comparator_iters,
-        dataset=dataset, algorithms=algorithms)
+        seed=get("seed", None, _INT), horizon=get("horizon", None, _COUNT),
+        mc_samples=get("mc_samples", 32, _COUNT),
+        holdout_fraction=get("holdout_fraction", 0.0, _FRACTION),
+        prior_s=get("prior_s", 1.0, _POSITIVE), box_m_abs=get("box_m_abs", 20.0, _NONNEG),
+        box_sigma_hi=box_sigma_hi, box_sigma_lo=get("box_sigma_lo", 0.0, sigma_lo_rule),
+        comparator_restarts=get("comparator_restarts", 20, _NONNEG_INT),
+        comparator_iters=get("comparator_iters", 2000, _NONNEG_INT),
+        dataset=sections["dataset"], algorithms=algorithms)
 
 
 def _loss_kind(dataset: dict) -> LossKind:
@@ -197,49 +249,51 @@ def _loss_kind(dataset: dict) -> LossKind:
     if raw in _LOSS_NAMES:
         return _LOSS_NAMES[raw]()
     if raw in ("squared-nn", "squared_nn"):
-        width = int(dataset.get("hidden_width", "16"))
-        return LossKind.squared_nn(width)
+        return LossKind.squared_nn(_option("dataset", dataset, "hidden_width", 16, _COUNT))
     raise ConfigError(f"[dataset] loss must be hinge, squared-linear or squared-nn, got {raw!r}")
 
 
 def _load_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
     ds_cfg = cfg.dataset
+
+    def get(key, default, rule):
+        return _option("dataset", ds_cfg, key, default, rule)
+
     source = ds_cfg.get("source", "").strip().lower()
-    data_seed = int(ds_cfg.get("data_seed", cfg.seed))
+    data_seed = get("data_seed", cfg.seed, _INT)
     if source == "toy":
-        n = int(ds_cfg.get("n", "10000"))
-        ds = data_mod.gen_toy_classification(n, data_seed)
+        ds = data_mod.gen_toy_classification(get("n", 10000, _COUNT), data_seed)
     elif source in ("iid_regression", "iid-regression"):
-        theta_star = [float(v) for v in ds_cfg.get("theta_star", "1").split(",")]
-        noise_sd = float(ds_cfg.get("noise_sd", "0.5"))
-        n = int(ds_cfg.get("n", "2000"))
-        ds = data_mod.gen_iid_regression(n, theta_star, noise_sd, data_seed)
+        ds = data_mod.gen_iid_regression(get("n", 2000, _COUNT),
+                                         get("theta_star", [1.0], _FLOATS),
+                                         get("noise_sd", 0.5, _NONNEG), data_seed)
     elif source == "csv":
         if "path" not in ds_cfg:
             raise ConfigError("[dataset] csv source needs path")
-        label_raw = ds_cfg.get("label", "")
-        if not label_raw:
+        label = ds_cfg.get("label", "")
+        if not label:
             raise ConfigError("[dataset] csv source needs label (name or #index)")
-        label = int(label_raw[1:]) if label_raw.startswith("#") else label_raw
+        if label.startswith("#"):
+            label = _parse("[dataset] label", label[1:], _INT)
         schema = data_mod.CsvSchema(
             label=label,
             positive_label=ds_cfg.get("positive_label") or None,
-            delimiter=ds_cfg.get("delimiter", ","),
-            has_header=_get_bool(ds_cfg, "has_header", True),
+            delimiter=get("delimiter", ",", _CHAR),
+            has_header=get("has_header", True, _BOOL),
         )
         ds = data_mod.load_csv(ds_cfg["path"], schema, name=ds_cfg.get("name"))
     else:
         raise ConfigError(f"[dataset] source must be toy, iid_regression or csv, got {source!r}")
 
-    subsample_raw = ds_cfg.get("subsample", "").strip()
-    subsample = int(subsample_raw) if subsample_raw else None
+    # an empty subsample means no explicit size, as if the key were absent
+    subsample = get("subsample", None, _COUNT) if ds_cfg.get("subsample", "").strip() else None
     if subsample is None and ds.T > data_mod.DEFAULT_SUBSAMPLE_CAP:
         # desk-scale policy: oversized datasets (Cover Type) run subsampled
         subsample = data_mod.DEFAULT_SUBSAMPLE_CAP
     stream_cfg = data_mod.StreamConfig(
         seed=data_seed,
-        permute=_get_bool(ds_cfg, "permute", True),
-        standardize=_get_bool(ds_cfg, "standardize", False),
+        permute=get("permute", True, _BOOL),
+        standardize=get("standardize", False, _BOOL),
         subsample=subsample,
     )
     return data_mod.prepare_stream(ds, stream_cfg)
@@ -270,17 +324,9 @@ def _positive(spec: AlgoSpec, key: str, default: str | None = None,
     raw = spec.options.get(key, default)
     if raw is None:
         raise ConfigError(f"{where} is required")
-    raw = raw.strip().lower()
-    if allow_auto and raw == "auto":
+    if allow_auto and raw.strip().lower() == "auto":
         return None
-    try:
-        value = float(raw)
-    except ValueError:
-        expected = "a positive number or auto" if allow_auto else "a positive number"
-        raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
-    if not (np.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{where} must be positive and finite, got {raw!r}")
-    return value
+    return _parse(where, raw, _POSITIVE)
 
 
 def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
@@ -297,7 +343,7 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
     meta: dict = {}
     if spec.tag == "sva":
         eta = eta_value(auto_eta)
-        project = _get_bool(opts, "project", True)
+        project = _option(f"algorithm.{spec.name}", opts, "project", True, _BOOL)
         config = SvaConfig(eta=eta, prior=prior, box=box, project=project)
         meta["eta"] = eta
     elif spec.tag == "svb":
@@ -343,6 +389,11 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
         if form not in ("diagonal", "product") or not count.isdecimal() or int(count) < 1:
             raise ConfigError(f"[algorithm.{spec.name}] experts must be diagonal:<k> or "
                               f"product:<per-axis> with a count >= 1, got {experts_raw!r}")
+        k = int(count) if form == "diagonal" else int(count) ** box.d
+        if k * (t_len + box.d) > _MAX_GRID_VALUES:
+            raise ConfigError(f"[algorithm.{spec.name}] experts: {experts_raw} is {k} experts "
+                              f"in dimension {box.d}; with T = {t_len} the grid and its loss "
+                              f"matrix would exceed {_MAX_GRID_VALUES} values")
         lattice = diagonal_lattice if form == "diagonal" else product_lattice
         experts = lattice(float(np.min(box.m_lo)), float(np.max(box.m_hi)), int(count), box.d)
         eta = _positive(spec, "eta", "auto", allow_auto=True)
@@ -418,9 +469,8 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
         if spec.name not in totals:
             continue
         total = totals[spec.name]
-        tag = algorithm_tag(config)
 
-        if tag == "ewagrid" and want(1) and ctx.kind.convex:
+        if spec.tag == "ewagrid" and want(1) and ctx.kind.convex:
             # the grid bound's Jensen step at the prediction needs convexity
             losses = expert_loss_matrix(ctx.kind, config.experts, ctx.stream.features,
                                         ctx.stream.targets)
@@ -436,7 +486,7 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
                 "notes": f"vs best of {config.experts.shape[0]} experts, B={b_max:.6g}",
             })
 
-        if tag == "sva" and want(2) and ctx.kind.convex and comparator is not None:
+        if spec.tag == "sva" and want(2) and ctx.kind.convex and comparator is not None:
             sigma_lo = np.maximum(ctx.box.sigma_lo, 0.01)
             alpha_box = BoxConstraints(ctx.box.m_lo, ctx.box.m_hi, sigma_lo,
                                        np.maximum(ctx.box.sigma_hi, sigma_lo))
@@ -456,7 +506,7 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
                           f"({alpha_hat.flag}), comparator sigma=0.01"),
             })
 
-        if tag == "svb" and want(3) and isinstance(config.schedule, Thm3ConvexSchedule) \
+        if spec.tag == "svb" and want(3) and isinstance(config.schedule, Thm3ConvexSchedule) \
                 and comparator is not None:
             bound, _ = svb_bounds(BoundInputs(T=t_len, D=config.schedule.D,
                                               L=config.schedule.L))
@@ -468,7 +518,7 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
                 "notes": f"D={config.schedule.D:.6g}, L={config.schedule.L:.6g}",
             })
 
-        if tag == "ogael" and want(4) and ctx.kind.convex:
+        if spec.tag == "ogael" and want(4) and ctx.kind.convex:
             probes = _theorem4_probes(ctx, 50)
             mu1 = ctx.prior.gaussian().mu_vector()
             worst_ratio = -np.inf
@@ -594,7 +644,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
             "d": ctx.stream.d,
             "task": ctx.stream.task,
             "seed": cfg.seed,
-            "standardize": _get_bool(cfg.dataset, "standardize", False),
+            "standardize": _option("dataset", cfg.dataset, "standardize", False, _BOOL),
         },
         "comparator": {
             "value": comparator.average_loss_star,
@@ -647,11 +697,33 @@ def _write_comparator_csv(path: Path, comparator, horizon: int) -> None:
     path.write_text(header + "\n" + row + "\n", encoding="utf-8", newline="\n")
 
 
-def _read_series_csv(path: Path) -> np.ndarray:
+def _read_series_csv(path: Path, horizon: int) -> np.ndarray:
+    """The instant losses of a series file with ``horizon`` rows."""
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0] != "t,instant_loss,cum_loss,avg_cum_loss":
         raise DataError(f"{path}: not a series file")
-    return np.array([float(line.split(",")[1]) for line in lines[1:]])
+    try:
+        losses = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    except (IndexError, ValueError):
+        raise DataError(f"{path}: every row needs a numeric instant_loss") from None
+    if losses.size != horizon:
+        raise DataError(f"{path}: {losses.size} rows, but the run has T = {horizon}")
+    return losses
+
+
+def _read_comparator_csv(path: Path, d: int, horizon: int) -> ComparatorResult:
+    """The comparator of a ``comparator.csv`` with ``d`` coordinates."""
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    cells = lines[1].split(",") if len(lines) == 2 else []
+    try:
+        values = [float(v) for i, v in enumerate(cells) if i != 2]
+    except ValueError:
+        values = []
+    if len(values) != 2 + d:
+        raise DataError(f"{path}: expected a header and one row of total_loss, avg_loss, "
+                        f"method and {d} coordinates")
+    return ComparatorResult(theta_star=np.array(values[2:]), cumulative_loss_star=values[0],
+                            diagnostics={"horizon": horizon, "method": cells[2]})
 
 
 def cmd_gen_toy(n: int, seed: int, out_path: str) -> int:
@@ -810,13 +882,7 @@ def cmd_bounds(run_dir: str, theorem: str) -> int:
     cfg = load_experiment(config_path)
     ctx = materialize(cfg)
 
-    lines = comparator_path.read_text(encoding="utf-8").strip().splitlines()
-    cells = lines[1].split(",")
-    stored = ComparatorResult(
-        theta_star=np.array([float(v) for v in cells[3:]]),
-        cumulative_loss_star=float(cells[0]),
-        diagnostics={"horizon": ctx.horizon, "method": cells[2]},
-    )
+    stored = _read_comparator_csv(comparator_path, ctx.box.d, ctx.horizon)
 
     totals = {}
     for spec, _, _ in ctx.resolved:
@@ -824,7 +890,7 @@ def cmd_bounds(run_dir: str, theorem: str) -> int:
         if not series.exists():
             raise ConfigError(f"{run}: missing series file {series.name}")
         # left-to-right summation, matching the ledger exactly
-        totals[spec.name] = float(np.cumsum(_read_series_csv(series))[-1])
+        totals[spec.name] = float(np.cumsum(_read_series_csv(series, ctx.horizon))[-1])
 
     records = bound_records(ctx, totals, stored, theorem)
     if not records:

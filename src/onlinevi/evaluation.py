@@ -28,6 +28,7 @@ from .family import BoxConstraints, GaussianPrior, MeanFieldGaussian, kl_diverge
 from .losses import (
     SQUARED_LINEAR,
     LossKind,
+    expert_loss_matrix,
     nn_batch_mean_grad,
     point_loss_series,
 )
@@ -338,16 +339,9 @@ def jensen_holdout_audit(predictions: np.ndarray, holdout: Dataset, kind: LossKi
     (theta_hat_t, ex) for every holdout example, deterministically."""
     if not kind.convex:
         raise DomainError("Jensen audit applies to convex kinds only")
-    preds = getattr(predictions, "predictions", predictions)
-    preds = np.asarray(preds, dtype=float)
-    theta_bar = preds.mean(axis=0)
+    preds = np.asarray(predictions, dtype=float)
     features, targets = holdout.features, holdout.targets
-    if kind.kind == SQUARED_LINEAR:
-        scores = features @ preds.T                      # (H, T)
-        per_t = (targets[:, None] - scores) ** 2
-    else:
-        margins = 1.0 - targets[:, None] * (features @ preds.T)
-        per_t = np.maximum(margins, 0.0)
-    averaged = per_t.mean(axis=1)
-    at_bar = point_loss_series(kind, theta_bar, features, targets)
+    # (H, T): the loss of every prediction on every holdout example
+    averaged = expert_loss_matrix(kind, preds, features, targets).mean(axis=1)
+    at_bar = point_loss_series(kind, preds.mean(axis=0), features, targets)
     return bool(np.all(at_bar <= averaged))

@@ -5,7 +5,7 @@ deviations sigma > 0.  Three coordinate systems are used by the learners:
 
     standard     mu = (m, sigma)
     natural      lambda = (m / sigma^2, -1 / (2 sigma^2))
-    expectation  (m, m^2 + sigma^2)
+    expectation  (m, m^2 + sigma^2), the coordinates of NGVI's gradient
 
 All value objects are immutable after construction and all operations are
 pure functions, so everything here is safe to share across threads.
@@ -77,22 +77,6 @@ class NaturalParams:
             raise DimensionMismatchError("lambda1 and lambda2 must have equal length")
         if np.any(self.lambda2 >= 0.0):
             raise InvalidPrecisionError("lambda2 must be strictly negative componentwise")
-
-
-@dataclass(frozen=True, eq=False)
-class ExpectationParams:
-    """Expectation coordinates (mu1, mu2) = (m, m^2 + sigma^2)."""
-
-    mu1: np.ndarray
-    mu2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu1", _vector(self.mu1, "mu1"))
-        object.__setattr__(self, "mu2", _vector(self.mu2, "mu2"))
-        if self.mu1.shape != self.mu2.shape:
-            raise DimensionMismatchError("mu1 and mu2 must have equal length")
-        if np.any(self.mu2 <= self.mu1 ** 2):
-            raise DomainError("mu2 must exceed mu1^2 componentwise (positive variance)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,17 +214,3 @@ def natural_to_standard(lambda1: np.ndarray,
     """Kernel of ``from_natural``: (m, sigma) for arrays with lambda2 < 0."""
     var = -0.5 / lambda2
     return var * lambda1, np.sqrt(var)
-
-
-def to_expectation(q: MeanFieldGaussian) -> ExpectationParams:
-    return ExpectationParams(q.m, q.m ** 2 + q.sigma ** 2)
-
-
-def from_expectation(ep: ExpectationParams) -> MeanFieldGaussian:
-    var = ep.mu2 - ep.mu1 ** 2
-    return MeanFieldGaussian(ep.mu1, np.sqrt(var))
-
-
-def posterior_mean(q: MeanFieldGaussian) -> np.ndarray:
-    """The decision theta_hat = E[theta] used to incur loss; ignores sigma."""
-    return q.m.copy()

@@ -27,21 +27,18 @@ Each update is an array kernel (``sva_step``, ``svb_step``, ``ngvi_step``,
 arrays.  ``run_online`` validates its inputs once, then advances one
 learner over the rows of ``Dataset.features`` / ``Dataset.targets`` with
 those kernels, checking on each step only that the gradient and the new
-state are finite with sigma > 0.  The public ``*_update`` functions wrap
-the same kernels in the validated value objects (``LearnerState``,
-``MeanFieldGaussian``, ``ExpectedLossGradient``).  The grid's weights
-depend only on the data, so its T predictions come from the (T, K)
-expert-loss matrix in one vectorized pass.  A run owns its arrays and
-runs are independent.
+state are finite with sigma > 0.  The kernels and ``run_online`` are the
+only implementation of the learners.  The grid's weights depend only on
+the data, so its T predictions come from the (T, K) expert-loss matrix in
+one vectorized pass.  A run owns its arrays and runs are independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import Dataset
 from .errors import DimensionMismatchError, DomainError, InvalidPrecisionError
@@ -49,16 +46,12 @@ from .family import (
     SIGMA_FLOOR,
     BoxConstraints,
     GaussianPrior,
-    MeanFieldGaussian,
     NaturalParams,
-    from_natural,
     h_map,
     natural_to_standard,
-    to_natural,
 )
 from .losses import (
     SQUARED_NN,
-    ExpectedLossGradient,
     LossKind,
     expected_grad_xy,
     expert_loss_matrix,
@@ -71,7 +64,7 @@ from .rng import derive_seed
 
 # Not called here any more; the benchmark's tracer (perfbench/tracer.py)
 # still resolves these names in this namespace.
-from .family import project_box  # noqa: F401,E402
+from .family import from_natural, project_box, to_natural  # noqa: F401,E402
 from .losses import (  # noqa: F401,E402
     expected_loss_grad,
     mc_expected_loss_and_grad,
@@ -197,55 +190,9 @@ class EwaGridConfig:
 LearnerConfig = Union[SvaConfig, SvbConfig, NgviConfig, OgaConfig, OgaElConfig,
                       EwaGridConfig]
 
-ALGORITHM_TAGS = {
-    SvaConfig: "sva",
-    SvbConfig: "svb",
-    NgviConfig: "ngvi",
-    OgaConfig: "oga",
-    OgaElConfig: "ogael",
-    EwaGridConfig: "ewagrid",
-}
-
-
-def algorithm_tag(config: LearnerConfig) -> str:
-    return ALGORITHM_TAGS[type(config)]
-
 
 # ---------------------------------------------------------------------------
-# expert grid state
-
-
-@dataclass(frozen=True, eq=False)
-class EwaGrid:
-    """Finite expert set with log-space weights normalized to sum 1."""
-
-    thetas: np.ndarray       # (K, d)
-    log_weights: np.ndarray  # (K,)
-    eta: float
-
-    def __post_init__(self):
-        thetas = np.array(self.thetas, dtype=float)
-        lw = np.array(self.log_weights, dtype=float).reshape(-1)
-        if thetas.ndim != 2 or thetas.shape[0] != lw.size:
-            raise DimensionMismatchError("log_weights must have one entry per expert")
-        if not np.all(np.isfinite(lw)):
-            raise DomainError("log weights must be finite")
-        thetas.setflags(write=False)
-        lw.setflags(write=False)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "log_weights", lw)
-
-    @classmethod
-    def uniform(cls, thetas: np.ndarray, eta: float) -> "EwaGrid":
-        thetas = np.asarray(thetas, dtype=float)
-        k = thetas.shape[0]
-        return cls(thetas, np.full(k, -np.log(k)), eta)
-
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-    def mean(self) -> np.ndarray:
-        return self.weights() @ self.thetas
+# expert lattices for the grid
 
 
 def diagonal_lattice(lo: float, hi: float, count: int, d: int) -> np.ndarray:
@@ -260,68 +207,8 @@ def product_lattice(lo: float, hi: float, per_axis: int, d: int) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def ewa_grid_update(grid: EwaGrid, losses: np.ndarray) -> EwaGrid:
-    """Multiplicative-weights step: log w_k += -eta l_k, then renormalize.
-
-    Log-space with logsumexp keeps this stable for eta * sum(loss) well
-    past 1e6.
-    """
-    losses = np.asarray(losses, dtype=float).reshape(-1)
-    if losses.size != grid.thetas.shape[0]:
-        raise DimensionMismatchError("one loss per expert required")
-    if not np.all(np.isfinite(losses)):
-        raise DomainError("expert losses must be finite")
-    lw = grid.log_weights - grid.eta * losses
-    lw = lw - logsumexp(lw)
-    return EwaGrid(grid.thetas, lw, grid.eta)
-
-
 # ---------------------------------------------------------------------------
-# learner state and updates
-
-
-@dataclass(frozen=True, eq=False)
-class LearnerState:
-    """Evolving state; only the fields the algorithm needs are populated."""
-
-    t: int
-    q: MeanFieldGaussian | None = None
-    accum_g_sigma: np.ndarray | None = None   # SVA running sum of g_sigma
-    lam: NaturalParams | None = None           # NGVI
-    theta: np.ndarray | None = None             # OGA
-    grid: EwaGrid | None = None                 # grid EWA
-
-
-def init_state(config: LearnerConfig) -> LearnerState:
-    if isinstance(config, SvaConfig):
-        return LearnerState(t=0, q=config.prior.gaussian(),
-                            accum_g_sigma=np.zeros(config.prior.d))
-    if isinstance(config, SvbConfig):
-        return LearnerState(t=0, q=config.prior.gaussian())
-    if isinstance(config, NgviConfig):
-        prior = config.prior.gaussian()
-        return LearnerState(t=0, q=prior, lam=to_natural(prior))
-    if isinstance(config, OgaConfig):
-        if config.box is None:
-            raise DomainError("OGA needs a box to size theta; pass BoxConstraints")
-        return LearnerState(t=0, theta=np.zeros(config.box.d))
-    if isinstance(config, OgaElConfig):
-        return LearnerState(t=0, q=config.prior.gaussian())
-    if isinstance(config, EwaGridConfig):
-        return LearnerState(t=0, grid=EwaGrid.uniform(config.experts, config.eta))
-    raise DomainError(f"unknown learner config {type(config).__name__}")
-
-
-def predict(state: LearnerState) -> np.ndarray:
-    """The decision theta_hat: posterior mean for distributions, theta for OGA,
-    and the weighted expert average for the grid."""
-    if state.grid is not None:
-        return state.grid.mean()
-    if state.theta is not None:
-        return state.theta.copy()
-    if state.q is not None:
-        return state.q.m.copy()
-    raise DomainError("uninitialized learner state")
+# update kernels
 
 
 def sva_step(m: np.ndarray, accum: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
@@ -335,12 +222,6 @@ def sva_step(m: np.ndarray, accum: np.ndarray, g_m: np.ndarray, g_sigma: np.ndar
     return m, sigma, accum
 
 
-def sva_update(state: LearnerState, grad: ExpectedLossGradient,
-               config: SvaConfig) -> LearnerState:
-    m, sigma, accum = sva_step(state.q.m, state.accum_g_sigma, grad.g_m, grad.g_sigma, config)
-    return replace(state, t=state.t + 1, q=MeanFieldGaussian(m, sigma), accum_g_sigma=accum)
-
-
 def svb_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
              t: int, config: SvbConfig) -> tuple[np.ndarray, np.ndarray]:
     eta = config.schedule.rate(t, sigma)
@@ -351,33 +232,16 @@ def svb_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.ndar
     return m, sigma
 
 
-def svb_update(state: LearnerState, grad: ExpectedLossGradient,
-               config: SvbConfig) -> LearnerState:
-    t = state.t + 1
-    m, sigma = svb_step(state.q.m, state.q.sigma, grad.g_m, grad.g_sigma, t, config)
-    return replace(state, t=t, q=MeanFieldGaussian(m, sigma))
-
-
 def expectation_grad(g_m: np.ndarray, g_sigma: np.ndarray, m: np.ndarray,
                      sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel of ``grad_to_expectation_coords`` for sigma > 0."""
-    g_var = g_sigma / (2.0 * sigma)
-    return g_m - 2.0 * m * g_var, g_var
-
-
-def grad_to_expectation_coords(grad: ExpectedLossGradient,
-                               q: MeanFieldGaussian) -> tuple[np.ndarray, np.ndarray]:
     """Chain rule from (m, sigma) gradients to expectation coordinates
-    (mu1, mu2) = (m, m^2 + sigma^2):
+    (mu1, mu2) = (m, m^2 + sigma^2), for sigma > 0:
 
         g_var = g_sigma / (2 sigma)
         dL/dmu1 = g_m - 2 m g_var,   dL/dmu2 = g_var
     """
-    if grad.g_m.size != q.d:
-        raise DimensionMismatchError("gradient dimension must match q")
-    if np.any(q.sigma <= 0.0):
-        raise DomainError("sigma must be positive")
-    return expectation_grad(grad.g_m, grad.g_sigma, q.m, q.sigma)
+    g_var = g_sigma / (2.0 * sigma)
+    return g_m - 2.0 * m * g_var, g_var
 
 
 def ngvi_step(lam: tuple[np.ndarray, np.ndarray], g_mu1: np.ndarray, g_mu2: np.ndarray,
@@ -400,28 +264,11 @@ def ngvi_step(lam: tuple[np.ndarray, np.ndarray], g_mu1: np.ndarray, g_mu2: np.n
     )
 
 
-def ngvi_update(state: LearnerState, grad_mu: tuple[np.ndarray, np.ndarray],
-                config: NgviConfig) -> LearnerState:
-    """Natural-parameter recursion; on a step that would push lambda2 >= 0
-    the effective eta is halved for that step only (up to
-    ``max_step_retries`` times) before aborting."""
-    step = state.t + 1
-    l1, l2, _ = ngvi_step((state.lam.lambda1, state.lam.lambda2), *grad_mu,
-                          config.prior.natural(), step, config)
-    lam = NaturalParams(l1, l2)
-    return replace(state, t=step, q=from_natural(lam), lam=lam)
-
-
 def oga_step(theta: np.ndarray, g: np.ndarray, config: OgaConfig) -> np.ndarray:
     theta = theta - config.eta * g
     if config.box is not None:
         theta = theta.clip(config.box.m_lo, config.box.m_hi)
     return theta
-
-
-def oga_update(state: LearnerState, g: np.ndarray, config: OgaConfig) -> LearnerState:
-    return replace(state, t=state.t + 1,
-                   theta=oga_step(state.theta, np.asarray(g, dtype=float), config))
 
 
 def ogael_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
@@ -431,12 +278,6 @@ def ogael_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.nd
     if config.box is not None:
         m, sigma = config.box.clip(m, sigma)
     return m, sigma
-
-
-def ogael_update(state: LearnerState, grad: ExpectedLossGradient,
-                 config: OgaElConfig) -> LearnerState:
-    m, sigma = ogael_step(state.q.m, state.q.sigma, grad.g_m, grad.g_sigma, config)
-    return replace(state, t=state.t + 1, q=MeanFieldGaussian(m, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +463,9 @@ def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, features: np.ndarray,
                   targets: np.ndarray) -> Trace:
     """The grid's weights depend only on the data, never on its own
     predictions, so all T steps are one pass over the (T, K) expert-loss
-    matrix: log w_t = -eta sum_{s<t} l_s up to normalization, which equals
-    the recursion of ``ewa_grid_update`` from uniform weights."""
+    matrix: log w_t = -eta sum_{s<t} l_s up to normalization, the closed
+    form of the multiplicative-weights recursion log w_{t+1} = log w_t -
+    eta l_t from uniform weights."""
     expert_losses = expert_loss_matrix(kind, config.experts, features, targets)
     if not np.all(np.isfinite(expert_losses)):
         raise DomainError("expert losses must be finite")

@@ -39,11 +39,12 @@ from onlinevi.family import (
     GaussianPrior,
     MeanFieldGaussian,
     kl_divergence,
+    natural_to_standard,
 )
 from onlinevi.learners import (
     EwaGridConfig,
+    FixedEta,
     InvSigmaSqrtT,
-    LearnerState,
     NgviConfig,
     OgaConfig,
     OgaElConfig,
@@ -51,17 +52,15 @@ from onlinevi.learners import (
     SvbConfig,
     Thm3ConvexSchedule,
     diagonal_lattice,
-    grad_to_expectation_coords,
-    init_state,
-    ngvi_update,
+    expectation_grad,
+    ngvi_step,
     run_online,
-    sva_update,
-    svb_update,
+    sva_step,
+    svb_step,
 )
 from onlinevi.losses import (
-    DataExample,
-    ExpectedLossGradient,
     LossKind,
+    expected_grad_xy,
     expected_loss_grad,
     expected_loss_series,
     lipschitz_constant,
@@ -143,9 +142,8 @@ class TestCriterion02UpdateEqualsArgmin:
 
             # SVA solves: sum_i mu.grad_i + KL(q_mu, prior)/eta
             cfg = SvaConfig(eta=eta, prior=GaussianPrior(s, 1))
-            state = LearnerState(t=1, q=MeanFieldGaussian([m_t], [sig_t]),
-                                 accum_g_sigma=np.array([g_acc]))
-            new = sva_update(state, ExpectedLossGradient([g_m], [g_sig]), cfg)
+            m, sigma, _ = sva_step(np.array([m_t]), np.array([g_acc]), np.array([g_m]),
+                                   np.array([g_sig]), cfg)
             past_m_grad = -m_t / (eta * s * s)
             m_star = golden_section(
                 lambda m: m * (past_m_grad + g_m) + m * m / (2 * eta * s * s),
@@ -154,14 +152,12 @@ class TestCriterion02UpdateEqualsArgmin:
             s_star = golden_section(
                 lambda sig: sig * acc + (sig ** 2 / (2 * s * s) - np.log(sig)) / eta,
                 1e-8, 100.0)
-            worst_sva = max(worst_sva, abs(new.q.m[0] - m_star),
-                            abs(new.q.sigma[0] - s_star))
+            worst_sva = max(worst_sva, abs(m[0] - m_star), abs(sigma[0] - s_star))
 
             # SVB solves: mu.grad_t + KL(q_mu, q_t)/eta
-            from onlinevi.learners import FixedEta
             cfg_b = SvbConfig(schedule=FixedEta(eta), prior=GaussianPrior(s, 1))
-            state_b = LearnerState(t=0, q=MeanFieldGaussian([m_t], [sig_t]))
-            new_b = svb_update(state_b, ExpectedLossGradient([g_m], [g_sig]), cfg_b)
+            m_b, sigma_b = svb_step(np.array([m_t]), np.array([sig_t]), np.array([g_m]),
+                                    np.array([g_sig]), 1, cfg_b)
             m_star_b = golden_section(
                 lambda m: m * g_m + (m - m_t) ** 2 / (2 * eta * sig_t ** 2),
                 -100.0, 100.0)
@@ -169,8 +165,7 @@ class TestCriterion02UpdateEqualsArgmin:
                 lambda sig: sig * g_sig + (sig ** 2 / (2 * sig_t ** 2)
                                            - np.log(sig)) / eta,
                 1e-8, 100.0)
-            worst_svb = max(worst_svb, abs(new_b.q.m[0] - m_star_b),
-                            abs(new_b.q.sigma[0] - s_star_b))
+            worst_svb = max(worst_svb, abs(m_b[0] - m_star_b), abs(sigma_b[0] - s_star_b))
         elapsed = time.perf_counter() - start
         ok = worst_sva <= 1e-4 and worst_svb <= 1e-4 and elapsed < 30.0
         _report(2, ok, f"max |closed-form - argmin|: sva {worst_sva:.2e}, "
@@ -354,24 +349,24 @@ class TestCriterion09NgviRecursionUnrolled:
         ds = gen_toy_classification(500, seed=0)
         cfg = NgviConfig(eta=1.0, alpha=1.0, prior=PRIOR2, box=BOX2)
         beta = 1.0 / (1.0 / cfg.alpha + 1.0 / cfg.eta)
-        lam1_0 = cfg.prior.natural().lambda1
-        lam2_0 = cfg.prior.natural().lambda2
-        state = init_state(cfg)
+        lam_prior = cfg.prior.natural()
+        lam1_0, lam2_0 = lam_prior.lambda1, lam_prior.lambda2
+        m, sigma = np.zeros(2), np.full(2, PRIOR2.s)
+        lam = (lam1_0, lam2_0)
         grads = []
         worst = 0.0
-        for ex in ds.examples():
-            grad = expected_loss_grad(HINGE, state.q, ex)
-            g_mu = grad_to_expectation_coords(grad, state.q)
+        for step, (x, y) in enumerate(zip(ds.features, ds.targets.tolist()), start=1):
+            g_mu = expectation_grad(*expected_grad_xy(HINGE, m, sigma, x, y), m, sigma)
             grads.append(g_mu)
-            state = ngvi_update(state, g_mu, cfg)
+            lam = ngvi_step(lam, *g_mu, lam_prior, step, cfg)[:2]
+            m, sigma = natural_to_standard(*lam)
             t = len(grads)
             weights = beta * (1.0 - beta) ** (t - np.arange(1, t + 1))
             unrolled1 = lam1_0 - cfg.eta * np.sum(
                 weights[:, None] * np.stack([g[0] for g in grads]), axis=0)
             unrolled2 = lam2_0 - cfg.eta * np.sum(
                 weights[:, None] * np.stack([g[1] for g in grads]), axis=0)
-            for got, want in ((state.lam.lambda1, unrolled1),
-                              (state.lam.lambda2, unrolled2)):
+            for got, want in ((lam[0], unrolled1), (lam[1], unrolled2)):
                 worst = max(worst, float(np.max(
                     np.abs(got - want) / np.maximum(np.abs(want), 1e-12))))
         ok = worst <= 1e-10

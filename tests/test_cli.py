@@ -137,6 +137,7 @@ class TestRun:
         ("algo = ngvi\nalpha = 0", "alpha"),
         ("algo = ngvi\neta = nan", "eta"),
         ("algo = ewagrid\nexperts = diagonal:abc", "experts"),
+        ("algo = oga\netta = 0.5", "etta"),
     ])
     def test_bad_algorithm_value_is_config_error(self, tmp_path, capsys, options, key):
         config = tmp_path / "bad.ini"
@@ -176,6 +177,129 @@ eta = auto
         entry = summary["algorithms"]["oga"]
         assert entry["holdout_risk"]["mean"] > 0.0
         assert entry["holdout_jensen_ok"] is True
+
+
+NN_CONFIG = """
+[run]
+seed = 0
+mc_samples = 4
+comparator_restarts = 0
+comparator_iters = 10
+
+[dataset]
+source = iid_regression
+theta_star = 1,-1
+noise_sd = 0.3
+n = 20
+loss = squared-nn
+hidden_width = 3
+
+[algorithm.oga]
+eta = auto
+"""
+
+CONFIGS = {"toy": BASE_CONFIG, "nn": NN_CONFIG}
+
+
+class TestMalformedConfig:
+    """A malformed or out-of-range config exits 2, names the key or the
+    file on stderr, and leaves no output directory."""
+
+    def _run(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.ini"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(config), "--out", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, old, new, needle", [
+        # values that do not parse
+        pytest.param("toy", "n = 400", "n = abc", "[dataset] n", id="n-text"),
+        pytest.param("toy", "n = 400", "n = 400\ndata_seed = x1", "[dataset] data_seed",
+                     id="data_seed-text"),
+        pytest.param("toy", "n = 400", "n = 400\nsubsample = half", "[dataset] subsample",
+                     id="subsample-text"),
+        pytest.param("nn", "hidden_width = 3", "hidden_width = wide", "[dataset] hidden_width",
+                     id="hidden_width-text"),
+        pytest.param("nn", "theta_star = 1,-1", "theta_star = 1,abc", "[dataset] theta_star",
+                     id="theta_star-text"),
+        pytest.param("toy", "seed = 1", "seed = 1\nseed = 2", "option 'seed' in section 'run'",
+                     id="duplicate-key"),
+        pytest.param("toy", "[run]", "stray = 1\n[run]", "bad.ini", id="line-before-section"),
+        # values out of range
+        pytest.param("toy", "seed = 1", "seed = 1\nprior_s = 0", "[run] prior_s",
+                     id="prior_s-zero"),
+        pytest.param("toy", "seed = 1", "seed = 1\nbox_m_abs = -1", "[run] box_m_abs",
+                     id="box_m_abs-negative"),
+        pytest.param("toy", "seed = 1", "seed = 1\nbox_sigma_lo = 2", "[run] box_sigma_lo",
+                     id="box_sigma_lo-above-hi"),
+        pytest.param("nn", "hidden_width = 3", "hidden_width = 0", "[dataset] hidden_width",
+                     id="hidden_width-zero"),
+        pytest.param("nn", "noise_sd = 0.3", "noise_sd = -1", "[dataset] noise_sd",
+                     id="noise_sd-negative"),
+        pytest.param("toy", "n = 400", "n = 0", "[dataset] n", id="n-zero"),
+        pytest.param("toy", "n = 400", "n = 400\nsubsample = 0", "[dataset] subsample",
+                     id="subsample-zero"),
+        pytest.param("toy", "comparator_restarts = 5", "comparator_restarts = -3",
+                     "[run] comparator_restarts", id="comparator_restarts-negative"),
+        pytest.param("toy", "comparator_iters = 400", "comparator_iters = -1",
+                     "[run] comparator_iters", id="comparator_iters-negative"),
+        # unknown keys and sections
+        pytest.param("toy", "seed = 1", "seed = 1\nmc_sampels = 4", "[run] mc_sampels",
+                     id="unknown-run-key"),
+        pytest.param("toy", "[run]", "[runs]\nseed = 1\n[run]", "[runs]", id="unknown-section"),
+    ])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, base, old, new, needle):
+        text = CONFIGS[base]
+        assert old in text
+        code, err = self._run(tmp_path, capsys, text.replace(old, new, 1))
+        assert code == 2
+        assert needle in err
+
+    @pytest.mark.parametrize("dataset, experts", [
+        # 5^30 experts on 30 features; 2^65 on the default squared-nn width
+        pytest.param("theta_star = " + ",".join(["1"] * 30) + "\nloss = squared-linear",
+                     "product:5", id="linear-d30"),
+        pytest.param("theta_star = 1,-1\nloss = squared-nn\nhidden_width = 16",
+                     "product:2", id="nn-d65"),
+    ])
+    def test_expert_grid_capped_before_it_is_built(self, tmp_path, capsys, dataset, experts):
+        text = ("[run]\nseed = 0\n[dataset]\nsource = iid_regression\nn = 20\n"
+                f"{dataset}\n[algorithm.grid]\nalgo = ewagrid\nexperts = {experts}\n")
+        code, err = self._run(tmp_path, capsys, text)
+        assert code == 2
+        assert "[algorithm.grid] experts" in err
+
+
+def _header_only(text):
+    return text.splitlines()[0] + "\n"
+
+
+def _non_numeric_loss(text):
+    lines = text.splitlines()
+    lines[5] = "5,abc,1,1"
+    return "\n".join(lines) + "\n"
+
+
+def _truncated(text):
+    return "\n".join(text.splitlines()[:100]) + "\n"
+
+
+class TestMalformedRunDirectory:
+    @pytest.mark.parametrize("name, edit", [
+        pytest.param("comparator.csv", _header_only, id="comparator-header-only"),
+        pytest.param("sva.csv", _non_numeric_loss, id="series-non-numeric"),
+        pytest.param("sva.csv", _truncated, id="series-truncated"),
+    ])
+    def test_bounds_exits_2_naming_the_file(self, run_dir, tmp_path, capsys, name, edit):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(run_dir, broken)
+        path = broken / name
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        assert main(["bounds", "--run", str(broken), "--theorem", "all"]) == 2
+        assert name in capsys.readouterr().err
 
 
 class TestNetworkLossRun:

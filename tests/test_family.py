@@ -10,16 +10,12 @@ from onlinevi.errors import DimensionMismatchError, DomainError, InvalidPrecisio
 from onlinevi.family import (
     SIGMA_FLOOR,
     BoxConstraints,
-    GaussianPrior,
     MeanFieldGaussian,
     NaturalParams,
-    from_expectation,
     from_natural,
     h_map,
     kl_divergence,
-    posterior_mean,
     project_box,
-    to_expectation,
     to_natural,
 )
 from onlinevi.rng import CounterRng
@@ -140,41 +136,22 @@ class TestParameterizations:
         q = MeanFieldGaussian([1.0], [1.0])
         lam = to_natural(q)
         np.testing.assert_allclose([lam.lambda1[0], lam.lambda2[0]], [1.0, -0.5])
-        ep = to_expectation(q)
-        np.testing.assert_allclose([ep.mu1[0], ep.mu2[0]], [1.0, 2.0])
 
     def test_roundtrips_random(self):
         rng = CounterRng(3, "roundtrip")
         for _ in range(100):
             d = 1 + int(rng.integers(1, 5)[0])
             q = MeanFieldGaussian(3.0 * rng.normals(d), 0.1 + 2.0 * rng.uniforms(d))
-            back_nat = from_natural(to_natural(q))
-            back_exp = from_expectation(to_expectation(q))
-            for back in (back_nat, back_exp):
-                assert np.max(np.abs(back.m - q.m) / np.maximum(np.abs(q.m), 1e-300)) <= 1e-12 \
-                    or np.max(np.abs(back.m - q.m)) <= 1e-12
-                np.testing.assert_allclose(back.sigma, q.sigma, rtol=1e-12)
+            back = from_natural(to_natural(q))
+            assert np.max(np.abs(back.m - q.m) / np.maximum(np.abs(q.m), 1e-300)) <= 1e-12 \
+                or np.max(np.abs(back.m - q.m)) <= 1e-12
+            np.testing.assert_allclose(back.sigma, q.sigma, rtol=1e-12)
 
     def test_invalid_precision(self):
         with pytest.raises(InvalidPrecisionError):
             NaturalParams([0.0], [0.0])
         with pytest.raises(InvalidPrecisionError):
             NaturalParams([0.0], [0.5])
-
-
-class TestPosteriorMean:
-    def test_returns_mean(self):
-        np.testing.assert_array_equal(
-            posterior_mean(MeanFieldGaussian([3.0, -1.0], [1.0, 1.0])), [3.0, -1.0])
-
-    def test_prior_mean_zero(self):
-        np.testing.assert_array_equal(posterior_mean(GaussianPrior(1.0, 2).gaussian()),
-                                      [0.0, 0.0])
-
-    def test_independent_of_sigma(self):
-        a = posterior_mean(MeanFieldGaussian([2.0], [0.1]))
-        b = posterior_mean(MeanFieldGaussian([2.0], [1.0]))
-        np.testing.assert_array_equal(a, b)
 
 
 class TestBoxDiameter:

@@ -1,19 +1,19 @@
-"""Update rules: closed forms against numeric argmin oracles, the NGVI
-recursion against its unrolled sum, and the online loop contracts."""
+"""Update rules: the array kernels against numeric argmin oracles, the NGVI
+recursion against its unrolled sum, the grid against its log-space
+recursion, and the online loop contracts."""
 
 import numpy as np
 import pytest
 from conftest import golden_section
+from scipy.special import logsumexp
 
 from onlinevi.errors import DomainError, InvalidPrecisionError
 from onlinevi.family import (BoxConstraints, GaussianPrior, MeanFieldGaussian,
-                             NaturalParams)
+                             natural_to_standard)
 from onlinevi.learners import (
-    EwaGrid,
     EwaGridConfig,
     FixedEta,
     InvSigmaSqrtT,
-    LearnerState,
     NgviConfig,
     OgaConfig,
     OgaElConfig,
@@ -21,67 +21,70 @@ from onlinevi.learners import (
     SvbConfig,
     Thm3ConvexSchedule,
     diagonal_lattice,
-    ewa_grid_update,
-    grad_to_expectation_coords,
-    init_state,
+    expectation_grad,
     ngvi_step,
-    ngvi_update,
-    oga_update,
-    ogael_update,
-    predict,
+    oga_step,
+    ogael_step,
     product_lattice,
     run_online,
-    sva_update,
-    svb_update,
+    sva_step,
+    svb_step,
 )
-from onlinevi.losses import (DataExample, ExpectedLossGradient, LossKind, expected_loss,
-                             expected_loss_grad, mc_expected_loss_and_grad, point_grad,
-                             point_loss, point_loss_many)
-from onlinevi.data import (CLASSIFICATION, Dataset, gen_iid_regression,
+from onlinevi.losses import (DataExample, LossKind, expected_grad_xy, expected_loss,
+                             mc_grad_xy, point_grad_xy, point_loss_xy)
+from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regression,
                            gen_toy_classification)
 from onlinevi.rng import CounterRng, derive_seed
 
 PRIOR1 = GaussianPrior(1.0, 1)
 BOX1 = BoxConstraints.symmetric(1)
+SQL = LossKind.squared_linear()
+
+
+def _vec(*values):
+    return np.array(values, dtype=float)
+
+
+def _stream(features, targets):
+    return Dataset(np.array(features, dtype=float), np.array(targets, dtype=float),
+                   REGRESSION, "stream")
 
 
 class TestPredict:
+    """The decision at step 1 and after one update, read from run_online."""
+
     def test_ewa_uniform_average(self):
-        grid = EwaGrid.uniform(np.array([[0.0], [2.0]]), eta=1.0)
-        state = LearnerState(t=0, grid=grid)
-        np.testing.assert_allclose(predict(state), [1.0])
+        cfg = EwaGridConfig(eta=1.0, experts=[[0.0], [2.0]])
+        trace = run_online(cfg, _stream([[1.0]], [0.5]), SQL)
+        np.testing.assert_allclose(trace.predictions[0], [1.0])
 
     def test_sva_prior_mean(self):
-        state = init_state(SvaConfig(eta=0.1, prior=GaussianPrior(1.0, 3)))
-        np.testing.assert_array_equal(predict(state), [0.0, 0.0, 0.0])
+        cfg = SvaConfig(eta=0.1, prior=GaussianPrior(1.0, 3))
+        trace = run_online(cfg, _stream([[1.0, 2.0, 3.0]], [0.5]), SQL)
+        np.testing.assert_array_equal(trace.predictions[0], [0.0, 0.0, 0.0])
 
     def test_oga_verbatim(self):
-        state = LearnerState(t=0, theta=np.array([1.5, -2.0]))
-        np.testing.assert_array_equal(predict(state), [1.5, -2.0])
+        # from theta = 0 the squared-loss gradient is -2 y x, so eta = 1/2
+        # and y = 1 move theta to x exactly; the next decision is that theta
+        cfg = OgaConfig(eta=0.5, box=BoxConstraints.symmetric(2))
+        trace = run_online(cfg, _stream([[1.5, -2.0], [0.0, 1.0]], [1.0, 0.0]), SQL)
+        np.testing.assert_array_equal(trace.predictions[1], [1.5, -2.0])
 
 
 class TestSvaUpdate:
+    CFG = SvaConfig(eta=0.1, prior=PRIOR1)
+
     def test_zero_gradient_fixed_point(self):
-        cfg = SvaConfig(eta=0.1, prior=PRIOR1)
-        state = init_state(cfg)
-        zero = ExpectedLossGradient([0.0], [0.0])
-        new = sva_update(state, zero, cfg)
-        assert new.q.m[0] == 0.0 and new.q.sigma[0] == 1.0
-        assert new.t == 1
+        m, sigma, _ = sva_step(_vec(0.0), _vec(0.0), _vec(0.0), _vec(0.0), self.CFG)
+        assert m[0] == 0.0 and sigma[0] == 1.0
 
     def test_mean_step_arithmetic(self):
-        cfg = SvaConfig(eta=0.1, prior=PRIOR1)
-        state = LearnerState(t=0, q=MeanFieldGaussian([0.5], [1.0]),
-                             accum_g_sigma=np.zeros(1))
-        new = sva_update(state, ExpectedLossGradient([2.0], [0.0]), cfg)
-        assert new.q.m[0] == pytest.approx(0.3, abs=1e-15)
+        m, _, _ = sva_step(_vec(0.5), _vec(0.0), _vec(2.0), _vec(0.0), self.CFG)
+        assert m[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_sigma_step_value(self):
-        cfg = SvaConfig(eta=0.1, prior=PRIOR1)
-        state = LearnerState(t=0, q=MeanFieldGaussian([0.0], [1.0]),
-                             accum_g_sigma=np.zeros(1))
-        new = sva_update(state, ExpectedLossGradient([0.0], [1.5]), cfg)
-        assert new.q.sigma[0] == pytest.approx(0.9278085, abs=1e-7)
+        _, sigma, _ = sva_step(_vec(0.0), _vec(0.0), _vec(0.0), _vec(1.5), self.CFG)
+        assert sigma[0] == pytest.approx(0.9278085, abs=1e-7)
 
     def test_update_minimizes_ftrl_objective(self):
         # the closed form solves:  sum_i mu^T grad_i + KL(q_mu, prior)/eta
@@ -94,29 +97,25 @@ class TestSvaUpdate:
             g_acc = float(rng.normals(1)[0])      # sum of past g_sigma
             g_sig = float(rng.normals(1)[0])
             cfg = SvaConfig(eta=eta, prior=GaussianPrior(s, 1))
-            state = LearnerState(t=3, q=MeanFieldGaussian([m_t], [0.5]),
-                                 accum_g_sigma=np.array([g_acc]))
-            new = sva_update(state, ExpectedLossGradient([g_m], [g_sig]), cfg)
+            m, sigma, _ = sva_step(_vec(m_t), _vec(g_acc), _vec(g_m), _vec(g_sig), cfg)
             grad_sum_m = -m_t / (eta * s * s) + g_m   # past m-gradients + current
             m_obj = lambda m: m * grad_sum_m + m * m / (2.0 * eta * s * s)
             acc = g_acc + g_sig
             s_obj = lambda sig: sig * acc + (sig ** 2 / (2 * s * s) - np.log(sig)) / eta
-            assert abs(new.q.m[0] - golden_section(m_obj, -100.0, 100.0)) <= 1e-4
-            assert abs(new.q.sigma[0] - golden_section(s_obj, 1e-8, 100.0)) <= 1e-4
+            assert abs(m[0] - golden_section(m_obj, -100.0, 100.0)) <= 1e-4
+            assert abs(sigma[0] - golden_section(s_obj, 1e-8, 100.0)) <= 1e-4
 
 
 class TestSvbUpdate:
+    CFG = SvbConfig(schedule=FixedEta(0.1), prior=PRIOR1)
+
     def test_mean_step_arithmetic(self):
-        cfg = SvbConfig(schedule=FixedEta(0.1), prior=PRIOR1)
-        state = LearnerState(t=0, q=MeanFieldGaussian([0.0], [2.0]))
-        new = svb_update(state, ExpectedLossGradient([1.0], [0.0]), cfg)
-        assert new.q.m[0] == pytest.approx(-0.4, abs=1e-15)
+        m, _ = svb_step(_vec(0.0), _vec(2.0), _vec(1.0), _vec(0.0), 1, self.CFG)
+        assert m[0] == pytest.approx(-0.4, abs=1e-15)
 
     def test_sigma_step_value(self):
-        cfg = SvbConfig(schedule=FixedEta(0.1), prior=PRIOR1)
-        state = LearnerState(t=0, q=MeanFieldGaussian([0.0], [2.0]))
-        new = svb_update(state, ExpectedLossGradient([0.0], [1.0]), cfg)
-        assert new.q.sigma[0] == pytest.approx(1.8099752, abs=1e-7)
+        _, sigma = svb_step(_vec(0.0), _vec(2.0), _vec(0.0), _vec(1.0), 1, self.CFG)
+        assert sigma[0] == pytest.approx(1.8099752, abs=1e-7)
 
     def test_update_minimizes_kl_to_previous_objective(self):
         # the closed form solves:  mu^T grad_t + KL(q_mu, q_t)/eta
@@ -128,62 +127,54 @@ class TestSvbUpdate:
             g_m = float(rng.normals(1)[0])
             g_sig = float(rng.normals(1)[0])
             cfg = SvbConfig(schedule=FixedEta(eta), prior=PRIOR1)
-            state = LearnerState(t=0, q=MeanFieldGaussian([m_t], [sig_t]))
-            new = svb_update(state, ExpectedLossGradient([g_m], [g_sig]), cfg)
+            m, sigma = svb_step(_vec(m_t), _vec(sig_t), _vec(g_m), _vec(g_sig), 1, cfg)
             m_obj = lambda m: m * g_m + (m - m_t) ** 2 / (2 * eta * sig_t ** 2)
             s_obj = lambda sig: sig * g_sig + (sig ** 2 / (2 * sig_t ** 2)
                                                - np.log(sig)) / eta
-            assert abs(new.q.m[0] - golden_section(m_obj, -100.0, 100.0)) <= 1e-4
-            assert abs(new.q.sigma[0] - golden_section(s_obj, 1e-8, 100.0)) <= 1e-4
+            assert abs(m[0] - golden_section(m_obj, -100.0, 100.0)) <= 1e-4
+            assert abs(sigma[0] - golden_section(s_obj, 1e-8, 100.0)) <= 1e-4
 
     def test_thm3_mean_step_sigma_free(self):
         # eta_{t,j} sigma^2 = D sqrt(2)/(L sqrt(t)): the m-step ignores sigma
-        sched = Thm3ConvexSchedule(D=10.0, L=4.0)
+        cfg = SvbConfig(schedule=Thm3ConvexSchedule(D=10.0, L=4.0), prior=PRIOR1)
         rng = CounterRng(22, "thm3")
-        grad = ExpectedLossGradient([1.0], [0.0])
         expected = -10.0 * np.sqrt(2.0) / 4.0
         for _ in range(10):
             sigma0 = 0.05 + 1.95 * rng.uniforms(1)[0]
-            cfg = SvbConfig(schedule=sched, prior=PRIOR1)
-            state = LearnerState(t=0, q=MeanFieldGaussian([0.0], [sigma0]))
-            new = svb_update(state, grad, cfg)
-            assert new.q.m[0] == pytest.approx(expected, rel=1e-12)
+            m, _ = svb_step(_vec(0.0), _vec(sigma0), _vec(1.0), _vec(0.0), 1, cfg)
+            assert m[0] == pytest.approx(expected, rel=1e-12)
 
     def test_projection_applied(self):
         cfg = SvbConfig(schedule=FixedEta(10.0), prior=PRIOR1, box=BOX1)
-        state = LearnerState(t=0, q=MeanFieldGaussian([0.0], [2.0]))
-        new = svb_update(state, ExpectedLossGradient([1.0], [0.0]), cfg)
-        assert new.q.m[0] == -20.0
-        assert new.q.sigma[0] == 1.0  # sigma clamped into [floor, 1]
+        m, sigma = svb_step(_vec(0.0), _vec(2.0), _vec(1.0), _vec(0.0), 1, cfg)
+        assert m[0] == -20.0
+        assert sigma[0] == 1.0  # sigma clamped into [floor, 1]
 
 
 class TestGradToExpectationCoords:
     def test_zero_maps_to_zero(self):
-        q = MeanFieldGaussian([1.0, -1.0], [0.5, 0.5])
-        g1, g2 = grad_to_expectation_coords(ExpectedLossGradient([0.0, 0.0],
-                                                                 [0.0, 0.0]), q)
+        g1, g2 = expectation_grad(_vec(0.0, 0.0), _vec(0.0, 0.0), _vec(1.0, -1.0),
+                                  _vec(0.5, 0.5))
         np.testing.assert_array_equal(g1, [0.0, 0.0])
         np.testing.assert_array_equal(g2, [0.0, 0.0])
 
     def test_zero_mean_passthrough(self):
-        q = MeanFieldGaussian([0.0], [0.8])
-        g1, _ = grad_to_expectation_coords(ExpectedLossGradient([1.3], [0.4]), q)
+        g1, _ = expectation_grad(_vec(1.3), _vec(0.4), _vec(0.0), _vec(0.8))
         np.testing.assert_allclose(g1, [1.3])
 
     def test_finite_difference_in_expectation_coords(self):
-        kind = LossKind.squared_linear()
         rng = CounterRng(23, "exp-fd")
         for _ in range(30):
             d = 1 + int(rng.integers(1, 3)[0])
-            q = MeanFieldGaussian(rng.normals(d), 0.5 + rng.uniforms(d))
-            ex = DataExample(rng.normals(d), float(rng.normals(1)[0]))
-            from onlinevi.losses import expected_loss_grad
-            g1, g2 = grad_to_expectation_coords(expected_loss_grad(kind, q, ex), q)
-            mu1, mu2 = q.m.copy(), q.m ** 2 + q.sigma ** 2
+            m, sigma = rng.normals(d), 0.5 + rng.uniforms(d)
+            x, y = rng.normals(d), float(rng.normals(1)[0])
+            g1, g2 = expectation_grad(*expected_grad_xy(SQL, m, sigma, x, y), m, sigma)
+            mu1, mu2 = m.copy(), m ** 2 + sigma ** 2
+            ex = DataExample(x, y)
             h = 1e-5
 
             def loss_at(u1, u2):
-                return expected_loss(kind, MeanFieldGaussian(u1, np.sqrt(u2 - u1 ** 2)), ex)
+                return expected_loss(SQL, MeanFieldGaussian(u1, np.sqrt(u2 - u1 ** 2)), ex)
 
             fd1, fd2 = np.zeros(d), np.zeros(d)
             for j in range(d):
@@ -199,181 +190,195 @@ class TestGradToExpectationCoords:
 
 class TestNgviUpdate:
     CFG = NgviConfig(eta=1.0, alpha=1.0, prior=GaussianPrior(1.0, 1))
+    PRIOR_LAM = CFG.prior.natural()
+    LAM0 = (PRIOR_LAM.lambda1, PRIOR_LAM.lambda2)
+
+    def _step(self, lam, g_mu1, g_mu2, step=1, cfg=CFG):
+        return ngvi_step(lam, g_mu1, g_mu2, cfg.prior.natural(), step, cfg)
 
     def test_prior_fixed_point(self):
-        state = init_state(self.CFG)
-        new = ngvi_update(state, (np.zeros(1), np.zeros(1)), self.CFG)
-        np.testing.assert_allclose(new.lam.lambda1, [0.0])
-        np.testing.assert_allclose(new.lam.lambda2, [-0.5])
+        l1, l2, _ = self._step(self.LAM0, np.zeros(1), np.zeros(1))
+        np.testing.assert_allclose(l1, [0.0])
+        np.testing.assert_allclose(l2, [-0.5])
 
     def test_recursion_equals_unrolled_sum(self):
         # lambda_{t+1} = lambda_1 - eta sum_i beta (1-beta)^{t-i} grad_i
         cfg = NgviConfig(eta=0.7, alpha=0.4, prior=GaussianPrior(1.2, 2))
         beta = 1.0 / (1.0 / cfg.alpha + 1.0 / cfg.eta)
         rng = CounterRng(24, "ngvi-unroll")
-        state = init_state(cfg)
+        prior = cfg.prior.natural()
+        lam = (prior.lambda1, prior.lambda2)
         grads = []
         for t in range(1, 51):
             g = (0.3 * rng.normals(2), -0.2 * rng.uniforms(2))
             grads.append(g)
-            state = ngvi_update(state, g, cfg)
-            lam1 = cfg.prior.natural().lambda1.copy()
-            lam2 = cfg.prior.natural().lambda2.copy()
+            lam = self._step(lam, *g, step=t, cfg=cfg)[:2]
+            lam1 = prior.lambda1.copy()
+            lam2 = prior.lambda2.copy()
             for i, (g1, g2) in enumerate(grads, start=1):
                 w = beta * (1.0 - beta) ** (t - i)
                 lam1 = lam1 - cfg.eta * w * g1
                 lam2 = lam2 - cfg.eta * w * g2
-            np.testing.assert_allclose(state.lam.lambda1, lam1, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(state.lam.lambda2, lam2, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(lam[0], lam1, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(lam[1], lam2, rtol=1e-10, atol=1e-12)
 
     def test_beta_half_at_unit_steps(self):
         # 1/beta = 1/alpha + 1/eta = 2 at alpha = eta = 1: from a non-prior
         # state with zero gradient the update is the midpoint toward the prior
-        state = LearnerState(t=0, q=MeanFieldGaussian([0.0], [1.0]),
-                             lam=NaturalParams([2.0], [-1.0]))
-        new = ngvi_update(state, (np.zeros(1), np.zeros(1)), self.CFG)
-        np.testing.assert_allclose(new.lam.lambda1, [1.0])       # 0.5*2 + 0.5*0
-        np.testing.assert_allclose(new.lam.lambda2, [-0.75])     # 0.5*(-1) + 0.5*(-0.5)
+        l1, l2, _ = self._step((_vec(2.0), _vec(-1.0)), np.zeros(1), np.zeros(1))
+        np.testing.assert_allclose(l1, [1.0])       # 0.5*2 + 0.5*0
+        np.testing.assert_allclose(l2, [-0.75])     # 0.5*(-1) + 0.5*(-0.5)
 
     def test_retry_halves_eta_then_succeeds(self):
         # lambda2' = -0.5 - 0.5 g_mu2 at eta=alpha=1, so g_mu2 = -1.2 crosses
         # zero on the first try and is absorbed by one eta halving
-        state = init_state(self.CFG)
-        bad = (np.zeros(1), np.array([-1.2]))
-        new = ngvi_update(state, bad, self.CFG)
-        assert np.all(new.lam.lambda2 < 0.0)
+        _, l2, _ = self._step(self.LAM0, np.zeros(1), _vec(-1.2))
+        assert np.all(l2 < 0.0)
 
     def test_step_counts_one_halving(self):
-        lam_prior = self.CFG.prior.natural()
-        lam = (lam_prior.lambda1, lam_prior.lambda2)
-        l1, l2, halvings = ngvi_step(lam, np.zeros(1), np.array([-1.2]), lam_prior, 1,
-                                     self.CFG)
+        l1, l2, halvings = self._step(self.LAM0, np.zeros(1), _vec(-1.2))
         assert halvings == 1
         # eta = 1/2 gives beta = 1/3: lambda2' = -0.5 + (1/6) 1.2
         np.testing.assert_allclose(l2, [-0.3], rtol=1e-12)
-        assert ngvi_step(lam, np.zeros(1), np.zeros(1), lam_prior, 1, self.CFG)[2] == 0
+        assert self._step(self.LAM0, np.zeros(1), np.zeros(1))[2] == 0
 
     def test_abort_with_step_index(self):
-        state = init_state(self.CFG)
-        state = ngvi_update(state, (np.zeros(1), np.zeros(1)), self.CFG)
+        lam = self._step(self.LAM0, np.zeros(1), np.zeros(1))[:2]
         with pytest.raises(InvalidPrecisionError) as err:
-            ngvi_update(state, (np.zeros(1), np.array([-1e12])), self.CFG)
+            self._step(lam, np.zeros(1), _vec(-1e12), step=2)
         assert err.value.step == 2
 
 
 class TestOgaUpdate:
+    CFG = OgaConfig(eta=0.5, box=BOX1)
+
     def test_zero_gradient(self):
-        cfg = OgaConfig(eta=0.5, box=BOX1)
-        state = LearnerState(t=0, theta=np.array([1.0]))
-        assert oga_update(state, np.zeros(1), cfg).theta[0] == 1.0
+        assert oga_step(_vec(1.0), np.zeros(1), self.CFG)[0] == 1.0
 
     def test_step_arithmetic(self):
-        cfg = OgaConfig(eta=0.5, box=BOX1)
-        state = LearnerState(t=0, theta=np.array([1.0]))
-        assert oga_update(state, np.array([1.0]), cfg).theta[0] == 0.5
+        assert oga_step(_vec(1.0), _vec(1.0), self.CFG)[0] == 0.5
 
     def test_clamped_to_box_face(self):
         cfg = OgaConfig(eta=10.0, box=BOX1)
-        state = LearnerState(t=0, theta=np.array([0.0]))
-        assert oga_update(state, np.array([-100.0]), cfg).theta[0] == 20.0
+        assert oga_step(_vec(0.0), _vec(-100.0), cfg)[0] == 20.0
 
 
 class TestOgaElUpdate:
     CFG = OgaElConfig(eta=0.1, prior=PRIOR1, box=BOX1)
 
     def test_zero_gradient(self):
-        state = init_state(self.CFG)
-        new = ogael_update(state, ExpectedLossGradient([0.0], [0.0]), self.CFG)
-        assert new.q.m[0] == 0.0 and new.q.sigma[0] == 1.0
+        m, sigma = ogael_step(_vec(0.0), _vec(1.0), _vec(0.0), _vec(0.0), self.CFG)
+        assert m[0] == 0.0 and sigma[0] == 1.0
 
     def test_step_arithmetic(self):
-        state = init_state(self.CFG)
-        new = ogael_update(state, ExpectedLossGradient([1.0], [0.5]), self.CFG)
-        assert new.q.m[0] == pytest.approx(-0.1)
-        assert new.q.sigma[0] == pytest.approx(0.95)
+        m, sigma = ogael_step(_vec(0.0), _vec(1.0), _vec(1.0), _vec(0.5), self.CFG)
+        assert m[0] == pytest.approx(-0.1)
+        assert sigma[0] == pytest.approx(0.95)
 
     def test_sigma_floored(self):
-        state = LearnerState(t=0, q=MeanFieldGaussian([0.0], [0.1]))
-        new = ogael_update(state, ExpectedLossGradient([0.0], [100.0]), self.CFG)
-        assert new.q.sigma[0] == 1e-8
+        _, sigma = ogael_step(_vec(0.0), _vec(0.1), _vec(0.0), _vec(100.0), self.CFG)
+        assert sigma[0] == 1e-8
+
+
+def _grid_oracle(cfg, ds, kind):
+    """Multiplicative weights as the log-space recursion
+    log w <- log w - eta l_t, renormalized by logsumexp after every step,
+    with each expert's loss computed on its own; the (T, d) predictions."""
+    experts = cfg.experts
+    log_w = np.full(experts.shape[0], -np.log(experts.shape[0]))
+    predictions = []
+    for x, y in zip(ds.features, ds.targets.tolist()):
+        predictions.append(np.exp(log_w) @ experts)
+        losses = np.array([point_loss_xy(kind, expert, x, y) for expert in experts])
+        log_w = log_w - cfg.eta * losses
+        log_w = log_w - logsumexp(log_w)
+    return np.array(predictions)
 
 
 class TestEwaGridUpdate:
+    """The vectorized grid pass of run_online."""
+
     def test_eta_zero_keeps_weights(self):
-        grid = EwaGrid.uniform(np.array([[0.0], [1.0]]), eta=0.0)
-        new = ewa_grid_update(grid, np.array([5.0, 0.1]))
-        np.testing.assert_allclose(new.weights(), [0.5, 0.5])
+        cfg = EwaGridConfig(eta=0.0, experts=[[0.0], [1.0]])
+        trace = run_online(cfg, _stream([[1.0]] * 4, [5.0, 0.1, -3.0, 2.0]), SQL)
+        np.testing.assert_allclose(trace.predictions, 0.5)
 
     def test_equal_losses_stay_equal(self):
-        grid = EwaGrid.uniform(np.array([[0.0], [1.0]]), eta=2.0)
-        new = ewa_grid_update(grid, np.array([3.0, 3.0]))
-        np.testing.assert_allclose(new.weights(), [0.5, 0.5])
+        # experts -1 and 1 lose (0 - theta)^2 = 1 each on every row
+        cfg = EwaGridConfig(eta=2.0, experts=[[-1.0], [1.0]])
+        trace = run_online(cfg, _stream([[1.0]] * 4, [0.0] * 4), SQL)
+        np.testing.assert_array_equal(trace.predictions, 0.0)
 
     def test_two_expert_odds(self):
-        grid = EwaGrid.uniform(np.array([[0.0], [1.0]]), eta=1.0)
-        new = ewa_grid_update(grid, np.array([0.0, np.log(3.0)]))
-        np.testing.assert_allclose(new.weights(), [0.75, 0.25], rtol=1e-12)
+        # losses (0, 1) at eta = log 3 leave odds 3 : 1 for the expert at 0
+        cfg = EwaGridConfig(eta=np.log(3.0), experts=[[0.0], [1.0]])
+        trace = run_online(cfg, _stream([[1.0]] * 2, [0.0] * 2), SQL)
+        np.testing.assert_allclose(trace.predictions[1], [0.25], rtol=1e-12)
 
     def test_log_weights_normalized(self):
-        from scipy.special import logsumexp
-        grid = EwaGrid.uniform(diagonal_lattice(-20, 20, 41, 2), eta=0.3)
-        rng = CounterRng(25, "ewa-norm")
-        for _ in range(50):
-            grid = ewa_grid_update(grid, 5.0 * rng.uniforms(41))
-            assert abs(logsumexp(grid.log_weights)) <= 1e-10
+        # a constant second coordinate makes the prediction's second
+        # coordinate the sum of the weights
+        experts = np.column_stack([np.linspace(-20.0, 20.0, 41), np.ones(41)])
+        cfg = EwaGridConfig(eta=0.3, experts=experts)
+        trace = run_online(cfg, gen_toy_classification(50, seed=25), LossKind.hinge())
+        assert np.max(np.abs(trace.predictions[:, 1] - 1.0)) <= 1e-10
 
     def test_stable_under_huge_losses(self):
-        grid = EwaGrid.uniform(np.array([[0.0], [1.0], [2.0]]), eta=1.0)
-        for _ in range(10):
-            grid = ewa_grid_update(grid, np.array([1e5, 2e5, 0.0]))
-        assert np.all(np.isfinite(grid.log_weights))
-        np.testing.assert_allclose(grid.weights().sum(), 1.0)
+        # y = 2x with x^2 = 1e5: experts 0, 1, 2 lose 4e5, 1e5 and 0 per row
+        c = np.sqrt(1e5)
+        cfg = EwaGridConfig(eta=1.0, experts=[[0.0], [1.0], [2.0]])
+        trace = run_online(cfg, _stream([[c]] * 10, [2.0 * c] * 10), SQL)
+        assert np.all(np.isfinite(trace.predictions))
+        np.testing.assert_allclose(trace.predictions[0], [1.0])
+        np.testing.assert_allclose(trace.predictions[1:], 2.0)
 
     def test_rejects_nan(self):
-        grid = EwaGrid.uniform(np.array([[0.0]]), eta=1.0)
-        with pytest.raises(DomainError):
-            ewa_grid_update(grid, np.array([np.nan]))
+        # inf - inf: the expert's score, and so its loss, is NaN
+        cfg = EwaGridConfig(eta=1.0, experts=[[np.inf, -np.inf]])
+        with pytest.raises(DomainError, match="finite"), np.errstate(invalid="ignore"):
+            run_online(cfg, _stream([[1.0, 1.0]], [0.0]), SQL)
 
     def test_prediction_in_convex_hull(self):
         experts = product_lattice(-2.0, 2.0, 3, 2)
-        grid = EwaGrid.uniform(experts, eta=0.5)
-        rng = CounterRng(26, "hull")
-        for _ in range(20):
-            grid = ewa_grid_update(grid, rng.uniforms(9))
-            pred = grid.mean()
-            assert np.all(pred >= experts.min(axis=0) - 1e-12)
-            assert np.all(pred <= experts.max(axis=0) + 1e-12)
+        cfg = EwaGridConfig(eta=0.5, experts=experts)
+        trace = run_online(cfg, gen_toy_classification(20, seed=26), LossKind.hinge())
+        assert np.all(trace.predictions >= experts.min(axis=0) - 1e-12)
+        assert np.all(trace.predictions <= experts.max(axis=0) + 1e-12)
 
 
 def _reference_run(config, ds, kind, mc_samples=32, seed=0):
-    """The per-step object loop run_online replaced: value objects and the
-    public update functions, one DataExample at a time."""
-    state = init_state(config)
+    """An explicit loop over the rows of ``ds.features`` / ``ds.targets``
+    that calls the update kernels directly, without run_online's learner
+    classes; returns (predictions, losses)."""
+    d = kind.param_dim(ds.d)
+    m = np.zeros(d)
+    if not isinstance(config, OgaConfig):
+        sigma, accum = np.full(d, float(config.prior.s)), np.zeros(d)
+    if isinstance(config, NgviConfig):
+        lam_prior = config.prior.natural()
+        lam = (lam_prior.lambda1, lam_prior.lambda2)
     predictions, losses = [], []
-    for step, ex in enumerate(ds.examples(), start=1):
-        theta_hat = predict(state)
-        predictions.append(theta_hat)
-        losses.append(point_loss(kind, theta_hat, ex))
-        if isinstance(config, EwaGridConfig):
-            grid_losses = point_loss_many(kind, state.grid.thetas, ex)
-            state = LearnerState(t=step, grid=ewa_grid_update(state.grid, grid_losses))
-            continue
+    for step, (x, y) in enumerate(zip(ds.features, ds.targets.tolist()), start=1):
+        predictions.append(m)
+        losses.append(point_loss_xy(kind, m, x, y))
         if isinstance(config, OgaConfig):
-            state = oga_update(state, point_grad(kind, state.theta, ex), config)
+            m = oga_step(m, point_grad_xy(kind, m, x, y), config)
             continue
         if kind.kind == "squared_nn":
-            _, grad = mc_expected_loss_and_grad(kind, state.q, ex, mc_samples,
-                                                derive_seed(seed, step))
+            _, g_m, g_sigma = mc_grad_xy(kind, m, sigma, x, y, mc_samples,
+                                         derive_seed(seed, step))
         else:
-            grad = expected_loss_grad(kind, state.q, ex)
+            g_m, g_sigma = expected_grad_xy(kind, m, sigma, x, y)
         if isinstance(config, SvaConfig):
-            state = sva_update(state, grad, config)
+            m, sigma, accum = sva_step(m, accum, g_m, g_sigma, config)
         elif isinstance(config, SvbConfig):
-            state = svb_update(state, grad, config)
+            m, sigma = svb_step(m, sigma, g_m, g_sigma, step, config)
         elif isinstance(config, NgviConfig):
-            state = ngvi_update(state, grad_to_expectation_coords(grad, state.q), config)
+            lam = ngvi_step(lam, *expectation_grad(g_m, g_sigma, m, sigma), lam_prior, step,
+                            config)[:2]
+            m, sigma = natural_to_standard(*lam)
         else:
-            state = ogael_update(state, grad, config)
+            m, sigma = ogael_step(m, sigma, g_m, g_sigma, config)
     return np.array(predictions), np.array(losses)
 
 
@@ -393,13 +398,13 @@ def _learner_configs(d, t_len, box):
 
 
 class TestReferenceLoop:
-    """run_online against the object loop it replaced: identical arithmetic,
-    so identical floats."""
+    """run_online against an explicit kernel loop: identical arithmetic, so
+    identical floats."""
 
     NN = LossKind.squared_nn(3)
     STREAMS = {
         "hinge": (LossKind.hinge(), gen_toy_classification(300, seed=8)),
-        "squared_linear": (LossKind.squared_linear(),
+        "squared_linear": (SQL,
                            gen_iid_regression(200, np.array([1.0, -2.0, 0.5]), 0.5, seed=8)),
         "squared_nn": (NN, gen_iid_regression(60, np.array([1.0, -1.0]), 0.3, seed=8)),
     }
@@ -435,7 +440,9 @@ class TestReferenceLoop:
                 continue
             cfg = EwaGridConfig(eta=0.05, experts=experts)
             trace = run_online(cfg, ds, kind)
-            predictions, losses = _reference_run(cfg, ds, kind)
+            predictions = _grid_oracle(cfg, ds, kind)
+            losses = [point_loss_xy(kind, p, x, y)
+                      for p, x, y in zip(predictions, ds.features, ds.targets.tolist())]
             np.testing.assert_allclose(trace.predictions, predictions, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(trace.losses, losses, rtol=1e-12, atol=1e-12)
 
@@ -532,20 +539,18 @@ class TestRunOnline:
         # squared-linear g_m does not involve sigma, and under the Theorem 3
         # schedule eta_{t,j} sigma^2 cancels, so the whole mean path is
         # independent of the sigma initialization
-        kind = LossKind.squared_linear()
         ds = gen_toy_classification(100, seed=7)
-        sched = Thm3ConvexSchedule(D=5.0, L=3.0)
+        cfg = SvbConfig(schedule=Thm3ConvexSchedule(D=5.0, L=3.0), prior=self.PRIOR2,
+                        box=self.BOX2)
         rng = CounterRng(27, "thm3-init")
         paths = []
         for _ in range(3):
-            sigma0 = 0.2 + 0.8 * rng.uniforms(2)
-            state = LearnerState(t=0, q=MeanFieldGaussian(np.zeros(2), sigma0))
-            cfg = SvbConfig(schedule=sched, prior=self.PRIOR2, box=self.BOX2)
+            m, sigma = np.zeros(2), 0.2 + 0.8 * rng.uniforms(2)
             means = []
-            for ex in ds.examples():
-                grad = expected_loss_grad(kind, state.q, ex)
-                state = svb_update(state, grad, cfg)
-                means.append(state.q.m.copy())
+            for t, (x, y) in enumerate(zip(ds.features, ds.targets.tolist()), start=1):
+                g_m, g_sigma = expected_grad_xy(SQL, m, sigma, x, y)
+                m, sigma = svb_step(m, sigma, g_m, g_sigma, t, cfg)
+                means.append(m)
             paths.append(np.stack(means))
         np.testing.assert_allclose(paths[0], paths[1], atol=1e-10)
         np.testing.assert_allclose(paths[0], paths[2], atol=1e-10)
