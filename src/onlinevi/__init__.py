@@ -46,7 +46,6 @@ from .learners import (
     run_online,
 )
 from .evaluation import (
-    AlphaEstimate,
     BoundInputs,
     ComparatorResult,
     RegretLedger,

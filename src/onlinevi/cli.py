@@ -399,7 +399,9 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
         eta = _positive(spec, "eta", "auto", allow_auto=True)
         losses = expert_loss_matrix(kind, experts, stream.features, stream.targets)
         b_max = float(np.max(losses))
+        # Theorem 1's constants, from the one (T, K) matrix of the run
         meta["B"] = b_max
+        meta["best_expert_total"] = float(np.min(losses.sum(axis=0)))
         if eta is None:
             k = experts.shape[0]
             eta = float(np.sqrt(8.0 * np.log(k) / (max(b_max, 1e-12) ** 2 * t_len)))
@@ -455,8 +457,8 @@ def _point_mass_comparator(theta_star: np.ndarray, box: BoxConstraints) -> MeanF
 def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all") -> list[dict]:
     """One record per (algorithm, applicable theorem).
 
-    Theorems 1, 3 and 4 are deterministic inequalities; Theorem 2 uses the
-    empirical strong-convexity estimate and is informational only.
+    Theorems 1, 3 and 4 are deterministic inequalities; Theorem 2 (with the
+    exact alpha = 1/prior_s^2) is informational only.
     """
     want = lambda n: theorem in ("all", str(n))
     records = []
@@ -472,10 +474,7 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
 
         if spec.tag == "ewagrid" and want(1) and ctx.kind.convex:
             # the grid bound's Jensen step at the prediction needs convexity
-            losses = expert_loss_matrix(ctx.kind, config.experts, ctx.stream.features,
-                                        ctx.stream.targets)
-            best_expert = float(np.min(losses.sum(axis=0)))
-            b_max = float(np.max(losses))
+            best_expert, b_max = meta["best_expert_total"], meta["B"]
             kl = float(np.log(config.experts.shape[0]))
             bound = ewa_bound(BoundInputs(T=t_len, eta=config.eta, B=b_max, kl_term=kl))
             emp = total - best_expert
@@ -487,23 +486,20 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
             })
 
         if spec.tag == "sva" and want(2) and ctx.kind.convex and comparator is not None:
-            sigma_lo = np.maximum(ctx.box.sigma_lo, 0.01)
-            alpha_box = BoxConstraints(ctx.box.m_lo, ctx.box.m_hi, sigma_lo,
-                                       np.maximum(ctx.box.sigma_hi, sigma_lo))
-            alpha_hat = alpha_estimate(ctx.prior, alpha_box, resolution=11)
+            alpha = alpha_estimate(ctx.prior)
             q_star = _point_mass_comparator(comparator.theta_star, ctx.box)
             kl = kl_divergence(q_star, ctx.prior.gaussian())
             expected_total = float(np.sum(expected_loss_series(
                 ctx.kind, q_star, ctx.stream.features, ctx.stream.targets)))
             bound = sva_bound(BoundInputs(T=t_len, eta=config.eta, L=lipschitz,
-                                          alpha=alpha_hat.value, kl_term=kl))
+                                          alpha=alpha, kl_term=kl))
             emp = total - expected_total
             records.append({
                 "theorem": 2, "algorithm": spec.name, "empirical_regret": emp,
                 "bound": bound, "slack_ratio": emp / bound, "holds": emp <= bound,
                 "deterministic": False,
-                "notes": (f"informational: alpha_hat={alpha_hat.value:.6g} "
-                          f"({alpha_hat.flag}), comparator sigma=0.01"),
+                "notes": (f"informational: alpha={alpha:.6g} (1/prior_s^2), "
+                          "comparator sigma=0.01"),
             })
 
         if spec.tag == "svb" and want(3) and isinstance(config.schedule, Thm3ConvexSchedule) \
@@ -589,7 +585,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
         trace = run_online(config, ctx.stream, ctx.kind,
                            mc_samples=cfg.mc_samples, seed=cfg.seed)
         wall_ms = (time.perf_counter() - start) * 1000.0
-        ledger = build_ledger(trace)
+        ledger = build_ledger(trace.losses)
         totals[spec.name] = ledger.total
         entry = {
             "final_avg_loss": ledger.final_average,
@@ -611,7 +607,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
                 "last_step": int(halved[-1]) if halved.size else None,
             }
         if ctx.holdout is not None:
-            theta_bar = online_to_batch(trace)
+            theta_bar = online_to_batch(trace.predictions)
             mean, se = generalization_estimate(theta_bar, ctx.holdout, ctx.kind)
             entry["holdout_risk"] = {"mean": mean, "se": se}
             if ctx.kind.convex:

@@ -11,6 +11,11 @@ against the stated comparator):
     OGA-EL              eta L^2 T + ||mu - mu_1||^2 / eta
     OGA-EL (KL form)    eta L^2 T + alpha KL / (2 eta)
 
+alpha is the strong-convexity constant of the KL to the N(0, s^2 I) prior,
+exactly 1/s^2 (``alpha_estimate``).  The hindsight comparator is projected
+subgradient descent on ``losses.mean_loss_and_grad``, one kernel for every
+loss kind.
+
 Checks log (empirical regret, bound, slack ratio) rather than only
 pass/fail so loose bounds stay informative.
 """
@@ -24,14 +29,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionMismatchError, DomainError
-from .family import BoxConstraints, GaussianPrior, MeanFieldGaussian, kl_divergence
-from .losses import (
-    SQUARED_LINEAR,
-    LossKind,
-    expert_loss_matrix,
-    nn_batch_mean_grad,
-    point_loss_series,
-)
+from .family import BoxConstraints, GaussianPrior
+from .losses import LossKind, expert_loss_matrix, mean_loss_and_grad, point_loss_series
+from .losses import nn_batch_mean_grad  # noqa: F401  (a name the benchmark's tracer wraps)
 from .rng import CounterRng
 
 
@@ -60,10 +60,9 @@ class RegretLedger:
         return float(self.averages[-1])
 
 
-def build_ledger(trace_or_losses) -> RegretLedger:
-    """Left-to-right running sums; summation order is fixed for
-    reproducibility."""
-    losses = getattr(trace_or_losses, "losses", trace_or_losses)
+def build_ledger(losses) -> RegretLedger:
+    """Left-to-right running sums of per-step losses (``Trace.losses``);
+    summation order is fixed for reproducibility."""
     losses = np.array(losses, dtype=float).reshape(-1)
     if losses.size == 0:
         raise DataError("trace must be nonempty")
@@ -89,25 +88,25 @@ class ComparatorResult:
         return self.cumulative_loss_star / self.diagnostics["horizon"]
 
 
-def _pgd_minimize(objective, subgrad, project, starts, iters: int, radius: float):
+def _pgd_minimize(value_and_grad, project, starts, iters: int, radius: float):
     """Projected subgradient descent with step c/sqrt(k), tracking the best
-    iterate seen; returns (best theta, best value, final grad norm)."""
+    iterate seen; ``value_and_grad(theta)`` gives the objective and a
+    subgradient in one call.  Returns (best theta, best value, final grad
+    norm)."""
     best_theta = None
     best_value = np.inf
     for theta0 in starts:
         theta = project(np.asarray(theta0, dtype=float))
-        value = objective(theta)
+        value, g = value_and_grad(theta)
         if value < best_value:
             best_theta, best_value = theta.copy(), value
-        g = subgrad(theta)
         c = radius / max(float(np.linalg.norm(g)), 1e-12)
         for k in range(1, iters + 1):
             theta = project(theta - (c / np.sqrt(k)) * g)
-            value = objective(theta)
+            value, g = value_and_grad(theta)
             if value < best_value:
                 best_theta, best_value = theta.copy(), value
-            g = subgrad(theta)
-    final_gnorm = float(np.linalg.norm(subgrad(best_theta)))
+    final_gnorm = float(np.linalg.norm(value_and_grad(best_theta)[1]))
     return best_theta, best_value, final_gnorm
 
 
@@ -117,10 +116,13 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
     """inf over theta in M_m of the total stream loss.
 
     Projected subgradient descent on the average loss with ``restarts``
-    random restarts and step c/sqrt(k), plus the origin and the projected
-    least-squares solution as warm starts.  For the convex kinds the best
-    value is within 1e-3 relative of the infimum on the validation
-    instances; for squared_nn the search is local and labeled as such.
+    random restarts and step c/sqrt(k), plus the origin and, for the convex
+    kinds, the projected least-squares solution as warm starts.  Each step
+    evaluates the mean loss and its subgradient in one pass of
+    ``losses.mean_loss_and_grad``, the same for every loss kind.  For the
+    convex kinds the best value is within 1e-3 relative of the infimum on
+    the validation instances; for squared_nn the search is local and
+    labeled as such.
     """
     features, targets = data.features, data.targets
     t_len, d_in = features.shape
@@ -132,23 +134,11 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
     def project(theta):
         return np.clip(theta, box.m_lo, box.m_hi)
 
-    def objective(theta):
-        return float(np.mean(point_loss_series(kind, theta, features, targets)))
-
-    if kind.kind == SQUARED_LINEAR:
-        def subgrad(theta):
-            return -2.0 * features.T @ (targets - features @ theta) / t_len
-    elif kind.convex:  # hinge
-        def subgrad(theta):
-            margins = 1.0 - targets * (features @ theta)
-            active = targets * (margins > 0.0)
-            return -features.T @ active / t_len
-    else:
-        def subgrad(theta):
-            return nn_batch_mean_grad(kind, theta, features, targets)
+    def value_and_grad(theta):
+        return mean_loss_and_grad(kind, theta, features, targets)
 
     starts = [np.zeros(d_param)]
-    if kind.kind != "squared_nn":
+    if kind.convex:
         ls, *_ = np.linalg.lstsq(features, targets, rcond=None)
         starts.append(project(ls))
     rng = CounterRng(seed, "best-in-hindsight")
@@ -158,8 +148,7 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
         starts.append(box.m_lo + u * widths)
 
     radius = 0.5 * float(np.linalg.norm(widths))
-    theta_star, best_avg, gnorm = _pgd_minimize(
-        objective, subgrad, project, starts, iters, radius)
+    theta_star, _, gnorm = _pgd_minimize(value_and_grad, project, starts, iters, radius)
     total = float(np.sum(point_loss_series(kind, theta_star, features, targets)))
     diagnostics = {
         "restarts": restarts,
@@ -252,16 +241,12 @@ def ogael_kl_bound(inputs: BoundInputs) -> float:
 # online-to-batch and generalization
 
 
-def online_to_batch(predictions, return_path: bool = False):
-    """theta_bar_T = (1/T) sum_t theta_hat_t; optionally the full running
-    average path."""
-    preds = getattr(predictions, "predictions", predictions)
-    preds = np.asarray(preds, dtype=float)
+def online_to_batch(predictions) -> np.ndarray:
+    """theta_bar_T = (1/T) sum_t theta_hat_t of the (T, d) decisions
+    (``Trace.predictions``)."""
+    preds = np.asarray(predictions, dtype=float)
     if preds.ndim != 2 or preds.shape[0] == 0:
         raise DataError("predictions must be a nonempty (T, d) array")
-    if return_path:
-        path = np.cumsum(preds, axis=0) / np.arange(1, preds.shape[0] + 1)[:, None]
-        return path[-1].copy(), path
     return preds.mean(axis=0)
 
 
@@ -277,57 +262,19 @@ def generalization_estimate(theta_bar, holdout: Dataset,
 
 
 # ---------------------------------------------------------------------------
-# numeric strong-convexity estimate for the KL regularizer
+# strong convexity of the KL regularizer
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
-    value: float
-    flag: str
-    resolution: int
+def alpha_estimate(prior: GaussianPrior) -> float:
+    """The strong-convexity constant alpha of mu = (m, sigma) -> KL(q_mu,
+    prior) for the isotropic prior N(0, s^2 I), exactly 1/s^2.
 
-
-def alpha_estimate(prior: GaussianPrior, box: BoxConstraints,
-                   resolution: int = 11) -> AlphaEstimate:
-    """Minimum Hessian eigenvalue of mu -> KL(q_mu, prior) over a grid on
-    the box, usable as an empirical alpha.
-
-    The KL of a diagonal Gaussian against the isotropic prior separates
-    across coordinates, so the Hessian is block diagonal with one 2x2
-    block per coordinate and the grid can be taken per block; the minimum
-    over the product grid is exactly the minimum over blocks.  Each block
-    is estimated by central finite differences of the actual KL.
+    The KL separates across coordinates; per coordinate it is log(s /
+    sigma) + (sigma^2 + m^2) / (2 s^2) - 1/2, with Hessian diag(1/s^2,
+    1/s^2 + 1/sigma^2).  Its smallest eigenvalue is 1/s^2 at every (m,
+    sigma > 0), so no box enters.
     """
-    if resolution < 2:
-        raise DomainError("resolution must be at least 2")
-    if box.d != prior.d:
-        raise DimensionMismatchError("box and prior dimension differ")
-    if np.any(box.sigma_lo <= 0.0):
-        raise DomainError("alpha_estimate needs sigma bounded away from 0 "
-                          "(box.sigma_lo > 0)")
-
-    prior_1d = GaussianPrior(prior.s, 1).gaussian()
-
-    def kl_coord(m: float, sigma: float) -> float:
-        return kl_divergence(MeanFieldGaussian([m], [sigma]), prior_1d)
-
-    min_eig = np.inf
-    for j in range(box.d):
-        for m in np.linspace(box.m_lo[j], box.m_hi[j], resolution):
-            h_m = 1e-4 * max(1.0, abs(m))
-            for sigma in np.linspace(box.sigma_lo[j], box.sigma_hi[j], resolution):
-                h_s = 1e-4 * sigma
-                f0 = kl_coord(m, sigma)
-                a = (kl_coord(m + h_m, sigma) - 2.0 * f0 + kl_coord(m - h_m, sigma)) / h_m ** 2
-                b = (kl_coord(m, sigma + h_s) - 2.0 * f0 + kl_coord(m, sigma - h_s)) / h_s ** 2
-                c = (kl_coord(m + h_m, sigma + h_s) - kl_coord(m + h_m, sigma - h_s)
-                     - kl_coord(m - h_m, sigma + h_s) + kl_coord(m - h_m, sigma - h_s)) \
-                    / (4.0 * h_m * h_s)
-                eig = 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + c * c)
-                min_eig = min(min_eig, float(eig))
-    if not np.isfinite(min_eig) or min_eig <= 0.0:
-        raise DomainError(f"no positive strong-convexity estimate found ({min_eig})")
-    return AlphaEstimate(min_eig, "empirical", resolution)
+    return 1.0 / prior.s ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,10 @@ class SvbConfig:
     box: BoxConstraints | None = None
 
 
+#: eta halvings one NGVI step may take to stay in the family before it aborts
+MAX_STEP_RETRIES = 10
+
+
 @dataclass(frozen=True)
 class NgviConfig:
     eta: float
@@ -158,7 +162,6 @@ class NgviConfig:
     # NGVI is never projected (no lambda-space projection is defined); a box
     # here only marks trace rows that leave it.
     box: BoxConstraints | None = None
-    max_step_retries: int = 10
 
 
 @dataclass(frozen=True)
@@ -250,7 +253,7 @@ def ngvi_step(lam: tuple[np.ndarray, np.ndarray], g_mu1: np.ndarray, g_mu2: np.n
     """Natural-parameter recursion on (lambda1, lambda2); returns the new pair
     and the number of eta halvings the step needed."""
     eta = config.eta
-    for halvings in range(config.max_step_retries + 1):
+    for halvings in range(MAX_STEP_RETRIES + 1):
         beta = 1.0 / (1.0 / config.alpha + 1.0 / eta)
         l1 = (1.0 - beta) * lam[0] + beta * lam_prior.lambda1 - eta * beta * g_mu1
         l2 = (1.0 - beta) * lam[1] + beta * lam_prior.lambda2 - eta * beta * g_mu2
@@ -259,7 +262,7 @@ def ngvi_step(lam: tuple[np.ndarray, np.ndarray], g_mu1: np.ndarray, g_mu2: np.n
         eta *= 0.5
     raise InvalidPrecisionError(
         f"NGVI step {step} left the family (lambda2 >= 0) after "
-        f"{config.max_step_retries} eta halvings",
+        f"{MAX_STEP_RETRIES} eta halvings",
         step=step,
     )
 
@@ -383,8 +386,7 @@ def _finite(a: np.ndarray) -> bool:
 
 
 def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
-               horizon: int | None = None, mc_samples: int = 32,
-               seed: int = 0) -> Trace:
+               mc_samples: int = 32, seed: int = 0) -> Trace:
     """Run one algorithm over the rows of a dataset: predict, suffer the
     point loss at the prediction, compute the gradient the algorithm needs,
     update.
@@ -398,10 +400,6 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
     # contiguous rows, as DataExample copies them: the dot products of the
     # public per-example functions and of this loop then round alike
     features, targets = np.ascontiguousarray(data.features), data.targets
-    if horizon is not None:
-        if horizon < 0:
-            raise DomainError("horizon must be >= 0")
-        features, targets = features[:horizon], targets[:horizon]
     d = kind.param_dim(features.shape[1])
     if isinstance(config, EwaGridConfig):
         if config.experts.shape[1] != d:

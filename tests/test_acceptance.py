@@ -99,7 +99,7 @@ def paper_schedule_runs(toy10k):
         "oga": OgaConfig(eta=eta, box=BOX2),
         "ogael": OgaElConfig(eta=eta, prior=PRIOR2, box=BOX2),
     }
-    return {name: build_ledger(run_online(cfg, toy10k, HINGE, seed=0))
+    return {name: build_ledger(run_online(cfg, toy10k, HINGE, seed=0).losses)
             for name, cfg in configs.items()}
 
 
@@ -186,7 +186,7 @@ class TestCriterion03Theorem1Deterministic:
         t_len = ds.T
         eta = float(np.sqrt(8.0 * np.log(41.0) / (b_max ** 2 * t_len)))
         ledger = build_ledger(run_online(EwaGridConfig(eta=eta, experts=experts),
-                                         ds, HINGE, seed=0))
+                                         ds, HINGE, seed=0).losses)
         best_expert = float(expert_losses.sum(axis=0).min())
         emp_regret = ledger.total - best_expert
         bound = ewa_bound(BoundInputs(T=t_len, eta=eta, B=b_max,
@@ -208,7 +208,7 @@ class TestCriterion04Theorem3Deterministic:
                                        iters=2000, seed=0)
         cfg = SvbConfig(schedule=Thm3ConvexSchedule(D=diam, L=lip),
                         prior=PRIOR2, box=BOX2)
-        ledger = build_ledger(run_online(cfg, toy10k, HINGE, seed=0))
+        ledger = build_ledger(run_online(cfg, toy10k, HINGE, seed=0).losses)
         bound, _ = svb_bounds(BoundInputs(T=toy10k.T, D=diam, L=lip))
         rhs = comparator.cumulative_loss_star + bound
         elapsed = time.perf_counter() - start
@@ -234,7 +234,7 @@ class TestCriterion05Theorem4Deterministic:
         dist = float(np.sqrt(np.sum(sup_m ** 2) + np.sum(sup_s ** 2)))
         eta = dist / (lip * np.sqrt(t_len))
         ledger = build_ledger(run_online(
-            OgaElConfig(eta=eta, prior=PRIOR2, box=BOX2), ds, HINGE, seed=0))
+            OgaElConfig(eta=eta, prior=PRIOR2, box=BOX2), ds, HINGE, seed=0).losses)
         rng = CounterRng(105, "acceptance-c5-probes")
         holds = True
         worst_ratio = -np.inf
@@ -260,26 +260,23 @@ class TestCriterion06Theorem2Informational:
         t_len = toy10k.T
         eta = 1.0 / np.sqrt(t_len)
         lip = lipschitz_constant(HINGE, toy10k, BOX2)
-        alpha_box = BoxConstraints(BOX2.m_lo, BOX2.m_hi,
-                                   np.full(2, 0.01), BOX2.sigma_hi)
-        alpha_hat = alpha_estimate(PRIOR2, alpha_box, resolution=11)
+        alpha = alpha_estimate(PRIOR2)
         q_star = MeanFieldGaussian(toy10k_comparator.theta_star, np.full(2, 0.01))
         kl = kl_divergence(q_star, PRIOR2.gaussian())
         expected_total = float(np.sum(expected_loss_series(
             HINGE, q_star, toy10k.features, toy10k.targets)))
         bound = sva_bound(BoundInputs(T=t_len, eta=eta, L=lip,
-                                      alpha=alpha_hat.value, kl_term=kl))
+                                      alpha=alpha, kl_term=kl))
         emp = paper_schedule_runs["sva"].total - expected_total
         slack_ratio = emp / bound
         violated = emp > bound
         detail = (f"empirical {emp:.1f} vs bound {bound:.1f}, slack ratio "
-                  f"{slack_ratio:.4f}, alpha_hat={alpha_hat.value:.4f} "
-                  f"({alpha_hat.flag})")
+                  f"{slack_ratio:.4f}, alpha={alpha:.4f} (1/prior_s^2)")
         if violated:
-            detail += " [FLAGGED: bound violated under empirical alpha]"
+            detail += " [FLAGGED: bound violated]"
         # informational: the criterion requires only that the check runs and
         # logs its slack ratio; a violation is flagged, not failed
-        ran = np.isfinite(bound) and np.isfinite(emp) and alpha_hat.value > 0
+        ran = np.isfinite(bound) and np.isfinite(emp) and alpha == 1.0 / PRIOR2.s ** 2
         _report(6, ran, detail)
         assert ran
 
@@ -296,8 +293,8 @@ class TestCriterion07Theorem5Statistical:
             holdout = gen_iid_regression(1000, theta_star, 0.5, seed=10_000 + seed)
             trace = run_online(OgaConfig(eta=1.0 / np.sqrt(t_len), box=box),
                                ds, SQL, seed=seed)
-            ledger = build_ledger(trace)
-            theta_bar = online_to_batch(trace)
+            ledger = build_ledger(trace.losses)
+            theta_bar = online_to_batch(trace.predictions)
             mean, _ = generalization_estimate(theta_bar, holdout, SQL)
             risks.append(mean)
             avgs.append(ledger.final_average)

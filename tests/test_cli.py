@@ -1,11 +1,19 @@
 """Harness contracts: artifacts, exit codes, determinism, summary audit."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import onlinevi.cli as cli
 from onlinevi.cli import load_experiment, main, materialize
+from onlinevi.family import SIGMA_FLOOR
 from onlinevi.learners import run_online
 
 BASE_CONFIG = """
@@ -270,6 +278,100 @@ class TestMalformedConfig:
         code, err = self._run(tmp_path, capsys, text)
         assert code == 2
         assert "[algorithm.grid] experts" in err
+
+
+# ---------------------------------------------------------------------------
+# property: a malformed config never reaches run_online
+
+
+_SMALL_SECTIONS = {
+    "run": {"seed": "1", "comparator_restarts": "0", "comparator_iters": "0"},
+    "dataset": {"source": "toy", "n": "50", "loss": "hinge"},
+    "algorithm.oga": {"eta": "auto"},
+}
+_KNOWN_KEYS = {"run": cli._RUN_KEYS, "dataset": cli._DATASET_KEYS,
+               "algorithm.oga": {"algo"} | cli._ALGORITHM_KEYS["oga"]}
+
+
+def _floats_below(bound):
+    return st.floats(max_value=bound, allow_nan=False).filter(lambda v: v < bound)
+
+
+#: every numeric [run] key with a strategy for values outside its range
+#: (box_sigma_lo is checked against the default box_sigma_hi = 1)
+_RUN_OUT_OF_RANGE = {
+    "horizon": st.integers(max_value=0),
+    "mc_samples": st.integers(max_value=0),
+    "comparator_restarts": st.integers(max_value=-1),
+    "comparator_iters": st.integers(max_value=-1),
+    "holdout_fraction": st.one_of(_floats_below(0.0), st.floats(min_value=1.0)),
+    "prior_s": st.one_of(st.floats(max_value=0.0), st.just(float("nan"))),
+    "box_m_abs": _floats_below(0.0),
+    "box_sigma_hi": _floats_below(SIGMA_FLOOR),
+    "box_sigma_lo": st.one_of(_floats_below(0.0),
+                              st.floats(min_value=1.0, exclude_min=True)),
+}
+
+#: (options that make the key read, key) for every numeric algorithm value
+_ALGORITHM_NUMERIC = [
+    ({"algo": "sva"}, "eta"), ({"algo": "oga"}, "eta"), ({"algo": "ogael"}, "eta"),
+    ({"algo": "ngvi"}, "eta"), ({"algo": "ngvi"}, "alpha"), ({"algo": "ewagrid"}, "eta"),
+    ({"algo": "svb", "schedule": "fixed"}, "eta"),
+    ({"algo": "svb", "schedule": "thm3_convex"}, "d"),
+    ({"algo": "svb", "schedule": "thm3_convex"}, "l"),
+    ({"algo": "svb", "schedule": "thm3_strong"}, "h"),
+]
+
+_KEY_TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+
+
+@st.composite
+def _unknown_key(draw):
+    section = draw(st.sampled_from(sorted(_KNOWN_KEYS)))
+    key = draw(_KEY_TEXT.filter(lambda k: k not in _KNOWN_KEYS[section]))
+    return {section: {key: "1"}}, f"[{section}] {key}"
+
+
+@st.composite
+def _run_value_out_of_range(draw):
+    key = draw(st.sampled_from(sorted(_RUN_OUT_OF_RANGE)))
+    return {"run": {key: repr(draw(_RUN_OUT_OF_RANGE[key]))}}, f"[run] {key}"
+
+
+@st.composite
+def _non_numeric_algorithm_value(draw):
+    options, key = draw(st.sampled_from(_ALGORITHM_NUMERIC))
+    value = draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCXYZ_", min_size=1,
+                         max_size=8).filter(lambda v: v.lower() != "auto"))
+    return {"algorithm.bad": {**options, key: value}}, f"[algorithm.bad] {key}"
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a malformed config reached run_online")
+
+
+class TestMalformedConfigProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(_unknown_key(), _run_value_out_of_range(),
+                     _non_numeric_algorithm_value()))
+    def test_never_reaches_run_online(self, case):
+        edits, needle = case
+        sections = {name: dict(options) for name, options in _SMALL_SECTIONS.items()}
+        for name, options in edits.items():
+            sections.setdefault(name, {}).update(options)
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+                       for name, options in sections.items())
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "run_online", _must_not_run)
+            config = Path(tmp) / "bad.ini"
+            config.write_text(text, encoding="utf-8")
+            out = Path(tmp) / "o"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(config), "--out", str(out)])
+            assert code == 2
+            assert needle in err.getvalue()
+            assert not out.exists()
 
 
 def _header_only(text):

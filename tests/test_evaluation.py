@@ -1,5 +1,5 @@
 """Regret accounting, comparators against grid/analytic oracles, bound
-formulas, online-to-batch conversion, and the strong-convexity estimate."""
+formulas, online-to-batch conversion, and the strong-convexity constant."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from onlinevi.evaluation import (
     sva_bound,
     svb_bounds,
 )
-from onlinevi.family import BoxConstraints, GaussianPrior
+from onlinevi.family import BoxConstraints, GaussianPrior, MeanFieldGaussian, kl_divergence
 from onlinevi.losses import LossKind, point_loss_series
 from onlinevi.rng import CounterRng
 
@@ -233,7 +233,7 @@ class TestTheorem1OnGrids:
                             np.sqrt(8 * kl / (b_max ** 2 * ds.T)),
                             2e-3):
                     cfg = EwaGridConfig(eta=float(eta), experts=experts)
-                    led = build_ledger(run_online(cfg, ds, HINGE, seed=0))
+                    led = build_ledger(run_online(cfg, ds, HINGE, seed=0).losses)
                     bound = ewa_bound(BoundInputs(T=ds.T, eta=float(eta),
                                                   B=b_max, kl_term=kl))
                     assert led.total - best <= bound
@@ -249,13 +249,12 @@ class TestOnlineToBatch:
 
     def test_resummation_oracle(self):
         preds = CounterRng(32, "otb").normals(400).reshape(100, 4)
-        theta_bar, path = online_to_batch(preds, return_path=True)
+        theta_bar = online_to_batch(preds)
         manual = np.zeros(4)
         for row in preds:
             manual += row
         manual /= 100.0
         assert np.max(np.abs(theta_bar - manual)) <= 1e-12
-        np.testing.assert_allclose(path[-1], theta_bar, atol=1e-15)
 
 
 class TestGeneralizationEstimate:
@@ -286,31 +285,54 @@ class TestJensenAudit:
         assert jensen_holdout_audit(preds, holdout, SQL)
 
 
+def _fd_min_hessian_eig(s: float, m: float, sigma: float) -> float:
+    """Smallest eigenvalue of the central finite-difference Hessian of the
+    one-coordinate KL(N(m, sigma^2) || N(0, s^2)) in (m, sigma): the oracle
+    for the exact alpha."""
+    prior_1d = GaussianPrior(s, 1).gaussian()
+
+    def kl(m, sigma):
+        return kl_divergence(MeanFieldGaussian([m], [sigma]), prior_1d)
+
+    h_m = 1e-4 * max(1.0, abs(m))
+    h_s = 1e-4 * sigma
+    f0 = kl(m, sigma)
+    a = (kl(m + h_m, sigma) - 2.0 * f0 + kl(m - h_m, sigma)) / h_m ** 2
+    b = (kl(m, sigma + h_s) - 2.0 * f0 + kl(m, sigma - h_s)) / h_s ** 2
+    c = (kl(m + h_m, sigma + h_s) - kl(m + h_m, sigma - h_s)
+         - kl(m - h_m, sigma + h_s) + kl(m - h_m, sigma - h_s)) / (4.0 * h_m * h_s)
+    return float(0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + c * c))
+
+
 class TestAlphaEstimate:
     PRIOR = GaussianPrior(1.0, 1)
 
     def test_analytic_hessian_case(self):
         # KL Hessian per coordinate is diag(1/s^2, 1/s^2 + 1/sigma^2): the
-        # minimum eigenvalue on any sigma-bounded box is 1/s^2 = 1
-        box = BoxConstraints([-1.0], [1.0], [0.5], [1.0])
-        est = alpha_estimate(self.PRIOR, box, resolution=11)
-        assert est.value == pytest.approx(1.0, abs=1e-3)
-        assert est.flag == "empirical"
+        # minimum eigenvalue at every (m, sigma) is 1/s^2
+        for s in (0.5, 1.0, 3.0):
+            assert alpha_estimate(GaussianPrior(s, 3)) == 1.0 / s ** 2
+        assert alpha_estimate(self.PRIOR) == 1.0
+
+    def test_matches_finite_difference_hessian(self):
+        rng = CounterRng(35, "alpha-fd")
+        for s in (0.5, 1.0, 3.0):
+            alpha = alpha_estimate(GaussianPrior(s, 1))
+            for m, u in zip(-5.0 + 10.0 * rng.uniforms(20), rng.uniforms(20)):
+                sigma = 0.1 + 2.9 * u
+                fd = _fd_min_hessian_eig(s, float(m), float(sigma))
+                assert abs(fd - alpha) <= 1e-6 * alpha, (s, m, sigma, fd)
 
     def test_widening_never_increases(self):
-        narrow = BoxConstraints([-1.0], [1.0], [0.5], [1.0])
-        wide = BoxConstraints([-5.0], [5.0], [0.25], [2.0])
-        a_narrow = alpha_estimate(self.PRIOR, narrow, resolution=11).value
-        a_wide = alpha_estimate(self.PRIOR, wide, resolution=11).value
+        # the minimum of the finite-difference eigenvalue over a grid on a
+        # box is the same exact alpha for a narrow and a wide box
+        def grid_min(m_lo, m_hi, s_lo, s_hi):
+            return min(_fd_min_hessian_eig(1.0, m, sigma)
+                       for m in np.linspace(m_lo, m_hi, 11)
+                       for sigma in np.linspace(s_lo, s_hi, 11))
+
+        a_narrow = grid_min(-1.0, 1.0, 0.5, 1.0)
+        a_wide = grid_min(-5.0, 5.0, 0.25, 2.0)
         assert a_wide <= a_narrow + 1e-6
-
-    def test_stable_under_refinement(self):
-        box = BoxConstraints([-2.0], [2.0], [0.3], [1.5])
-        coarse = alpha_estimate(self.PRIOR, box, resolution=11).value
-        fine = alpha_estimate(self.PRIOR, box, resolution=21).value
-        assert abs(fine - coarse) / coarse <= 0.05
-
-    def test_rejects_sigma_zero(self):
-        box = BoxConstraints([-1.0], [1.0], [0.0], [1.0])
-        with pytest.raises(DomainError):
-            alpha_estimate(self.PRIOR, box)
+        alpha = alpha_estimate(self.PRIOR)
+        assert abs(a_narrow - alpha) <= 1e-6 and abs(a_wide - alpha) <= 1e-6

@@ -463,15 +463,6 @@ class TestRunOnline:
             "ewagrid": EwaGridConfig(eta=0.1, experts=diagonal_lattice(-20, 20, 11, 2)),
         }
 
-    def test_empty_horizon(self):
-        ds = gen_toy_classification(10, seed=0)
-        for name, cfg in self._configs(10).items():
-            trace = run_online(cfg, ds, self.KIND, horizon=0)
-            assert trace.horizon == 0, name
-            assert trace.predictions.shape == (0, 2), name
-            if trace.sigmas is not None:
-                assert trace.sigmas.shape == (0, 2), name
-
     def test_non_finite_gradient_is_domain_error(self):
         # sigma * x^2 / s_z is inf / inf: the hinge sigma-gradient is NaN
         ds = Dataset([[1e200, 0.0], [1.0, 1.0]], [1.0, -1.0], CLASSIFICATION, "huge")

@@ -16,6 +16,7 @@ from onlinevi.losses import (
     expected_loss_series,
     lipschitz_constant,
     mc_expected_loss_and_grad,
+    mean_loss_and_grad,
     point_grad,
     point_loss,
     point_loss_series,
@@ -264,3 +265,61 @@ class TestPointSeries:
             scalar = [point_loss(kind, theta, DataExample(feats[i], targs[i]))
                       for i in range(10)]
             np.testing.assert_allclose(series, scalar, rtol=1e-12)
+
+
+def _separate_subgrad(kind, theta, features, targets):
+    """The comparator's per-kind mean subgradients as they were computed
+    before the one-pass kernel, each with its own forward pass: the oracle
+    for ``mean_loss_and_grad``."""
+    t_len = features.shape[0]
+    if kind.kind == "squared_linear":
+        return -2.0 * features.T @ (targets - features @ theta) / t_len
+    if kind.kind == "hinge":
+        margins = 1.0 - targets * (features @ theta)
+        active = targets * (margins > 0.0)
+        return -features.T @ active / t_len
+    hw, d_in = kind.hidden_width, features.shape[1]
+    w1 = theta[: hw * d_in].reshape(hw, d_in)
+    b1 = theta[hw * d_in: hw * d_in + hw]
+    w2 = theta[hw * d_in + hw: hw * d_in + 2 * hw]
+    pre = features @ w1.T + b1
+    hidden = np.maximum(pre, 0.0)
+    f = hidden @ w2 + theta[-1]
+    dloss = -2.0 * (targets - f)
+    gate = dloss[:, None] * (pre > 0.0) * w2[None, :]
+    grad = np.empty_like(theta)
+    grad[: hw * d_in] = (gate.T @ features).reshape(-1) / t_len
+    grad[hw * d_in: hw * d_in + hw] = gate.mean(axis=0)
+    grad[hw * d_in + hw: hw * d_in + 2 * hw] = (hidden * dloss[:, None]).mean(axis=0)
+    grad[-1] = dloss.mean()
+    return grad
+
+
+class TestMeanLossAndGrad:
+    @pytest.mark.parametrize("kind", [HINGE, SQL, LossKind.squared_nn(4)],
+                             ids=["hinge", "squared_linear", "squared_nn"])
+    def test_bitwise_equal_to_separate_passes(self, kind):
+        rng = CounterRng(18, f"mlg-{kind.kind}")
+        feats = rng.normals(150).reshape(50, 3)
+        if kind.kind == "hinge":
+            targs = np.where(rng.uniforms(50) < 0.5, 1.0, -1.0)
+        else:
+            targs = rng.normals(50)
+        for _ in range(5):
+            theta = rng.normals(kind.param_dim(3))
+            value, grad = mean_loss_and_grad(kind, theta, feats, targs)
+            assert value == float(np.mean(point_loss_series(kind, theta, feats, targs)))
+            np.testing.assert_array_equal(grad, _separate_subgrad(kind, theta, feats, targs))
+            manual = np.mean([point_grad(kind, theta, DataExample(feats[i], targs[i]))
+                              for i in range(50)], axis=0)
+            np.testing.assert_allclose(grad, manual, rtol=1e-12, atol=1e-12)
+
+    def test_hinge_row_at_margin_zero_is_inactive(self):
+        # row 0 sits exactly at the kink (1 - 1 * 1 = 0); row 1 has margin 1.5
+        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
+        targs = np.array([1.0, -1.0])
+        theta = np.array([1.0, 0.5])
+        value, grad = mean_loss_and_grad(HINGE, theta, feats, targs)
+        assert value == 0.75
+        np.testing.assert_array_equal(grad, [0.0, 0.5])
+        np.testing.assert_array_equal(grad, _separate_subgrad(HINGE, theta, feats, targs))
