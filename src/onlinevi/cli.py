@@ -75,7 +75,7 @@ from .losses import (
     lipschitz_constant,
     point_loss_many,
 )
-from .losses import _point_grad_many  # package-internal MC plumbing
+from .losses import _point_loss_grad_many  # package-internal MC plumbing
 from .losses import point_loss_series  # noqa: F401  (a name the benchmark's tracer wraps)
 from .rng import CounterRng
 
@@ -139,6 +139,10 @@ _ALGORITHM_KEYS = {
     "ogael": {"eta"},
     "ewagrid": {"experts", "eta"},
 }
+#: The keys besides ``schedule`` that each svb schedule reads; the others
+#: would be ignored, so they are rejected too.
+_SVB_SCHEDULE_KEYS = {"inv_sigma_sqrt_t": set(), "fixed": {"eta"},
+                      "thm3_convex": {"d", "l"}, "thm3_strong": {"h"}}
 
 #: Cap on the values the expert grid holds: K experts of dimension d and
 #: their (T, K) loss matrix, K (T + d) float64 values in at most 1 GiB.
@@ -193,6 +197,19 @@ def _check_keys(section: str, options, known) -> None:
                           f"{', '.join(sorted(known))}")
 
 
+def _check_svb_schedule(section: str, options) -> None:
+    """Normalize ``options["schedule"]``; reject an unknown schedule and any
+    key that the schedule does not read."""
+    name = options.get("schedule", "inv_sigma_sqrt_t").strip().lower().replace("-", "_")
+    if name not in _SVB_SCHEDULE_KEYS:
+        raise ConfigError(f"[{section}] schedule: unknown schedule {name!r}; expected one of "
+                          f"{', '.join(sorted(_SVB_SCHEDULE_KEYS))}")
+    options["schedule"] = name
+    unread = sorted(set(options) - {"schedule"} - _SVB_SCHEDULE_KEYS[name])
+    if unread:
+        raise ConfigError(f"[{section}] {unread[0]}: schedule {name} does not read it")
+
+
 def load_experiment(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -230,6 +247,8 @@ def load_experiment(path) -> ExperimentConfig:
         if tag not in _ALGORITHM_KEYS:
             raise ConfigError(f"[{section}]: unknown algorithm tag {tag!r}")
         _check_keys(section, options, {"algo"} | _ALGORITHM_KEYS[tag])
+        if tag == "svb":
+            _check_svb_schedule(section, options)
         algorithms.append(AlgoSpec(name=name, tag=tag, options=options))
     if not algorithms:
         raise ConfigError("at least one [algorithm.<name>] section is required")
@@ -247,6 +266,9 @@ def load_experiment(path) -> ExperimentConfig:
 def _loss_kind(dataset: dict) -> LossKind:
     raw = dataset.get("loss", "").strip().lower()
     if raw in _LOSS_NAMES:
+        if "hidden_width" in dataset:
+            raise ConfigError(f"[dataset] hidden_width: only loss = squared-nn reads it, "
+                              f"got loss = {raw}")
         return _LOSS_NAMES[raw]()
     if raw in ("squared-nn", "squared_nn"):
         return LossKind.squared_nn(_option("dataset", dataset, "hidden_width", 16, _COUNT))
@@ -347,7 +369,7 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
         config = SvaConfig(eta=eta, prior=prior, box=box, project=project)
         meta["eta"] = eta
     elif spec.tag == "svb":
-        name = opts.get("schedule", "inv_sigma_sqrt_t").strip().lower().replace("-", "_")
+        name = opts["schedule"]  # normalized and validated at parse time
         if name == "inv_sigma_sqrt_t":
             schedule = InvSigmaSqrtT()
         elif name == "fixed":
@@ -361,10 +383,8 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
                 l_val = lipschitz_constant(kind, stream, box)
             schedule = Thm3ConvexSchedule(D=d_val, L=l_val)
             meta.update(D=d_val, L=l_val)
-        elif name == "thm3_strong":
-            schedule = Thm3StrongSchedule(H=_positive(spec, "h"))
         else:
-            raise ConfigError(f"[algorithm.{spec.name}] unknown schedule {name!r}")
+            schedule = Thm3StrongSchedule(H=_positive(spec, "h"))
         config = SvbConfig(schedule=schedule, prior=prior, box=box)
         meta["schedule"] = schedule.describe()
     elif spec.tag == "ngvi":
@@ -830,7 +850,7 @@ def _gradcheck_nn(trials: int, seed: int, mc_samples: int) -> int:
         eps = CounterRng(seed, f"gradcheck-nn-mc-{trial}").normals(mc_samples * d) \
             .reshape(mc_samples, d)
         thetas = q.m[None, :] + q.sigma[None, :] * eps
-        grads = _point_grad_many(kind, thetas, x, y)
+        _, grads = _point_loss_grad_many(kind, thetas, x, y)
         per_sample = np.concatenate([grads, grads * eps], axis=1)
         g_mc = per_sample.mean(axis=0)
         se_mc = per_sample.std(axis=0, ddof=1) / np.sqrt(mc_samples)

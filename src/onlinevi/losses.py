@@ -15,15 +15,17 @@ Closed forms.  The hinge margin z = 1 - y <theta, x> is univariate
 Gaussian with mean mu_z = 1 - y <m, x> and variance s_z^2 = sum_j
 sigma_j^2 x_j^2, so E[z_+] = mu_z Phi(mu_z/s_z) + s_z phi(mu_z/s_z).
 For the squared linear loss E[l] = (y - <m, x>)^2 + sum_j sigma_j^2 x_j^2.
+Phi(z) = erfc(-z / sqrt 2) / 2 takes erfc from the standard library's
+``math.erfc``, so the package needs numpy and nothing else.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DimensionMismatchError, DomainError, UnsupportedLossError
 from .family import BoxConstraints, MeanFieldGaussian
@@ -36,13 +38,17 @@ HINGE = "hinge"
 SQUARED_LINEAR = "squared_linear"
 SQUARED_NN = "squared_nn"
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gaussian_cdf(z):
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2)
+    """Standard normal CDF, erfc(-z / sqrt 2) / 2 with ``math.erfc`` applied
+    to each element: a float for a float, else an array of z's shape."""
+    if isinstance(z, float):
+        return 0.5 * math.erfc(-z / _SQRT2)
+    w = -np.asarray(z, dtype=float) / _SQRT2
+    return 0.5 * np.fromiter(map(math.erfc, w.ravel().tolist()), float, w.size).reshape(w.shape)
 
 
 def gaussian_pdf(z):
@@ -278,16 +284,19 @@ def _nn_forward_many(thetas: np.ndarray, x: np.ndarray, hw: int):
     return f, pre, hidden, w2
 
 
-def _point_grad_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray,
-                     y: float) -> np.ndarray:
-    """Per-row subgradients on one example (x, y), stacked (n, param_dim)."""
+def _point_loss_grad_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray,
+                          y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row point losses (n,) and subgradients (n, param_dim) on one
+    example (x, y), from one pass of ``thetas @ x`` (or of the network).
+    The losses equal ``_point_loss_many`` bit for bit."""
     n = thetas.shape[0]
     if kind.kind == HINGE:
         margins = 1.0 - y * (thetas @ x)
-        return np.where(margins[:, None] > 0.0, -y * x[None, :], 0.0)
+        return (np.maximum(0.0, margins),
+                np.where(margins[:, None] > 0.0, -y * x[None, :], 0.0))
     if kind.kind == SQUARED_LINEAR:
         resid = y - thetas @ x
-        return -2.0 * resid[:, None] * x[None, :]
+        return resid ** 2, -2.0 * resid[:, None] * x[None, :]
     hw = kind.hidden_width
     d_in = x.size
     f, pre, hidden, w2 = _nn_forward_many(thetas, x, hw)
@@ -298,7 +307,7 @@ def _point_grad_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray,
     grads[:, hw * d_in: hw * d_in + hw] = g_b1
     grads[:, hw * d_in + hw: hw * d_in + 2 * hw] = dloss[:, None] * hidden
     grads[:, -1] = dloss
-    return grads
+    return (y - f) ** 2, grads
 
 
 def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray,
@@ -453,8 +462,7 @@ def mc_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray, 
     validated (m, sigma), one (x, y) row and ``samples >= 1``."""
     eps = CounterRng(seed, "mc-expected-loss").normals(samples * m.size).reshape(samples, m.size)
     thetas = m[None, :] + sigma[None, :] * eps
-    losses = _point_loss_many(kind, thetas, x, y)
-    grads = _point_grad_many(kind, thetas, x, y)
+    losses, grads = _point_loss_grad_many(kind, thetas, x, y)
     return float(np.mean(losses)), grads.mean(axis=0), (grads * eps).mean(axis=0)
 
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onlinevi
 import onlinevi.cli as cli
 from onlinevi.cli import load_experiment, main, materialize
 from onlinevi.family import SIGMA_FLOOR
@@ -257,6 +261,27 @@ class TestMalformedConfig:
         pytest.param("toy", "seed = 1", "seed = 1\nmc_sampels = 4", "[run] mc_sampels",
                      id="unknown-run-key"),
         pytest.param("toy", "[run]", "[runs]\nseed = 1\n[run]", "[runs]", id="unknown-section"),
+        # keys that the chosen loss or svb schedule would not read
+        pytest.param("toy", "n = 400", "n = 400\nhidden_width = 0", "[dataset] hidden_width",
+                     id="hidden_width-with-hinge"),
+        pytest.param("nn", "loss = squared-nn", "loss = squared-linear",
+                     "[dataset] hidden_width", id="hidden_width-with-squared-linear"),
+        pytest.param("toy", "schedule = inv_sigma_sqrt_t",
+                     "schedule = inv_sigma_sqrt_t\neta = abc", "[algorithm.svb] eta",
+                     id="svb-eta-default-schedule"),
+        pytest.param("toy", "[algorithm.svb]\nschedule = inv_sigma_sqrt_t",
+                     "[algorithm.svb]\nh = -3", "[algorithm.svb] h",
+                     id="svb-h-implicit-default-schedule"),
+        pytest.param("toy", "schedule = thm3_convex", "schedule = thm3_convex\neta = 0.1",
+                     "[algorithm.svb_thm3] eta", id="svb-eta-thm3_convex"),
+        pytest.param("toy", "schedule = thm3_convex", "schedule = thm3_convex\nh = 2",
+                     "[algorithm.svb_thm3] h", id="svb-h-thm3_convex"),
+        pytest.param("toy", "schedule = thm3_convex", "schedule = fixed\neta = 0.1\nd = 5",
+                     "[algorithm.svb_thm3] d", id="svb-d-fixed"),
+        pytest.param("toy", "schedule = thm3_convex", "schedule = thm3_strong\nh = 2\nl = 4",
+                     "[algorithm.svb_thm3] l", id="svb-l-thm3_strong"),
+        pytest.param("toy", "schedule = thm3_convex", "schedule = thm3-weak",
+                     "[algorithm.svb_thm3] schedule", id="svb-unknown-schedule"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, base, old, new, needle):
         text = CONFIGS[base]
@@ -566,3 +591,50 @@ class TestBounds:
 
     def test_not_a_run_dir(self, tmp_path):
         assert main(["bounds", "--run", str(tmp_path), "--theorem", "all"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the runtime needs numpy and the standard library only
+
+
+def _python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this package's source."""
+    src = str(Path(onlinevi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_loads_no_scipy_module(self):
+        out = _python("import sys, onlinevi.cli\n"
+                      "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert out.strip() == "[]"
+
+    def test_every_verb_runs_with_scipy_blocked(self, tmp_path):
+        config = tmp_path / "exp.ini"
+        config.write_text(BASE_CONFIG.replace("seed = 1", "seed = 1\nholdout_fraction = 0.25"),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        commands = [
+            ["gen-toy", "--n", "50", "--seed", "3", "--out", str(tmp_path / "toy.csv")],
+            ["run", "--config", str(config), "--out", str(out)],
+            ["bounds", "--run", str(out), "--theorem", "all"],
+            ["gradcheck", "--loss", "hinge", "--trials", "20"],
+            ["gradcheck", "--loss", "squared-linear", "--trials", "20"],
+            ["gradcheck", "--loss", "squared-nn", "--trials", "1", "--mc-samples", "20000"],
+        ]
+        # a None entry in sys.modules makes every `import scipy...` raise ImportError
+        out_text = _python("import json, sys\n"
+                           "sys.modules['scipy'] = None\n"
+                           "from onlinevi.cli import main\n"
+                           "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                           "print(json.dumps(codes))", json.dumps(commands))
+        assert json.loads(out_text.splitlines()[-1]) == [0, 0, 0, 0, 0, 0]
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["algorithms"]) == set(ALGO_NAMES)
+        assert all("holdout_risk" in entry for entry in summary["algorithms"].values())

@@ -14,8 +14,10 @@ from onlinevi.losses import (
     expected_loss,
     expected_loss_grad,
     expected_loss_series,
+    gaussian_cdf,
     lipschitz_constant,
     mc_expected_loss_and_grad,
+    mc_grad_xy,
     mean_loss_and_grad,
     point_grad,
     point_loss,
@@ -177,7 +179,120 @@ class TestExpectedLossGrad:
             assert np.all(g.g_sigma >= 0.0)
 
 
+#: (z, Phi(z)) with Phi evaluated in 200-bit arithmetic (mpmath.ncdf) at the
+#: exact double z and rounded to the nearest double.  Each z is a double
+#: next to a round number at which z / sqrt(2) rounds by less than 1e-4
+#: ulp, so a comparison sees the error of erfc itself, not the error of
+#: the division, which the tail would amplify about 2 (z / sqrt 2)^2 times.
+PHI_REFERENCE = [
+    (-7.999999999984357, 6.22096057506209e-16),
+    (-7.00000000001656, 1.2798125437345633e-12),
+    (-5.999999999999522, 9.865876450406015e-10),
+    (-4.499999999997092, 3.3976731247765395e-06),
+    (-3.9999999999921787, 3.167124183416665e-05),
+    (-2.999999999999761, 0.0013498980316311534),
+    (-1.9999999999960894, 0.022750131948390345),
+    (-1.4999999999998805, 0.06680720126887355),
+    (-0.9999999999980447, 0.1586552539319302),
+    (-0.49999999999902234, 0.3085375387263311),
+    (0.49999999999902234, 0.691462461273669),
+    (0.9999999999980447, 0.8413447460680699),
+    (1.9999999999960894, 0.9772498680516096),
+    (2.999999999999761, 0.9986501019683689),
+    (3.9999999999921787, 0.9999683287581659),
+    (5.999999999999522, 0.9999999990134123),
+    (7.999999999984357, 0.9999999999999993),
+    # the far lower tail, down to the edge of the normal doubles
+    (-8.999999999994184, 1.1285884060136257e-19),
+    (-13.000000000033491, 6.117164396870958e-39),
+    (-15.000000000018327, 3.670966198299156e-51),
+    (-17.000000000003162, 4.10599620187744e-65),
+    (-17.99999999998837, 9.740948920982855e-73),
+    (-25.00000000001214, 3.056696705453403e-138),
+    (-27.00000000005219, 7.38948099645816e-161),
+    (-30.000000000036653, 4.9067139217467806e-198),
+    (-34.99999999999153, 1.1249107068061447e-268),
+    (-35.99999999997674, 4.182624069302821e-284),
+]
+
+
+class TestGaussianCdf:
+    Z = np.array([z for z, _ in PHI_REFERENCE])
+    REF = np.array([p for _, p in PHI_REFERENCE])
+
+    def test_scalar_within_2_ulp_of_reference(self):
+        for z, ref in PHI_REFERENCE:
+            got = gaussian_cdf(z)
+            assert isinstance(got, float)
+            assert abs(got - ref) <= 2.0 * np.spacing(ref), z
+
+    def test_array_within_2_ulp_of_reference(self):
+        got = gaussian_cdf(self.Z)
+        assert got.shape == self.Z.shape
+        assert np.all(np.abs(got - self.REF) <= 2.0 * np.spacing(self.REF))
+
+    def test_array_equals_scalar_path_in_any_shape(self):
+        grid = self.Z[:24].reshape(2, 3, 4)
+        got = gaussian_cdf(grid)
+        assert got.shape == (2, 3, 4)
+        np.testing.assert_array_equal(got.ravel(), [gaussian_cdf(float(z)) for z in grid.ravel()])
+        assert gaussian_cdf(np.float64(0.25)) == gaussian_cdf(0.25)
+        assert float(gaussian_cdf(np.asarray(0.25))) == gaussian_cdf(0.25)
+        assert gaussian_cdf(0) == 0.5
+
+
+def _two_pass_loss_and_grads(kind, thetas, x, y):
+    """The Monte-Carlo step as it was before the loss came from the gradient's
+    forward pass: per-row losses and subgradients from two separate passes."""
+    n = thetas.shape[0]
+
+    def forward():
+        hw, d_in = kind.hidden_width, x.size
+        w1 = thetas[:, : hw * d_in].reshape(n, hw, d_in)
+        b1 = thetas[:, hw * d_in: hw * d_in + hw]
+        w2 = thetas[:, hw * d_in + hw: hw * d_in + 2 * hw]
+        pre = w1 @ x + b1
+        hidden = np.maximum(pre, 0.0)
+        return np.sum(w2 * hidden, axis=1) + thetas[:, -1], pre, hidden, w2
+
+    if kind.kind == "hinge":
+        losses = np.maximum(0.0, 1.0 - y * (thetas @ x))
+        margins = 1.0 - y * (thetas @ x)
+        return losses, np.where(margins[:, None] > 0.0, -y * x[None, :], 0.0)
+    if kind.kind == "squared_linear":
+        losses = (y - thetas @ x) ** 2
+        resid = y - thetas @ x
+        return losses, -2.0 * resid[:, None] * x[None, :]
+    losses = (y - forward()[0]) ** 2
+    hw, d_in = kind.hidden_width, x.size
+    f, pre, hidden, w2 = forward()
+    dloss = -2.0 * (y - f)
+    g_b1 = dloss[:, None] * w2 * (pre > 0.0)
+    grads = np.empty_like(thetas)
+    grads[:, : hw * d_in] = (g_b1[:, :, None] * x[None, None, :]).reshape(n, -1)
+    grads[:, hw * d_in: hw * d_in + hw] = g_b1
+    grads[:, hw * d_in + hw: hw * d_in + 2 * hw] = dloss[:, None] * hidden
+    grads[:, -1] = dloss
+    return losses, grads
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("kind", [HINGE, SQL, LossKind.squared_nn(4)],
+                             ids=["hinge", "squared_linear", "squared_nn"])
+    def test_one_pass_bitwise_equal_to_two_passes(self, kind):
+        rng = CounterRng(21, f"mc-one-pass-{kind.kind}")
+        for trial in range(5):
+            x = rng.normals(3)
+            y = (1.0 if trial % 2 else -1.0) if kind.kind == "hinge" else float(rng.normals(1)[0])
+            d = kind.param_dim(3)
+            m, sigma = rng.normals(d), 0.2 + rng.uniforms(d)
+            estimate, g_m, g_sigma = mc_grad_xy(kind, m, sigma, x, y, 64, 100 + trial)
+            eps = CounterRng(100 + trial, "mc-expected-loss").normals(64 * d).reshape(64, d)
+            losses, grads = _two_pass_loss_and_grads(kind, m + sigma * eps, x, y)
+            assert estimate == float(np.mean(losses))
+            np.testing.assert_array_equal(g_m, grads.mean(axis=0))
+            np.testing.assert_array_equal(g_sigma, (grads * eps).mean(axis=0))
+
     def test_degenerate_sigma(self):
         q = MeanFieldGaussian([0.3, -0.4], [1e-8, 1e-8])
         ex = DataExample([1.0, 2.0], 1.0)
