@@ -66,6 +66,7 @@ from .learners import (
     run_online,
 )
 from .losses import (
+    SQUARED_NN,
     DataExample,
     LossKind,
     expected_loss,
@@ -100,18 +101,42 @@ def _fmt(x: float) -> str:
 # configuration
 
 
+class _Section:
+    """The ``key = value`` pairs of one config section.  Every read marks
+    its key; a key that nothing reads is an error (``unread``), so the keys
+    a section may hold are exactly the keys the run reads from it."""
+
+    def __init__(self, name: str, options: dict):
+        self.name = name
+        self.options = options
+        self.read: set[str] = set()
+
+    def raw(self, key: str, default=None):
+        """The unparsed value under ``key``, or ``default`` when absent."""
+        self.read.add(key)
+        return self.options.get(key, default)
+
+    def get(self, key: str, default, rule):
+        """The value under ``key`` parsed by ``rule``, or ``default`` when
+        the key is absent."""
+        raw = self.raw(key)
+        return default if raw is None else _parse(f"[{self.name}] {key}", raw, rule)
+
+    def unread(self) -> list[str]:
+        return [f"[{self.name}] {key}" for key in self.options if key not in self.read]
+
+
 @dataclass
 class AlgoSpec:
     name: str
     tag: str
-    options: dict
+    options: _Section
 
 
 @dataclass
 class ExperimentConfig:
     seed: int
     horizon: int | None
-    mc_samples: int
     holdout_fraction: float
     prior_s: float
     box_m_abs: float
@@ -119,30 +144,14 @@ class ExperimentConfig:
     box_sigma_lo: float
     comparator_restarts: int
     comparator_iters: int
-    dataset: dict
+    run: _Section
+    dataset: _Section
     algorithms: list[AlgoSpec] = field(default_factory=list)
+    #: read by ``materialize``, and only for the Monte-Carlo loss squared-nn
+    mc_samples: int = 32
 
 
-#: The keys each section may hold (README, "Config format"); an unknown key
-#: is a typo and is rejected, never ignored.  Every algorithm section also
-#: takes ``algo``.
-_RUN_KEYS = {"seed", "horizon", "mc_samples", "holdout_fraction", "prior_s", "box_m_abs",
-             "box_sigma_hi", "box_sigma_lo", "comparator_restarts", "comparator_iters"}
-_DATASET_KEYS = {"source", "loss", "hidden_width", "n", "data_seed", "theta_star", "noise_sd",
-                 "path", "label", "positive_label", "delimiter", "has_header", "name",
-                 "permute", "standardize", "subsample"}
-_ALGORITHM_KEYS = {
-    "sva": {"eta", "project"},
-    "svb": {"schedule", "eta", "d", "l", "h"},
-    "ngvi": {"eta", "alpha"},
-    "oga": {"eta"},
-    "ogael": {"eta"},
-    "ewagrid": {"experts", "eta"},
-}
-#: The keys besides ``schedule`` that each svb schedule reads; the others
-#: would be ignored, so they are rejected too.
-_SVB_SCHEDULE_KEYS = {"inv_sigma_sqrt_t": set(), "fixed": {"eta"},
-                      "thm3_convex": {"d", "l"}, "thm3_strong": {"h"}}
+_ALGORITHM_TAGS = ("sva", "svb", "ngvi", "oga", "ogael", "ewagrid")
 
 #: Cap on the values the expert grid holds: K experts of dimension d and
 #: their (T, K) loss matrix, K (T + d) float64 values in at most 1 GiB.
@@ -182,34 +191,6 @@ def _parse(where: str, raw: str, rule):
     return value
 
 
-def _option(section: str, options, key: str, default, rule):
-    """The value under ``key`` in ``[section]`` parsed by ``rule``, or
-    ``default`` when the key is absent."""
-    if key not in options:
-        return default
-    return _parse(f"[{section}] {key}", options[key], rule)
-
-
-def _check_keys(section: str, options, known) -> None:
-    unknown = sorted(set(options) - set(known))
-    if unknown:
-        raise ConfigError(f"[{section}] {unknown[0]}: unknown key; expected one of "
-                          f"{', '.join(sorted(known))}")
-
-
-def _check_svb_schedule(section: str, options) -> None:
-    """Normalize ``options["schedule"]``; reject an unknown schedule and any
-    key that the schedule does not read."""
-    name = options.get("schedule", "inv_sigma_sqrt_t").strip().lower().replace("-", "_")
-    if name not in _SVB_SCHEDULE_KEYS:
-        raise ConfigError(f"[{section}] schedule: unknown schedule {name!r}; expected one of "
-                          f"{', '.join(sorted(_SVB_SCHEDULE_KEYS))}")
-    options["schedule"] = name
-    unread = sorted(set(options) - {"schedule"} - _SVB_SCHEDULE_KEYS[name])
-    if unread:
-        raise ConfigError(f"[{section}] {unread[0]}: schedule {name} does not read it")
-
-
 def load_experiment(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -221,14 +202,10 @@ def load_experiment(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}")
     if "run" not in sections or "dataset" not in sections:
         raise ConfigError("config needs [run] and [dataset] sections")
-    run = sections["run"]
-    _check_keys("run", run, _RUN_KEYS)
-    _check_keys("dataset", sections["dataset"], _DATASET_KEYS)
-    if "seed" not in run:
+    if "seed" not in sections["run"]:
         raise ConfigError("[run] seed is required (no entropy from the environment)")
-
-    def get(key, default, rule):
-        return _option("run", run, key, default, rule)
+    run = _Section("run", sections["run"])
+    get = run.get
 
     box_sigma_hi = get("box_sigma_hi", 1.0, (float, lambda v: SIGMA_FLOOR <= v < np.inf,
                                              f"a finite number >= {SIGMA_FLOOR:g}"))
@@ -243,45 +220,37 @@ def load_experiment(path) -> ExperimentConfig:
             raise ConfigError(f"[{section}]: unknown section; expected [run], [dataset] "
                               "or [algorithm.<name>]")
         name = section[len("algorithm."):]
-        tag = options.pop("algo", name).strip().lower()
-        if tag not in _ALGORITHM_KEYS:
+        options = _Section(section, options)
+        tag = options.raw("algo", name).strip().lower()
+        if tag not in _ALGORITHM_TAGS:
             raise ConfigError(f"[{section}]: unknown algorithm tag {tag!r}")
-        _check_keys(section, options, {"algo"} | _ALGORITHM_KEYS[tag])
-        if tag == "svb":
-            _check_svb_schedule(section, options)
         algorithms.append(AlgoSpec(name=name, tag=tag, options=options))
     if not algorithms:
         raise ConfigError("at least one [algorithm.<name>] section is required")
     return ExperimentConfig(
         seed=get("seed", None, _INT), horizon=get("horizon", None, _COUNT),
-        mc_samples=get("mc_samples", 32, _COUNT),
         holdout_fraction=get("holdout_fraction", 0.0, _FRACTION),
         prior_s=get("prior_s", 1.0, _POSITIVE), box_m_abs=get("box_m_abs", 20.0, _NONNEG),
         box_sigma_hi=box_sigma_hi, box_sigma_lo=get("box_sigma_lo", 0.0, sigma_lo_rule),
         comparator_restarts=get("comparator_restarts", 20, _NONNEG_INT),
         comparator_iters=get("comparator_iters", 2000, _NONNEG_INT),
-        dataset=sections["dataset"], algorithms=algorithms)
+        run=run, dataset=_Section("dataset", sections["dataset"]), algorithms=algorithms)
 
 
-def _loss_kind(dataset: dict) -> LossKind:
-    raw = dataset.get("loss", "").strip().lower()
+def _loss_kind(dataset: _Section) -> LossKind:
+    raw = dataset.raw("loss", "").strip().lower()
     if raw in _LOSS_NAMES:
-        if "hidden_width" in dataset:
-            raise ConfigError(f"[dataset] hidden_width: only loss = squared-nn reads it, "
-                              f"got loss = {raw}")
         return _LOSS_NAMES[raw]()
     if raw in ("squared-nn", "squared_nn"):
-        return LossKind.squared_nn(_option("dataset", dataset, "hidden_width", 16, _COUNT))
+        return LossKind.squared_nn(dataset.get("hidden_width", 16, _COUNT))
     raise ConfigError(f"[dataset] loss must be hinge, squared-linear or squared-nn, got {raw!r}")
 
 
 def _load_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
     ds_cfg = cfg.dataset
+    get = ds_cfg.get
 
-    def get(key, default, rule):
-        return _option("dataset", ds_cfg, key, default, rule)
-
-    source = ds_cfg.get("source", "").strip().lower()
+    source = ds_cfg.raw("source", "").strip().lower()
     data_seed = get("data_seed", cfg.seed, _INT)
     if source == "toy":
         ds = data_mod.gen_toy_classification(get("n", 10000, _COUNT), data_seed)
@@ -290,25 +259,26 @@ def _load_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
                                          get("theta_star", [1.0], _FLOATS),
                                          get("noise_sd", 0.5, _NONNEG), data_seed)
     elif source == "csv":
-        if "path" not in ds_cfg:
+        path = ds_cfg.raw("path")
+        if path is None:
             raise ConfigError("[dataset] csv source needs path")
-        label = ds_cfg.get("label", "")
+        label = ds_cfg.raw("label", "")
         if not label:
             raise ConfigError("[dataset] csv source needs label (name or #index)")
         if label.startswith("#"):
             label = _parse("[dataset] label", label[1:], _INT)
         schema = data_mod.CsvSchema(
             label=label,
-            positive_label=ds_cfg.get("positive_label") or None,
+            positive_label=ds_cfg.raw("positive_label") or None,
             delimiter=get("delimiter", ",", _CHAR),
             has_header=get("has_header", True, _BOOL),
         )
-        ds = data_mod.load_csv(ds_cfg["path"], schema, name=ds_cfg.get("name"))
+        ds = data_mod.load_csv(path, schema, name=ds_cfg.raw("name"))
     else:
         raise ConfigError(f"[dataset] source must be toy, iid_regression or csv, got {source!r}")
 
     # an empty subsample means no explicit size, as if the key were absent
-    subsample = get("subsample", None, _COUNT) if ds_cfg.get("subsample", "").strip() else None
+    subsample = get("subsample", None, _COUNT) if ds_cfg.raw("subsample", "").strip() else None
     if subsample is None and ds.T > data_mod.DEFAULT_SUBSAMPLE_CAP:
         # desk-scale policy: oversized datasets (Cover Type) run subsampled
         subsample = data_mod.DEFAULT_SUBSAMPLE_CAP
@@ -343,7 +313,7 @@ def _positive(spec: AlgoSpec, key: str, default: str | None = None,
     """The positive number under ``key`` in an ``[algorithm.<name>]``
     section; None for ``auto`` where that is allowed."""
     where = f"[algorithm.{spec.name}] {key}"
-    raw = spec.options.get(key, default)
+    raw = spec.options.raw(key, default)
     if raw is None:
         raise ConfigError(f"{where} is required")
     if allow_auto and raw.strip().lower() == "auto":
@@ -365,11 +335,11 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
     meta: dict = {}
     if spec.tag == "sva":
         eta = eta_value(auto_eta)
-        project = _option(f"algorithm.{spec.name}", opts, "project", True, _BOOL)
+        project = opts.get("project", True, _BOOL)
         config = SvaConfig(eta=eta, prior=prior, box=box, project=project)
         meta["eta"] = eta
     elif spec.tag == "svb":
-        name = opts["schedule"]  # normalized and validated at parse time
+        name = opts.raw("schedule", "inv_sigma_sqrt_t").strip().lower().replace("-", "_")
         if name == "inv_sigma_sqrt_t":
             schedule = InvSigmaSqrtT()
         elif name == "fixed":
@@ -383,8 +353,11 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
                 l_val = lipschitz_constant(kind, stream, box)
             schedule = Thm3ConvexSchedule(D=d_val, L=l_val)
             meta.update(D=d_val, L=l_val)
-        else:
+        elif name == "thm3_strong":
             schedule = Thm3StrongSchedule(H=_positive(spec, "h"))
+        else:
+            raise ConfigError(f"[algorithm.{spec.name}] schedule: unknown schedule {name!r}; "
+                              "expected one of fixed, inv_sigma_sqrt_t, thm3_convex, thm3_strong")
         config = SvbConfig(schedule=schedule, prior=prior, box=box)
         meta["schedule"] = schedule.describe()
     elif spec.tag == "ngvi":
@@ -403,7 +376,7 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
         config = OgaElConfig(eta=eta, prior=prior, box=box)
         meta["eta"] = eta
     elif spec.tag == "ewagrid":
-        experts_raw = opts.get("experts", "diagonal:41").strip().lower()
+        experts_raw = opts.raw("experts", "diagonal:41").strip().lower()
         form, _, count = experts_raw.partition(":")
         count = count.strip() or ("41" if form == "diagonal" else "5")
         if form not in ("diagonal", "product") or not count.isdecimal() or int(count) < 1:
@@ -435,29 +408,31 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
 
 def materialize(cfg: ExperimentConfig) -> RunContext:
     kind = _loss_kind(cfg.dataset)
+    if kind.kind == SQUARED_NN:  # the one loss that draws Monte-Carlo samples
+        cfg.mc_samples = cfg.run.get("mc_samples", cfg.mc_samples, _COUNT)
     full = _load_dataset(cfg)
     if cfg.horizon is not None:
         full = full.head(cfg.horizon)
-    holdout = None
+    stream, holdout = full, None
     if cfg.holdout_fraction > 0.0:
         n_holdout = int(round(cfg.holdout_fraction * full.T))
-        if n_holdout >= full.T or full.T - n_holdout < 1:
-            raise ConfigError("holdout_fraction leaves no stream rows")
-        if n_holdout > 0:
-            stream = full.head(full.T - n_holdout)
-            holdout = data_mod.Dataset(full.features[full.T - n_holdout:],
-                                       full.targets[full.T - n_holdout:],
-                                       full.task, full.name, note="holdout split")
-        else:
-            stream = full
-    else:
-        stream = full
+        if n_holdout < 1 or n_holdout >= full.T:
+            raise ConfigError(f"[run] holdout_fraction: {cfg.holdout_fraction:g} of {full.T} "
+                              f"rows leaves no {'holdout' if n_holdout < 1 else 'stream'} rows")
+        stream = full.head(full.T - n_holdout)
+        holdout = data_mod.Dataset(full.features[full.T - n_holdout:],
+                                   full.targets[full.T - n_holdout:],
+                                   full.task, full.name, note="holdout split")
     d_param = kind.param_dim(stream.d)
     box = BoxConstraints.symmetric(d_param, cfg.box_m_abs, cfg.box_sigma_hi,
                                    cfg.box_sigma_lo)
     prior = GaussianPrior(cfg.prior_s, d_param)
     resolved = [_resolve_algorithm(spec, cfg, kind, stream, box, prior)
                 for spec in cfg.algorithms]
+    sections = (cfg.run, cfg.dataset, *(spec.options for spec in cfg.algorithms))
+    unread = [key for section in sections for key in section.unread()]
+    if unread:
+        raise ConfigError(f"keys that this run would ignore: {', '.join(unread)}")
     return RunContext(cfg=cfg, kind=kind, stream=stream, holdout=holdout,
                       box=box, prior=prior, resolved=resolved)
 
@@ -660,7 +635,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
             "d": ctx.stream.d,
             "task": ctx.stream.task,
             "seed": cfg.seed,
-            "standardize": _option("dataset", cfg.dataset, "standardize", False, _BOOL),
+            "standardize": cfg.dataset.get("standardize", False, _BOOL),
         },
         "comparator": {
             "value": comparator.average_loss_star,

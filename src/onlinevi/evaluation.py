@@ -91,8 +91,7 @@ class ComparatorResult:
 def _pgd_minimize(value_and_grad, project, starts, iters: int, radius: float):
     """Projected subgradient descent with step c/sqrt(k), tracking the best
     iterate seen; ``value_and_grad(theta)`` gives the objective and a
-    subgradient in one call.  Returns (best theta, best value, final grad
-    norm)."""
+    subgradient in one call.  Returns (best theta, best value)."""
     best_theta = None
     best_value = np.inf
     for theta0 in starts:
@@ -106,8 +105,7 @@ def _pgd_minimize(value_and_grad, project, starts, iters: int, radius: float):
             value, g = value_and_grad(theta)
             if value < best_value:
                 best_theta, best_value = theta.copy(), value
-    final_gnorm = float(np.linalg.norm(value_and_grad(best_theta)[1]))
-    return best_theta, best_value, final_gnorm
+    return best_theta, best_value
 
 
 def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
@@ -148,15 +146,10 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
         starts.append(box.m_lo + u * widths)
 
     radius = 0.5 * float(np.linalg.norm(widths))
-    theta_star, _, gnorm = _pgd_minimize(value_and_grad, project, starts, iters, radius)
+    theta_star, _ = _pgd_minimize(value_and_grad, project, starts, iters, radius)
     total = float(np.sum(point_loss_series(kind, theta_star, features, targets)))
-    diagnostics = {
-        "restarts": restarts,
-        "iterations": iters,
-        "final_grad_norm": gnorm,
-        "horizon": t_len,
-        "method": "projected_subgradient" if kind.convex else "local",
-    }
+    diagnostics = {"horizon": t_len,
+                   "method": "projected_subgradient" if kind.convex else "local"}
     return ComparatorResult(theta_star, total, diagnostics)
 
 
@@ -281,6 +274,25 @@ def alpha_estimate(prior: GaussianPrior) -> float:
 # per-realization Jensen audit used by the online-to-batch criterion
 
 
+#: Values in one block of the Jensen audit's (holdout rows, T) loss matrix;
+#: the audit takes the holdout a block of rows at a time, so its memory
+#: stays at about 8 MiB per temporary whatever the holdout size.
+_AUDIT_BLOCK_VALUES = 2 ** 20
+
+
+def _mean_loss_per_row(kind: LossKind, preds: np.ndarray, features: np.ndarray,
+                       targets: np.ndarray) -> np.ndarray:
+    """The mean point loss of the (T, d) predictions on each example: the
+    row means of the (H, T) loss matrix, built in blocks of rows.  Each
+    block has at least two rows, since a one-row product takes BLAS's
+    matrix-vector kernel, which rounds otherwise than the matrix one."""
+    n_rows = features.shape[0]
+    blocks = max(1, min(n_rows // 2, -(-n_rows * preds.shape[0] // _AUDIT_BLOCK_VALUES)))
+    return np.concatenate([
+        expert_loss_matrix(kind, preds, x, y).mean(axis=1)
+        for x, y in zip(np.array_split(features, blocks), np.array_split(targets, blocks))])
+
+
 def jensen_holdout_audit(predictions: np.ndarray, holdout: Dataset, kind: LossKind) -> bool:
     """For convex kinds: point_loss(theta_bar, ex) <= mean_t point_loss
     (theta_hat_t, ex) for every holdout example, deterministically."""
@@ -288,7 +300,6 @@ def jensen_holdout_audit(predictions: np.ndarray, holdout: Dataset, kind: LossKi
         raise DomainError("Jensen audit applies to convex kinds only")
     preds = np.asarray(predictions, dtype=float)
     features, targets = holdout.features, holdout.targets
-    # (H, T): the loss of every prediction on every holdout example
-    averaged = expert_loss_matrix(kind, preds, features, targets).mean(axis=1)
+    averaged = _mean_loss_per_row(kind, preds, features, targets)
     at_bar = point_loss_series(kind, preds.mean(axis=0), features, targets)
     return bool(np.all(at_bar <= averaged))

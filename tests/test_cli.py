@@ -210,7 +210,24 @@ hidden_width = 3
 eta = auto
 """
 
-CONFIGS = {"toy": BASE_CONFIG, "nn": NN_CONFIG}
+CSV_CONFIG = f"""
+[run]
+seed = 0
+comparator_restarts = 0
+comparator_iters = 10
+
+[dataset]
+source = csv
+path = {Path(__file__).parent / "data" / "toy20.csv"}
+label = y
+positive_label = 1
+loss = hinge
+
+[algorithm.oga]
+eta = auto
+"""
+
+CONFIGS = {"toy": BASE_CONFIG, "nn": NN_CONFIG, "csv": CSV_CONFIG}
 
 
 class TestMalformedConfig:
@@ -282,6 +299,19 @@ class TestMalformedConfig:
                      "[algorithm.svb_thm3] l", id="svb-l-thm3_strong"),
         pytest.param("toy", "schedule = thm3_convex", "schedule = thm3-weak",
                      "[algorithm.svb_thm3] schedule", id="svb-unknown-schedule"),
+        # keys that the chosen source or loss would not read
+        pytest.param("toy", "n = 400", "n = 400\ntheta_star = 1,2", "[dataset] theta_star",
+                     id="theta_star-with-toy"),
+        pytest.param("toy", "n = 400", "n = 400\npath = toy.csv", "[dataset] path",
+                     id="path-with-toy"),
+        pytest.param("nn", "n = 20", "n = 20\nlabel = y", "[dataset] label",
+                     id="label-with-iid_regression"),
+        pytest.param("csv", "label = y", "label = y\nn = 20", "[dataset] n", id="n-with-csv"),
+        pytest.param("toy", "seed = 1", "seed = 1\nmc_samples = 7", "[run] mc_samples",
+                     id="mc_samples-with-hinge"),
+        # a holdout that rounds to zero rows (0.01 of 20)
+        pytest.param("nn", "seed = 0", "seed = 0\nholdout_fraction = 0.01",
+                     "[run] holdout_fraction", id="holdout-zero-rows"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, base, old, new, needle):
         text = CONFIGS[base]
@@ -304,6 +334,23 @@ class TestMalformedConfig:
         assert code == 2
         assert "[algorithm.grid] experts" in err
 
+    @pytest.mark.parametrize("text, needles", [
+        pytest.param(
+            BASE_CONFIG.replace("seed = 1", "seed = 1\nmc_samples = 7").replace(
+                "n = 400", "n = 400\ntheta_star = 1,2\nnoise_sd = 0.5\npath = toy.csv\n"
+                "label = y\npositive_label = 1\ndelimiter = ;\nhas_header = false\nname = toy"),
+            ["[run] mc_samples", "[dataset] theta_star", "[dataset] noise_sd",
+             "[dataset] path", "[dataset] label", "[dataset] positive_label",
+             "[dataset] delimiter", "[dataset] has_header", "[dataset] name"], id="toy-hinge"),
+        pytest.param(NN_CONFIG.replace("n = 20", "n = 20\npath = toy.csv\nlabel = y"),
+                     ["[dataset] path", "[dataset] label"], id="iid_regression"),
+    ])
+    def test_names_every_ignored_key(self, tmp_path, capsys, text, needles):
+        code, err = self._run(tmp_path, capsys, text)
+        assert code == 2
+        for needle in needles:
+            assert needle in err
+
 
 # ---------------------------------------------------------------------------
 # property: a malformed config never reaches run_online
@@ -314,8 +361,14 @@ _SMALL_SECTIONS = {
     "dataset": {"source": "toy", "n": "50", "loss": "hinge"},
     "algorithm.oga": {"eta": "auto"},
 }
-_KNOWN_KEYS = {"run": cli._RUN_KEYS, "dataset": cli._DATASET_KEYS,
-               "algorithm.oga": {"algo"} | cli._ALGORITHM_KEYS["oga"]}
+#: the keys the small config reads (a hinge toy stream, one oga learner);
+#: any other key would be ignored, so it must be rejected
+_KNOWN_KEYS = {
+    "run": {"seed", "horizon", "holdout_fraction", "prior_s", "box_m_abs", "box_sigma_hi",
+            "box_sigma_lo", "comparator_restarts", "comparator_iters"},
+    "dataset": {"source", "loss", "n", "data_seed", "permute", "standardize", "subsample"},
+    "algorithm.oga": {"algo", "eta"},
+}
 
 
 def _floats_below(bound):
@@ -427,6 +480,16 @@ class TestMalformedRunDirectory:
         path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
         assert main(["bounds", "--run", str(broken), "--theorem", "all"]) == 2
         assert name in capsys.readouterr().err
+
+    def test_bounds_exits_2_on_a_key_nothing_reads(self, run_dir, tmp_path, capsys):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(run_dir, broken)
+        config = broken / "config.ini"
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "n = 400", "n = 400\nnoise_sd = 0.5"), encoding="utf-8")
+        assert main(["bounds", "--run", str(broken), "--theorem", "all"]) == 2
+        assert "[dataset] noise_sd" in capsys.readouterr().err
 
 
 class TestNetworkLossRun:

@@ -4,6 +4,7 @@ formulas, online-to-batch conversion, and the strong-convexity constant."""
 import numpy as np
 import pytest
 
+from onlinevi import evaluation
 from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regression,
                            gen_toy_classification)
 from onlinevi.errors import DataError, DomainError
@@ -23,7 +24,7 @@ from onlinevi.evaluation import (
     svb_bounds,
 )
 from onlinevi.family import BoxConstraints, GaussianPrior, MeanFieldGaussian, kl_divergence
-from onlinevi.losses import LossKind, point_loss_series
+from onlinevi.losses import LossKind, expert_loss_matrix, point_loss_series
 from onlinevi.rng import CounterRng
 
 HINGE = LossKind.hinge()
@@ -283,6 +284,37 @@ class TestJensenAudit:
         preds = CounterRng(33, "jh").normals(60).reshape(20, 3)
         holdout = gen_iid_regression(50, np.array([1.0, 0.0, -1.0]), 0.3, seed=3)
         assert jensen_holdout_audit(preds, holdout, SQL)
+
+    @staticmethod
+    def _cases():
+        """(kind, (T, d) predictions, holdout) on regression and on
+        classification, plus a tie: every prediction the same point."""
+        preds = CounterRng(34, "jh-blocks").normals(1200).reshape(400, 3)
+        regression = gen_iid_regression(301, np.array([1.0, 0.0, -1.0]), 0.3, seed=4)
+        signs = np.where(CounterRng(35, "jh-labels").uniforms(301) < 0.5, -1.0, 1.0)
+        classification = Dataset(regression.features, signs, CLASSIFICATION, "signs")
+        tie = np.tile(preds[:1], (400, 1))
+        return [(SQL, preds, regression), (HINGE, preds, classification),
+                (SQL, tie, regression), (HINGE, tie, classification)]
+
+    @pytest.mark.parametrize("block_values, blocks", [
+        (1, 150), (12000, 11), (40000, 4), (400 * 301, 1), (2 ** 20, 1)])
+    def test_row_means_bitwise_equal_to_one_matrix(self, monkeypatch, block_values, blocks):
+        monkeypatch.setattr(evaluation, "_AUDIT_BLOCK_VALUES", block_values)
+        calls = []
+        monkeypatch.setattr(evaluation, "expert_loss_matrix",
+                            lambda *args: calls.append(args) or expert_loss_matrix(*args))
+        for kind, preds, holdout in self._cases():
+            x, y = holdout.features, holdout.targets
+            # the oracle: one (H, T) matrix
+            oracle = expert_loss_matrix(kind, preds, x, y).mean(axis=1)
+            calls.clear()
+            blocked = evaluation._mean_loss_per_row(kind, preds, x, y)
+            assert len(calls) == blocks
+            assert min(len(args[2]) for args in calls) >= 2
+            assert np.array_equal(blocked, oracle)
+            at_bar = point_loss_series(kind, preds.mean(axis=0), x, y)
+            assert jensen_holdout_audit(preds, holdout, kind) == bool(np.all(at_bar <= oracle))
 
 
 def _fd_min_hessian_eig(s: float, m: float, sigma: float) -> float:
