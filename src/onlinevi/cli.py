@@ -501,12 +501,15 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
                 and comparator is not None:
             bound, _ = svb_bounds(BoundInputs(T=t_len, D=config.schedule.D,
                                               L=config.schedule.L))
-            emp = total - comparator.cumulative_loss_star
+            # against the comparator's lower bound, so that a pass is a proof
+            emp = total - comparator.lower_bound
             records.append({
                 "theorem": 3, "algorithm": spec.name, "empirical_regret": emp,
                 "bound": bound, "slack_ratio": emp / bound, "holds": emp <= bound,
                 "deterministic": True,
-                "notes": f"D={config.schedule.D:.6g}, L={config.schedule.L:.6g}",
+                "notes": (f"D={config.schedule.D:.6g}, L={config.schedule.L:.6g}, "
+                          f"vs comparator lower bound {comparator.lower_bound:.12g} "
+                          f"({comparator.diagnostics['method']}, gap {comparator.gap:.2g})"),
             })
 
         if spec.tag == "ogael" and want(4) and ctx.kind.convex:
@@ -641,6 +644,8 @@ def cmd_run(config_path: str, out_dir: str) -> int:
             "value": comparator.average_loss_star,
             "total": comparator.cumulative_loss_star,
             "method": comparator.diagnostics["method"],
+            "lower_bound": comparator.lower_bound,
+            "gap": comparator.gap,
         },
         "algorithms": algo_summaries,
         "phases_ms": phases,
@@ -678,11 +683,13 @@ def _write_series_csv(path: Path, ledger) -> None:
 
 def _write_comparator_csv(path: Path, comparator, horizon: int) -> None:
     d = comparator.theta_star.size
-    header = "total_loss,avg_loss,method," + ",".join(f"theta_{j}" for j in range(d))
+    header = "total_loss,avg_loss,method,lower_bound," + ",".join(
+        f"theta_{j}" for j in range(d))
     row = ",".join([
         _fmt(comparator.cumulative_loss_star),
         _fmt(comparator.cumulative_loss_star / horizon),
         comparator.diagnostics["method"],
+        _fmt(comparator.lower_bound),
         *[_fmt(v) for v in comparator.theta_star],
     ])
     path.write_text(header + "\n" + row + "\n", encoding="utf-8", newline="\n")
@@ -710,10 +717,11 @@ def _read_comparator_csv(path: Path, d: int, horizon: int) -> ComparatorResult:
         values = [float(v) for i, v in enumerate(cells) if i != 2]
     except ValueError:
         values = []
-    if len(values) != 2 + d:
+    if len(values) != 3 + d:
         raise DataError(f"{path}: expected a header and one row of total_loss, avg_loss, "
-                        f"method and {d} coordinates")
-    return ComparatorResult(theta_star=np.array(values[2:]), cumulative_loss_star=values[0],
+                        f"method, lower_bound and {d} coordinates")
+    return ComparatorResult(theta_star=np.array(values[3:]), cumulative_loss_star=values[0],
+                            lower_bound=values[2],
                             diagnostics={"horizon": horizon, "method": cells[2]})
 
 

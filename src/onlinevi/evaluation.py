@@ -14,7 +14,11 @@ against the stated comparator):
 alpha is the strong-convexity constant of the KL to the N(0, s^2 I) prior,
 exactly 1/s^2 (``alpha_estimate``).  The hindsight comparator is projected
 subgradient descent on ``losses.mean_loss_and_grad``, one kernel for every
-loss kind.
+loss kind.  For the convex kinds it returns a lower bound on the infimum
+with its point and stops once the two meet (method "certified"): the
+Frank-Wolfe bound of a subgradient for both kinds, the LP dual bound for
+hinge.  The Jensen audit of the online-to-batch average compares its two
+sides up to a stated rounding allowance.
 
 Checks log (empirical regret, bound, slack ratio) rather than only
 pass/fail so loose bounds stay informative.
@@ -30,7 +34,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, DimensionMismatchError, DomainError
 from .family import BoxConstraints, GaussianPrior
-from .losses import LossKind, expert_loss_matrix, mean_loss_and_grad, point_loss_series
+from .losses import HINGE, LossKind, expert_loss_matrix, mean_loss_and_grad, point_loss_series
 from .losses import nn_batch_mean_grad  # noqa: F401  (a name the benchmark's tracer wraps)
 from .rng import CounterRng
 
@@ -77,35 +81,203 @@ def build_ledger(losses) -> RegretLedger:
 
 @dataclass(frozen=True, eq=False)
 class ComparatorResult:
-    """Best fixed parameter in hindsight over the mean box."""
+    """Best fixed parameter in hindsight over the mean box, with a lower
+    bound on the infimum (0 for the local search of squared_nn)."""
 
     theta_star: np.ndarray
     cumulative_loss_star: float  # total (not averaged) loss of theta_star
+    lower_bound: float           # <= the infimum of the total loss over the box
     diagnostics: Mapping
 
     @property
     def average_loss_star(self) -> float:
         return self.cumulative_loss_star / self.diagnostics["horizon"]
 
+    @property
+    def gap(self) -> float:
+        """cumulative_loss_star - lower_bound: how far theta_star can be
+        from the infimum."""
+        return self.cumulative_loss_star - self.lower_bound
 
-def _pgd_minimize(value_and_grad, project, starts, iters: int, radius: float):
+
+#: The convex comparator stops, with method "certified", once its total is
+#: within this relative duality gap of its lower bound:
+#: total - lower_bound <= _CERTIFIED_GAP * max(1, total).
+_CERTIFIED_GAP = 1e-9
+
+
+def _gap_closed(total: float, lower_bound: float) -> bool:
+    return total - lower_bound <= _CERTIFIED_GAP * max(1.0, total)
+
+
+def _checkpoints(iters: int) -> set[int]:
+    """The steps of each start at which the convex comparator tries a
+    certificate: k = 0, the powers of two, and the last iterate."""
+    return {0, iters} | {2 ** i for i in range(iters.bit_length())}
+
+
+def _pgd_minimize(value_and_grad, project, starts, iters: int, radius: float,
+                  certify=None):
     """Projected subgradient descent with step c/sqrt(k), tracking the best
     iterate seen; ``value_and_grad(theta)`` gives the objective and a
-    subgradient in one call.  Returns (best theta, best value)."""
-    best_theta = None
-    best_value = np.inf
+    subgradient in one call.
+
+    With ``certify`` (the convex kinds), ``certify(theta)`` is called with
+    the best point so far at the steps ``_checkpoints(iters)`` of every
+    start.  It returns a point in the box (or None), that point's value and
+    a lower bound on the infimum, and the search returns as soon as the best
+    value and the best lower bound close the gap (``_gap_closed``).
+    Returns (best theta, best value, best lower bound).
+    """
+    best_theta, best_value, lower = None, np.inf, -np.inf
+    checkpoints = _checkpoints(iters) if certify is not None else set()
     for theta0 in starts:
         theta = project(np.asarray(theta0, dtype=float))
         value, g = value_and_grad(theta)
-        if value < best_value:
-            best_theta, best_value = theta.copy(), value
         c = radius / max(float(np.linalg.norm(g)), 1e-12)
-        for k in range(1, iters + 1):
-            theta = project(theta - (c / np.sqrt(k)) * g)
-            value, g = value_and_grad(theta)
+        for k in range(iters + 1):
+            if k:
+                theta = project(theta - (c / np.sqrt(k)) * g)
+                value, g = value_and_grad(theta)
             if value < best_value:
                 best_theta, best_value = theta.copy(), value
-    return best_theta, best_value
+            if k in checkpoints:
+                point, point_value, bound = certify(best_theta)
+                if point_value < best_value:
+                    best_theta, best_value = point, point_value
+                if bound > lower:
+                    lower = bound
+                if _gap_closed(best_value, lower):
+                    return best_theta, best_value, lower
+    return best_theta, best_value, lower
+
+
+def _frank_wolfe_bound(theta, value, g, lo, hi) -> float:
+    """value - max over the box of g . (theta - u): a lower bound on the
+    minimum over the box of a convex function with that value and
+    subgradient g at theta."""
+    return value - float(g @ theta) + float(np.sum(np.minimum(g * lo, g * hi)))
+
+
+def _hinge_dual_bound(signed, lo, hi, alpha) -> float:
+    """LB(alpha) = sum alpha - sum_j max(lo_j c_j, hi_j c_j), c = sum_i
+    alpha_i y_i x_i (``signed`` holds the rows y_i x_i): for alpha in [0,
+    1]^T a lower bound on the total hinge loss over the box (weak LP
+    duality)."""
+    c = signed.T @ alpha
+    return float(np.sum(alpha)) - float(np.sum(np.maximum(lo * c, hi * c)))
+
+
+#: Simplex pivots the hinge polish may take from its first vertex.
+_HINGE_PIVOTS = 32
+
+
+def _hinge_vertex(signed, lo, hi, theta):
+    """An LP vertex for the total hinge loss near ``theta`` and its dual
+    lower bound.  ``signed`` holds the rows y_i x_i.
+
+    The first vertex keeps the coordinates of theta on a face of the box
+    there and solves the other d - k so that the d - k rows with margin
+    closest to 1 have margin exactly 1.  At a vertex, alpha_i = 1 on the
+    rows with margin below 1, 0 above, and the tight rows' alpha solve the
+    stationarity system c_j = 0 on the free coordinates, c = sum_i alpha_i
+    y_i x_i; alpha clipped to [0, 1] gives the bound ``_hinge_dual_bound``.
+    The vertex is optimal, and the bound equal to its total, when every
+    tight alpha is in [0, 1] and every face coordinate has c_j of the sign
+    that holds it there.  Otherwise the loss falls along the edge that
+    frees the most violating tight row or coordinate: the polish moves to
+    the minimum of the loss on that edge (a simplex pivot), at most
+    ``_HINGE_PIVOTS`` times.  Returns (vertex, best bound), or (None, -inf)
+    when a system is singular or the first vertex leaves the box.
+    """
+    t_len, d = signed.shape
+    free = (theta > lo) & (theta < hi)
+    m = int(free.sum())
+    if m > t_len:
+        return None, -np.inf
+    rows = np.argpartition(np.abs(signed @ theta - 1.0), m - 1)[:m] if m else np.arange(0)
+    base = np.where(theta <= lo, lo, hi)   # the values of the face coordinates
+    found = None, -np.inf
+    for _ in range(_HINGE_PIVOTS + 1):
+        block = signed[np.ix_(rows, free)]
+        vertex = base.copy()
+        try:
+            vertex[free] = np.linalg.solve(block, 1.0 - signed[rows][:, ~free] @ base[~free])
+            if not np.all((vertex >= lo) & (vertex <= hi)):
+                return found
+            margins = signed @ vertex
+            alpha = (margins < 1.0).astype(float)
+            alpha[rows] = 0.0
+            alpha[rows] = np.linalg.solve(block.T, -(signed[:, free].T @ alpha))
+        except np.linalg.LinAlgError:
+            return found
+        bound = _hinge_dual_bound(signed, lo, hi, np.clip(alpha, 0.0, 1.0))
+        found = vertex, max(bound, found[1])
+        if _gap_closed(float(np.sum(np.maximum(0.0, 1.0 - margins))), found[1]):
+            return found
+        # the slope of the loss along each edge: freeing tight row r raises
+        # its margin (alpha_r < 0) or lowers it (alpha_r > 1); freeing a face
+        # coordinate moves it into the box
+        c = signed.T @ alpha
+        inward = np.where(base <= lo, 1.0, -1.0)
+        slopes = np.concatenate([np.minimum(alpha[rows], 1.0 - alpha[rows]),
+                                 np.where(free, np.inf, -c * inward)])
+        leave = int(np.argmin(slopes))
+        if slopes[leave] >= 0.0:
+            return found
+        step = np.zeros(d)
+        if leave < m:
+            rhs = np.zeros(m)
+            rhs[leave] = 1.0 if alpha[rows[leave]] < 0.0 else -1.0
+        else:
+            j = leave - m
+            step[j] = inward[j]
+            rhs = -inward[j] * signed[rows, j]
+        try:
+            step[free] = np.linalg.solve(block, rhs)
+        except np.linalg.LinAlgError:
+            return found
+        # exact line search: each row crossing margin 1 raises the slope by
+        # |rate|; the box ends the edge
+        rate = signed @ step
+        crossing = (1.0 - margins) / np.where(rate == 0.0, np.nan, rate)
+        crossing[rows] = np.nan
+        order = np.flatnonzero(crossing >= 0.0)
+        order = order[np.argsort(crossing[order], kind="stable")]
+        rises = slopes[leave] + np.cumsum(np.abs(rate[order]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step > 0.0, (hi - vertex) / step,
+                            np.where(step < 0.0, (lo - vertex) / step, np.inf))
+        wall = int(np.argmin(room))
+        settle = np.flatnonzero(rises >= 0.0)
+        if leave < m:
+            rows = np.delete(rows, leave)
+        else:
+            free[leave - m] = True
+        if settle.size and crossing[order[settle[0]]] <= room[wall]:
+            rows = np.append(rows, order[settle[0]])
+        elif np.isfinite(room[wall]):
+            free[wall] = False
+            base[wall] = hi[wall] if step[wall] > 0.0 else lo[wall]
+        else:
+            return found
+        m = rows.size
+    return found
+
+
+def _least_squares_on_face(gram, xty, lo, hi, theta):
+    """The minimizer of ||y - X theta||^2 with the coordinates of ``theta``
+    on a face of the box held there: the normal equations (``gram`` = X^T X,
+    ``xty`` = X^T y) solved for the free coordinates.  None when that
+    system is singular or its solution leaves the box."""
+    free = (theta > lo) & (theta < hi)
+    point = theta.copy()
+    try:
+        point[free] = np.linalg.solve(gram[np.ix_(free, free)],
+                                      xty[free] - gram[np.ix_(free, ~free)] @ theta[~free])
+    except np.linalg.LinAlgError:
+        return None
+    return point if np.all((point >= lo) & (point <= hi)) else None
 
 
 def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
@@ -113,14 +285,21 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
                       seed: int = 0) -> ComparatorResult:
     """inf over theta in M_m of the total stream loss.
 
-    Projected subgradient descent on the average loss with ``restarts``
-    random restarts and step c/sqrt(k), plus the origin and, for the convex
-    kinds, the projected least-squares solution as warm starts.  Each step
-    evaluates the mean loss and its subgradient in one pass of
-    ``losses.mean_loss_and_grad``, the same for every loss kind.  For the
-    convex kinds the best value is within 1e-3 relative of the infimum on
-    the validation instances; for squared_nn the search is local and
-    labeled as such.
+    Projected subgradient descent with step c/sqrt(k) from the origin, for
+    the convex kinds the projected least-squares solution, and ``restarts``
+    random starts, ``iters`` steps each.  Each step evaluates the loss and
+    its subgradient in one pass of ``losses.mean_loss_and_grad``.
+
+    For the convex kinds ``restarts`` x ``iters`` is a maximum.  At the
+    checkpoints of every start the best point so far is polished
+    (``_hinge_vertex``, ``_least_squares_on_face``) and lower-bounded: the
+    Frank-Wolfe bound at it and at the polished point, and for hinge the
+    LP dual bound.  The search stops once total - lower_bound <= 1e-9
+    max(1, total), with method "certified".  A search that runs out of
+    budget first returns the best point and the best lower bound found,
+    with method "projected_subgradient".  For squared_nn the search is
+    local, runs its full budget, and reports method "local" with the lower
+    bound 0 of a nonnegative loss.
     """
     features, targets = data.features, data.targets
     t_len, d_in = features.shape
@@ -128,29 +307,63 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
     if box.d != d_param:
         raise DimensionMismatchError(
             f"box dimension {box.d} must match parameter dimension {d_param}")
+    lo, hi = box.m_lo, box.m_hi
 
     def project(theta):
-        return np.clip(theta, box.m_lo, box.m_hi)
-
-    def value_and_grad(theta):
-        return mean_loss_and_grad(kind, theta, features, targets)
+        return np.clip(theta, lo, hi)
 
     starts = [np.zeros(d_param)]
     if kind.convex:
         ls, *_ = np.linalg.lstsq(features, targets, rcond=None)
         starts.append(project(ls))
     rng = CounterRng(seed, "best-in-hindsight")
-    widths = box.m_hi - box.m_lo
+    widths = hi - lo
     for _ in range(restarts):
         u = rng.uniforms(d_param)
-        starts.append(box.m_lo + u * widths)
-
+        starts.append(lo + u * widths)
     radius = 0.5 * float(np.linalg.norm(widths))
-    theta_star, _ = _pgd_minimize(value_and_grad, project, starts, iters, radius)
+
+    if not kind.convex:
+        def mean_value_and_grad(theta):
+            return mean_loss_and_grad(kind, theta, features, targets)
+
+        theta_star, _, _ = _pgd_minimize(mean_value_and_grad, project, starts, iters, radius)
+        total = float(np.sum(point_loss_series(kind, theta_star, features, targets)))
+        return ComparatorResult(theta_star, total, 0.0,
+                                {"horizon": t_len, "method": "local"})
+
+    def value_and_grad(theta):
+        # totals, the units of the certificate
+        mean, g = mean_loss_and_grad(kind, theta, features, targets)
+        return mean * t_len, g * t_len
+
+    if kind.kind == HINGE:
+        signed = targets[:, None] * features
+
+        def polish(theta):
+            return _hinge_vertex(signed, lo, hi, theta)
+    else:
+        gram, xty = features.T @ features, features.T @ targets
+
+        def polish(theta):
+            return _least_squares_on_face(gram, xty, lo, hi, theta), -np.inf
+
+    def certify(theta):
+        lower = _frank_wolfe_bound(theta, *value_and_grad(theta), lo, hi)
+        point, dual = polish(theta)
+        if point is None:
+            return None, np.inf, lower
+        point_value, point_g = value_and_grad(point)
+        return point, point_value, max(lower, dual,
+                                       _frank_wolfe_bound(point, point_value, point_g, lo, hi))
+
+    theta_star, _, lower = _pgd_minimize(value_and_grad, project, starts, iters, radius,
+                                         certify)
     total = float(np.sum(point_loss_series(kind, theta_star, features, targets)))
-    diagnostics = {"horizon": t_len,
-                   "method": "projected_subgradient" if kind.convex else "local"}
-    return ComparatorResult(theta_star, total, diagnostics)
+    # the infimum is at most total, so the smaller of the two is a bound too
+    lower = min(lower, total)
+    method = "certified" if _gap_closed(total, lower) else "projected_subgradient"
+    return ComparatorResult(theta_star, total, lower, {"horizon": t_len, "method": method})
 
 
 def regret(ledger: RegretLedger, comparator: ComparatorResult) -> float:
@@ -293,13 +506,45 @@ def _mean_loss_per_row(kind: LossKind, preds: np.ndarray, features: np.ndarray,
         for x, y in zip(np.array_split(features, blocks), np.array_split(targets, blocks))])
 
 
+#: Rounding allowance of the Jensen audit, per holdout row (x, y):
+#: _JENSEN_ROUNDING * (T + d + 2) * R^2, with R = 1 + |y| + sum_j |x_j|
+#: max_t |theta_tj|.  Derived in ``_jensen_allowance``.
+_JENSEN_ROUNDING = 8.0 * 2.0 ** -53
+
+
+def _jensen_allowance(preds: np.ndarray, features: np.ndarray,
+                      targets: np.ndarray) -> np.ndarray:
+    """A bound on the floating-point error of the two computed sides of
+    Jensen's inequality on each holdout row, for hinge and squared-linear.
+
+    With u = 2^-53 and gamma_n = n u / (1 - n u) (the error bound of a sum
+    of n + 1 terms, in any order, relative to the sum of magnitudes), and P
+    = sum_j |x_j| max_t |theta_tj| >= every |theta . x| involved:
+      - theta_bar has a coordinate error <= gamma_T max_t |theta_tj|, so
+        theta_bar . x is off by <= gamma_{T+d} P;
+      - each theta_t . x is off by <= gamma_d P;
+      - on |s| <= P, both losses are 2R-Lipschitz in s and at most R^2, and
+        evaluating one rounds by <= 3 u R^2;
+      - the mean of T losses adds <= gamma_T R^2.
+    Summed, the two sides are off by at most (2 gamma_{T+d} + 2 gamma_d +
+    gamma_T + 6 u) R^2 <= 5.05 u (T + d + 2) R^2 while n u <= 0.01, and
+    _JENSEN_ROUNDING rounds the factor 5.05 up to 8 for the second-order
+    terms.
+    """
+    reach = np.abs(features) @ np.max(np.abs(preds), axis=0)
+    size = 1.0 + np.abs(targets) + reach
+    return _JENSEN_ROUNDING * (preds.shape[0] + features.shape[1] + 2) * size ** 2
+
+
 def jensen_holdout_audit(predictions: np.ndarray, holdout: Dataset, kind: LossKind) -> bool:
     """For convex kinds: point_loss(theta_bar, ex) <= mean_t point_loss
-    (theta_hat_t, ex) for every holdout example, deterministically."""
+    (theta_hat_t, ex) for every holdout example, deterministically, up to
+    the rounding of the two computed sides (``_jensen_allowance``): a tie,
+    as when every prediction is one point, reads True."""
     if not kind.convex:
         raise DomainError("Jensen audit applies to convex kinds only")
     preds = np.asarray(predictions, dtype=float)
     features, targets = holdout.features, holdout.targets
     averaged = _mean_loss_per_row(kind, preds, features, targets)
     at_bar = point_loss_series(kind, preds.mean(axis=0), features, targets)
-    return bool(np.all(at_bar <= averaged))
+    return bool(np.all(at_bar <= averaged + _jensen_allowance(preds, features, targets)))

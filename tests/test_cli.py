@@ -125,6 +125,47 @@ class TestRun:
                 assert entry["slack_ratio"] == pytest.approx(
                     entry["regret"] / entry["bound"], rel=1e-9)
 
+    def test_comparator_certificate_reported(self, run_dir, capsys):
+        # the closed duality gap in comparator.csv and summary.json, and
+        # Theorem 3 checked against the lower bound, naming what it compared
+        summary = json.loads((run_dir / "summary.json").read_text())
+        comp = summary["comparator"]
+        assert comp["method"] == "certified"
+        assert comp["gap"] == comp["total"] - comp["lower_bound"]
+        assert 0.0 <= comp["gap"] <= 1e-9 * max(1.0, comp["total"])
+        header, row = (run_dir / "comparator.csv").read_text().splitlines()
+        assert header == "total_loss,avg_loss,method,lower_bound,theta_0,theta_1"
+        assert row.split(",")[2] == "certified"
+        assert float(row.split(",")[3]) == comp["lower_bound"]
+        assert main(["bounds", "--run", str(run_dir), "--theorem", "3"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        total = summary["algorithms"]["svb_thm3"]["regret"] + comp["total"]
+        assert f"regret={total - comp['lower_bound']:.6g} " in line
+        assert line.endswith(f"vs comparator lower bound {comp['lower_bound']:.12g} "
+                             f"(certified, gap {comp['gap']:.2g}))")
+
+    def test_theorem3_measured_against_the_lower_bound(self, run_dir):
+        from onlinevi.evaluation import ComparatorResult
+        ctx = materialize(load_experiment(run_dir / "config.ini"))
+        stored = cli._read_comparator_csv(run_dir / "comparator.csv", 2, 400)
+        loose = ComparatorResult(stored.theta_star, stored.cumulative_loss_star,
+                                 stored.cumulative_loss_star - 5.0,
+                                 {"horizon": 400, "method": "projected_subgradient"})
+        (record,) = cli.bound_records(ctx, {"svb_thm3": 100.0}, loose, "3")
+        assert record["empirical_regret"] == 100.0 - loose.lower_bound
+        assert record["notes"].endswith("(projected_subgradient, gap 5)")
+
+    def test_bounds_rejects_a_comparator_without_lower_bound(self, run_dir, tmp_path, capsys):
+        import shutil
+        old = tmp_path / "old"
+        shutil.copytree(run_dir, old)
+        path = old / "comparator.csv"
+        header, row = path.read_text().splitlines()
+        drop = lambda line: ",".join(c for i, c in enumerate(line.split(",")) if i != 3)
+        path.write_text(f"{drop(header)}\n{drop(row)}\n")
+        assert main(["bounds", "--run", str(old), "--theorem", "all"]) == 2
+        assert "lower_bound" in capsys.readouterr().err
+
     def test_byte_identical_rerun(self, run_dir, tmp_path):
         out2 = tmp_path / "out2"
         assert main(["run", "--config", str(run_dir / "config.ini"),

@@ -3,6 +3,8 @@ formulas, online-to-batch conversion, and the strong-convexity constant."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onlinevi import evaluation
 from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regression,
@@ -24,7 +26,7 @@ from onlinevi.evaluation import (
     svb_bounds,
 )
 from onlinevi.family import BoxConstraints, GaussianPrior, MeanFieldGaussian, kl_divergence
-from onlinevi.losses import LossKind, expert_loss_matrix, point_loss_series
+from onlinevi.losses import LossKind, expert_loss_matrix, mean_loss_and_grad, point_loss_series
 from onlinevi.rng import CounterRng
 
 HINGE = LossKind.hinge()
@@ -138,6 +140,158 @@ class TestBestInHindsight:
         manual = np.mean([point_grad(kind, theta, DataExample(feats[i], targs[i]))
                           for i in range(20)], axis=0)
         np.testing.assert_allclose(batch, manual, rtol=1e-12, atol=1e-12)
+
+
+def _hinge_lp_optimum(features, targets, box) -> float:
+    """min over the box of the total hinge loss as the LP min sum xi with
+    xi_i >= 1 - y_i x_i . theta, xi >= 0, solved by HiGHS (test oracle)."""
+    from scipy.optimize import linprog
+    t_len, d = features.shape
+    signed = targets[:, None] * features
+    res = linprog(np.concatenate([np.zeros(d), np.ones(t_len)]),
+                  A_ub=np.hstack([-signed, -np.eye(t_len)]), b_ub=-np.ones(t_len),
+                  bounds=list(zip(box.m_lo, box.m_hi)) + [(0.0, None)] * t_len,
+                  method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def _least_squares_optimum(features, targets, box) -> float:
+    """min over the box of the total squared loss, by scipy's bounded least
+    squares (test oracle)."""
+    from scipy.optimize import lsq_linear
+    res = lsq_linear(features, targets, bounds=(box.m_lo, box.m_hi), method="bvls",
+                     tol=1e-14)
+    return float(np.sum((targets - features @ res.x) ** 2))
+
+
+def _instance(kind, seed: int, n: int, d: int) -> Dataset:
+    """A random stream whose unconstrained optimum sits near theta = 2 (1,
+    -1, 1, ...): inside the default box, outside a box of half-width 1."""
+    rng = CounterRng(seed, "certificate-instance")
+    features = rng.normals(n * d).reshape(n, d)
+    theta = 2.0 * np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+    scores = features @ theta + 0.7 * rng.normals(n)
+    if kind.kind == "hinge":
+        return Dataset(features, np.where(scores >= 0.0, 1.0, -1.0), CLASSIFICATION, "inst")
+    return Dataset(features, scores, REGRESSION, "inst")
+
+
+def _optimum(kind, data, box) -> float:
+    oracle = _hinge_lp_optimum if kind.kind == "hinge" else _least_squares_optimum
+    return oracle(data.features, data.targets, box)
+
+
+class TestCertifiedComparator:
+    @pytest.mark.parametrize("kind", [HINGE, SQL], ids=["hinge", "squared-linear"])
+    @pytest.mark.parametrize("m_abs", [20.0, 1.0, 0.5], ids=["inside", "face-1", "face-0.5"])
+    def test_certified_against_scipy(self, kind, m_abs):
+        for seed, (n, d) in enumerate([(150, 2), (200, 3), (120, 5)]):
+            data = _instance(kind, seed, n, d)
+            box = BoxConstraints.symmetric(d, m_abs=m_abs)
+            oracle = _optimum(kind, data, box)
+            comp = best_in_hindsight(data, kind, box, seed=seed)
+            tol = 1e-7 * max(1.0, oracle)
+            assert comp.diagnostics["method"] == "certified", (seed, m_abs)
+            assert comp.lower_bound <= oracle + tol
+            assert comp.cumulative_loss_star >= oracle - tol
+            assert comp.gap <= evaluation._CERTIFIED_GAP * max(1.0, comp.cumulative_loss_star)
+            assert np.all(comp.theta_star >= box.m_lo) and np.all(comp.theta_star <= box.m_hi)
+
+    @pytest.mark.parametrize("kind", [HINGE, SQL], ids=["hinge", "squared-linear"])
+    def test_degenerate_stream_falls_back(self, kind):
+        # every row twice and a zero feature make the polish systems singular;
+        # the other two features are nearly collinear, so that the projected
+        # least-squares start is not optimal in the box
+        rng = CounterRng(7, "degenerate")
+        x0 = rng.normals(40)
+        features = np.stack([x0, np.zeros(40), x0 + 0.3 * rng.normals(40)], axis=1)
+        scores = 2.0 * features[:, 0] - features[:, 2] + 0.3 * rng.normals(40)
+        if kind.kind == "hinge":
+            data = Dataset(np.repeat(features, 2, axis=0),
+                           np.repeat(np.where(scores >= 0.0, 1.0, -1.0), 2),
+                           CLASSIFICATION, "degenerate")
+        else:
+            data = Dataset(np.repeat(features, 2, axis=0), np.repeat(scores, 2),
+                           REGRESSION, "degenerate")
+        box = BoxConstraints.symmetric(3, m_abs=0.5)
+        comp = best_in_hindsight(data, kind, box, restarts=0, iters=0)
+        assert comp.diagnostics["method"] == "projected_subgradient"
+        assert np.isfinite(comp.lower_bound)
+        assert comp.lower_bound <= _optimum(kind, data, box) + 1e-9
+        assert comp.lower_bound <= comp.cumulative_loss_star
+        assert np.all(np.abs(comp.theta_star) <= 0.5)
+
+    def test_local_search_reports_the_zero_bound(self):
+        kind = LossKind.squared_nn(2)
+        ds = gen_iid_regression(40, np.array([1.0, -1.0]), 0.3, seed=8)
+        comp = best_in_hindsight(ds, kind, BoxConstraints.symmetric(kind.param_dim(2)),
+                                 restarts=1, iters=20)
+        assert comp.diagnostics["method"] == "local"
+        assert comp.lower_bound == 0.0
+
+    def test_checkpoints(self):
+        assert evaluation._checkpoints(0) == {0}
+        assert evaluation._checkpoints(1) == {0, 1}
+        assert evaluation._checkpoints(2000) == {0, 2000} | {2 ** i for i in range(11)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31), m_abs=st.sampled_from([0.5, 1.0, 3.0, 20.0]),
+           hinge=st.booleans())
+    def test_bounds_never_exceed_the_optimum(self, seed, m_abs, hinge):
+        # LB(alpha) at random alpha in [0, 1]^T and the Frank-Wolfe bound at a
+        # random theta in the box are lower bounds on the exact optimum
+        kind = HINGE if hinge else SQL
+        data = _instance(kind, seed, 30, 3)
+        box = BoxConstraints.symmetric(3, m_abs=m_abs)
+        optimum = _optimum(kind, data, box)
+        tol = 1e-9 * max(1.0, optimum)
+        rng = CounterRng(seed, "certificate-draws")
+        theta = box.m_lo + rng.uniforms(3) * (box.m_hi - box.m_lo)
+        mean, g = mean_loss_and_grad(kind, theta, data.features, data.targets)
+        fw = evaluation._frank_wolfe_bound(theta, mean * data.T, g * data.T,
+                                           box.m_lo, box.m_hi)
+        assert fw <= optimum + tol
+        if hinge:
+            signed = data.targets[:, None] * data.features
+            for alpha in (rng.uniforms(data.T), np.round(rng.uniforms(data.T))):
+                bound = evaluation._hinge_dual_bound(signed, box.m_lo, box.m_hi, alpha)
+                assert bound <= optimum + tol
+
+    def test_vertex_total_at_or_below_the_search(self):
+        # the certified vertex is no worse than the point the search alone finds
+        data = gen_toy_classification(2000, seed=3)
+        box = BoxConstraints.symmetric(2)
+        comp = best_in_hindsight(data, HINGE, box, restarts=2, iters=400)
+        starts = [np.zeros(2), np.clip(np.linalg.lstsq(data.features, data.targets,
+                                                       rcond=None)[0], -20.0, 20.0)]
+
+        def value_and_grad(theta):
+            return mean_loss_and_grad(HINGE, theta, data.features, data.targets)
+
+        theta, _, _ = evaluation._pgd_minimize(
+            value_and_grad, lambda t: np.clip(t, -20.0, 20.0), starts, 400,
+            0.5 * float(np.linalg.norm(box.m_hi - box.m_lo)))
+        searched = float(np.sum(point_loss_series(HINGE, theta, data.features, data.targets)))
+        assert comp.diagnostics["method"] == "certified"
+        assert comp.cumulative_loss_star <= searched
+
+    @pytest.mark.parametrize("loss, source", [("hinge", "source = toy\nn = 300"),
+                                              ("squared-linear", "source = iid_regression\n"
+                                               "theta_star = 1,-0.5\nn = 300")])
+    def test_run_twice_byte_identical_comparator_csv(self, tmp_path, loss, source):
+        from onlinevi.cli import main
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[run]\nseed = 3\n\n[dataset]\n{source}\nloss = {loss}\n\n"
+                          "[algorithm.oga]\n", encoding="utf-8")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        first, second = ((out / "comparator.csv").read_bytes() for out in outs)
+        assert first == second
+        header, row = first.decode().splitlines()
+        assert header.startswith("total_loss,avg_loss,method,lower_bound,theta_0")
+        assert row.split(",")[2] == "certified"
 
 
 class TestRegret:
@@ -314,7 +468,26 @@ class TestJensenAudit:
             assert min(len(args[2]) for args in calls) >= 2
             assert np.array_equal(blocked, oracle)
             at_bar = point_loss_series(kind, preds.mean(axis=0), x, y)
-            assert jensen_holdout_audit(preds, holdout, kind) == bool(np.all(at_bar <= oracle))
+            allowance = evaluation._jensen_allowance(preds, x, y)
+            assert jensen_holdout_audit(preds, holdout, kind) == \
+                bool(np.all(at_bar <= oracle + allowance))
+
+    def test_every_case_holds_ties_included(self):
+        for kind, preds, holdout in self._cases():
+            assert jensen_holdout_audit(preds, holdout, kind), kind.kind
+
+    @pytest.mark.parametrize("multiple, holds", [(0.5, True), (2.0, False)])
+    def test_gap_beyond_the_allowance_fails(self, monkeypatch, multiple, holds):
+        # the comparison itself: the loss at theta_bar raised on one row by a
+        # multiple of that row's allowance over the averaged side
+        for kind, preds, holdout in self._cases()[2:]:
+            x, y = holdout.features, holdout.targets
+            averaged = evaluation._mean_loss_per_row(kind, preds, x, y)
+            excess = averaged + multiple * evaluation._jensen_allowance(preds, x, y)
+            monkeypatch.setattr(evaluation, "point_loss_series",
+                                lambda *args: np.where(np.arange(len(y)) == 5, excess,
+                                                       point_loss_series(*args)))
+            assert jensen_holdout_audit(preds, holdout, kind) == holds
 
 
 def _fd_min_hessian_eig(s: float, m: float, sigma: float) -> float:
