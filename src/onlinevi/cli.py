@@ -350,6 +350,10 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
             if d_val is None:
                 d_val = box.diameter()
             if l_val is None:
+                if not kind.convex:
+                    raise ConfigError(f"[algorithm.{spec.name}] l: auto needs a convex loss; "
+                                      f"{kind.kind} has no certified Lipschitz constant, so "
+                                      "give l a number")
                 l_val = lipschitz_constant(kind, stream, box)
             schedule = Thm3ConvexSchedule(D=d_val, L=l_val)
             meta.update(D=d_val, L=l_val)
@@ -453,7 +457,8 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
     """One record per (algorithm, applicable theorem).
 
     Theorems 1, 3 and 4 are deterministic inequalities; Theorem 2 (with the
-    exact alpha = 1/prior_s^2) is informational only.
+    exact alpha = 1/prior_s^2) is informational only.  Each assumes a
+    convex loss, so a squared-nn run gets no record.
     """
     want = lambda n: theorem in ("all", str(n))
     records = []
@@ -498,7 +503,7 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
             })
 
         if spec.tag == "svb" and want(3) and isinstance(config.schedule, Thm3ConvexSchedule) \
-                and comparator is not None:
+                and ctx.kind.convex and comparator is not None:
             bound, _ = svb_bounds(BoundInputs(T=t_len, D=config.schedule.D,
                                               L=config.schedule.L))
             # against the comparator's lower bound, so that a pass is a proof

@@ -119,15 +119,14 @@ class BoxConstraints:
         return float(np.sqrt(d2))
 
     def contains(self, q: MeanFieldGaussian, atol: float = 0.0) -> bool:
-        return self.contains_arrays(q.m, q.sigma, atol)
+        return bool(self.contains_arrays(q.m, q.sigma, atol))
 
-    def contains_arrays(self, m: np.ndarray, sigma: np.ndarray, atol: float = 0.0) -> bool:
-        return bool(
-            (m >= self.m_lo - atol).all()
-            and (m <= self.m_hi + atol).all()
-            and (sigma >= self.sigma_lo - atol).all()
-            and (sigma <= self.sigma_hi + atol).all()
-        )
+    def contains_arrays(self, m: np.ndarray, sigma: np.ndarray, atol: float = 0.0):
+        """Whether (m, sigma) lies in the box widened by atol; with leading
+        axes on m and sigma, one answer per row."""
+        return np.all((m >= self.m_lo - atol) & (m <= self.m_hi + atol)
+                      & (sigma >= self.sigma_lo - atol) & (sigma <= self.sigma_hi + atol),
+                      axis=-1)
 
     @cached_property
     def _sigma_floor_lo(self) -> np.ndarray:

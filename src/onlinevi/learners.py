@@ -26,11 +26,15 @@ Each update is an array kernel (``sva_step``, ``svb_step``, ``ngvi_step``,
 (m, sigma and the learner's auxiliary state) and a gradient to the next
 arrays.  ``run_online`` validates its inputs once, then advances one
 learner over the rows of ``Dataset.features`` / ``Dataset.targets`` with
-those kernels, checking on each step only that the gradient and the new
-state are finite with sigma > 0.  The kernels and ``run_online`` are the
-only implementation of the learners.  The grid's weights depend only on
-the data, so its T predictions come from the (T, K) expert-loss matrix in
-one vectorized pass.  A run owns its arrays and runs are independent.
+those kernels.  The loop does only the sequential work: record the
+decision, compute the gradient, update, and check that the gradient and
+the new state are finite with sigma > 0.  What depends only on the
+recorded decisions and states, the point losses and box membership, is
+computed after the loop in one vectorized pass.  The kernels and
+``run_online`` are the only implementation of the learners.  The grid's
+weights depend only on the data, so its T predictions come from the (T, K)
+expert-loss matrix in one vectorized pass.  A run owns its arrays and runs
+are independent.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .losses import (
     mc_grad_xy,
     point_grad_xy,
     point_loss_rows,
-    point_loss_xy,
 )
 from .rng import derive_seed
 
@@ -305,7 +308,7 @@ class Trace:
 # The array state of one learner inside run_online: ``m`` is the decision
 # (theta for OGA), ``sigma`` is None for OGA, ``update`` advances one step
 # with the learner's kernel, and ``projected`` means every update lands in
-# the box, so box membership needs no per-step check.
+# the box, so box membership needs no check.
 
 
 class _Sva:
@@ -387,18 +390,20 @@ def _finite(a: np.ndarray) -> bool:
 
 def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
                mc_samples: int = 32, seed: int = 0) -> Trace:
-    """Run one algorithm over the rows of a dataset: predict, suffer the
-    point loss at the prediction, compute the gradient the algorithm needs,
-    update.
+    """Run one algorithm over the rows of a dataset: predict, compute the
+    gradient the algorithm needs, update.
 
     Inputs are validated once here; each step then checks only that the
-    gradient and the new state are finite with sigma > 0.  Deterministic
-    given (config, data, seed); the Monte-Carlo seed at step t is
-    ``derive_seed(seed, t)`` so that all algorithms run under the same
-    experiment seed share random numbers step by step.
+    gradient and the new state are finite with sigma > 0.  After the loop,
+    one pass of ``point_loss_rows`` gives the point loss at every decision,
+    and one pass of ``BoxConstraints.contains_arrays`` the box membership
+    of every post-update state.  Deterministic given (config, data, seed);
+    the Monte-Carlo seed at step t is ``derive_seed(seed, t)`` so that all
+    algorithms run under the same experiment seed share random numbers step
+    by step.
     """
     # contiguous rows, as DataExample copies them: the dot products of the
-    # public per-example functions and of this loop then round alike
+    # public per-example functions and of this run then round alike
     features, targets = np.ascontiguousarray(data.features), data.targets
     d = kind.param_dim(features.shape[1])
     if isinstance(config, EwaGridConfig):
@@ -429,8 +434,6 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
 
     t_max = features.shape[0]
     predictions = np.zeros((t_max, d))
-    losses = np.zeros(t_max)
-    in_box = None if box is None else np.full(t_max, learner.projected)
     sigmas = None if learner.sigma is None else np.zeros((t_max, d))
     halvings = np.zeros(t_max, dtype=int) if isinstance(learner, _Ngvi) else None
 
@@ -438,7 +441,6 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
         step = i + 1
         m = learner.m
         predictions[i] = m
-        losses[i] = point_loss_xy(kind, m, x, y)
         g_m, g_sigma = gradient(m, learner.sigma, x, y, step)
         if not (_finite(g_m) and (g_sigma is None or _finite(g_sigma))):
             raise DomainError(f"step {step}: the gradient is not finite")
@@ -448,13 +450,17 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
             raise DomainError(f"step {step}: the updated state is not finite with sigma > 0")
         if sigmas is not None:
             sigmas[i] = sigma
-        if in_box is not None and not learner.projected:
-            in_box[i] = box.contains_arrays(m, sigma)
         if halvings is not None:
             halvings[i] = learner.halvings
 
-    return Trace(predictions=predictions, losses=losses, in_box=in_box, sigmas=sigmas,
-                 halvings=halvings)
+    in_box = None
+    if box is not None:
+        # the state after update t is the decision at t + 1, or the final state
+        in_box = np.full(t_max, True) if learner.projected else box.contains_arrays(
+            np.vstack([predictions[1:], learner.m]), sigmas)
+    return Trace(predictions=predictions,
+                 losses=point_loss_rows(kind, predictions, features, targets),
+                 in_box=in_box, sigmas=sigmas, halvings=halvings)
 
 
 def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, features: np.ndarray,

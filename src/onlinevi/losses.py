@@ -7,6 +7,27 @@ Supported loss kinds:
     squared_nn       l(theta) = (y - f_theta(x))^2 with a one-hidden-layer
                      ReLU network; theta packs (W1, b1, w2, b2) flat.
 
+One formula per loss.  Each loss is a function of one score s: theta . x
+for the linear kinds, the network's output f_theta(x) for squared_nn.
+``_score_loss`` holds the two formulas (hinge max(0, 1 - y s), squared
+(y - s)^2) and ``_score_slope`` their derivatives in s; every point-loss
+kernel computes its own scores and passes them to these two.  The kernels
+differ only in their shape:
+
+    point_loss_rows        theta_t on example t (or many thetas on one
+                           example), each score a lone dot product
+    point_loss_series      one theta on every row
+    expert_loss_matrix     K thetas on every row, a (T, K) matrix
+    mean_loss_and_grad     one theta on every row: mean loss, subgradient
+    _point_loss_grad_many  many thetas on one example: losses and
+                           subgradients (the Monte-Carlo step)
+
+The network's packing is known only to ``_nn_unpack`` and its inverse
+``_nn_pack``.  The network is evaluated in two shapes: each theta on its
+own input row (``_nn_forward``: Monte-Carlo samples, ``point_grad`` and the
+row-paired kernel) and one theta on all rows (``_nn_forward_rows``: the
+series, the comparator's mean and the expert matrix).
+
 For the two convex kinds the expected loss under N(m, diag(sigma^2)) and
 its (m, sigma) gradients are in closed form; the network case has no
 closed form and is served by the reparameterized Monte-Carlo estimator.
@@ -132,15 +153,70 @@ class ExpectedLossGradient:
 
 
 # ---------------------------------------------------------------------------
-# network packing
+# one formula per loss
+
+
+def _score_loss(kind: LossKind, scores: np.ndarray, targets) -> np.ndarray:
+    """The point loss as a function of the score s (theta . x, or the
+    network's output) and the target y: hinge max(0, 1 - y s), squared
+    (y - s)^2.  Elementwise on an array of scores; every point-loss kernel
+    applies it to the scores of its own contraction.  It works in place in
+    one new array, so a (T, K) matrix of scores costs one more such matrix,
+    not two."""
+    if kind.kind == HINGE:
+        loss = targets * scores
+        np.subtract(1.0, loss, out=loss)
+        return np.maximum(0.0, loss, out=loss)
+    loss = np.subtract(targets, scores)
+    return np.square(loss, out=loss)
+
+
+def _score_slope(kind: LossKind, scores, targets):
+    """d/ds of ``_score_loss``: hinge -y 1{1 - y s > 0} (zero at the kink),
+    squared -2 (y - s)."""
+    if kind.kind == HINGE:
+        return -targets * (1.0 - targets * scores > 0.0)
+    return -2.0 * (targets - scores)
+
+
+# ---------------------------------------------------------------------------
+# the network: its packing and its two evaluation shapes
 
 
 def _nn_unpack(theta: np.ndarray, hw: int, d_in: int):
-    w1 = theta[: hw * d_in].reshape(hw, d_in)
-    b1 = theta[hw * d_in: hw * d_in + hw]
-    w2 = theta[hw * d_in + hw: hw * d_in + 2 * hw]
-    b2 = theta[-1]
-    return w1, b1, w2, b2
+    """(W1, b1, w2, b2) of packed parameters whose last axis is theta; any
+    leading axes are kept.  With ``_nn_pack`` the only code that knows the
+    packing."""
+    lead = theta.shape[:-1]
+    w1 = theta[..., : hw * d_in].reshape(*lead, hw, d_in)
+    b1 = theta[..., hw * d_in: hw * d_in + hw]
+    w2 = theta[..., hw * d_in + hw: hw * d_in + 2 * hw]
+    return w1, b1, w2, theta[..., -1]
+
+
+def _nn_pack(g_w1, g_b1, g_w2, g_b2) -> np.ndarray:
+    """Inverse of ``_nn_unpack`` for gradients, keeping the leading axes."""
+    lead = g_b1.shape[:-1]
+    return np.concatenate([g_w1.reshape(*lead, -1), g_b1, g_w2,
+                           np.reshape(g_b2, (*lead, 1))], axis=-1)
+
+
+def _nn_forward(thetas: np.ndarray, x: np.ndarray, hw: int):
+    """Each theta on its own input: thetas have any leading axes, against
+    which x broadcasts (one row for every theta, or a row per theta).
+    Returns the outputs, the pre-activations, the hidden units and w2."""
+    w1, b1, w2, b2 = _nn_unpack(thetas, hw, x.shape[-1])
+    pre = (w1 @ x[..., None])[..., 0] + b1
+    hidden = np.maximum(pre, 0.0)
+    return np.sum(w2 * hidden, axis=-1) + b2, pre, hidden, w2
+
+
+def _nn_forward_rows(theta: np.ndarray, features: np.ndarray, hw: int):
+    """One theta on every row of ``features``; returns as ``_nn_forward``."""
+    w1, b1, w2, b2 = _nn_unpack(theta, hw, features.shape[1])
+    pre = features @ w1.T + b1
+    hidden = np.maximum(pre, 0.0)
+    return hidden @ w2 + b2, pre, hidden, w2
 
 
 def _check_theta(kind: LossKind, theta: np.ndarray, d_in: int) -> np.ndarray:
@@ -153,29 +229,13 @@ def _check_theta(kind: LossKind, theta: np.ndarray, d_in: int) -> np.ndarray:
     return theta
 
 
-def _nn_forward(theta: np.ndarray, x: np.ndarray, hw: int):
-    w1, b1, w2, b2 = _nn_unpack(theta, hw, x.size)
-    pre = w1 @ x + b1
-    hidden = np.maximum(pre, 0.0)
-    return float(w2 @ hidden + b2), pre, hidden, w2
-
-
 # ---------------------------------------------------------------------------
 # point losses and subgradients
 
 
 def point_loss(kind: LossKind, theta, ex: DataExample) -> float:
-    return point_loss_xy(kind, _check_theta(kind, theta, ex.x.size), ex.x, ex.y)
-
-
-def point_loss_xy(kind: LossKind, theta: np.ndarray, x: np.ndarray, y: float) -> float:
-    """Kernel of ``point_loss`` on a validated theta and one (x, y) row."""
-    if kind.kind == HINGE:
-        return max(0.0, 1.0 - y * float(theta @ x))
-    if kind.kind == SQUARED_LINEAR:
-        return float((y - theta @ x) ** 2)
-    f, _, _, _ = _nn_forward(theta, x, kind.hidden_width)
-    return float((y - f) ** 2)
+    return float(point_loss_rows(kind, _check_theta(kind, theta, ex.x.size)[None], ex.x,
+                                 ex.y)[0])
 
 
 def point_grad(kind: LossKind, theta, ex: DataExample) -> np.ndarray:
@@ -189,24 +249,9 @@ def point_grad(kind: LossKind, theta, ex: DataExample) -> np.ndarray:
 
 def point_grad_xy(kind: LossKind, theta: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     """Kernel of ``point_grad`` on a validated theta and one (x, y) row."""
-    if kind.kind == HINGE:
-        margin = 1.0 - y * float(theta @ x)
-        if margin > 0.0:
-            return -y * x.copy()
-        return np.zeros_like(theta)
-    if kind.kind == SQUARED_LINEAR:
-        return -2.0 * (y - float(theta @ x)) * x
-    hw = kind.hidden_width
-    f, pre, hidden, w2 = _nn_forward(theta, x, hw)
-    dloss = -2.0 * (y - f)
-    active = (pre > 0.0).astype(float)
-    g_b1 = dloss * w2 * active
-    grad = np.empty_like(theta)
-    grad[: hw * x.size] = np.outer(g_b1, x).reshape(-1)
-    grad[hw * x.size: hw * x.size + hw] = g_b1
-    grad[hw * x.size + hw: hw * x.size + 2 * hw] = dloss * hidden
-    grad[-1] = dloss
-    return grad
+    if kind.kind == SQUARED_NN:
+        return _point_loss_grad_many(kind, theta[None], x, y)[1][0]
+    return _score_slope(kind, float(theta @ x), y) * x
 
 
 def point_loss_many(kind: LossKind, thetas: np.ndarray, ex: DataExample) -> np.ndarray:
@@ -214,16 +259,7 @@ def point_loss_many(kind: LossKind, thetas: np.ndarray, ex: DataExample) -> np.n
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != kind.param_dim(ex.x.size):
         raise DimensionMismatchError("thetas must be (n, param_dim)")
-    return _point_loss_many(kind, thetas, ex.x, ex.y)
-
-
-def _point_loss_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
-    if kind.kind == HINGE:
-        return np.maximum(0.0, 1.0 - y * (thetas @ x))
-    if kind.kind == SQUARED_LINEAR:
-        return (y - thetas @ x) ** 2
-    f = _nn_forward_many(thetas, x, kind.hidden_width)[0]
-    return (y - f) ** 2
+    return point_loss_rows(kind, thetas, ex.x, ex.y)
 
 
 def point_loss_series(kind: LossKind, theta, features: np.ndarray,
@@ -232,82 +268,52 @@ def point_loss_series(kind: LossKind, theta, features: np.ndarray,
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float).reshape(-1)
     theta = _check_theta(kind, theta, features.shape[1])
-    if kind.kind == HINGE:
-        return np.maximum(0.0, 1.0 - targets * (features @ theta))
-    if kind.kind == SQUARED_LINEAR:
-        return (targets - features @ theta) ** 2
-    hw = kind.hidden_width
-    w1, b1, w2, b2 = _nn_unpack(theta, hw, features.shape[1])
-    hidden = np.maximum(features @ w1.T + b1, 0.0)
-    return (targets - (hidden @ w2 + b2)) ** 2
+    if kind.kind == SQUARED_NN:
+        scores = _nn_forward_rows(theta, features, kind.hidden_width)[0]
+    else:
+        scores = features @ theta
+    return _score_loss(kind, scores, targets)
 
 
 def point_loss_rows(kind: LossKind, thetas: np.ndarray, features: np.ndarray,
-                    targets: np.ndarray) -> np.ndarray:
-    """Point loss of row t of thetas on example t, for all t at once."""
+                    targets) -> np.ndarray:
+    """Point loss of each theta on its own example, for all of them at once:
+    the leading axes of thetas, features and targets broadcast (row t of
+    thetas on example t, or every theta on one example).  Each score is a
+    lone dot product, so it rounds as ``theta @ x`` does on one row."""
     if kind.kind == SQUARED_NN:
-        hw = kind.hidden_width
-        n, d_in = features.shape
-        w1 = thetas[:, : hw * d_in].reshape(n, hw, d_in)
-        pre = np.einsum("nhd,nd->nh", w1, features) + thetas[:, hw * d_in: hw * d_in + hw]
-        f = np.einsum("nh,nh->n", thetas[:, hw * d_in + hw: hw * d_in + 2 * hw],
-                      np.maximum(pre, 0.0)) + thetas[:, -1]
-        return (targets - f) ** 2
-    scores = np.einsum("nd,nd->n", thetas, features)
-    if kind.kind == HINGE:
-        return np.maximum(0.0, 1.0 - targets * scores)
-    return (targets - scores) ** 2
+        scores = _nn_forward(thetas, features, kind.hidden_width)[0]
+    else:
+        scores = (thetas[..., None, :] @ features[..., :, None])[..., 0, 0]
+    return _score_loss(kind, scores, targets)
 
 
 def expert_loss_matrix(kind: LossKind, experts: np.ndarray, features: np.ndarray,
                        targets: np.ndarray) -> np.ndarray:
     """(T, K) point losses of every expert (row of ``experts``) along a stream."""
-    if kind.kind == HINGE:
-        return np.maximum(0.0, 1.0 - targets[:, None] * (features @ experts.T))
-    if kind.kind == SQUARED_LINEAR:
-        return (targets[:, None] - features @ experts.T) ** 2
-    return np.stack([point_loss_series(kind, expert, features, targets)
-                     for expert in experts], axis=1)
-
-
-def _nn_forward_many(thetas: np.ndarray, x: np.ndarray, hw: int):
-    """Forward pass of many parameter vectors on one input."""
-    n = thetas.shape[0]
-    d_in = x.size
-    w1 = thetas[:, : hw * d_in].reshape(n, hw, d_in)
-    b1 = thetas[:, hw * d_in: hw * d_in + hw]
-    w2 = thetas[:, hw * d_in + hw: hw * d_in + 2 * hw]
-    b2 = thetas[:, -1]
-    pre = w1 @ x + b1
-    hidden = np.maximum(pre, 0.0)
-    f = np.sum(w2 * hidden, axis=1) + b2
-    return f, pre, hidden, w2
+    if kind.kind == SQUARED_NN:
+        # one expert at a time: a single pass would hold all K * T *
+        # hidden_width pre-activations at once
+        scores = np.stack([_nn_forward_rows(expert, features, kind.hidden_width)[0]
+                           for expert in experts], axis=1)
+    else:
+        scores = features @ experts.T
+    return _score_loss(kind, scores, targets[:, None])
 
 
 def _point_loss_grad_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray,
                           y: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row point losses (n,) and subgradients (n, param_dim) on one
-    example (x, y), from one pass of ``thetas @ x`` (or of the network).
-    The losses equal ``_point_loss_many`` bit for bit."""
-    n = thetas.shape[0]
-    if kind.kind == HINGE:
-        margins = 1.0 - y * (thetas @ x)
-        return (np.maximum(0.0, margins),
-                np.where(margins[:, None] > 0.0, -y * x[None, :], 0.0))
-    if kind.kind == SQUARED_LINEAR:
-        resid = y - thetas @ x
-        return resid ** 2, -2.0 * resid[:, None] * x[None, :]
-    hw = kind.hidden_width
-    d_in = x.size
-    f, pre, hidden, w2 = _nn_forward_many(thetas, x, hw)
-    dloss = -2.0 * (y - f)
+    example (x, y), from one pass of ``thetas @ x`` (or of the network,
+    whose ReLU derivative is 0 at 0)."""
+    if kind.kind != SQUARED_NN:
+        scores = thetas @ x
+        return _score_loss(kind, scores, y), _score_slope(kind, scores, y)[:, None] * x
+    f, pre, hidden, w2 = _nn_forward(thetas, x, kind.hidden_width)
+    dloss = _score_slope(kind, f, y)
     g_b1 = dloss[:, None] * w2 * (pre > 0.0)
-    grads = np.empty_like(thetas)
-    grads[:, : hw * d_in] = (g_b1[:, :, None] * x[None, None, :]).reshape(n, -1)
-    grads[:, hw * d_in: hw * d_in + hw] = g_b1
-    grads[:, hw * d_in + hw: hw * d_in + 2 * hw] = dloss[:, None] * hidden
-    grads[:, -1] = dloss
-    return (y - f) ** 2, grads
+    grads = _nn_pack(g_b1[:, :, None] * x, g_b1, dloss[:, None] * hidden, dloss)
+    return _score_loss(kind, f, y), grads
 
 
 def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray,
@@ -323,27 +329,16 @@ def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray,
     targets = np.asarray(targets, dtype=float).reshape(-1)
     theta = _check_theta(kind, theta, features.shape[1])
     n = features.shape[0]
-    if kind.kind == HINGE:
-        margins = 1.0 - targets * (features @ theta)
-        active = targets * (margins > 0.0)
-        return float(np.mean(np.maximum(0.0, margins))), -features.T @ active / n
-    if kind.kind == SQUARED_LINEAR:
-        resid = targets - features @ theta
-        return float(np.mean(resid ** 2)), -2.0 * features.T @ resid / n
-    hw = kind.hidden_width
-    w1, b1, w2, b2 = _nn_unpack(theta, hw, features.shape[1])
-    pre = features @ w1.T + b1                     # (n, hw)
-    hidden = np.maximum(pre, 0.0)
-    f = hidden @ w2 + b2
-    dloss = -2.0 * (targets - f)                   # (n,)
+    if kind.kind != SQUARED_NN:
+        scores = features @ theta
+        return (float(np.mean(_score_loss(kind, scores, targets))),
+                features.T @ _score_slope(kind, scores, targets) / n)
+    f, pre, hidden, w2 = _nn_forward_rows(theta, features, kind.hidden_width)
+    dloss = _score_slope(kind, f, targets)          # (n,)
     gate = dloss[:, None] * (pre > 0.0) * w2[None, :]   # per-row dl/db1
-    grad = np.empty_like(theta)
-    grad[: hw * features.shape[1]] = (gate.T @ features).reshape(-1) / n
-    grad[hw * features.shape[1]: hw * features.shape[1] + hw] = gate.mean(axis=0)
-    grad[hw * features.shape[1] + hw: hw * features.shape[1] + 2 * hw] = \
-        (hidden * dloss[:, None]).mean(axis=0)
-    grad[-1] = dloss.mean()
-    return float(np.mean((targets - f) ** 2)), grad
+    grad = _nn_pack((gate.T @ features) / n, gate.mean(axis=0),
+                    (hidden * dloss[:, None]).mean(axis=0), dloss.mean())
+    return float(np.mean(_score_loss(kind, f, targets))), grad
 
 
 def nn_batch_mean_grad(kind: LossKind, theta: np.ndarray, features: np.ndarray,
@@ -367,21 +362,9 @@ def _check_q(kind: LossKind, q: MeanFieldGaussian, d_in: int):
 
 
 def expected_loss(kind: LossKind, q: MeanFieldGaussian, ex: DataExample) -> float:
-    """E_{theta ~ q}[l(theta)] in closed form (convex kinds only)."""
-    _check_q(kind, q, ex.x.size)
-    if kind.kind == SQUARED_LINEAR:
-        resid = ex.y - float(q.m @ ex.x)
-        return resid * resid + float(np.sum((q.sigma * ex.x) ** 2))
-    if kind.kind == HINGE:
-        mu_z = 1.0 - ex.y * float(q.m @ ex.x)
-        s_z = float(np.sqrt(np.sum((q.sigma * ex.x) ** 2)))
-        if s_z == 0.0:
-            return max(mu_z, 0.0)
-        z = mu_z / s_z
-        return mu_z * float(gaussian_cdf(z)) + s_z * float(gaussian_pdf(z))
-    raise UnsupportedLossError(
-        "squared_nn has no closed-form expected loss; use mc_expected_loss_and_grad"
-    )
+    """E_{theta ~ q}[l(theta)] in closed form (convex kinds only):
+    ``expected_loss_series`` on one row."""
+    return float(expected_loss_series(kind, q, ex.x[None, :], np.array([ex.y]))[0])
 
 
 def expected_loss_grad(kind: LossKind, q: MeanFieldGaussian,
@@ -419,18 +402,20 @@ def expected_loss_series(kind: LossKind, q: MeanFieldGaussian, features: np.ndar
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float).reshape(-1)
     _check_q(kind, q, features.shape[1])
+    if kind.kind == SQUARED_NN:
+        raise UnsupportedLossError(
+            "squared_nn has no closed-form expected loss; use mc_expected_loss_and_grad"
+        )
+    scores = features @ q.m
+    out = _score_loss(kind, scores, targets)     # the point loss at the mean
     if kind.kind == SQUARED_LINEAR:
-        resid = targets - features @ q.m
-        return resid ** 2 + (features ** 2) @ (q.sigma ** 2)
-    if kind.kind == HINGE:
-        mu_z = 1.0 - targets * (features @ q.m)
-        s_z = np.sqrt((features ** 2) @ (q.sigma ** 2))
-        out = np.maximum(mu_z, 0.0)
-        pos = s_z > 0.0
-        z = mu_z[pos] / s_z[pos]
-        out[pos] = mu_z[pos] * gaussian_cdf(z) + s_z[pos] * gaussian_pdf(z)
-        return out
-    raise UnsupportedLossError("squared_nn has no closed-form expected loss")
+        return out + (features ** 2) @ (q.sigma ** 2)
+    mu_z = 1.0 - targets * scores
+    s_z = np.sqrt((features ** 2) @ (q.sigma ** 2))
+    pos = s_z > 0.0
+    z = mu_z[pos] / s_z[pos]
+    out[pos] = mu_z[pos] * gaussian_cdf(z) + s_z[pos] * gaussian_pdf(z)
+    return out
 
 
 # ---------------------------------------------------------------------------

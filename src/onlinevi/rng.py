@@ -82,16 +82,6 @@ class CounterRng:
             self._base = np.uint64(_mix64(seed_word)[0] ^ _mix64(stream_word)[0])
         self._counter = 0
 
-    def derive(self, label) -> "CounterRng":
-        """Independent child stream; consumes no parent counters."""
-        child = CounterRng.__new__(CounterRng)
-        with np.errstate(over="ignore"):
-            label_word = np.array([_hash64(label) * _GOLDEN + _U64(1)], dtype=np.uint64)
-            base_word = np.array([self._base], dtype=np.uint64)
-            child._base = np.uint64(_mix64(base_word)[0] ^ _mix64(label_word)[0])
-        child._counter = 0
-        return child
-
     def _words(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("n must be nonnegative")

@@ -340,6 +340,10 @@ class TestMalformedConfig:
                      "[algorithm.svb_thm3] l", id="svb-l-thm3_strong"),
         pytest.param("toy", "schedule = thm3_convex", "schedule = thm3-weak",
                      "[algorithm.svb_thm3] schedule", id="svb-unknown-schedule"),
+        pytest.param("nn", "[algorithm.oga]",
+                     "[algorithm.svb_thm3]\nalgo = svb\nschedule = thm3_convex\n[algorithm.oga]",
+                     "[algorithm.svb_thm3] l: auto needs a convex loss",
+                     id="svb-l-auto-nonconvex"),
         # keys that the chosen source or loss would not read
         pytest.param("toy", "n = 400", "n = 400\ntheta_star = 1,2", "[dataset] theta_star",
                      id="theta_star-with-toy"),
@@ -564,6 +568,28 @@ eta = auto
         assert summary["comparator"]["method"] == "local"
         for name in ("sva", "ogael"):
             assert np.isfinite(summary["algorithms"][name]["final_avg_loss"])
+
+    def test_no_theorem_3_record_on_the_network_loss(self, tmp_path, capsys):
+        # Theorem 3 assumes a convex loss; with explicit D and L the schedule
+        # runs on squared-nn, but no bound is checked or reported
+        config = tmp_path / "nn.ini"
+        config.write_text(NN_CONFIG + """
+[algorithm.svb_thm3]
+algo = svb
+schedule = thm3_convex
+d = 10
+l = 5
+""", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["algorithms"]["svb_thm3"]["theorem"] is None
+        assert "bound_holds" not in summary["algorithms"]["svb_thm3"]
+        capsys.readouterr()
+        assert main(["bounds", "--run", str(out), "--theorem", "all"]) == 2
+        captured = capsys.readouterr()
+        assert "no applicable checks" in captured.err
+        assert "theorem 3" not in captured.out
 
 
 class TestNgviHalvings:

@@ -31,7 +31,7 @@ from onlinevi.learners import (
     svb_step,
 )
 from onlinevi.losses import (DataExample, LossKind, expected_grad_xy, expected_loss,
-                             mc_grad_xy, point_grad_xy, point_loss_xy)
+                             mc_grad_xy, point_grad_xy, point_loss)
 from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regression,
                            gen_toy_classification)
 from onlinevi.rng import CounterRng, derive_seed
@@ -289,7 +289,7 @@ def _grid_oracle(cfg, ds, kind):
     predictions = []
     for x, y in zip(ds.features, ds.targets.tolist()):
         predictions.append(np.exp(log_w) @ experts)
-        losses = np.array([point_loss_xy(kind, expert, x, y) for expert in experts])
+        losses = np.array([point_loss(kind, expert, DataExample(x, y)) for expert in experts])
         log_w = log_w - cfg.eta * losses
         log_w = log_w - logsumexp(log_w)
     return np.array(predictions)
@@ -346,10 +346,11 @@ class TestEwaGridUpdate:
         assert np.all(trace.predictions <= experts.max(axis=0) + 1e-12)
 
 
-def _reference_run(config, ds, kind, mc_samples=32, seed=0):
+def _reference_run(config, ds, kind, mc_samples=32, seed=0, states=None):
     """An explicit loop over the rows of ``ds.features`` / ``ds.targets``
     that calls the update kernels directly, without run_online's learner
-    classes; returns (predictions, losses)."""
+    classes; returns (predictions, losses), and appends each post-update
+    (m, sigma) of a variational learner to ``states`` when one is given."""
     d = kind.param_dim(ds.d)
     m = np.zeros(d)
     if not isinstance(config, OgaConfig):
@@ -360,7 +361,7 @@ def _reference_run(config, ds, kind, mc_samples=32, seed=0):
     predictions, losses = [], []
     for step, (x, y) in enumerate(zip(ds.features, ds.targets.tolist()), start=1):
         predictions.append(m)
-        losses.append(point_loss_xy(kind, m, x, y))
+        losses.append(point_loss(kind, m, DataExample(x, y)))
         if isinstance(config, OgaConfig):
             m = oga_step(m, point_grad_xy(kind, m, x, y), config)
             continue
@@ -379,6 +380,8 @@ def _reference_run(config, ds, kind, mc_samples=32, seed=0):
             m, sigma = natural_to_standard(*lam)
         else:
             m, sigma = ogael_step(m, sigma, g_m, g_sigma, config)
+        if states is not None:
+            states.append((m, sigma))
     return np.array(predictions), np.array(losses)
 
 
@@ -441,10 +444,39 @@ class TestReferenceLoop:
             cfg = EwaGridConfig(eta=0.05, experts=experts)
             trace = run_online(cfg, ds, kind)
             predictions = _grid_oracle(cfg, ds, kind)
-            losses = [point_loss_xy(kind, p, x, y)
+            losses = [point_loss(kind, p, DataExample(x, y))
                       for p, x, y in zip(predictions, ds.features, ds.targets.tolist())]
             np.testing.assert_allclose(trace.predictions, predictions, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(trace.losses, losses, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stream", list(STREAMS))
+    def test_losses_are_point_losses_at_the_decisions(self, stream):
+        # bit for bit, for every learner path including the grid
+        kind, ds = self.STREAMS[stream]
+        d = kind.param_dim(ds.d)
+        configs = _learner_configs(d, ds.T, BoxConstraints.symmetric(d))
+        configs["ewagrid"] = EwaGridConfig(eta=0.05, experts=diagonal_lattice(-5.0, 5.0, 11, d))
+        for name, cfg in configs.items():
+            trace = run_online(cfg, ds, kind, mc_samples=8, seed=3)
+            losses = [point_loss(kind, p, DataExample(x, y))
+                      for p, x, y in zip(trace.predictions, ds.features, ds.targets.tolist())]
+            np.testing.assert_array_equal(trace.losses, losses, err_msg=name)
+
+    @pytest.mark.parametrize("stream", ["hinge", "squared_nn"])
+    def test_in_box_matches_a_per_step_check(self, stream):
+        # the unprojected learners, against the membership of each
+        # post-update state of the reference loop, the last one included
+        kind, ds = self.STREAMS[stream]
+        d = kind.param_dim(ds.d)
+        box = BoxConstraints.symmetric(d, m_abs=1.0, sigma_hi=0.99)
+        configs = _learner_configs(d, ds.T, box)
+        for name in ("ngvi", "sva_unprojected"):
+            trace = run_online(configs[name], ds, kind, mc_samples=8, seed=3)
+            states = []
+            _reference_run(configs[name], ds, kind, mc_samples=8, seed=3, states=states)
+            expected = [box.contains_arrays(m, sigma) for m, sigma in states]
+            np.testing.assert_array_equal(trace.in_box, expected, err_msg=name)
+            assert 0 < trace.in_box.sum() < ds.T, name
 
 
 class TestRunOnline:
