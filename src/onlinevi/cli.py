@@ -898,8 +898,10 @@ def cmd_bounds(run_dir: str, theorem: str) -> int:
 
     records = bound_records(ctx, totals, stored, theorem)
     if not records:
-        raise ConfigError(f"no applicable checks for theorem={theorem} in this run "
-                          "(missing constants or no matching algorithm/schedule)")
+        why = ("missing constants or no matching algorithm/schedule" if ctx.kind.convex
+               else f"the {ctx.kind.kind} loss is not convex, and every theorem needs "
+                    "a convex loss")
+        raise ConfigError(f"no applicable checks for theorem={theorem} in this run ({why})")
     all_deterministic_hold = True
     for r in records:
         status = "holds" if r["holds"] else "VIOLATED"

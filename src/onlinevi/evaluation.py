@@ -17,7 +17,8 @@ subgradient descent on ``losses.mean_loss_and_grad``, one kernel for every
 loss kind.  For the convex kinds it returns a lower bound on the infimum
 with its point and stops once the two meet (method "certified"): the
 Frank-Wolfe bound of a subgradient for both kinds, the LP dual bound for
-hinge.  The Jensen audit of the online-to-batch average compares its two
+hinge, and the unconstrained least-squares minimum for squared_linear.
+The Jensen audit of the online-to-batch average compares its two
 sides up to a stated rounding allowance.
 
 Checks log (empirical regret, bound, slack ratio) rather than only
@@ -159,6 +160,21 @@ def _frank_wolfe_bound(theta, value, g, lo, hi) -> float:
     return value - float(g @ theta) + float(np.sum(np.minimum(g * lo, g * hi)))
 
 
+#: ``_unconstrained_bound`` is used only when cond(X^T X) is below this
+#: (X^T X is then nonsingular), so that its solve keeps about eight
+#: significant digits.
+_MAX_GRAM_CONDITION = 1e8
+
+
+def _unconstrained_bound(chol, value, g) -> float:
+    """value - g^T (X^T X)^-1 g / 4, with ``chol`` the Cholesky factor of X^T
+    X: the minimum over all theta of the total squared loss ||y - X
+    theta||^2, whose value at a point is ``value`` and gradient ``g``.  It
+    does not grow with the box, as the Frank-Wolfe bound's rounding does."""
+    w = np.linalg.solve(chol, g)
+    return value - 0.25 * float(w @ w)
+
+
 def _hinge_dual_bound(signed, lo, hi, alpha) -> float:
     """LB(alpha) = sum alpha - sum_j max(lo_j c_j, hi_j c_j), c = sum_i
     alpha_i y_i x_i (``signed`` holds the rows y_i x_i): for alpha in [0,
@@ -293,8 +309,9 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
     For the convex kinds ``restarts`` x ``iters`` is a maximum.  At the
     checkpoints of every start the best point so far is polished
     (``_hinge_vertex``, ``_least_squares_on_face``) and lower-bounded: the
-    Frank-Wolfe bound at it and at the polished point, and for hinge the
-    LP dual bound.  The search stops once total - lower_bound <= 1e-9
+    Frank-Wolfe bound at it and at the polished point, for hinge the LP
+    dual bound, and for squared_linear with a well-conditioned X^T X the
+    unconstrained minimum (``_unconstrained_bound``) at both points.  The search stops once total - lower_bound <= 1e-9
     max(1, total), with method "certified".  A search that runs out of
     budget first returns the best point and the best lower bound found,
     with method "projected_subgradient".  For squared_nn the search is
@@ -337,6 +354,7 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
         mean, g = mean_loss_and_grad(kind, theta, features, targets)
         return mean * t_len, g * t_len
 
+    chol = None
     if kind.kind == HINGE:
         signed = targets[:, None] * features
 
@@ -344,18 +362,23 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
             return _hinge_vertex(signed, lo, hi, theta)
     else:
         gram, xty = features.T @ features, features.T @ targets
+        if np.linalg.cond(gram) < _MAX_GRAM_CONDITION:
+            chol = np.linalg.cholesky(gram)
 
         def polish(theta):
             return _least_squares_on_face(gram, xty, lo, hi, theta), -np.inf
 
+    def bound(theta, value, g):
+        fw = _frank_wolfe_bound(theta, value, g, lo, hi)
+        return fw if chol is None else max(fw, _unconstrained_bound(chol, value, g))
+
     def certify(theta):
-        lower = _frank_wolfe_bound(theta, *value_and_grad(theta), lo, hi)
+        lower = bound(theta, *value_and_grad(theta))
         point, dual = polish(theta)
         if point is None:
             return None, np.inf, lower
         point_value, point_g = value_and_grad(point)
-        return point, point_value, max(lower, dual,
-                                       _frank_wolfe_bound(point, point_value, point_g, lo, hi))
+        return point, point_value, max(lower, dual, bound(point, point_value, point_g))
 
     theta_star, _, lower = _pgd_minimize(value_and_grad, project, starts, iters, radius,
                                          certify)

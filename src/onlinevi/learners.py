@@ -55,19 +55,21 @@ from .family import (
     natural_to_standard,
 )
 from .losses import (
+    MC_STREAM,
     SQUARED_NN,
     LossKind,
     expected_grad_xy,
     expert_loss_matrix,
-    mc_grad_xy,
+    mc_grad_eps,
     point_grad_xy,
     point_loss_rows,
 )
-from .rng import derive_seed
+from .rng import step_normals
 
 # Not called here any more; the benchmark's tracer (perfbench/tracer.py)
 # still resolves these names in this namespace.
 from .family import from_natural, project_box, to_natural  # noqa: F401,E402
+from .rng import derive_seed  # noqa: F401,E402
 from .losses import (  # noqa: F401,E402
     expected_loss_grad,
     mc_expected_loss_and_grad,
@@ -382,6 +384,22 @@ def _prior_arrays(prior: GaussianPrior) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(prior.d), np.full(prior.d, float(prior.s))
 
 
+#: Normals per block of Monte-Carlo steps that ``run_online`` draws in one
+#: ``step_normals`` call (at least one step per block).
+_DRAW_BLOCK_VALUES = 2 ** 15
+
+
+def _step_eps(seed: int, t_max: int, samples: int, d: int):
+    """The (samples, d) normals of steps 1, ..., t_max in order, row t being
+    ``CounterRng(derive_seed(seed, t), MC_STREAM).normals(samples * d)``;
+    drawn a block of steps at a time."""
+    block = max(1, _DRAW_BLOCK_VALUES // (samples * d))
+    for first in range(1, t_max + 1, block):
+        count = min(block, t_max + 1 - first)
+        yield from step_normals(seed, first, count, samples * d,
+                                MC_STREAM).reshape(count, samples, d)
+
+
 def _finite(a: np.ndarray) -> bool:
     # a - a is 0 where a is finite and NaN elsewhere, and cannot overflow
     zeros = a - a
@@ -400,7 +418,9 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
     of every post-update state.  Deterministic given (config, data, seed);
     the Monte-Carlo seed at step t is ``derive_seed(seed, t)`` so that all
     algorithms run under the same experiment seed share random numbers step
-    by step.
+    by step (common random numbers).  The normals of those seeds are drawn
+    a block of steps at a time in one ``step_normals`` call, bit for bit the
+    per-step draw ``CounterRng(derive_seed(seed, t), MC_STREAM)``.
     """
     # contiguous rows, as DataExample copies them: the dot products of the
     # public per-example functions and of this run then round alike
@@ -425,9 +445,10 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
     elif kind.kind == SQUARED_NN:
         if mc_samples < 1:
             raise DomainError("mc_samples must be >= 1")
+        eps_rows = _step_eps(seed, features.shape[0], mc_samples, d)
 
         def gradient(m, sigma, x, y, step):
-            return mc_grad_xy(kind, m, sigma, x, y, mc_samples, derive_seed(seed, step))[1:]
+            return mc_grad_eps(kind, m, sigma, x, y, next(eps_rows))[1:]
     else:
         def gradient(m, sigma, x, y, step):
             return expected_grad_xy(kind, m, sigma, x, y)

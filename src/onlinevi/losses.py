@@ -421,6 +421,10 @@ def expected_loss_series(kind: LossKind, q: MeanFieldGaussian, features: np.ndar
 # ---------------------------------------------------------------------------
 # Monte-Carlo path (reparameterization)
 
+#: The counter stream of the Monte-Carlo normals: the step seed selects the
+#: draw, this label keeps it apart from other streams of the same seed.
+MC_STREAM = "mc-expected-loss"
+
 
 def mc_expected_loss_and_grad(kind: LossKind, q: MeanFieldGaussian, ex: DataExample,
                               samples: int, seed: int):
@@ -444,8 +448,16 @@ def mc_expected_loss_and_grad(kind: LossKind, q: MeanFieldGaussian, ex: DataExam
 def mc_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray, y: float,
                samples: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Kernel of ``mc_expected_loss_and_grad``: (estimate, g_m, g_sigma) for a
-    validated (m, sigma), one (x, y) row and ``samples >= 1``."""
-    eps = CounterRng(seed, "mc-expected-loss").normals(samples * m.size).reshape(samples, m.size)
+    validated (m, sigma), one (x, y) row and ``samples >= 1``, with eps the
+    first ``samples * m.size`` normals of ``CounterRng(seed, MC_STREAM)``."""
+    eps = CounterRng(seed, MC_STREAM).normals(samples * m.size).reshape(samples, m.size)
+    return mc_grad_eps(kind, m, sigma, x, y, eps)
+
+
+def mc_grad_eps(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray, y: float,
+                eps: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(estimate, g_m, g_sigma) of ``mc_grad_xy`` from given (samples,
+    m.size) normals ``eps``."""
     thetas = m[None, :] + sigma[None, :] * eps
     losses, grads = _point_loss_grad_many(kind, thetas, x, y)
     return float(np.mean(losses)), grads.mean(axis=0), (grads * eps).mean(axis=0)

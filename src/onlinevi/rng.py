@@ -19,10 +19,19 @@ blake2b(digest_size=8), little-endian.
 Uniform doubles take the top 53 bits, offset by half a ulp so the open
 interval (0, 1) is hit exactly:  u(k) = ((word(k) >> 11) + 0.5) * 2**-53.
 
-Gaussians use the Box-Muller transform on consecutive uniform pairs:
-with r = sqrt(-2 ln u1), the pair is (r cos(2 pi u2), r sin(2 pi u2)).
-The 53-bit uniforms truncate the tails at about 8.6 standard deviations,
-which is immaterial at the sample sizes used here.
+Gaussians use the Box-Muller transform: n normals take m = ceil(n/2)
+uniforms u1 = u(0..m-1) and m more u2 = u(m..2m-1); with r = sqrt(-2 ln
+u1), the pairs (r cos(2 pi u2), r sin(2 pi u2)) interleave into the n
+values.  The 53-bit uniforms truncate the tails at about 8.6 standard
+deviations, which is immaterial at the sample sizes used here.
+
+Many step seeds at once.  ``derive_seed(seed, t)`` for an integer label t
+is mix64(seed + t * GOLDEN + 1), elementwise in t, and so is everything
+after it.  ``step_normals(seed, first, count, n, stream)`` therefore draws
+the normals of ``count`` consecutive step seeds in one vectorized call:
+its row i equals ``CounterRng(derive_seed(seed, first + i),
+stream).normals(n)`` bit for bit.  Both run the same words -> uniforms ->
+Box-Muller helper over the last axis.
 """
 
 from __future__ import annotations
@@ -39,11 +48,26 @@ _TWO_NEG53 = 2.0 ** -53
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
+    """splitmix64 finalizer, vectorized over uint64 arrays (in place on a
+    new array: fresh temporaries cost more than the arithmetic)."""
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        return z ^ (z >> _U64(31))
+        z = z ^ (z >> _U64(30))
+        z *= _MIX1
+        z ^= z >> _U64(27)
+        z *= _MIX2
+        z ^= z >> _U64(31)
+        return z
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """((word >> 11) + 0.5) * 2**-53, shifting ``words`` in place; the
+    shifted words fit in 53 bits, so their int64 view converts exactly (and
+    faster than uint64)."""
+    words >>= _U64(11)
+    u = words.view(np.int64).astype(np.float64)
+    u += 0.5
+    u *= _TWO_NEG53
+    return u
 
 
 def _hash64(label) -> np.uint64:
@@ -53,6 +77,28 @@ def _hash64(label) -> np.uint64:
         digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
         return _U64(int.from_bytes(digest, "little"))
     raise TypeError(f"stream label must be int or str, got {type(label).__name__}")
+
+
+def _stream_word(stream) -> np.uint64:
+    """mix64(hash64(stream) * GOLDEN + 1), the stream's half of ``base``."""
+    with np.errstate(over="ignore"):
+        return _mix64(np.array([_hash64(stream) * _GOLDEN + _U64(1)], dtype=np.uint64))[0]
+
+
+def _normals_from_words(words: np.ndarray, n: int) -> np.ndarray:
+    """Box-Muller over the last axis of ``words`` (2m counter words per
+    row, m = ceil(n/2), consumed): the first m give u1, the next m u2."""
+    m = words.shape[-1] // 2
+    u = _uniforms(words)
+    r = np.log(u[..., :m])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle = u[..., m:]
+    angle *= 2.0 * np.pi
+    out = np.empty(words.shape)
+    np.multiply(r, np.cos(angle), out=out[..., 0::2])
+    np.multiply(r, np.sin(angle, out=angle), out=out[..., 1::2])
+    return out[..., :n]
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -68,6 +114,20 @@ def derive_seed(seed: int, *labels) -> int:
     return int(z)
 
 
+def step_normals(seed: int, first: int, count: int, n: int, stream=0) -> np.ndarray:
+    """(count, n) normals whose row i is ``CounterRng(derive_seed(seed,
+    first + i), stream).normals(n)``, bit for bit, for integer steps
+    ``first + i >= 0``."""
+    if n < 0 or count < 0 or first < 0:
+        raise ValueError("n, count and first must be nonnegative")
+    steps = np.arange(first, first + count, dtype=np.uint64)
+    k = np.arange(1, 2 * ((n + 1) // 2) + 1, dtype=np.uint64)
+    # uint64 arrays wrap mod 2**64 without a warning
+    seeds = _mix64(_U64(int(seed) & 0xFFFFFFFFFFFFFFFF) + steps * _GOLDEN + _U64(1))
+    words = _mix64((_mix64(seeds) ^ _stream_word(stream))[:, None] + k * _GOLDEN)
+    return _normals_from_words(words, n)
+
+
 class CounterRng:
     """Stateful cursor over the counter stream defined in the module docstring.
 
@@ -77,9 +137,7 @@ class CounterRng:
 
     def __init__(self, seed: int, stream=0):
         seed_word = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            stream_word = np.array([_hash64(stream) * _GOLDEN + _U64(1)], dtype=np.uint64)
-            self._base = np.uint64(_mix64(seed_word)[0] ^ _mix64(stream_word)[0])
+        self._base = np.uint64(_mix64(seed_word)[0] ^ _stream_word(stream))
         self._counter = 0
 
     def _words(self, n: int) -> np.ndarray:
@@ -92,21 +150,13 @@ class CounterRng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in the open interval (0, 1)."""
-        return ((self._words(n) >> _U64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+        return _uniforms(self._words(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller."""
-        if n == 0:
-            return np.empty(0)
-        m = (n + 1) // 2
-        u1 = self.uniforms(m)
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        out = np.empty(2 * m)
-        out[0::2] = r * np.cos(angle)
-        out[1::2] = r * np.sin(angle)
-        return out[:n]
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        return _normals_from_words(self._words(2 * ((n + 1) // 2)), n)
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform on {0, ..., bound-1} (53-bit slicing; the

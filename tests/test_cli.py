@@ -591,6 +591,18 @@ l = 5
         assert "no applicable checks" in captured.err
         assert "theorem 3" not in captured.out
 
+    def test_bounds_says_the_network_loss_is_not_convex(self, tmp_path, capsys):
+        config = tmp_path / "nn.ini"
+        config.write_text(NN_CONFIG, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["bounds", "--run", str(out), "--theorem", "all"]) == 2
+        err = capsys.readouterr().err
+        assert "no applicable checks" in err
+        assert "squared_nn loss is not convex" in err
+        assert "missing constants" not in err
+
 
 class TestNgviHalvings:
     def test_halvings_reported_in_summary(self, tmp_path):

@@ -222,6 +222,31 @@ class TestCertifiedComparator:
         assert comp.lower_bound <= comp.cumulative_loss_star
         assert np.all(np.abs(comp.theta_star) <= 0.5)
 
+    @pytest.mark.parametrize("m_abs", [1e5, 1e7])
+    def test_wide_boxes_certify(self, m_abs):
+        # the optimum is inside the box; the Frank-Wolfe bound's rounding
+        # grows with the box width, the unconstrained bound's does not
+        data = _instance(SQL, 0, 300, 5)
+        box = BoxConstraints.symmetric(5, m_abs=m_abs)
+        oracle = _optimum(SQL, data, box)
+        comp = best_in_hindsight(data, SQL, box)
+        assert comp.diagnostics["method"] == "certified"
+        assert comp.lower_bound <= oracle + 1e-9 * max(1.0, oracle)
+        assert comp.cumulative_loss_star >= oracle - 1e-9 * max(1.0, oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31), m_abs=st.sampled_from([0.5, 1.0, 3.0, 20.0]))
+    def test_unconstrained_bound_never_exceeds_the_optimum(self, seed, m_abs):
+        data = _instance(SQL, seed, 30, 3)
+        box = BoxConstraints.symmetric(3, m_abs=m_abs)
+        optimum = _optimum(SQL, data, box)
+        u = CounterRng(seed, "certificate-draws").uniforms(3)
+        theta = box.m_lo + u * (box.m_hi - box.m_lo)
+        mean, g = mean_loss_and_grad(SQL, theta, data.features, data.targets)
+        chol = np.linalg.cholesky(data.features.T @ data.features)
+        bound = evaluation._unconstrained_bound(chol, mean * data.T, g * data.T)
+        assert bound <= optimum + 1e-9 * max(1.0, optimum)
+
     def test_local_search_reports_the_zero_bound(self):
         kind = LossKind.squared_nn(2)
         ds = gen_iid_regression(40, np.array([1.0, -1.0]), 0.3, seed=8)

@@ -7,6 +7,7 @@ import pytest
 from conftest import golden_section
 from scipy.special import logsumexp
 
+from onlinevi import learners
 from onlinevi.errors import DomainError, InvalidPrecisionError
 from onlinevi.family import (BoxConstraints, GaussianPrior, MeanFieldGaussian,
                              natural_to_standard)
@@ -422,6 +423,26 @@ class TestReferenceLoop:
             predictions, losses = _reference_run(cfg, ds, kind, mc_samples=8, seed=3)
             np.testing.assert_array_equal(trace.losses, losses, err_msg=name)
             np.testing.assert_array_equal(trace.predictions, predictions, err_msg=name)
+
+    @pytest.mark.parametrize("t_len, mc_samples, blocks", [
+        (25, 8, 1),      # one partial block of 315 steps
+        (100, 64, 3),    # blocks of 39 steps: 39 + 39 + 22
+        (5, 2600, 5),    # 2600 * 13 normals > 2**15: one step per block
+    ], ids=["one-partial-block", "several-blocks", "one-step-blocks"])
+    def test_block_draws_match_the_per_step_draws(self, t_len, mc_samples, blocks):
+        ds = gen_iid_regression(t_len, np.array([1.0, -1.0]), 0.3, seed=8)
+        d = self.NN.param_dim(ds.d)
+        block = max(1, learners._DRAW_BLOCK_VALUES // (mc_samples * d))
+        assert -(-t_len // block) == blocks
+        box = BoxConstraints.symmetric(d, m_abs=5.0)
+        for name, cfg in _learner_configs(d, ds.T, box).items():
+            if isinstance(cfg, OgaConfig):
+                continue  # no Monte-Carlo gradient
+            trace = run_online(cfg, ds, self.NN, mc_samples=mc_samples, seed=3)
+            predictions, losses = _reference_run(cfg, ds, self.NN, mc_samples=mc_samples,
+                                                 seed=3)
+            np.testing.assert_array_equal(trace.predictions, predictions, err_msg=name)
+            np.testing.assert_array_equal(trace.losses, losses, err_msg=name)
 
     def test_ngvi_halving_path_identical(self):
         # on this Monte-Carlo stream NGVI halves its step once, at step 17

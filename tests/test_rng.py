@@ -2,8 +2,10 @@
 sanity, permutation properties."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onlinevi.rng import CounterRng, derive_seed
+from onlinevi.rng import CounterRng, derive_seed, step_normals
 
 
 class TestDeterminism:
@@ -30,6 +32,35 @@ class TestDeterminism:
     def test_derive_is_stable(self):
         assert derive_seed(7, 3) == derive_seed(7, 3)
         assert derive_seed(7, 3) != derive_seed(7, 4)
+
+
+class TestStepNormals:
+    """``step_normals`` against the per-step draw it vectorizes, compared
+    bit for bit (as IEEE-754 words, not values)."""
+
+    @staticmethod
+    def _assert_rows_are_the_per_step_draws(seed, first, count, n, stream):
+        block = step_normals(seed, first, count, n, stream)
+        rows = [CounterRng(derive_seed(seed, first + i), stream).normals(n)
+                for i in range(count)]
+        assert block.shape == (count, n)
+        np.testing.assert_array_equal(block.view(np.uint64),
+                                      np.array(rows).reshape(count, n).view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), first=st.integers(0, 10 ** 6),
+           count=st.integers(0, 12), n=st.integers(0, 301),
+           stream=st.sampled_from([0, 5, "mc-expected-loss"]))
+    def test_rows_are_the_per_step_draws(self, seed, first, count, n, stream):
+        self._assert_rows_are_the_per_step_draws(seed, first, count, n, stream)
+
+    def test_odd_n_one_value_and_late_first_step(self):
+        for n, first in [(1, 1), (7, 2), (2079, 1999), (2, 123456)]:
+            self._assert_rows_are_the_per_step_draws(3, first, 5, n, "s")
+
+    def test_a_long_block(self):
+        # 2000 steps of 104 values (nn-mc's per-step draw is 2080)
+        self._assert_rows_are_the_per_step_draws(7, 1, 2000, 104, "mc-expected-loss")
 
 
 class TestDistributions:
