@@ -27,6 +27,7 @@ pass/fail so loose bounds stay informative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -138,7 +139,7 @@ def _pgd_minimize(value_and_grad, project, starts, iters: int, radius: float,
         c = radius / max(float(np.linalg.norm(g)), 1e-12)
         for k in range(iters + 1):
             if k:
-                theta = project(theta - (c / np.sqrt(k)) * g)
+                theta = project(theta - (c / math.sqrt(k)) * g)
                 value, g = value_and_grad(theta)
             if value < best_value:
                 best_theta, best_value = theta.copy(), value
@@ -327,7 +328,7 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
     lo, hi = box.m_lo, box.m_hi
 
     def project(theta):
-        return np.clip(theta, lo, hi)
+        return theta.clip(lo, hi)
 
     starts = [np.zeros(d_param)]
     if kind.convex:

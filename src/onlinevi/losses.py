@@ -214,7 +214,8 @@ def _nn_forward(thetas: np.ndarray, x: np.ndarray, hw: int):
 def _nn_forward_rows(theta: np.ndarray, features: np.ndarray, hw: int):
     """One theta on every row of ``features``; returns as ``_nn_forward``."""
     w1, b1, w2, b2 = _nn_unpack(theta, hw, features.shape[1])
-    pre = features @ w1.T + b1
+    pre = features @ w1.T
+    pre += b1
     hidden = np.maximum(pre, 0.0)
     return hidden @ w2 + b2, pre, hidden, w2
 
@@ -324,6 +325,17 @@ def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray,
     The loss equals ``np.mean(point_loss_series(...))`` bit for bit; the
     subgradient follows ``point_grad`` (hinge 1{margin > 0}, ReLU
     derivative 0 at 0).
+
+    The network's two column sums (dl/db1 and dl/dw2) are einsum
+    contractions.  On an (n, hidden_width) array with hidden_width >= 2,
+    einsum adds each column in row order, which is the order of
+    ``mean(axis=0)`` on that array, so the sums have the same bits at a
+    fraction of the cost, and dl/dw2 needs no (n, hidden_width) product
+    first.  BLAS (``gate.T @ ones``, ``hidden.T @ dloss``) would round
+    differently.  The exception is hidden_width = 1: numpy sums an (n, 1)
+    column pairwise, einsum in row order, so there those two entries differ
+    from ``mean(axis=0)`` in the last bits, by about 1e-15 of the mean
+    absolute summand.
     """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float).reshape(-1)
@@ -335,9 +347,10 @@ def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray,
                 features.T @ _score_slope(kind, scores, targets) / n)
     f, pre, hidden, w2 = _nn_forward_rows(theta, features, kind.hidden_width)
     dloss = _score_slope(kind, f, targets)          # (n,)
-    gate = dloss[:, None] * (pre > 0.0) * w2[None, :]   # per-row dl/db1
-    grad = _nn_pack((gate.T @ features) / n, gate.mean(axis=0),
-                    (hidden * dloss[:, None]).mean(axis=0), dloss.mean())
+    gate = np.multiply(dloss[:, None], pre > 0.0)   # per-row dl/db1
+    gate *= w2
+    grad = _nn_pack((gate.T @ features) / n, np.einsum("ij->j", gate) / n,
+                    np.einsum("ij,i->j", hidden, dloss) / n, dloss.mean())
     return float(np.mean(_score_loss(kind, f, targets))), grad
 
 
@@ -451,16 +464,19 @@ def mc_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray, 
     validated (m, sigma), one (x, y) row and ``samples >= 1``, with eps the
     first ``samples * m.size`` normals of ``CounterRng(seed, MC_STREAM)``."""
     eps = CounterRng(seed, MC_STREAM).normals(samples * m.size).reshape(samples, m.size)
-    return mc_grad_eps(kind, m, sigma, x, y, eps)
+    losses, g_m, g_sigma = mc_grad_eps(kind, m, sigma, x, y, eps)
+    return float(np.mean(losses)), g_m, g_sigma
 
 
 def mc_grad_eps(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray, y: float,
-                eps: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(estimate, g_m, g_sigma) of ``mc_grad_xy`` from given (samples,
-    m.size) normals ``eps``."""
+                eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(losses, g_m, g_sigma) from given (samples, m.size) normals ``eps``:
+    the point loss of each sample, whose mean is the estimate of
+    ``mc_grad_xy``, and the two gradient estimates.  The learners' loop
+    reads only the gradients, so the mean is left to ``mc_grad_xy``."""
     thetas = m[None, :] + sigma[None, :] * eps
     losses, grads = _point_loss_grad_many(kind, thetas, x, y)
-    return float(np.mean(losses)), grads.mean(axis=0), (grads * eps).mean(axis=0)
+    return losses, grads.mean(axis=0), (grads * eps).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

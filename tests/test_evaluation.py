@@ -129,6 +129,40 @@ class TestBestInHindsight:
                                                   ds.features, ds.targets)))
         assert comp.cumulative_loss_star <= zero_val + 1e-9
 
+    def test_nn_search_matches_the_column_mean_kernel(self, monkeypatch):
+        """The squared-nn comparator, origin and two random starts, gives the
+        same theta_star and total bit for bit as with the comparator's kernel
+        replaced by the formula that summed the gradient columns with
+        ``mean(axis=0)`` (copied here)."""
+        kind = LossKind.squared_nn(5)
+        ds = gen_iid_regression(80, np.array([1.0, -0.5]), 0.3, seed=3)
+        box = BoxConstraints.symmetric(kind.param_dim(2), m_abs=3.0)
+        comp = best_in_hindsight(ds, kind, box, restarts=2, iters=120, seed=7)
+        calls = []
+
+        def column_mean_kernel(kind, theta, features, targets):
+            calls.append(1)
+            hw, d_in, n = kind.hidden_width, features.shape[1], features.shape[0]
+            w1 = theta[: hw * d_in].reshape(hw, d_in)
+            b1 = theta[hw * d_in: hw * d_in + hw]
+            w2 = theta[hw * d_in + hw: hw * d_in + 2 * hw]
+            pre = features @ w1.T + b1
+            hidden = np.maximum(pre, 0.0)
+            f = hidden @ w2 + theta[-1]
+            dloss = -2.0 * (targets - f)
+            gate = dloss[:, None] * (pre > 0.0) * w2[None, :]
+            grad = np.concatenate([((gate.T @ features) / n).reshape(-1), gate.mean(axis=0),
+                                   (hidden * dloss[:, None]).mean(axis=0), [dloss.mean()]])
+            return float(np.mean(np.square(targets - f))), grad
+
+        monkeypatch.setattr(evaluation, "mean_loss_and_grad", column_mean_kernel)
+        oracle = best_in_hindsight(ds, kind, box, restarts=2, iters=120, seed=7)
+        assert len(calls) == 3 * 121
+        assert np.array_equal(comp.theta_star.view(np.int64),
+                              oracle.theta_star.view(np.int64))
+        assert comp.cumulative_loss_star == oracle.cumulative_loss_star
+        assert not np.array_equal(comp.theta_star, np.zeros(box.d))
+
     def test_nn_batch_grad_matches_per_example_mean(self):
         from onlinevi.losses import nn_batch_mean_grad, point_grad, DataExample
         kind = LossKind.squared_nn(4)

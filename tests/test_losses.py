@@ -4,6 +4,8 @@ convexity inequalities, Lipschitz audits."""
 import numpy as np
 import pytest
 from conftest import fd_expected_grad, rel_vec_error
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onlinevi.data import CLASSIFICATION, REGRESSION, Dataset
 from onlinevi.errors import DimensionMismatchError, UnsupportedLossError
@@ -438,3 +440,52 @@ class TestMeanLossAndGrad:
         assert value == 0.75
         np.testing.assert_array_equal(grad, [0.0, 0.5])
         np.testing.assert_array_equal(grad, _separate_subgrad(HINGE, theta, feats, targs))
+
+    @settings(max_examples=80, deadline=None)
+    @given(hw=st.integers(1, 24), d_in=st.integers(1, 5), n=st.integers(1, 300),
+           dead=st.integers(0, 24), zero_rows=st.integers(0, 300),
+           seed=st.integers(0, 2 ** 31))
+    @example(hw=6, d_in=3, n=1, dead=2, zero_rows=0, seed=1)
+    @example(hw=6, d_in=3, n=1, dead=0, zero_rows=1, seed=2)
+    @example(hw=1, d_in=2, n=1, dead=0, zero_rows=0, seed=3)
+    @example(hw=1, d_in=2, n=300, dead=0, zero_rows=40, seed=4)
+    @example(hw=24, d_in=5, n=300, dead=24, zero_rows=300, seed=5)
+    def test_network_bitwise_equal_to_separate_passes(self, hw, d_in, n, dead, zero_rows,
+                                                      seed):
+        """The network's mean subgradient against ``_separate_subgrad``, whose
+        column sums are ``mean(axis=0)``: bit for bit at hidden_width >= 2, dead
+        units (pre <= 0 on every row) and rows with dl/df = 0 included.  At
+        hidden_width = 1 numpy sums the (n, 1) column pairwise and the kernel in
+        row order, so there the two column entries only agree to rounding: 1e-14
+        of the entry, or of the mean absolute summand where the sum cancels."""
+        kind = LossKind.squared_nn(hw)
+        rng = CounterRng(seed, "mlg-nn-property")
+        feats = rng.normals(n * d_in).reshape(n, d_in)
+        theta = rng.normals(kind.param_dim(d_in))
+        dead = min(dead, hw)
+        # dead units: no input weights and a bias <= 0 (the first one 0, at the kink)
+        theta[: dead * d_in] = 0.0
+        theta[hw * d_in: hw * d_in + dead] = -np.abs(theta[hw * d_in: hw * d_in + dead])
+        theta[hw * d_in: hw * d_in + min(dead, 1)] = 0.0
+        w1 = theta[: hw * d_in].reshape(hw, d_in)
+        b1 = theta[hw * d_in: hw * d_in + hw]
+        w2 = theta[hw * d_in + hw: hw * d_in + 2 * hw]
+        pre = feats @ w1.T + b1
+        assert np.all(pre[:, :dead] <= 0.0)
+        hidden = np.maximum(pre, 0.0)
+        f = hidden @ w2 + theta[-1]
+        targs = rng.normals(n)
+        zero_rows = min(zero_rows, n)
+        targs[:zero_rows] = f[:zero_rows]       # y = f: dl/df = 0 on these rows
+        assert np.all(point_loss_series(kind, theta, feats, targs)[:zero_rows] == 0.0)
+
+        value, grad = mean_loss_and_grad(kind, theta, feats, targs)
+        assert value == float(np.mean(point_loss_series(kind, theta, feats, targs)))
+        oracle = _separate_subgrad(kind, theta, feats, targs)
+        if hw >= 2:
+            assert np.array_equal(grad.view(np.int64), oracle.view(np.int64))
+            return
+        dloss = -2.0 * (targs - f)
+        gate = dloss[:, None] * (pre > 0.0) * w2
+        summand = max(np.mean(np.abs(gate)), np.mean(np.abs(hidden[:, 0] * dloss)))
+        np.testing.assert_allclose(grad, oracle, rtol=1e-14, atol=1e-14 * summand)
