@@ -396,7 +396,9 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
         eta = _positive(spec, "eta", "auto", allow_auto=True)
         losses = expert_loss_matrix(kind, experts, stream.features, stream.targets)
         b_max = float(np.max(losses))
-        # Theorem 1's constants, from the one (T, K) matrix of the run
+        # Theorem 1's constants, from the one (T, K) matrix of the run, which
+        # `cmd_run` hands to `run_online`
+        meta["expert_losses"] = losses
         meta["B"] = b_max
         meta["best_expert_total"] = float(np.min(losses.sum(axis=0)))
         if eta is None:
@@ -585,8 +587,8 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     algo_summaries: dict = {}
     for spec, config, meta in ctx.resolved:
         start = time.perf_counter()
-        trace = run_online(config, ctx.stream, ctx.kind,
-                           mc_samples=cfg.mc_samples, seed=cfg.seed)
+        trace = run_online(config, ctx.stream, ctx.kind, mc_samples=cfg.mc_samples,
+                           seed=cfg.seed, expert_losses=meta.pop("expert_losses", None))
         wall_ms = (time.perf_counter() - start) * 1000.0
         ledger = build_ledger(trace.losses)
         totals[spec.name] = ledger.total
@@ -651,6 +653,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
             "method": comparator.diagnostics["method"],
             "lower_bound": comparator.lower_bound,
             "gap": comparator.gap,
+            "evaluations": comparator.diagnostics["evaluations"],
         },
         "algorithms": algo_summaries,
         "phases_ms": phases,
@@ -678,12 +681,20 @@ def _steps_to_plateau(ledger) -> int:
     return int(above[-1]) + 2 if above.size else 1
 
 
+#: Rows of a series file formatted per write: the Python floats and
+#: strings of one block at a time, whatever the horizon.
+_SERIES_BLOCK = 4096
+
+
 def _write_series_csv(path: Path, ledger) -> None:
-    lines = ["t,instant_loss,cum_loss,avg_cum_loss"]
-    for i in range(ledger.horizon):
-        lines.append(f"{i + 1},{_fmt(ledger.losses[i])},{_fmt(ledger.cumulative[i])},"
-                     f"{_fmt(ledger.averages[i])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    columns = (ledger.losses, ledger.cumulative, ledger.averages)
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write("t,instant_loss,cum_loss,avg_cum_loss\n")
+        for start in range(0, ledger.horizon, _SERIES_BLOCK):
+            stop = min(start + _SERIES_BLOCK, ledger.horizon)
+            # "%.17g" writes what `_fmt` does, one format call per row
+            rows = zip(range(start + 1, stop + 1), *(c[start:stop].tolist() for c in columns))
+            out.write("".join(["%d,%.17g,%.17g,%.17g\n" % row for row in rows]))
 
 
 def _write_comparator_csv(path: Path, comparator, horizon: int) -> None:

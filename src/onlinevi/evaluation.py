@@ -12,12 +12,15 @@ against the stated comparator):
     OGA-EL (KL form)    eta L^2 T + alpha KL / (2 eta)
 
 alpha is the strong-convexity constant of the KL to the N(0, s^2 I) prior,
-exactly 1/s^2 (``alpha_estimate``).  The hindsight comparator is projected
-subgradient descent on ``losses.mean_loss_and_grad``, one kernel for every
-loss kind.  For the convex kinds it returns a lower bound on the infimum
-with its point and stops once the two meet (method "certified"): the
-Frank-Wolfe bound of a subgradient for both kinds, the LP dual bound for
-hinge, and the unconstrained least-squares minimum for squared_linear.
+exactly 1/s^2 (``alpha_estimate``).  The hindsight comparator evaluates
+``losses.mean_loss_and_grad``, one kernel for every loss kind, and has one
+search per loss class.  For the convex kinds it is projected subgradient
+descent that returns a lower bound on the infimum with its point and stops
+once the two meet (method "certified"): the Frank-Wolfe bound of a
+subgradient for both kinds, the LP dual bound for hinge, and the
+unconstrained least-squares minimum for squared_linear.  For squared_nn it
+is spectral projected gradient from small random starts, which stops each
+start when it stalls (method "local").
 The Jensen audit of the online-to-batch average compares its two
 sides up to a stated rounding allowance.
 
@@ -119,20 +122,20 @@ def _checkpoints(iters: int) -> set[int]:
 
 
 def _pgd_minimize(value_and_grad, project, starts, iters: int, radius: float,
-                  certify=None):
-    """Projected subgradient descent with step c/sqrt(k), tracking the best
-    iterate seen; ``value_and_grad(theta)`` gives the objective and a
-    subgradient in one call.
+                  certify):
+    """Projected subgradient descent with step c/sqrt(k) for the convex
+    kinds, tracking the best iterate seen; ``value_and_grad(theta)`` gives
+    the objective and a subgradient in one call.
 
-    With ``certify`` (the convex kinds), ``certify(theta)`` is called with
-    the best point so far at the steps ``_checkpoints(iters)`` of every
-    start.  It returns a point in the box (or None), that point's value and
-    a lower bound on the infimum, and the search returns as soon as the best
-    value and the best lower bound close the gap (``_gap_closed``).
-    Returns (best theta, best value, best lower bound).
+    ``certify(theta)`` is called with the best point so far at the steps
+    ``_checkpoints(iters)`` of every start.  It returns a point in the box
+    (or None), that point's value and a lower bound on the infimum, and the
+    search returns as soon as the best value and the best lower bound close
+    the gap (``_gap_closed``).  Returns (best theta, best value, best lower
+    bound).
     """
     best_theta, best_value, lower = None, np.inf, -np.inf
-    checkpoints = _checkpoints(iters) if certify is not None else set()
+    checkpoints = _checkpoints(iters)
     for theta0 in starts:
         theta = project(np.asarray(theta0, dtype=float))
         value, g = value_and_grad(theta)
@@ -152,6 +155,76 @@ def _pgd_minimize(value_and_grad, project, starts, iters: int, radius: float,
                 if _gap_closed(best_value, lower):
                     return best_theta, best_value, lower
     return best_theta, best_value, lower
+
+
+#: The squared_nn search (``_spg_minimize``): the sufficient decrease of
+#: Armijo's test, the halvings one step may take, and the range of the
+#: Barzilai-Borwein step length.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 30
+_MIN_STEP, _MAX_STEP = 1e-10, 1e10
+
+#: A start of the squared_nn search ends once its value fell by at most
+#: _STALL_DROP, relative, over its last _STALL_STEPS steps.
+_STALL_STEPS = 50
+_STALL_DROP = 1e-3
+
+#: Standard deviation of the squared_nn search's random starts.  Starts
+#: spread over the box would be networks with huge outputs.
+_NN_START_SCALE = 0.5
+
+
+def _step_length(num: float, den: float) -> float:
+    """num / den clipped to [_MIN_STEP, _MAX_STEP]; _MAX_STEP when den <= 0."""
+    return _MAX_STEP if den <= 0.0 else min(max(num / den, _MIN_STEP), _MAX_STEP)
+
+
+def _spg_minimize(value_and_grad, project, starts, iters: int):
+    """Spectral projected gradient (Birgin, Martinez & Raydan, SIAM J.
+    Optim. 2000) with a monotone line search, for a smooth objective on the
+    box; ``value_and_grad(theta)`` gives the objective and its gradient in
+    one call.
+
+    From each start, every step moves along d = project(theta - lam g) -
+    theta and halves the move until Armijo's test f(theta + a d) <= f +
+    _ARMIJO a g.d passes.  The next lam is the Barzilai-Borwein length s.s
+    / s.y of the accepted move s and gradient change y (``_step_length``),
+    starting from 1 / max |project(theta - g) - theta|.  A start ends after
+    ``iters`` steps, when it stalls (_STALL_DROP over _STALL_STEPS steps),
+    when d is not a descent direction, or when _MAX_HALVINGS halvings
+    fail.  Each start's value never rises, so its last point is its best.
+    Returns (best theta, best value).
+    """
+    best_theta, best_value = None, np.inf
+    for theta0 in starts:
+        theta = project(np.asarray(theta0, dtype=float))
+        value, g = value_and_grad(theta)
+        lam = _step_length(1.0, float(np.max(np.abs(project(theta - g) - theta))))
+        history = [value]
+        for _ in range(iters):
+            direction = project(theta - lam * g) - theta
+            slope = float(g @ direction)
+            if not slope < 0.0:
+                break
+            for halving in range(_MAX_HALVINGS + 1):
+                a = 0.5 ** halving
+                trial = project(theta + a * direction)
+                trial_value, trial_g = value_and_grad(trial)
+                if trial_value <= value + _ARMIJO * a * slope:
+                    break
+            else:
+                break
+            s, y = trial - theta, trial_g - g
+            lam = _step_length(float(s @ s), float(s @ y))
+            theta, value, g = trial, trial_value, trial_g
+            history.append(value)
+            if len(history) > _STALL_STEPS:
+                before = history[-1 - _STALL_STEPS]
+                if before - value <= _STALL_DROP * abs(before):
+                    break
+        if value < best_value:
+            best_theta, best_value = theta, value
+    return best_theta, best_value
 
 
 def _frank_wolfe_bound(theta, value, g, lo, hi) -> float:
@@ -302,22 +375,27 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
                       seed: int = 0) -> ComparatorResult:
     """inf over theta in M_m of the total stream loss.
 
-    Projected subgradient descent with step c/sqrt(k) from the origin, for
-    the convex kinds the projected least-squares solution, and ``restarts``
-    random starts, ``iters`` steps each.  Each step evaluates the loss and
-    its subgradient in one pass of ``losses.mean_loss_and_grad``.
+    A search from the origin, for the convex kinds the projected
+    least-squares solution, and ``restarts`` random starts, at most
+    ``iters`` steps each.  Each evaluation of the loss and its (sub)gradient
+    is one pass of ``losses.mean_loss_and_grad``; ``diagnostics
+    ["evaluations"]`` counts them.
 
-    For the convex kinds ``restarts`` x ``iters`` is a maximum.  At the
-    checkpoints of every start the best point so far is polished
-    (``_hinge_vertex``, ``_least_squares_on_face``) and lower-bounded: the
-    Frank-Wolfe bound at it and at the polished point, for hinge the LP
-    dual bound, and for squared_linear with a well-conditioned X^T X the
-    unconstrained minimum (``_unconstrained_bound``) at both points.  The search stops once total - lower_bound <= 1e-9
-    max(1, total), with method "certified".  A search that runs out of
-    budget first returns the best point and the best lower bound found,
-    with method "projected_subgradient".  For squared_nn the search is
-    local, runs its full budget, and reports method "local" with the lower
-    bound 0 of a nonnegative loss.
+    For the convex kinds the search is projected subgradient descent with
+    step c/sqrt(k) from starts uniform over the box.  At the checkpoints of
+    every start the best point so far is polished (``_hinge_vertex``,
+    ``_least_squares_on_face``) and lower-bounded: the Frank-Wolfe bound at
+    it and at the polished point, for hinge the LP dual bound, and for
+    squared_linear with a well-conditioned X^T X the unconstrained minimum
+    (``_unconstrained_bound``) at both points.  The search stops once total
+    - lower_bound <= 1e-9 max(1, total), with method "certified".  A search
+    that runs out of budget first returns the best point and the best lower
+    bound found, with method "projected_subgradient".
+
+    For squared_nn the search is spectral projected gradient
+    (``_spg_minimize``) from random starts N(0, 0.5^2 I) clipped to the box,
+    and each start ends when it stalls.  The search is local: it reports
+    method "local" with the lower bound 0 of a nonnegative loss.
     """
     features, targets = data.features, data.targets
     t_len, d_in = features.shape
@@ -326,33 +404,36 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
         raise DimensionMismatchError(
             f"box dimension {box.d} must match parameter dimension {d_param}")
     lo, hi = box.m_lo, box.m_hi
+    evaluations = 0
 
     def project(theta):
         return theta.clip(lo, hi)
 
-    starts = [np.zeros(d_param)]
-    if kind.convex:
-        ls, *_ = np.linalg.lstsq(features, targets, rcond=None)
-        starts.append(project(ls))
+    def mean_value_and_grad(theta):
+        nonlocal evaluations
+        evaluations += 1
+        return mean_loss_and_grad(kind, theta, features, targets)
+
     rng = CounterRng(seed, "best-in-hindsight")
+    starts = [np.zeros(d_param)]
+    if not kind.convex:
+        starts += [project(rng.normals(d_param) * _NN_START_SCALE) for _ in range(restarts)]
+        theta_star, _ = _spg_minimize(mean_value_and_grad, project, starts, iters)
+        total = float(np.sum(point_loss_series(kind, theta_star, features, targets)))
+        return ComparatorResult(theta_star, total, 0.0, {
+            "horizon": t_len, "method": "local", "evaluations": evaluations})
+
+    ls, *_ = np.linalg.lstsq(features, targets, rcond=None)
+    starts.append(project(ls))
     widths = hi - lo
     for _ in range(restarts):
         u = rng.uniforms(d_param)
         starts.append(lo + u * widths)
     radius = 0.5 * float(np.linalg.norm(widths))
 
-    if not kind.convex:
-        def mean_value_and_grad(theta):
-            return mean_loss_and_grad(kind, theta, features, targets)
-
-        theta_star, _, _ = _pgd_minimize(mean_value_and_grad, project, starts, iters, radius)
-        total = float(np.sum(point_loss_series(kind, theta_star, features, targets)))
-        return ComparatorResult(theta_star, total, 0.0,
-                                {"horizon": t_len, "method": "local"})
-
     def value_and_grad(theta):
         # totals, the units of the certificate
-        mean, g = mean_loss_and_grad(kind, theta, features, targets)
+        mean, g = mean_value_and_grad(theta)
         return mean * t_len, g * t_len
 
     chol = None
@@ -387,7 +468,8 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
     # the infimum is at most total, so the smaller of the two is a bound too
     lower = min(lower, total)
     method = "certified" if _gap_closed(total, lower) else "projected_subgradient"
-    return ComparatorResult(theta_star, total, lower, {"horizon": t_len, "method": method})
+    return ComparatorResult(theta_star, total, lower, {
+        "horizon": t_len, "method": method, "evaluations": evaluations})
 
 
 def regret(ledger: RegretLedger, comparator: ComparatorResult) -> float:

@@ -407,7 +407,8 @@ def _finite(a: np.ndarray) -> bool:
 
 
 def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
-               mc_samples: int = 32, seed: int = 0) -> Trace:
+               mc_samples: int = 32, seed: int = 0,
+               expert_losses: np.ndarray | None = None) -> Trace:
     """Run one algorithm over the rows of a dataset: predict, compute the
     gradient the algorithm needs, update.
 
@@ -421,6 +422,10 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
     by step (common random numbers).  The normals of those seeds are drawn
     a block of steps at a time in one ``step_normals`` call, bit for bit the
     per-step draw ``CounterRng(derive_seed(seed, t), MC_STREAM)``.
+
+    For the grid, ``expert_losses`` may pass in the (T, K) matrix
+    ``expert_loss_matrix(kind, config.experts, data.features, data.targets)``
+    when the caller has already built it.
     """
     # contiguous rows, as DataExample copies them: the dot products of the
     # public per-example functions and of this run then round alike
@@ -430,7 +435,14 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
         if config.experts.shape[1] != d:
             raise DimensionMismatchError(f"experts have dimension {config.experts.shape[1]}, "
                                          f"{kind.kind} needs {d}")
-        return _run_ewa_grid(config, kind, features, targets)
+        if expert_losses is None:
+            expert_losses = expert_loss_matrix(kind, config.experts, features, targets)
+        elif expert_losses.shape != (features.shape[0], config.experts.shape[0]):
+            raise DimensionMismatchError(f"expert losses have shape {expert_losses.shape}; "
+                                         f"{features.shape[0]} rows and "
+                                         f"{config.experts.shape[0]} experts need "
+                                         f"({features.shape[0]}, {config.experts.shape[0]})")
+        return _run_ewa_grid(config, kind, expert_losses, features, targets)
     if type(config) not in _LEARNERS:
         raise DomainError(f"unknown learner config {type(config).__name__}")
     box = config.box
@@ -484,14 +496,13 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
                  in_box=in_box, sigmas=sigmas, halvings=halvings)
 
 
-def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, features: np.ndarray,
-                  targets: np.ndarray) -> Trace:
+def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, expert_losses: np.ndarray,
+                  features: np.ndarray, targets: np.ndarray) -> Trace:
     """The grid's weights depend only on the data, never on its own
     predictions, so all T steps are one pass over the (T, K) expert-loss
     matrix: log w_t = -eta sum_{s<t} l_s up to normalization, the closed
     form of the multiplicative-weights recursion log w_{t+1} = log w_t -
     eta l_t from uniform weights."""
-    expert_losses = expert_loss_matrix(kind, config.experts, features, targets)
     if not np.all(np.isfinite(expert_losses)):
         raise DomainError("expert losses must be finite")
     weights = np.zeros_like(expert_losses)

@@ -175,6 +175,30 @@ class TestRun:
             b = (out2 / f"{name}.csv").read_bytes()
             assert a == b, name
 
+    def test_one_expert_loss_matrix_per_run(self, run_dir, tmp_path, monkeypatch):
+        # the grid's (T, K) matrix that gives B is the one the grid runs on,
+        # and its series equals that of a grid run that builds its own
+        import onlinevi.learners as learners
+
+        calls = []
+        build = cli.expert_loss_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "expert_loss_matrix", counting)
+        monkeypatch.setattr(learners, "expert_loss_matrix", counting)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_dir / "config.ini"), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        ctx = materialize(load_experiment(run_dir / "config.ini"))
+        (_, config, _), = [r for r in ctx.resolved if r[0].name == "ewagrid"]
+        trace = run_online(config, ctx.stream, ctx.kind)
+        assert len(calls) == 3
+        cli._write_series_csv(tmp_path / "own.csv", cli.build_ledger(trace.losses))
+        assert (tmp_path / "own.csv").read_bytes() == (out / "ewagrid.csv").read_bytes()
+
     def test_horizon_zero_is_config_error(self, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text(BASE_CONFIG.replace("seed = 1", "seed = 1\nhorizon = 0"),
@@ -670,6 +694,43 @@ alpha = 1e9
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "step" in capsys.readouterr().err
+
+
+def _per_cell_series(losses, cumulative, averages) -> bytes:
+    """A series file formatted one cell at a time with ``_fmt`` (oracle)."""
+    lines = ["t,instant_loss,cum_loss,avg_cum_loss"]
+    lines += [f"{i + 1},{cli._fmt(a)},{cli._fmt(b)},{cli._fmt(c)}"
+              for i, (a, b, c) in enumerate(zip(losses, cumulative, averages))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestSeriesWriter:
+    EDGES = [0.0, 5e-324, 1e308, 1.7976931348623157e308, 2.2250738585072014e-308,
+             0.1, 1.0 / 3.0, 123456789.125, 2.0 ** 53 + 2.0, 4.35e-5, 1e16, 1e-7]
+
+    @staticmethod
+    def _write(tmp_path, columns, block) -> bytes:
+        losses, cumulative, averages = (np.array(c, dtype=float) for c in columns)
+        ledger = type("Ledger", (), {"horizon": losses.size, "losses": losses,
+                                     "cumulative": cumulative, "averages": averages})
+        path = tmp_path / "series.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_SERIES_BLOCK", block)
+            cli._write_series_csv(path, ledger)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("block", [1, 5, 12, 4096])
+    def test_edge_values_match_the_per_cell_format(self, tmp_path, block):
+        columns = (self.EDGES, self.EDGES[::-1], self.EDGES[3:] + self.EDGES[:3])
+        assert self._write(tmp_path, columns, block) == _per_cell_series(*columns)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                    min_size=1, max_size=20), st.integers(1, 8))
+    def test_any_finite_values_match(self, rows, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            columns = tuple(zip(*rows))
+            assert self._write(Path(tmp), columns, block) == _per_cell_series(*columns)
 
 
 class TestGenToy:

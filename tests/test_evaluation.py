@@ -157,7 +157,7 @@ class TestBestInHindsight:
 
         monkeypatch.setattr(evaluation, "mean_loss_and_grad", column_mean_kernel)
         oracle = best_in_hindsight(ds, kind, box, restarts=2, iters=120, seed=7)
-        assert len(calls) == 3 * 121
+        assert len(calls) == comp.diagnostics["evaluations"]
         assert np.array_equal(comp.theta_star.view(np.int64),
                               oracle.theta_star.view(np.int64))
         assert comp.cumulative_loss_star == oracle.cumulative_loss_star
@@ -174,6 +174,60 @@ class TestBestInHindsight:
         manual = np.mean([point_grad(kind, theta, DataExample(feats[i], targs[i]))
                           for i in range(20)], axis=0)
         np.testing.assert_allclose(batch, manual, rtol=1e-12, atol=1e-12)
+
+
+class TestNetworkSearch:
+    """The squared_nn comparator: spectral projected gradient from the origin
+    and small random starts, each start ending when it stalls."""
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_leaves_the_origin(self, width):
+        kind = LossKind.squared_nn(width)
+        ds = gen_iid_regression(100, np.array([1.0, -0.5]), 0.3, seed=width)
+        box = BoxConstraints.symmetric(kind.param_dim(2), m_abs=5.0)
+        # at the origin w2 = 0 and ReLU'(0) = 0, so only b2 has a gradient
+        _, g = mean_loss_and_grad(kind, np.zeros(box.d), ds.features, ds.targets)
+        assert np.all(g[:-1] == 0.0) and g[-1] != 0.0
+        comp = best_in_hindsight(ds, kind, box, restarts=0, iters=200, seed=1)
+        assert not np.array_equal(comp.theta_star, np.zeros(box.d))
+        assert comp.cumulative_loss_star < float(np.sum(ds.targets ** 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), d_in=st.integers(1, 3), width=st.integers(1, 4),
+           m_abs=st.sampled_from([0.1, 1.0, 5.0, 20.0]), restarts=st.integers(0, 2),
+           iters=st.integers(0, 60), seed=st.integers(0, 2 ** 31))
+    def test_never_above_the_origin(self, n, d_in, width, m_abs, restarts, iters, seed):
+        kind = LossKind.squared_nn(width)
+        ds = gen_iid_regression(n, np.linspace(-1.0, 1.0, d_in), 0.5, seed=seed)
+        box = BoxConstraints.symmetric(kind.param_dim(d_in), m_abs=m_abs)
+        comp = best_in_hindsight(ds, kind, box, restarts=restarts, iters=iters, seed=seed)
+        origin = float(np.sum(point_loss_series(kind, np.zeros(box.d),
+                                                ds.features, ds.targets)))
+        assert comp.cumulative_loss_star <= origin
+        assert np.all((box.m_lo <= comp.theta_star) & (comp.theta_star <= box.m_hi))
+
+    def test_two_calls_same_bits(self):
+        kind = LossKind.squared_nn(6)
+        ds = gen_iid_regression(300, np.array([1.0, -0.5]), 0.5, seed=5)
+        box = BoxConstraints.symmetric(kind.param_dim(2))
+        first, second = (best_in_hindsight(ds, kind, box, restarts=2, iters=300, seed=9)
+                         for _ in range(2))
+        assert np.array_equal(first.theta_star.view(np.int64),
+                              second.theta_star.view(np.int64))
+        assert first.cumulative_loss_star == second.cumulative_loss_star
+        assert first.diagnostics == second.diagnostics
+
+    def test_stops_before_its_budget(self):
+        # T = 2000 at width 16 (d_param 65), as on nn-mc: every start stalls
+        # long before its iters steps.  Without the stall stop the random
+        # starts take all 2000 steps, with more than one evaluation each.
+        kind = LossKind.squared_nn(16)
+        ds = gen_iid_regression(2000, np.array([1.0, -0.5]), 0.5, seed=1)
+        box = BoxConstraints.symmetric(kind.param_dim(2))
+        restarts, iters = 2, 2000
+        comp = best_in_hindsight(ds, kind, box, restarts=restarts, iters=iters, seed=1)
+        assert comp.diagnostics["evaluations"] < (restarts + 1) * iters / 4
+        assert comp.cumulative_loss_star < 0.25 * float(np.sum(ds.targets ** 2))
 
 
 def _hinge_lp_optimum(features, targets, box) -> float:
@@ -328,9 +382,11 @@ class TestCertifiedComparator:
         def value_and_grad(theta):
             return mean_loss_and_grad(HINGE, theta, data.features, data.targets)
 
+        # a certify that never finds a point or a bound: the search alone
         theta, _, _ = evaluation._pgd_minimize(
             value_and_grad, lambda t: np.clip(t, -20.0, 20.0), starts, 400,
-            0.5 * float(np.linalg.norm(box.m_hi - box.m_lo)))
+            0.5 * float(np.linalg.norm(box.m_hi - box.m_lo)),
+            lambda theta: (None, np.inf, -np.inf))
         searched = float(np.sum(point_loss_series(HINGE, theta, data.features, data.targets)))
         assert comp.diagnostics["method"] == "certified"
         assert comp.cumulative_loss_star <= searched

@@ -8,7 +8,7 @@ from conftest import golden_section
 from scipy.special import logsumexp
 
 from onlinevi import learners
-from onlinevi.errors import DomainError, InvalidPrecisionError
+from onlinevi.errors import DimensionMismatchError, DomainError, InvalidPrecisionError
 from onlinevi.family import (BoxConstraints, GaussianPrior, MeanFieldGaussian,
                              natural_to_standard)
 from onlinevi.learners import (
@@ -32,7 +32,7 @@ from onlinevi.learners import (
     svb_step,
 )
 from onlinevi.losses import (DataExample, LossKind, expected_grad_xy, expected_loss,
-                             mc_grad_xy, point_grad_xy, point_loss)
+                             expert_loss_matrix, mc_grad_xy, point_grad_xy, point_loss)
 from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regression,
                            gen_toy_classification)
 from onlinevi.rng import CounterRng, derive_seed
@@ -338,6 +338,19 @@ class TestEwaGridUpdate:
         cfg = EwaGridConfig(eta=1.0, experts=[[np.inf, -np.inf]])
         with pytest.raises(DomainError, match="finite"), np.errstate(invalid="ignore"):
             run_online(cfg, _stream([[1.0, 1.0]], [0.0]), SQL)
+
+    def test_given_expert_losses_are_the_ones_built(self):
+        # a matrix the caller already built gives the same bits; one of
+        # another shape is rejected
+        experts = product_lattice(-2.0, 2.0, 3, 2)
+        cfg = EwaGridConfig(eta=0.5, experts=experts)
+        ds = gen_toy_classification(20, seed=26)
+        losses = expert_loss_matrix(LossKind.hinge(), experts, ds.features, ds.targets)
+        own = run_online(cfg, ds, LossKind.hinge())
+        given = run_online(cfg, ds, LossKind.hinge(), expert_losses=losses)
+        assert own.losses.tobytes() == given.losses.tobytes()
+        with pytest.raises(DimensionMismatchError, match="expert losses"):
+            run_online(cfg, ds, LossKind.hinge(), expert_losses=losses[1:])
 
     def test_prediction_in_convex_hull(self):
         experts = product_lattice(-2.0, 2.0, 3, 2)
