@@ -43,6 +43,8 @@ from .learners import (
     Thm3ConvexSchedule,
     Thm3StrongSchedule,
     Trace,
+    Walk,
+    lockstep,
     run_online,
 )
 from .evaluation import (

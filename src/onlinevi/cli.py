@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
+import os
 import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigError, DataError, DomainError, InvalidPrecisionError, OnlineViError
+from .errors import ConfigError, DataError, DomainError, OnlineViError
 from .evaluation import (
     BoundInputs,
     ComparatorResult,
@@ -62,6 +65,8 @@ from .learners import (
     Thm3ConvexSchedule,
     Thm3StrongSchedule,
     diagonal_lattice,
+    lockstep,
+    passes,
     product_lattice,
     run_online,
 )
@@ -566,13 +571,64 @@ def _ms_since(start: float) -> float:
 
 
 def cmd_run(config_path: str, out_dir: str) -> int:
+    """Run the config into ``out_dir``, atomically: everything is written
+    into a hidden sibling directory, which takes the target's place only
+    once it is complete.  A target that exists must be a directory that
+    holds nothing but what a run writes (``_check_target``); it is replaced
+    whole.  A failed run leaves no new directory and the old one as it was."""
     start = time.perf_counter()
     cfg = load_experiment(config_path)
     ctx = materialize(cfg)
+    load_ms = _ms_since(start)
+    # absolute, so that "." or "a/.." still has a parent and a name
+    out = Path(os.path.abspath(out_dir))
+    _check_target(out)
+    made = [p for p in (out.parent, *out.parent.parents) if not p.exists()]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", suffix=".partial", dir=out.parent))
+    old = stage.with_name(stage.name + ".old")
+    done = False
+    try:
+        _run_into(stage, ctx, config_path, load_ms)
+        if out.exists():
+            out.rename(old)
+        try:
+            stage.rename(out)
+        except OSError:
+            if old.exists():
+                old.rename(out)
+            raise
+        done = True
+    finally:
+        if not done:
+            shutil.rmtree(stage, ignore_errors=True)
+            for path in made:  # nearest first; each is empty again
+                with contextlib.suppress(OSError):
+                    path.rmdir()
+    shutil.rmtree(old, ignore_errors=True)
+    print(f"wrote {len(ctx.resolved)} series + comparator + summary to {out_dir}")
+    return EXIT_OK
+
+
+def _check_target(out: Path) -> None:
+    """ConfigError unless ``out`` is absent or a directory holding only
+    files a run writes: ``config.ini``, ``summary.json`` and ``*.csv``."""
+    if not out.exists():
+        return
+    if not out.is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
+    for entry in out.iterdir():
+        if not (entry.is_file() and (entry.name in ("config.ini", "summary.json")
+                                     or entry.suffix == ".csv")):
+            raise ConfigError(f"--out {out} holds {entry.name}, which a run does not "
+                              "write; it is replaced only if it holds a run's files alone")
+
+
+def _run_into(out: Path, ctx: RunContext, config_path: str, load_ms: float) -> None:
+    """Every output file of a run, written into the directory ``out``."""
+    cfg = ctx.cfg
     # wall time per phase, in ms; "write" covers comparator.csv and the series CSVs
-    phases = {"load": _ms_since(start), "learners": {}, "write": 0.0}
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    phases = {"load": load_ms, "learners": {}, "write": 0.0}
 
     start = time.perf_counter()
     comparator = best_in_hindsight(
@@ -585,44 +641,16 @@ def cmd_run(config_path: str, out_dir: str) -> int:
 
     totals: dict = {}
     algo_summaries: dict = {}
-    for spec, config, meta in ctx.resolved:
-        start = time.perf_counter()
-        trace = run_online(config, ctx.stream, ctx.kind, mc_samples=cfg.mc_samples,
-                           seed=cfg.seed, expert_losses=meta.pop("expert_losses", None))
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        ledger = build_ledger(trace.losses)
-        totals[spec.name] = ledger.total
-        entry = {
-            "final_avg_loss": ledger.final_average,
-            "regret": regret(ledger, comparator),
-            "bound": None,
-            "slack_ratio": None,
-            "theorem": None,
-            "steps_to_plateau": _steps_to_plateau(ledger),
-            "wall_ms": round(wall_ms, 3),
-        }
-        entry.update({k: v for k, v in meta.items() if k != "experts"})
-        if trace.in_box is not None and not bool(np.all(trace.in_box)):
-            entry["box_violations"] = int(np.sum(~trace.in_box))
-        if trace.halvings is not None:
-            halved = np.flatnonzero(trace.halvings) + 1
-            entry["ngvi_halvings"] = {
-                "count": int(trace.halvings.sum()),
-                "first_step": int(halved[0]) if halved.size else None,
-                "last_step": int(halved[-1]) if halved.size else None,
-            }
-        if ctx.holdout is not None:
-            theta_bar = online_to_batch(trace.predictions)
-            mean, se = generalization_estimate(theta_bar, ctx.holdout, ctx.kind)
-            entry["holdout_risk"] = {"mean": mean, "se": se}
-            if ctx.kind.convex:
-                entry["holdout_jensen_ok"] = jensen_holdout_audit(
-                    trace.predictions, ctx.holdout, ctx.kind)
-        algo_summaries[spec.name] = entry
-        phases["learners"][spec.name] = _ms_since(start)
-        start = time.perf_counter()
-        _write_series_csv(out / f"{spec.name}.csv", ledger)
-        phases["write"] = round(phases["write"] + _ms_since(start), 3)
+    # the grids first, which walk nothing: each (T, K) expert-loss matrix is
+    # freed before a pass holds its learners' walks
+    grids = [s for s in ctx.resolved if isinstance(s[1], EwaGridConfig)]
+    walkers = [s for s in ctx.resolved if not isinstance(s[1], EwaGridConfig)]
+    groups = [grids] if grids else []
+    groups += [[walkers[i] for i in group]
+               for group in passes([c for _, c, _ in walkers], ctx.horizon, ctx.box.d)]
+    for sections in groups:
+        _run_pass(sections, ctx, comparator, out, phases, totals, algo_summaries)
+    algo_summaries = {spec.name: algo_summaries[spec.name] for spec, _, _ in ctx.resolved}
 
     start = time.perf_counter()
     records = bound_records(ctx, totals, comparator)
@@ -670,8 +698,56 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                                       encoding="utf-8")
     shutil.copyfile(config_path, out / "config.ini")
-    print(f"wrote {len(ctx.resolved)} series + comparator + summary to {out}")
-    return EXIT_OK
+
+
+def _run_pass(sections: list, ctx: RunContext, comparator, out: Path, phases: dict,
+              totals: dict, algo_summaries: dict) -> None:
+    """One ``lockstep`` pass over some sections, then each section's trace,
+    summary entry and series file.  A section's ``wall_ms`` (and its
+    ``phases_ms.learners`` entry) is the pass's wall time plus the
+    section's own work after the pass."""
+    start = time.perf_counter()
+    walks = lockstep([config for _, config, _ in sections], ctx.stream, ctx.kind,
+                     mc_samples=ctx.cfg.mc_samples, seed=ctx.cfg.seed,
+                     names=[spec.name for spec, _, _ in sections])
+    pass_ms = (time.perf_counter() - start) * 1000.0
+    for (spec, config, meta), walk in zip(sections, walks):
+        start = time.perf_counter()
+        trace = run_online(config, ctx.stream, ctx.kind,
+                           expert_losses=meta.pop("expert_losses", None), walk=walk)
+        ledger = build_ledger(trace.losses)
+        totals[spec.name] = ledger.total
+        entry = {
+            "final_avg_loss": ledger.final_average,
+            "regret": regret(ledger, comparator),
+            "bound": None,
+            "slack_ratio": None,
+            "theorem": None,
+            "steps_to_plateau": _steps_to_plateau(ledger),
+        }
+        entry.update({k: v for k, v in meta.items() if k != "experts"})
+        if trace.in_box is not None and not bool(np.all(trace.in_box)):
+            entry["box_violations"] = int(np.sum(~trace.in_box))
+        if trace.halvings is not None:
+            halved = np.flatnonzero(trace.halvings) + 1
+            entry["ngvi_halvings"] = {
+                "count": int(trace.halvings.sum()),
+                "first_step": int(halved[0]) if halved.size else None,
+                "last_step": int(halved[-1]) if halved.size else None,
+            }
+        if ctx.holdout is not None:
+            theta_bar = online_to_batch(trace.predictions)
+            mean, se = generalization_estimate(theta_bar, ctx.holdout, ctx.kind)
+            entry["holdout_risk"] = {"mean": mean, "se": se}
+            if ctx.kind.convex:
+                entry["holdout_jensen_ok"] = jensen_holdout_audit(
+                    trace.predictions, ctx.holdout, ctx.kind)
+        entry["wall_ms"] = round(pass_ms + (time.perf_counter() - start) * 1000.0, 3)
+        algo_summaries[spec.name] = entry
+        phases["learners"][spec.name] = entry["wall_ms"]
+        start = time.perf_counter()
+        _write_series_csv(out / f"{spec.name}.csv", ledger)
+        phases["write"] = round(phases["write"] + _ms_since(start), 3)
 
 
 def _steps_to_plateau(ledger) -> int:
@@ -980,10 +1056,6 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvalidPrecisionError as exc:
-        step = f" at step {exc.step}" if exc.step is not None else ""
-        print(f"runtime error{step}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (DomainError, OnlineViError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -20,7 +20,8 @@ once the two meet (method "certified"): the Frank-Wolfe bound of a
 subgradient for both kinds, the LP dual bound for hinge, and the
 unconstrained least-squares minimum for squared_linear.  For squared_nn it
 is spectral projected gradient from small random starts, which stops each
-start when it stalls (method "local").
+start when it stalls, against the closed-form end point of a start at the
+origin (method "local").
 The Jensen audit of the online-to-batch average compares its two
 sides up to a stated rounding allowance.
 
@@ -375,11 +376,11 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
                       seed: int = 0) -> ComparatorResult:
     """inf over theta in M_m of the total stream loss.
 
-    A search from the origin, for the convex kinds the projected
-    least-squares solution, and ``restarts`` random starts, at most
-    ``iters`` steps each.  Each evaluation of the loss and its (sub)gradient
-    is one pass of ``losses.mean_loss_and_grad``; ``diagnostics
-    ["evaluations"]`` counts them.
+    ``restarts`` random starts plus, for the convex kinds, the origin and
+    the projected least-squares solution, at most ``iters`` steps each.
+    Each evaluation of the loss and its (sub)gradient is one pass of
+    ``losses.mean_loss_and_grad``; ``diagnostics["evaluations"]`` counts
+    them.
 
     For the convex kinds the search is projected subgradient descent with
     step c/sqrt(k) from starts uniform over the box.  At the checkpoints of
@@ -394,8 +395,11 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
 
     For squared_nn the search is spectral projected gradient
     (``_spg_minimize``) from random starts N(0, 0.5^2 I) clipped to the box,
-    and each start ends when it stalls.  The search is local: it reports
-    method "local" with the lower bound 0 of a nonnegative loss.
+    and each start ends when it stalls.  The network whose only nonzero
+    parameter is its output bias b2 = mean(y), clipped to the box, is one
+    more candidate, evaluated once: it is where a search from the origin
+    ends.  The search is local: it reports method "local" with the lower
+    bound 0 of a nonnegative loss.
     """
     features, targets = data.features, data.targets
     t_len, d_in = features.shape
@@ -415,16 +419,24 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
         return mean_loss_and_grad(kind, theta, features, targets)
 
     rng = CounterRng(seed, "best-in-hindsight")
-    starts = [np.zeros(d_param)]
     if not kind.convex:
-        starts += [project(rng.normals(d_param) * _NN_START_SCALE) for _ in range(restarts)]
-        theta_star, _ = _spg_minimize(mean_value_and_grad, project, starts, iters)
+        # From the origin only b2 can move (w2 = 0 and ReLU'(0) = 0 there),
+        # and the network's output is b2 alone, so a search from it ends at
+        # b2 = clip(mean(y)) with every other coordinate 0: that end point
+        # is one candidate, evaluated once.
+        end_point = np.zeros(d_param)
+        end_point[-1] = min(max(float(np.mean(targets)), lo[-1]), hi[-1])
+        end_value, _ = mean_value_and_grad(end_point)
+        starts = [project(rng.normals(d_param) * _NN_START_SCALE) for _ in range(restarts)]
+        theta_star, value = _spg_minimize(mean_value_and_grad, project, starts, iters)
+        if not value < end_value:
+            theta_star = end_point
         total = float(np.sum(point_loss_series(kind, theta_star, features, targets)))
         return ComparatorResult(theta_star, total, 0.0, {
             "horizon": t_len, "method": "local", "evaluations": evaluations})
 
     ls, *_ = np.linalg.lstsq(features, targets, rcond=None)
-    starts.append(project(ls))
+    starts = [np.zeros(d_param), project(ls)]
     widths = hi - lo
     for _ in range(restarts):
         u = rng.uniforms(d_param)

@@ -129,7 +129,9 @@ class BoxConstraints:
                       axis=-1)
 
     @cached_property
-    def _sigma_floor_lo(self) -> np.ndarray:
+    def sigma_floor_lo(self) -> np.ndarray:
+        """The lower sigma edge of every projection: sigma_lo raised to
+        SIGMA_FLOOR."""
         sigma_lo = np.maximum(self.sigma_lo, SIGMA_FLOOR)
         if np.any(sigma_lo > self.sigma_hi):
             raise DomainError("sigma box is empty after flooring at SIGMA_FLOOR")
@@ -137,7 +139,7 @@ class BoxConstraints:
 
     def clip(self, m: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kernel of ``project_box`` on arrays of the box's dimension."""
-        return m.clip(self.m_lo, self.m_hi), sigma.clip(self._sigma_floor_lo, self.sigma_hi)
+        return m.clip(self.m_lo, self.m_hi), sigma.clip(self.sigma_floor_lo, self.sigma_hi)
 
 
 @dataclass(frozen=True)

@@ -24,23 +24,36 @@ with h(x) = sqrt(1 + x^2) - x.
 Each update is an array kernel (``sva_step``, ``svb_step``, ``ngvi_step``,
 ``oga_step``, ``ogael_step``): a pure function from the current arrays
 (m, sigma and the learner's auxiliary state) and a gradient to the next
-arrays.  ``run_online`` validates its inputs once, then advances one
-learner over the rows of ``Dataset.features`` / ``Dataset.targets`` with
-those kernels.  The loop does only the sequential work: record the
-decision, compute the gradient, update, and check that the gradient and
-the new state are finite with sigma > 0.  What depends only on the
-recorded decisions and states, the point losses and box membership, is
-computed after the loop in one vectorized pass.  The kernels and
-``run_online`` are the only implementation of the learners.  The grid's
-weights depend only on the data, so its T predictions come from the (T, K)
-expert-loss matrix in one vectorized pass.  A run owns its arrays and runs
-are independent.
+arrays.  ``lockstep`` validates its inputs once, then walks the rows of
+``Dataset.features`` / ``Dataset.targets`` once and advances all its
+learners at each step: their states are rows of stacked (k, d) arrays,
+one gradient call serves every row, and each learner class updates its
+own rows with its kernel's formula.  The loop does only the sequential
+work: record the decisions and states, compute the gradients, update, and
+check once for the whole stack that the gradients and the new states are
+finite with sigma > 0.  ``run_online`` gives one learner's Trace: from its
+walk in a pass with others, or from a pass of its own.  What depends only
+on the recorded decisions and states, the point losses and box
+membership, is computed after the loop in one vectorized pass.  The
+kernels' formulas and ``lockstep`` are the only implementation of the
+learners, and a learner's trace has the same bits whatever company it
+walks in.  The grid's weights depend only on the data, so its T
+predictions come from the (T, K) expert-loss matrix in one vectorized
+pass, and it walks nothing.  A run owns its arrays and runs are
+independent.
+
+``passes`` splits a run's learners into consecutive passes whose records
+fit in ``_PASS_VALUES`` values.  So ``onlinevi run`` reports, as a
+section's ``wall_ms`` and ``phases_ms.learners[<name>]``, the wall time of
+the pass the learner walked in plus the learner's own work after it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from itertools import groupby
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -99,7 +112,7 @@ class InvSigmaSqrtT:
     """The experiments' default eta_{t,j} = 1 / (sigma_{t,j}^2 sqrt(t))."""
 
     def rate(self, t: int, sigma: np.ndarray) -> np.ndarray:
-        return 1.0 / (sigma ** 2 * np.sqrt(t))
+        return 1.0 / (sigma ** 2 * math.sqrt(t))
 
     def describe(self) -> str:
         return "eta_t = 1/(sigma_t^2 sqrt(t))"
@@ -114,7 +127,7 @@ class Thm3ConvexSchedule:
     L: float
 
     def rate(self, t: int, sigma: np.ndarray) -> np.ndarray:
-        return (self.D * np.sqrt(2.0)) / (self.L * np.sqrt(t) * sigma ** 2)
+        return (self.D * math.sqrt(2.0)) / (self.L * math.sqrt(t) * sigma ** 2)
 
     def describe(self) -> str:
         return f"eta_tj = D*sqrt(2)/(L*sqrt(t)*sigma^2), D={self.D:g}, L={self.L:g}"
@@ -217,27 +230,50 @@ def product_lattice(lo: float, hi: float, per_axis: int, d: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # update kernels
+#
+# Each ``*_step`` kernel is its ``_*_update`` formula on one learner's
+# arrays with that learner's parameters, then the projection onto the
+# learner's box (``_projection_box``).  ``lockstep`` calls the same
+# formulas on the rows (k, d) of all the learners of one class at once, the
+# parameters then being (k, 1) columns, and clips the whole stack to its
+# rows' boxes afterwards; every operation is elementwise or along a row, so
+# each row gets the bits it would get on its own.
+
+
+def _projection_box(config: LearnerConfig) -> BoxConstraints | None:
+    """The box every update of the learner is clipped to, if any."""
+    if isinstance(config, NgviConfig) or (isinstance(config, SvaConfig) and not config.project):
+        return None  # NGVI has no lambda-space projection
+    return config.box
+
+
+def _project(config: LearnerConfig, m: np.ndarray,
+             sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    box = _projection_box(config)
+    return (m, sigma) if box is None else box.clip(m, sigma)
+
+
+def _sva_update(m, accum, g_m, g_sigma, eta, s):
+    m = m - eta * s * s * g_m
+    accum = accum + g_sigma
+    return m, s * h_map(0.5 * eta * s * accum), accum
 
 
 def sva_step(m: np.ndarray, accum: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
              config: SvaConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = config.prior.s
-    m = m - config.eta * s * s * g_m
-    accum = accum + g_sigma
-    sigma = s * h_map(0.5 * config.eta * s * accum)
-    if config.box is not None and config.project:
-        m, sigma = config.box.clip(m, sigma)
-    return m, sigma, accum
+    m, sigma, accum = _sva_update(m, accum, g_m, g_sigma, config.eta, config.prior.s)
+    return (*_project(config, m, sigma), accum)
+
+
+def _svb_update(m, sigma, g_m, g_sigma, eta):
+    m = m - eta * sigma ** 2 * g_m
+    return m, sigma * h_map(0.5 * eta * sigma * g_sigma)
 
 
 def svb_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
              t: int, config: SvbConfig) -> tuple[np.ndarray, np.ndarray]:
-    eta = config.schedule.rate(t, sigma)
-    m = m - eta * sigma ** 2 * g_m
-    sigma = sigma * h_map(0.5 * eta * sigma * g_sigma)
-    if config.box is not None:
-        m, sigma = config.box.clip(m, sigma)
-    return m, sigma
+    return _project(config, *_svb_update(m, sigma, g_m, g_sigma,
+                                         config.schedule.rate(t, sigma)))
 
 
 def expectation_grad(g_m: np.ndarray, g_sigma: np.ndarray, m: np.ndarray,
@@ -252,40 +288,61 @@ def expectation_grad(g_m: np.ndarray, g_sigma: np.ndarray, m: np.ndarray,
     return g_m - 2.0 * m * g_var, g_var
 
 
+def _ngvi_update(lam, g_mu1, g_mu2, lam_prior, eta, alpha):
+    """The recursion with eta halved, row by row, until lambda2 < 0 on the
+    whole row; returns (lambda1, lambda2, halvings): None if no row needed
+    a halving, else the halvings per row as a (k, 1) column, with
+    MAX_STEP_RETRIES + 1 on a row that no halving brought back."""
+    halvings = None
+    for _ in range(MAX_STEP_RETRIES + 1):
+        beta = 1.0 / (1.0 / alpha + 1.0 / eta)
+        l1 = (1.0 - beta) * lam[0] + beta * lam_prior[0] - eta * beta * g_mu1
+        l2 = (1.0 - beta) * lam[1] + beta * lam_prior[1] - eta * beta * g_mu2
+        inside = l2 < 0.0
+        if inside.all():
+            break
+        ok = inside.all(axis=-1, keepdims=True)
+        eta = np.where(ok, eta, 0.5 * eta)
+        halvings = ~ok + (0 if halvings is None else halvings)
+    return l1, l2, halvings
+
+
 def ngvi_step(lam: tuple[np.ndarray, np.ndarray], g_mu1: np.ndarray, g_mu2: np.ndarray,
               lam_prior: NaturalParams, step: int,
               config: NgviConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """Natural-parameter recursion on (lambda1, lambda2); returns the new pair
     and the number of eta halvings the step needed."""
-    eta = config.eta
-    for halvings in range(MAX_STEP_RETRIES + 1):
-        beta = 1.0 / (1.0 / config.alpha + 1.0 / eta)
-        l1 = (1.0 - beta) * lam[0] + beta * lam_prior.lambda1 - eta * beta * g_mu1
-        l2 = (1.0 - beta) * lam[1] + beta * lam_prior.lambda2 - eta * beta * g_mu2
-        if (l2 < 0.0).all():
-            return l1, l2, halvings
-        eta *= 0.5
-    raise InvalidPrecisionError(
-        f"NGVI step {step} left the family (lambda2 >= 0) after "
-        f"{MAX_STEP_RETRIES} eta halvings",
-        step=step,
-    )
+    l1, l2, halvings = _ngvi_update(lam, g_mu1, g_mu2,
+                                    (lam_prior.lambda1, lam_prior.lambda2),
+                                    config.eta, config.alpha)
+    halvings = 0 if halvings is None else int(np.max(halvings))
+    if halvings > MAX_STEP_RETRIES:
+        raise InvalidPrecisionError(
+            f"NGVI step {step} left the family (lambda2 >= 0) after "
+            f"{MAX_STEP_RETRIES} eta halvings",
+            step=step,
+        )
+    return l1, l2, halvings
+
+
+def _oga_update(theta, g, eta):
+    return theta - eta * g
 
 
 def oga_step(theta: np.ndarray, g: np.ndarray, config: OgaConfig) -> np.ndarray:
-    theta = theta - config.eta * g
+    theta = _oga_update(theta, g, config.eta)
     if config.box is not None:
         theta = theta.clip(config.box.m_lo, config.box.m_hi)
     return theta
 
 
+def _ogael_update(m, sigma, g_m, g_sigma, eta):
+    return m - eta * g_m, np.maximum(sigma - eta * g_sigma, SIGMA_FLOOR)
+
+
 def ogael_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
                config: OgaElConfig) -> tuple[np.ndarray, np.ndarray]:
-    m = m - config.eta * g_m
-    sigma = np.maximum(sigma - config.eta * g_sigma, SIGMA_FLOOR)
-    if config.box is not None:
-        m, sigma = config.box.clip(m, sigma)
-    return m, sigma
+    return _project(config, *_ogael_update(m, sigma, g_m, g_sigma, config.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -307,84 +364,100 @@ class Trace:
         return self.losses.size
 
 
-# The array state of one learner inside run_online: ``m`` is the decision
-# (theta for OGA), ``sigma`` is None for OGA, ``update`` advances one step
-# with the learner's kernel, and ``projected`` means every update lands in
-# the box, so box membership needs no check.
+def _param(values: list):
+    """One parameter of a class's rows: a (k, 1) column, or for one row the
+    float itself, which broadcasts alike at less cost."""
+    return float(values[0]) if len(values) == 1 else np.array(values, dtype=float)[:, None]
 
 
-class _Sva:
-    def __init__(self, config: SvaConfig):
-        self.config = config
-        self.m, self.sigma = _prior_arrays(config.prior)
-        self.accum = np.zeros(config.prior.d)
-        self.projected = config.box is not None and config.project
-
-    def update(self, g_m, g_sigma, t):
-        self.m, self.sigma, self.accum = sva_step(self.m, self.accum, g_m, g_sigma, self.config)
+# The learners of one class inside ``lockstep``, as rows of the stacked
+# state: ``update`` takes the rows' (m, sigma) and gradients and returns the
+# next (m, sigma), sigma None for OGA, before the projection, which
+# ``lockstep`` applies to the whole stack at once.  NGVI's block keeps the
+# (k, T) record of its step halvings and names its rows in the error when no
+# halving brings one back.
 
 
-class _Svb:
-    def __init__(self, config: SvbConfig):
-        self.config = config
-        self.m, self.sigma = _prior_arrays(config.prior)
-        self.projected = config.box is not None
+class _SvaRows:
+    def __init__(self, configs: list[SvaConfig], names: list[str], d: int, t_max: int):
+        self.eta = _param([c.eta for c in configs])
+        self.s = _param([c.prior.s for c in configs])
+        self.accum = np.zeros((len(configs), d))
 
-    def update(self, g_m, g_sigma, t):
-        self.m, self.sigma = svb_step(self.m, self.sigma, g_m, g_sigma, t, self.config)
+    def update(self, m, sigma, g_m, g_sigma, t):
+        m, sigma, self.accum = _sva_update(m, self.accum, g_m, g_sigma, self.eta, self.s)
+        return m, sigma
 
 
-class _Ngvi:
-    projected = False  # no lambda-space projection is defined
+class _SvbRows:
+    def __init__(self, configs: list[SvbConfig], names: list[str], d: int, t_max: int):
+        # one rate call per run of consecutive rows with equal schedules
+        self.schedules, first = [], 0
+        for schedule, rows in groupby(c.schedule for c in configs):
+            count = len(list(rows))
+            self.schedules.append((schedule, slice(first, first + count)))
+            first += count
 
-    def __init__(self, config: NgviConfig):
-        self.config = config
-        self.m, self.sigma = _prior_arrays(config.prior)
-        self.lam_prior = config.prior.natural()
-        self.lam = (self.lam_prior.lambda1, self.lam_prior.lambda2)
-        self.halvings = 0
+    def update(self, m, sigma, g_m, g_sigma, t):
+        if len(self.schedules) == 1:
+            eta = self.schedules[0][0].rate(t, sigma)
+        else:
+            eta = np.concatenate([schedule.rate(t, sigma[rows])
+                                  for schedule, rows in self.schedules])
+        return _svb_update(m, sigma, g_m, g_sigma, eta)
 
-    def update(self, g_m, g_sigma, t):
-        g_mu1, g_mu2 = expectation_grad(g_m, g_sigma, self.m, self.sigma)
-        l1, l2, self.halvings = ngvi_step(self.lam, g_mu1, g_mu2, self.lam_prior, t,
-                                          self.config)
+
+class _NgviRows:
+    def __init__(self, configs: list[NgviConfig], names: list[str], d: int, t_max: int):
+        self.names = names
+        self.eta = _param([c.eta for c in configs])
+        self.alpha = _param([c.alpha for c in configs])
+        priors = [c.prior.natural() for c in configs]
+        self.lam_prior = (np.array([p.lambda1 for p in priors]),
+                          np.array([p.lambda2 for p in priors]))
+        self.lam = self.lam_prior
+        self.halvings = np.zeros((len(configs), t_max), dtype=int)
+
+    def update(self, m, sigma, g_m, g_sigma, t):
+        g_mu1, g_mu2 = expectation_grad(g_m, g_sigma, m, sigma)
+        l1, l2, halvings = _ngvi_update(self.lam, g_mu1, g_mu2, self.lam_prior, self.eta,
+                                        self.alpha)
+        if halvings is not None:
+            failed = np.flatnonzero(halvings > MAX_STEP_RETRIES)
+            if failed.size:
+                raise InvalidPrecisionError(
+                    f"step {t} ({self.names[failed[0]]}): NGVI left the family "
+                    f"(lambda2 >= 0) after {MAX_STEP_RETRIES} eta halvings", step=t)
+            self.halvings[:, t - 1] = halvings[:, 0]
         self.lam = (l1, l2)
-        self.m, self.sigma = natural_to_standard(l1, l2)
+        return natural_to_standard(l1, l2)
 
 
-class _Oga:
-    projected = True
-    sigma = None
+class _OgaRows:
+    def __init__(self, configs: list[OgaConfig], names: list[str], d: int, t_max: int):
+        self.eta = _param([c.eta for c in configs])
 
-    def __init__(self, config: OgaConfig):
-        if config.box is None:
-            raise DomainError("OGA needs a box to size theta; pass BoxConstraints")
-        self.config = config
-        self.m = np.zeros(config.box.d)
-
-    def update(self, g, _, t):
-        self.m = oga_step(self.m, g, self.config)
+    def update(self, m, sigma, g_m, g_sigma, t):
+        return _oga_update(m, g_m, self.eta), None
 
 
-class _OgaEl:
-    def __init__(self, config: OgaElConfig):
-        self.config = config
-        self.m, self.sigma = _prior_arrays(config.prior)
-        self.projected = config.box is not None
+class _OgaElRows:
+    def __init__(self, configs: list[OgaElConfig], names: list[str], d: int, t_max: int):
+        self.eta = _param([c.eta for c in configs])
 
-    def update(self, g_m, g_sigma, t):
-        self.m, self.sigma = ogael_step(self.m, self.sigma, g_m, g_sigma, self.config)
+    def update(self, m, sigma, g_m, g_sigma, t):
+        return _ogael_update(m, sigma, g_m, g_sigma, self.eta)
 
 
-_LEARNERS = {SvaConfig: _Sva, SvbConfig: _Svb, NgviConfig: _Ngvi, OgaConfig: _Oga,
-             OgaElConfig: _OgaEl}
+#: The learner classes in the order of their rows: the Gaussian learners
+#: first, so that their sigmas are one (k_gauss, d) block, then OGA; with
+#: the name that errors give a learner the caller did not name.
+_ROWS = {SvaConfig: (_SvaRows, "sva"), SvbConfig: (_SvbRows, "svb"),
+         NgviConfig: (_NgviRows, "ngvi"), OgaElConfig: (_OgaElRows, "ogael"),
+         OgaConfig: (_OgaRows, "oga")}
 
 
-def _prior_arrays(prior: GaussianPrior) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(prior.d), np.full(prior.d, float(prior.s))
-
-
-#: Normals per block of Monte-Carlo steps that ``run_online`` draws in one
+#: Normals per block of Monte-Carlo steps that ``lockstep`` draws in one
 #: ``step_normals`` call (at least one step per block).
 _DRAW_BLOCK_VALUES = 2 ** 15
 
@@ -402,107 +475,225 @@ def _step_eps(seed: int, t_max: int, samples: int, d: int):
 
 def _finite(a: np.ndarray) -> bool:
     # a - a is 0 where a is finite and NaN elsewhere, and cannot overflow
-    zeros = a - a
+    zeros = (a - a).ravel()
     return zeros @ zeros == 0.0
 
 
-def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
-               mc_samples: int = 32, seed: int = 0,
-               expert_losses: np.ndarray | None = None) -> Trace:
-    """Run one algorithm over the rows of a dataset: predict, compute the
-    gradient the algorithm needs, update.
+#: Recorded values (T x d decisions per learner, and T x d sigmas per
+#: Gaussian learner) that one ``lockstep`` pass may hold: ``passes`` splits
+#: a run's learners into consecutive passes within this bound.
+_PASS_VALUES = 2 ** 19
+
+
+def passes(configs: Sequence[LearnerConfig], t_max: int, d: int) -> list[range]:
+    """Consecutive runs of ``configs`` whose walks and traces together
+    record at most ``_PASS_VALUES`` values (a learner that records more
+    runs alone)."""
+    out, first, held = [], 0, 0
+    for i, config in enumerate(configs):
+        values = t_max * d * (1 if isinstance(config, (OgaConfig, EwaGridConfig)) else 2)
+        if i > first and held + values > _PASS_VALUES:
+            out.append(range(first, i))
+            first, held = i, 0
+        held += values
+    return out + [range(first, len(configs))] if configs else out
+
+
+@dataclass(frozen=True, eq=False)
+class Walk:
+    """What one learner recorded in a ``lockstep`` pass over the stream."""
+
+    predictions: np.ndarray            # (T, d) decision before each update
+    after: np.ndarray                  # (T, d) mean after each update
+    sigmas: np.ndarray | None = None   # (T, d) post-update sigma; None for oga
+    halvings: np.ndarray | None = None  # (T,) NGVI eta halvings per step; NGVI only
+
+
+def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
+             mc_samples: int = 32, seed: int = 0,
+             names: Sequence[str] | None = None) -> list[Walk | None]:
+    """Walk the rows of a dataset once and advance every learner at each
+    step: each predicts, computes the gradient it needs and updates.
+    Returns one Walk per config, in order (None for a grid, whose weights
+    depend only on the data: ``run_online`` computes them in one pass).
+
+    The learners' states are rows of stacked (k, d) arrays of means and
+    sigmas.  One gradient call per step serves every Gaussian learner (the
+    closed form, or one Monte-Carlo draw that all of them share), one more
+    serves the OGA learners, and each learner class updates its own rows
+    with its kernel.  Each row has the bits it would have in a pass of its
+    own, so a learner's walk does not depend on the company it keeps.
 
     Inputs are validated once here; each step then checks only that the
-    gradient and the new state are finite with sigma > 0.  After the loop,
-    one pass of ``point_loss_rows`` gives the point loss at every decision,
-    and one pass of ``BoxConstraints.contains_arrays`` the box membership
-    of every post-update state.  Deterministic given (config, data, seed);
-    the Monte-Carlo seed at step t is ``derive_seed(seed, t)`` so that all
-    algorithms run under the same experiment seed share random numbers step
-    by step (common random numbers).  The normals of those seeds are drawn
-    a block of steps at a time in one ``step_normals`` call, bit for bit the
-    per-step draw ``CounterRng(derive_seed(seed, t), MC_STREAM)``.
-
-    For the grid, ``expert_losses`` may pass in the (T, K) matrix
-    ``expert_loss_matrix(kind, config.experts, data.features, data.targets)``
-    when the caller has already built it.
+    gradients and the new states are finite with sigma > 0.  The pass fails
+    at the first step where any learner fails; the error names the learner
+    by ``names`` (default: its kind, e.g. ``ngvi``).  Deterministic given
+    (configs, data, seed); the Monte-Carlo seed at step t is
+    ``derive_seed(seed, t)`` so that all algorithms run under the same
+    experiment seed share random numbers step by step (common random
+    numbers).  The normals of those seeds are drawn a block of steps at a
+    time in one ``step_normals`` call, bit for bit the per-step draw
+    ``CounterRng(derive_seed(seed, t), MC_STREAM)``.
     """
     # contiguous rows, as DataExample copies them: the dot products of the
     # public per-example functions and of this run then round alike
     features, targets = np.ascontiguousarray(data.features), data.targets
     d = kind.param_dim(features.shape[1])
-    if isinstance(config, EwaGridConfig):
-        if config.experts.shape[1] != d:
-            raise DimensionMismatchError(f"experts have dimension {config.experts.shape[1]}, "
-                                         f"{kind.kind} needs {d}")
-        if expert_losses is None:
-            expert_losses = expert_loss_matrix(kind, config.experts, features, targets)
-        elif expert_losses.shape != (features.shape[0], config.experts.shape[0]):
-            raise DimensionMismatchError(f"expert losses have shape {expert_losses.shape}; "
-                                         f"{features.shape[0]} rows and "
-                                         f"{config.experts.shape[0]} experts need "
-                                         f"({features.shape[0]}, {config.experts.shape[0]})")
-        return _run_ewa_grid(config, kind, expert_losses, features, targets)
-    if type(config) not in _LEARNERS:
-        raise DomainError(f"unknown learner config {type(config).__name__}")
-    box = config.box
-    learner = _LEARNERS[type(config)](config)
-    if learner.m.size != d or (box is not None and box.d != d):
-        raise DimensionMismatchError(f"learner and box must have dimension {d} "
-                                     f"for {kind.kind} on {features.shape[1]} features")
+    walking = [i for i, config in enumerate(configs) if not isinstance(config, EwaGridConfig)]
+    for i in walking:
+        config = configs[i]
+        if type(config) not in _ROWS:
+            raise DomainError(f"unknown learner config {type(config).__name__}")
+        if isinstance(config, OgaConfig) and config.box is None:
+            raise DomainError("OGA needs a box to size theta; pass BoxConstraints")
+        size = config.box.d if isinstance(config, OgaConfig) else config.prior.d
+        if size != d or (config.box is not None and config.box.d != d):
+            raise DimensionMismatchError(f"learner and box must have dimension {d} "
+                                         f"for {kind.kind} on {features.shape[1]} features")
+    names = [_ROWS[type(configs[i])][1] for i in walking] if names is None else \
+        [names[i] for i in walking]
+    walks: list = [None] * len(configs)
+    if walking:
+        for i, walk in zip(walking, _walk([configs[i] for i in walking], names, features,
+                                          targets, kind, d, mc_samples, seed)):
+            walks[i] = walk
+    return walks
 
-    if isinstance(config, OgaConfig):
-        def gradient(m, sigma, x, y, step):
-            return point_grad_xy(kind, m, x, y), None
-    elif kind.kind == SQUARED_NN:
+
+def _walk(configs: list, names: list[str], features: np.ndarray, targets: np.ndarray,
+          kind: LossKind, d: int, mc_samples: int, seed: int) -> list[Walk]:
+    """The loop of ``lockstep`` over its non-grid learners."""
+    t_max = features.shape[0]
+    order = sorted(range(len(configs)), key=lambda i: list(_ROWS).index(type(configs[i])))
+    k = len(order)
+    k_gauss = sum(not isinstance(configs[i], OgaConfig) for i in order)
+    # One state array: the k means (OGA's theta last), then the k_gauss
+    # sigmas.  Row j's sigma is row k + j.
+    state = np.zeros((k + k_gauss, d))
+    m_gauss, m_oga, sigma = state[:k_gauss], state[k_gauss:k], state[k:]
+    sigma[:] = np.array([float(configs[i].prior.s) for i in order[:k_gauss]])[:, None]
+    # each class's rows: its block, and views of its means and sigmas
+    blocks, first = [], 0
+    for cls, rows in groupby(order, key=lambda i: type(configs[i])):
+        rows = list(rows)
+        block = _ROWS[cls][0]([configs[i] for i in rows], [names[i] for i in rows], d, t_max)
+        mine = slice(first, first + len(rows))
+        blocks.append((block, mine, state[mine], sigma[mine]))
+        first += len(rows)
+    # the projection of the whole stack: each row's box, or none
+    boxes = [_projection_box(configs[i]) for i in order]
+    free = np.full(d, -np.inf), np.full(d, np.inf)
+    lo = np.array([free[0] if box is None else box.m_lo for box in boxes]
+                  + [free[0] if box is None else box.sigma_floor_lo for box in boxes[:k_gauss]])
+    hi = np.array([free[1] if box is None else box.m_hi for box in boxes]
+                  + [free[1] if box is None else box.sigma_hi for box in boxes[:k_gauss]])
+    project = any(box is not None for box in boxes)
+    # the state before each step, and after the last: learner-major, so
+    # that each learner's (T, d) records are contiguous
+    record = np.zeros((k + k_gauss, t_max + 1, d))
+
+    if kind.kind == SQUARED_NN and k_gauss:
         if mc_samples < 1:
             raise DomainError("mc_samples must be >= 1")
-        eps_rows = _step_eps(seed, features.shape[0], mc_samples, d)
+        eps_rows = _step_eps(seed, t_max, mc_samples, d)
 
-        def gradient(m, sigma, x, y, step):
-            return mc_grad_eps(kind, m, sigma, x, y, next(eps_rows))[1:]
+        def gaussian_grad(m, s, x, y):
+            return mc_grad_eps(kind, m, s, x, y, next(eps_rows))[1:]
     else:
-        def gradient(m, sigma, x, y, step):
-            return expected_grad_xy(kind, m, sigma, x, y)
+        def gaussian_grad(m, s, x, y):
+            return expected_grad_xy(kind, m, s, x, y)
 
-    t_max = features.shape[0]
-    predictions = np.zeros((t_max, d))
-    sigmas = None if learner.sigma is None else np.zeros((t_max, d))
-    halvings = np.zeros(t_max, dtype=int) if isinstance(learner, _Ngvi) else None
+    def fail(step, bad_rows, what):
+        # a state row below k is a mean, and row k + j the sigma of row j
+        name = names[min(order[r - k if r >= k else r] for r in np.flatnonzero(bad_rows))]
+        raise DomainError(f"step {step} ({name}): {what}")
 
     for i, (x, y) in enumerate(zip(features, targets.tolist())):
         step = i + 1
-        m = learner.m
-        predictions[i] = m
-        g_m, g_sigma = gradient(m, learner.sigma, x, y, step)
-        if not (_finite(g_m) and (g_sigma is None or _finite(g_sigma))):
-            raise DomainError(f"step {step}: the gradient is not finite")
-        learner.update(g_m, g_sigma, step)
-        m, sigma = learner.m, learner.sigma
-        if not (_finite(m) and (sigma is None or (_finite(sigma) and sigma.min() > 0.0))):
-            raise DomainError(f"step {step}: the updated state is not finite with sigma > 0")
-        if sigmas is not None:
-            sigmas[i] = sigma
-        if halvings is not None:
-            halvings[i] = learner.halvings
+        record[:, i] = state
+        if not k_gauss:
+            g_m, g_sigma = point_grad_xy(kind, m_oga, x, y), sigma
+        else:
+            g_m, g_sigma = gaussian_grad(m_gauss, sigma, x, y)
+            if k > k_gauss:
+                g_m = np.concatenate([g_m, point_grad_xy(kind, m_oga, x, y)])
+        if not (_finite(g_m) and _finite(g_sigma)):
+            fail(step, ~np.isfinite(np.concatenate([g_m, g_sigma])).all(axis=1),
+                 "the gradient is not finite")
+        for block, rows, m_rows, sigma_rows in blocks:
+            m_rows[:], new_sigma = block.update(m_rows, sigma_rows, g_m[rows], g_sigma[rows],
+                                                step)
+            if new_sigma is not None:
+                sigma_rows[:] = new_sigma
+        if project:
+            state.clip(lo, hi, out=state)
+        if not (_finite(state) and (not k_gauss or sigma.min() > 0.0)):
+            fail(step, ~(np.isfinite(state) & ((np.arange(k + k_gauss) < k)[:, None]
+                                               | (state > 0.0))).all(axis=1),
+                 "the updated state is not finite with sigma > 0")
+    record[:, t_max] = state
 
+    walks = [None] * k
+    for block, rows, _, _ in blocks:
+        for j, row in enumerate(range(rows.start, rows.stop)):
+            walks[order[row]] = Walk(
+                predictions=record[row, :t_max], after=record[row, 1:],
+                sigmas=record[k + row, 1:] if row < k_gauss else None,
+                halvings=block.halvings[j] if isinstance(block, _NgviRows) else None)
+    return walks
+
+
+def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
+               mc_samples: int = 32, seed: int = 0, expert_losses: np.ndarray | None = None,
+               walk: Walk | None = None) -> Trace:
+    """Run one algorithm over the rows of a dataset: predict, compute the
+    gradient the algorithm needs, update.
+
+    The steps are a ``lockstep`` pass: ``walk`` passes in this learner's
+    Walk when the caller has already made the pass with others, and by
+    default the learner walks alone.  From the walk, one pass of
+    ``point_loss_rows`` gives the point loss at every decision, and one pass
+    of ``BoxConstraints.contains_arrays`` the box membership of every
+    post-update state.
+
+    For the grid, ``expert_losses`` may pass in the (T, K) matrix
+    ``expert_loss_matrix(kind, config.experts, data.features, data.targets)``
+    when the caller has already built it.
+    """
+    features, targets = np.ascontiguousarray(data.features), data.targets
+    if isinstance(config, EwaGridConfig):
+        return _run_ewa_grid(config, kind, expert_losses, features, targets)
+    if walk is None:
+        (walk,) = lockstep([config], data, kind, mc_samples=mc_samples, seed=seed)
+    elif walk.predictions.shape != (features.shape[0], kind.param_dim(features.shape[1])):
+        raise DimensionMismatchError(f"the walk has shape {walk.predictions.shape}, not "
+                                     "(T, d) of this stream and loss")
     in_box = None
-    if box is not None:
-        # the state after update t is the decision at t + 1, or the final state
-        in_box = np.full(t_max, True) if learner.projected else box.contains_arrays(
-            np.vstack([predictions[1:], learner.m]), sigmas)
-    return Trace(predictions=predictions,
-                 losses=point_loss_rows(kind, predictions, features, targets),
-                 in_box=in_box, sigmas=sigmas, halvings=halvings)
+    if config.box is not None:
+        in_box = np.full(features.shape[0], True) if _projection_box(config) is not None \
+            else config.box.contains_arrays(walk.after, walk.sigmas)
+    return Trace(predictions=walk.predictions,
+                 losses=point_loss_rows(kind, walk.predictions, features, targets),
+                 in_box=in_box, sigmas=walk.sigmas, halvings=walk.halvings)
 
 
-def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, expert_losses: np.ndarray,
+def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, expert_losses: np.ndarray | None,
                   features: np.ndarray, targets: np.ndarray) -> Trace:
     """The grid's weights depend only on the data, never on its own
     predictions, so all T steps are one pass over the (T, K) expert-loss
     matrix: log w_t = -eta sum_{s<t} l_s up to normalization, the closed
     form of the multiplicative-weights recursion log w_{t+1} = log w_t -
     eta l_t from uniform weights."""
+    d = kind.param_dim(features.shape[1])
+    if config.experts.shape[1] != d:
+        raise DimensionMismatchError(f"experts have dimension {config.experts.shape[1]}, "
+                                     f"{kind.kind} needs {d}")
+    shape = (features.shape[0], config.experts.shape[0])
+    if expert_losses is None:
+        expert_losses = expert_loss_matrix(kind, config.experts, features, targets)
+    elif expert_losses.shape != shape:
+        raise DimensionMismatchError(f"expert losses have shape {expert_losses.shape}; "
+                                     f"{shape[0]} rows and {shape[1]} experts need {shape}")
     if not np.all(np.isfinite(expert_losses)):
         raise DomainError("expert losses must be finite")
     weights = np.zeros_like(expert_losses)

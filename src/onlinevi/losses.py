@@ -220,6 +220,15 @@ def _nn_forward_rows(theta: np.ndarray, features: np.ndarray, hw: int):
     return hidden @ w2 + b2, pre, hidden, w2
 
 
+def _lone_dots(thetas: np.ndarray, features: np.ndarray):
+    """theta . x for each theta (last axis) on its own row of features, or
+    every theta on one row x; the leading axes broadcast.  Each score is
+    its own dot product, so it has the bits of ``float(theta @ x)`` on one
+    row, however many rows there are; ``thetas @ x`` (BLAS gemv) rounds
+    differently."""
+    return (thetas[..., None, :] @ features[..., :, None])[..., 0, 0]
+
+
 def _check_theta(kind: LossKind, theta: np.ndarray, d_in: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).reshape(-1)
     expected = kind.param_dim(d_in)
@@ -249,10 +258,12 @@ def point_grad(kind: LossKind, theta, ex: DataExample) -> np.ndarray:
 
 
 def point_grad_xy(kind: LossKind, theta: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
-    """Kernel of ``point_grad`` on a validated theta and one (x, y) row."""
+    """Kernel of ``point_grad`` on a validated theta, or on rows (k, d) of
+    thetas, and one (x, y) row; each row's subgradient has the bits it has
+    on its own."""
     if kind.kind == SQUARED_NN:
-        return _point_loss_grad_many(kind, theta[None], x, y)[1][0]
-    return _score_slope(kind, float(theta @ x), y) * x
+        return _point_loss_grad_many(kind, theta[..., None, :], x, y)[1][..., 0, :]
+    return np.multiply.outer(_score_slope(kind, _lone_dots(theta, x), y), x)
 
 
 def point_loss_many(kind: LossKind, thetas: np.ndarray, ex: DataExample) -> np.ndarray:
@@ -285,7 +296,7 @@ def point_loss_rows(kind: LossKind, thetas: np.ndarray, features: np.ndarray,
     if kind.kind == SQUARED_NN:
         scores = _nn_forward(thetas, features, kind.hidden_width)[0]
     else:
-        scores = (thetas[..., None, :] @ features[..., :, None])[..., 0, 0]
+        scores = _lone_dots(thetas, features)
     return _score_loss(kind, scores, targets)
 
 
@@ -304,16 +315,16 @@ def expert_loss_matrix(kind: LossKind, experts: np.ndarray, features: np.ndarray
 
 def _point_loss_grad_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray,
                           y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row point losses (n,) and subgradients (n, param_dim) on one
-    example (x, y), from one pass of ``thetas @ x`` (or of the network,
-    whose ReLU derivative is 0 at 0)."""
+    """Point losses (...,) and subgradients (..., param_dim) of thetas with
+    any leading axes on one example (x, y), from one pass of
+    ``thetas @ x`` (or of the network, whose ReLU derivative is 0 at 0)."""
     if kind.kind != SQUARED_NN:
         scores = thetas @ x
-        return _score_loss(kind, scores, y), _score_slope(kind, scores, y)[:, None] * x
+        return _score_loss(kind, scores, y), _score_slope(kind, scores, y)[..., None] * x
     f, pre, hidden, w2 = _nn_forward(thetas, x, kind.hidden_width)
     dloss = _score_slope(kind, f, y)
-    g_b1 = dloss[:, None] * w2 * (pre > 0.0)
-    grads = _nn_pack(g_b1[:, :, None] * x, g_b1, dloss[:, None] * hidden, dloss)
+    g_b1 = dloss[..., None] * w2 * (pre > 0.0)
+    grads = _nn_pack(g_b1[..., None] * x, g_b1, dloss[..., None] * hidden, dloss)
     return _score_loss(kind, f, y), grads
 
 
@@ -390,20 +401,33 @@ def expected_loss_grad(kind: LossKind, q: MeanFieldGaussian,
 def expected_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray,
                      y: float) -> tuple[np.ndarray, np.ndarray]:
     """Kernel of ``expected_loss_grad``: (g_m, g_sigma) for a validated
-    (m, sigma) and one (x, y) row; the result is not checked for finiteness."""
+    (m, sigma), or for rows (k, d) of them, and one (x, y) row; the result
+    is not checked for finiteness.  Each row's gradient has the bits it has
+    on its own: its score is a lone dot product, s_z a sum along the row,
+    and the few numbers per row (mu_z, s_z, z, Phi(z)) are Python floats,
+    as one row's are."""
+    if m.ndim == 1:
+        g_m, g_sigma = expected_grad_xy(kind, m[None], sigma[None], x, y)
+        return g_m[0], g_sigma[0]
+    scores = _lone_dots(m, x)
     if kind.kind == SQUARED_LINEAR:
-        resid = y - float(m @ x)
-        return -2.0 * resid * x, 2.0 * sigma * x ** 2
+        return np.multiply.outer(-2.0 * (y - scores), x), 2.0 * sigma * x ** 2
     if kind.kind == HINGE:
-        mu_z = 1.0 - y * float(m @ x)
-        s_z = float(np.sqrt(np.sum((sigma * x) ** 2)))
-        if s_z == 0.0:
-            indicator = 1.0 if mu_z > 0.0 else 0.0
-            return -y * indicator * x, np.zeros_like(sigma)
-        z = mu_z / s_z
-        g_m = -y * float(gaussian_cdf(z)) * x
-        g_sigma = (sigma * x ** 2 / s_z) * float(gaussian_pdf(z))
-        return g_m, g_sigma
+        slope, s_z, z = [], [], []
+        for score, square in zip(scores.tolist(), ((sigma * x) ** 2).sum(axis=1).tolist()):
+            mu_z, root = 1.0 - y * score, math.sqrt(square)
+            if root == 0.0:
+                # the margin is the point mu_z: dE/dm = -y x 1{mu_z > 0}, and
+                # phi(inf) = 0 makes dE/dsigma 0
+                slope.append(-y * (1.0 if mu_z > 0.0 else 0.0))
+                s_z.append(1.0)
+                z.append(math.inf)
+            else:
+                z.append(mu_z / root)
+                slope.append(-y * gaussian_cdf(z[-1]))
+                s_z.append(root)
+        g_sigma = sigma * x ** 2 / np.array(s_z)[:, None] * gaussian_pdf(np.array(z))[:, None]
+        return np.multiply.outer(slope, x), g_sigma
     raise UnsupportedLossError(
         "squared_nn has no closed-form gradient; use mc_expected_loss_and_grad"
     )
@@ -470,13 +494,15 @@ def mc_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray, 
 
 def mc_grad_eps(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray, y: float,
                 eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(losses, g_m, g_sigma) from given (samples, m.size) normals ``eps``:
-    the point loss of each sample, whose mean is the estimate of
-    ``mc_grad_xy``, and the two gradient estimates.  The learners' loop
-    reads only the gradients, so the mean is left to ``mc_grad_xy``."""
-    thetas = m[None, :] + sigma[None, :] * eps
+    """(losses, g_m, g_sigma) from given (samples, d) normals ``eps``: the
+    point loss of each sample, whose mean is the estimate of ``mc_grad_xy``,
+    and the two gradient estimates.  m and sigma may be (d,) or rows (k, d);
+    every row uses the same normals, and its estimates have the bits they
+    have on their own.  The learners' loop reads only the gradients, so the
+    mean is left to ``mc_grad_xy``."""
+    thetas = m[..., None, :] + sigma[..., None, :] * eps
     losses, grads = _point_loss_grad_many(kind, thetas, x, y)
-    return losses, grads.mean(axis=0), (grads * eps).mean(axis=0)
+    return losses, grads.mean(axis=-2), (grads * eps).mean(axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -696,6 +696,124 @@ alpha = 1e9
         assert "step" in capsys.readouterr().err
 
 
+MIXED_NN_CONFIG = """
+[run]
+seed = 0
+mc_samples = 8
+comparator_restarts = 1
+comparator_iters = 50
+box_m_abs = 5
+
+[dataset]
+source = iid_regression
+theta_star = 1,-1
+noise_sd = 0.3
+n = 40
+loss = squared-nn
+hidden_width = 3
+
+[algorithm.sva]
+[algorithm.hot]
+algo = ngvi
+eta = ETA
+alpha = 1
+[algorithm.oga]
+"""
+
+
+class TestAtomicRunDirectory:
+    """A run writes into a hidden sibling directory and renames it into
+    place when it is complete; a failed run changes nothing on disk."""
+
+    def _config(self, tmp_path, eta):
+        # NGVI at eta = 100 leaves the family at step 30 of 40, the other
+        # learners of its pass being fine
+        config = tmp_path / f"eta{eta}.ini"
+        config.write_text(MIXED_NN_CONFIG.replace("ETA", str(eta)), encoding="utf-8")
+        return config
+
+    @staticmethod
+    def _files(path: Path) -> dict:
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    def test_a_failed_run_leaves_no_directory(self, tmp_path, capsys):
+        config = self._config(tmp_path, 100)
+        out = tmp_path / "new" / "deeper" / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        assert "step 30 (hot): NGVI left the family" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [config.name]
+
+    def test_a_failed_run_keeps_the_old_directory(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(self._config(tmp_path, 1)), "--out", str(out)]) == 0
+        before = self._files(out)
+        assert main(["run", "--config", str(self._config(tmp_path, 100)),
+                     "--out", str(out)]) == 3
+        assert self._files(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eta1.ini", "eta100.ini", "out"]
+
+    def test_a_run_replaces_an_earlier_run(self, tmp_path):
+        out = tmp_path / "out"
+        config = self._config(tmp_path, 1)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        first = self._files(out)
+        (out / "stale.csv").write_text("t,instant_loss,cum_loss,avg_cum_loss\n")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        second = self._files(out)
+        assert set(second) == set(first) and "stale.csv" not in second
+        assert all(second[name] == first[name] for name in first if name.endswith(".csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eta1.ini", "out"]
+
+    @pytest.mark.parametrize("foreign", ["notes.txt", "sub/"])
+    def test_a_directory_with_other_files_is_not_replaced(self, tmp_path, capsys, foreign):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "comparator.csv").write_text("kept")
+        if foreign.endswith("/"):
+            (out / foreign).mkdir()
+        else:
+            (out / foreign).write_text("kept")
+        config = self._config(tmp_path, 1)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert foreign.rstrip("/") in capsys.readouterr().err
+        assert (out / "comparator.csv").read_text() == "kept"
+
+    def test_a_file_is_not_replaced(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert main(["run", "--config", str(self._config(tmp_path, 1)), "--out", str(out)]) == 2
+        assert out.read_text() == "kept"
+
+
+class TestPasses:
+    def test_split_passes_write_the_same_bytes(self, run_dir, tmp_path, monkeypatch):
+        # at most two learners' records per pass: the six walking sections
+        # in three passes (OGA records half, so oga and ogael share one)
+        import onlinevi.learners as learners
+
+        calls = []
+        walk = cli.lockstep
+
+        def counting(configs, *args, **kwargs):
+            calls.append(len(configs))
+            return walk(configs, *args, **kwargs)
+
+        monkeypatch.setattr(learners, "_PASS_VALUES", 2 * 2 * 400 * 2)
+        monkeypatch.setattr(cli, "lockstep", counting)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_dir / "config.ini"), "--out", str(out)]) == 0
+        assert calls == [1, 2, 2, 2]  # the grid first, then the passes
+        for name in ALGO_NAMES + ["comparator"]:
+            assert (out / f"{name}.csv").read_bytes() == (run_dir / f"{name}.csv").read_bytes()
+
+    def test_wall_ms_is_the_pass_and_the_sections_own_work(self, run_dir):
+        summary = json.loads((run_dir / "summary.json").read_text())
+        learners = summary["phases_ms"]["learners"]
+        for name, entry in summary["algorithms"].items():
+            assert isinstance(entry["wall_ms"], float) and entry["wall_ms"] > 0.0
+            assert learners[name] == entry["wall_ms"]
+
+
 def _per_cell_series(losses, cumulative, averages) -> bytes:
     """A series file formatted one cell at a time with ``_fmt`` (oracle)."""
     lines = ["t,instant_loss,cum_loss,avg_cum_loss"]

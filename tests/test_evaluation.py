@@ -130,10 +130,10 @@ class TestBestInHindsight:
         assert comp.cumulative_loss_star <= zero_val + 1e-9
 
     def test_nn_search_matches_the_column_mean_kernel(self, monkeypatch):
-        """The squared-nn comparator, origin and two random starts, gives the
-        same theta_star and total bit for bit as with the comparator's kernel
-        replaced by the formula that summed the gradient columns with
-        ``mean(axis=0)`` (copied here)."""
+        """The squared-nn comparator, origin end point and two random starts,
+        gives the same theta_star and total bit for bit as with the
+        comparator's kernel replaced by the formula that summed the gradient
+        columns with ``mean(axis=0)`` (copied here)."""
         kind = LossKind.squared_nn(5)
         ds = gen_iid_regression(80, np.array([1.0, -0.5]), 0.3, seed=3)
         box = BoxConstraints.symmetric(kind.param_dim(2), m_abs=3.0)
@@ -177,8 +177,9 @@ class TestBestInHindsight:
 
 
 class TestNetworkSearch:
-    """The squared_nn comparator: spectral projected gradient from the origin
-    and small random starts, each start ending when it stalls."""
+    """The squared_nn comparator: spectral projected gradient from small
+    random starts, each start ending when it stalls, and the end point of a
+    start at the origin."""
 
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_leaves_the_origin(self, width):
@@ -191,6 +192,28 @@ class TestNetworkSearch:
         comp = best_in_hindsight(ds, kind, box, restarts=0, iters=200, seed=1)
         assert not np.array_equal(comp.theta_star, np.zeros(box.d))
         assert comp.cumulative_loss_star < float(np.sum(ds.targets ** 2))
+
+    @pytest.mark.parametrize("m_abs", [0.1, 5.0])
+    def test_the_origin_end_point_is_one_evaluation(self, m_abs):
+        # from the origin only b2 moves; the search from there ends at b2 =
+        # mean(y), clipped to the box, which is the candidate evaluated once
+        kind = LossKind.squared_nn(3)
+        base = gen_iid_regression(60, np.array([1.0, -0.5]), 0.3, seed=4)
+        ds = Dataset(base.features, base.targets + 3.0, REGRESSION, "shifted")
+        box = BoxConstraints.symmetric(kind.param_dim(2), m_abs=m_abs)
+        comp = best_in_hindsight(ds, kind, box, restarts=0, iters=200, seed=1)
+        expected = np.zeros(box.d)
+        expected[-1] = np.clip(np.mean(ds.targets), -m_abs, m_abs)
+        assert np.array_equal(comp.theta_star, expected)
+        assert comp.diagnostics["evaluations"] == 1
+
+        def value_and_grad(theta):
+            return mean_loss_and_grad(kind, theta, ds.features, ds.targets)
+
+        theta, value = evaluation._spg_minimize(
+            value_and_grad, lambda t: t.clip(box.m_lo, box.m_hi), [np.zeros(box.d)], 200)
+        assert np.all(theta[:-1] == 0.0)
+        assert value_and_grad(expected)[0] <= value
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 40), d_in=st.integers(1, 3), width=st.integers(1, 4),

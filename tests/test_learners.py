@@ -5,6 +5,8 @@ recursion, and the online loop contracts."""
 import numpy as np
 import pytest
 from conftest import golden_section
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from onlinevi import learners
@@ -23,6 +25,7 @@ from onlinevi.learners import (
     Thm3ConvexSchedule,
     diagonal_lattice,
     expectation_grad,
+    lockstep,
     ngvi_step,
     oga_step,
     ogael_step,
@@ -32,7 +35,8 @@ from onlinevi.learners import (
     svb_step,
 )
 from onlinevi.losses import (DataExample, LossKind, expected_grad_xy, expected_loss,
-                             expert_loss_matrix, mc_grad_xy, point_grad_xy, point_loss)
+                             expert_loss_matrix, mc_grad_eps, mc_grad_xy, point_grad_xy,
+                             point_loss)
 from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regression,
                            gen_toy_classification)
 from onlinevi.rng import CounterRng, derive_seed
@@ -360,11 +364,12 @@ class TestEwaGridUpdate:
         assert np.all(trace.predictions <= experts.max(axis=0) + 1e-12)
 
 
-def _reference_run(config, ds, kind, mc_samples=32, seed=0, states=None):
+def _reference_run(config, ds, kind, mc_samples=32, seed=0, states=None, halvings=None):
     """An explicit loop over the rows of ``ds.features`` / ``ds.targets``
     that calls the update kernels directly, without run_online's learner
     classes; returns (predictions, losses), and appends each post-update
-    (m, sigma) of a variational learner to ``states`` when one is given."""
+    (m, sigma) of a variational learner to ``states`` and each NGVI step's
+    halvings to ``halvings`` when they are given."""
     d = kind.param_dim(ds.d)
     m = np.zeros(d)
     if not isinstance(config, OgaConfig):
@@ -389,9 +394,11 @@ def _reference_run(config, ds, kind, mc_samples=32, seed=0, states=None):
         elif isinstance(config, SvbConfig):
             m, sigma = svb_step(m, sigma, g_m, g_sigma, step, config)
         elif isinstance(config, NgviConfig):
-            lam = ngvi_step(lam, *expectation_grad(g_m, g_sigma, m, sigma), lam_prior, step,
-                            config)[:2]
+            *lam, halved = ngvi_step(lam, *expectation_grad(g_m, g_sigma, m, sigma), lam_prior,
+                                     step, config)
             m, sigma = natural_to_standard(*lam)
+            if halvings is not None:
+                halvings.append(halved)
         else:
             m, sigma = ogael_step(m, sigma, g_m, g_sigma, config)
         if states is not None:
@@ -611,3 +618,262 @@ class TestRunOnline:
             paths.append(np.stack(means))
         np.testing.assert_allclose(paths[0], paths[1], atol=1e-10)
         np.testing.assert_allclose(paths[0], paths[2], atol=1e-10)
+
+
+def _assert_walk_is_reference(cfg, walk, ds, kind, mc_samples, seed, name):
+    """The trace of a learner's walk in a lockstep pass against the
+    reference loop of that learner alone: the same IEEE-754 words."""
+    trace = run_online(cfg, ds, kind, walk=walk)
+    states, halvings = [], []
+    predictions, losses = _reference_run(cfg, ds, kind, mc_samples=mc_samples, seed=seed,
+                                         states=states, halvings=halvings)
+    assert trace.predictions.tobytes() == predictions.tobytes(), name
+    assert trace.losses.tobytes() == losses.tobytes(), name
+    if isinstance(cfg, OgaConfig):
+        assert trace.sigmas is None, name
+        return
+    assert trace.sigmas.tobytes() == np.array([s for _, s in states]).tobytes(), name
+    if isinstance(cfg, NgviConfig):
+        np.testing.assert_array_equal(trace.halvings, halvings, err_msg=name)
+    if cfg.box is not None:
+        expected = [cfg.box.contains_arrays(m, s) for m, s in states]
+        np.testing.assert_array_equal(trace.in_box, expected, err_msg=name)
+
+
+def _failed_step(exc) -> int:
+    """The step in a pass's error message, "step <t> (<learner>): ..."."""
+    return int(str(exc).split()[1])
+
+
+def _pool(d, t_len, box):
+    """Every learner kind with its variants: SVA projected and not, SVB
+    under three schedules, an NGVI with a hot step that halves it on the
+    network streams, learners with no box."""
+    prior = GaussianPrior(1.0, d)
+    eta = 1.0 / np.sqrt(t_len)
+    return {
+        **_learner_configs(d, t_len, box),
+        "svb_fixed": SvbConfig(schedule=FixedEta(0.2), prior=prior, box=box),
+        "ngvi_hot": NgviConfig(eta=2.0, alpha=0.1, prior=prior),
+        "sva_free": SvaConfig(eta=eta, prior=GaussianPrior(0.7, d)),
+        "svb_free": SvbConfig(schedule=InvSigmaSqrtT(), prior=prior),
+        "ogael_free": OgaElConfig(eta=eta, prior=prior),
+    }
+
+
+class TestLockstep:
+    """Each learner of a lockstep pass, whatever its company, equals the
+    reference loop of that learner alone bit for bit."""
+
+    NN = LossKind.squared_nn(3)
+
+    @staticmethod
+    def _stream(kind, t_len, d_in, seed):
+        if kind.kind == "hinge":
+            ds = gen_toy_classification(t_len, seed=seed)
+            return ds.head(t_len) if d_in == 2 else Dataset(
+                np.resize(ds.features, (t_len, d_in)), ds.targets, CLASSIFICATION, "toy")
+        return gen_iid_regression(t_len, np.linspace(-1.0, 1.0, d_in), 0.5, seed=seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), kind_name=st.sampled_from(["hinge", "squared_linear", "squared_nn"]),
+           d_in=st.integers(1, 4), seed=st.integers(0, 2 ** 31),
+           m_abs=st.sampled_from([0.3, 2.0, 20.0]))
+    def test_every_learner_equals_its_reference(self, data, kind_name, d_in, seed, m_abs):
+        kind = {"hinge": LossKind.hinge(), "squared_linear": SQL,
+                "squared_nn": self.NN}[kind_name]
+        t_len = data.draw(st.integers(1, 80 if kind is self.NN else 300), label="T")
+        ds = self._stream(kind, t_len, d_in, seed)
+        d = kind.param_dim(ds.d)
+        pool = _pool(d, ds.T, BoxConstraints.symmetric(d, m_abs=m_abs))
+        names = data.draw(st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=9),
+                          label="learners")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # a learner without a box may leave the floats: the pass fails
+            # at the first step at which one fails alone, naming one of those
+            alone = {}
+            for name in set(names):
+                try:
+                    run_online(pool[name], ds, kind, mc_samples=4, seed=seed)
+                except (DomainError, InvalidPrecisionError) as exc:
+                    alone[name] = exc
+            if alone:
+                with pytest.raises((DomainError, InvalidPrecisionError)) as failed:
+                    lockstep([pool[n] for n in names], ds, kind, mc_samples=4, seed=seed,
+                             names=names)
+                step = min(_failed_step(exc) for exc in alone.values())
+                named = str(failed.value).split("(")[1].split(")")[0]
+                assert _failed_step(failed.value) == step
+                assert _failed_step(alone[named]) == step
+                assert type(failed.value) is type(alone[named])
+            names = [name for name in names if name not in alone]
+            walks = lockstep([pool[n] for n in names], ds, kind, mc_samples=4, seed=seed)
+        for name, walk in zip(names, walks):
+            _assert_walk_is_reference(pool[name], walk, ds, kind, 4, seed, name)
+
+    def test_mixed_pass_keeps_an_ngvi_halving(self):
+        # the Monte-Carlo stream of test_ngvi_halving_path_identical: NGVI
+        # halves its step once, at step 17, and the others share its draws
+        ds = gen_iid_regression(40, np.array([1.0, -1.0]), 0.3, seed=0)
+        d = self.NN.param_dim(2)
+        pool = _pool(d, ds.T, BoxConstraints.symmetric(d, m_abs=5.0))
+        pool["ngvi_hot"] = NgviConfig(eta=2.0, alpha=0.1, prior=GaussianPrior(1.0, d))
+        names = ["sva", "ngvi_hot", "svb", "oga", "svb_thm3", "ogael", "sva_unprojected"]
+        walks = lockstep([pool[n] for n in names], ds, self.NN, mc_samples=8, seed=0)
+        assert list(np.flatnonzero(walks[1].halvings) + 1) == [17]
+        for name, walk in zip(names, walks):
+            _assert_walk_is_reference(pool[name], walk, ds, self.NN, 8, 0, name)
+
+    def test_schedules_share_one_svb_block(self):
+        ds = gen_toy_classification(200, seed=12)
+        box = BoxConstraints.symmetric(2, m_abs=1.0)
+        pool = _pool(2, ds.T, box)
+        names = ["svb_fixed", "svb", "svb_thm3", "svb_fixed", "svb"]
+        walks = lockstep([pool[n] for n in names], ds, LossKind.hinge())
+        for name, walk in zip(names, walks):
+            _assert_walk_is_reference(pool[name], walk, ds, LossKind.hinge(), 32, 0, name)
+
+    def test_a_pass_split_by_the_value_bound(self, monkeypatch):
+        # four learners' records fit in a pass (OGA records half as much)
+        ds = gen_iid_regression(50, np.array([1.0, -2.0, 0.5]), 0.5, seed=13)
+        box = BoxConstraints.symmetric(3, m_abs=2.0)
+        pool = _pool(3, ds.T, box)
+        names = ["sva", "oga", "svb", "ngvi", "svb_thm3", "ogael", "sva_unprojected", "oga"]
+        configs = [pool[n] for n in names]
+        monkeypatch.setattr(learners, "_PASS_VALUES", 4 * ds.T * 3 * 2)
+        groups = learners.passes(configs, ds.T, 3)
+        assert [list(g) for g in groups] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        for group in groups:
+            walks = lockstep([configs[i] for i in group], ds, SQL)
+            for i, walk in zip(group, walks):
+                _assert_walk_is_reference(configs[i], walk, ds, SQL, 32, 0, names[i])
+        # a learner that records more than the bound runs alone
+        monkeypatch.setattr(learners, "_PASS_VALUES", 10)
+        assert [list(g) for g in learners.passes(configs, ds.T, 3)] == [[i] for i in range(8)]
+
+    def test_the_grid_walks_nothing(self):
+        ds = gen_toy_classification(30, seed=14)
+        grid = EwaGridConfig(eta=0.1, experts=diagonal_lattice(-2.0, 2.0, 5, 2))
+        walks = lockstep([grid, OgaConfig(eta=0.1, box=BoxConstraints.symmetric(2))], ds,
+                         LossKind.hinge())
+        assert walks[0] is None and walks[1] is not None
+
+    def test_a_walk_of_another_shape_is_rejected(self):
+        ds = gen_toy_classification(30, seed=14)
+        oga = OgaConfig(eta=0.1, box=BoxConstraints.symmetric(2))
+        (walk,) = lockstep([oga], ds.head(20), LossKind.hinge())
+        with pytest.raises(DimensionMismatchError, match="walk"):
+            run_online(oga, ds, LossKind.hinge(), walk=walk)
+
+
+class TestLockstepFailures:
+    """A pass fails at the first step where any learner fails, with the
+    error type of a learner run alone, and names that learner."""
+
+    KIND = LossKind.hinge()
+    BOX2 = BoxConstraints.symmetric(2)
+    PRIOR2 = GaussianPrior(1.0, 2)
+
+    def test_the_gradient_of_one_learner(self):
+        # at step 3, sigma x^2 / s_z is inf / inf for the Gaussian learners;
+        # OGA's point gradient stays finite, so the error names svb
+        ds = Dataset([[1.0, 1.0], [0.5, -1.0], [1e200, 0.0], [1.0, 1.0]],
+                     [1.0, -1.0, 1.0, -1.0], CLASSIFICATION, "huge")
+        configs = [OgaConfig(eta=0.1, box=self.BOX2),
+                   SvbConfig(schedule=InvSigmaSqrtT(), prior=self.PRIOR2, box=self.BOX2),
+                   SvaConfig(eta=0.1, prior=self.PRIOR2, box=self.BOX2)]
+        message = r"^step 3 \(second\): the gradient is not finite$"
+        with pytest.raises(DomainError, match=message), \
+                np.errstate(over="ignore", invalid="ignore"):
+            lockstep(configs, ds, self.KIND, names=["first", "second", "third"])
+
+    def test_the_state_of_one_learner(self):
+        # an unprojected SVA with an absurd step leaves the floats at step 1
+        ds = gen_iid_regression(5, np.array([3.0, -3.0]), 0.1, seed=15)
+        configs = [OgaElConfig(eta=0.1, prior=self.PRIOR2, box=self.BOX2),
+                   SvaConfig(eta=1e308, prior=self.PRIOR2)]
+        with pytest.raises(DomainError, match=r"^step 1 \(sva\): the updated state is not "
+                                              r"finite with sigma > 0$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            lockstep(configs, ds, SQL)
+
+    def test_an_ngvi_that_leaves_the_family(self):
+        # the step at which NGVI aborts alone is the step at which the pass aborts
+        kind = LossKind.squared_nn(3)
+        ds = gen_iid_regression(40, np.array([1.0, -1.0]), 0.3, seed=0)
+        prior = GaussianPrior(1.0, kind.param_dim(2))
+        ngvi = NgviConfig(eta=1e9, alpha=1e9, prior=prior)
+        with pytest.raises(InvalidPrecisionError) as alone:
+            run_online(ngvi, ds, kind, mc_samples=8)
+        configs = [SvaConfig(eta=0.1, prior=prior), ngvi, OgaConfig(
+            eta=0.1, box=BoxConstraints.symmetric(kind.param_dim(2)))]
+        with pytest.raises(InvalidPrecisionError) as mixed:
+            lockstep(configs, ds, kind, mc_samples=8, names=["a", "blowup", "c"])
+        assert mixed.value.step == alone.value.step
+        assert str(mixed.value).startswith(f"step {alone.value.step} (blowup): ")
+
+
+def _scalar_expected_grad(kind, m, sigma, x, y):
+    """The closed-form gradient of one (m, sigma) as a scalar formula per
+    step (copied as the oracle of the row kernel)."""
+    from onlinevi.losses import gaussian_cdf, gaussian_pdf
+    if kind.kind == "squared_linear":
+        resid = y - float(m @ x)
+        return -2.0 * resid * x, 2.0 * sigma * x ** 2
+    mu_z = 1.0 - y * float(m @ x)
+    s_z = float(np.sqrt(np.sum((sigma * x) ** 2)))
+    if s_z == 0.0:
+        indicator = 1.0 if mu_z > 0.0 else 0.0
+        return -y * indicator * x, np.zeros_like(sigma)
+    z = mu_z / s_z
+    return -y * float(gaussian_cdf(z)) * x, (sigma * x ** 2 / s_z) * float(gaussian_pdf(z))
+
+
+class TestStackedGradients:
+    """The row kernels against the scalar formulas, row by row, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind_name=st.sampled_from(["hinge", "squared_linear"]), k=st.integers(1, 7),
+           d=st.integers(1, 12), seed=st.integers(0, 2 ** 31), tiny=st.booleans())
+    def test_expected_grad_rows(self, kind_name, k, d, seed, tiny):
+        kind = LossKind.hinge() if kind_name == "hinge" else SQL
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+        sigma = rng.uniform(1e-3, 2.0, size=(k, d))
+        x = rng.normal(size=d)
+        if tiny:
+            # s_z underflows to 0 on the rows with sigma 1e-170: the
+            # indicator branch on those rows, the normal one on the others
+            x = np.full(d, 1e-160)
+            sigma[::2] = 1e-170
+        y = float(rng.choice([-1.0, 1.0])) if kind_name == "hinge" else float(rng.normal())
+        with np.errstate(over="ignore"):  # z^2 of a huge z in phi(z)
+            g_m, g_sigma = expected_grad_xy(kind, m, sigma, x, y)
+            for j in range(k):
+                want_m, want_sigma = _scalar_expected_grad(kind, m[j], sigma[j], x, y)
+                assert g_m[j].tobytes() == want_m.tobytes()
+                assert g_sigma[j].tobytes() == want_sigma.tobytes()
+                one_m, one_sigma = expected_grad_xy(kind, m[j], sigma[j], x, y)
+                assert one_m.tobytes() == want_m.tobytes()
+                assert one_sigma.tobytes() == want_sigma.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind_name=st.sampled_from(["hinge", "squared_linear", "squared_nn"]),
+           k=st.integers(1, 6), d_in=st.integers(1, 4), seed=st.integers(0, 2 ** 31))
+    def test_point_and_monte_carlo_grad_rows(self, kind_name, k, d_in, seed):
+        kind = {"hinge": LossKind.hinge(), "squared_linear": SQL,
+                "squared_nn": LossKind.squared_nn(1 + seed % 5)}[kind_name]
+        d = kind.param_dim(d_in)
+        rng = np.random.default_rng(seed)
+        thetas, sigma = rng.normal(size=(k, d)), rng.uniform(0.1, 2.0, size=(k, d))
+        x, y = rng.normal(size=d_in), float(rng.choice([-1.0, 1.0]))
+        eps = rng.normal(size=(5, d))
+        rows = point_grad_xy(kind, thetas, x, y)
+        for j in range(k):
+            assert rows[j].tobytes() == point_grad_xy(kind, thetas[j], x, y).tobytes()
+        if kind_name == "squared_nn":
+            _, g_m, g_sigma = mc_grad_eps(kind, thetas, sigma, x, y, eps)
+            for j in range(k):
+                _, want_m, want_sigma = mc_grad_eps(kind, thetas[j], sigma[j], x, y, eps)
+                assert g_m[j].tobytes() == want_m.tobytes()
+                assert g_sigma[j].tobytes() == want_sigma.tobytes()
