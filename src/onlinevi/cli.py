@@ -589,6 +589,10 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     old = stage.with_name(stage.name + ".old")
     done = False
     try:
+        # mkdtemp makes the directory owner-only; give it a plain mkdir's mode
+        mask = os.umask(0)
+        os.umask(mask)
+        stage.chmod(0o777 & ~mask)
         _run_into(stage, ctx, config_path, load_ms)
         if out.exists():
             out.rename(old)

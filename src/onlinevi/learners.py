@@ -364,10 +364,9 @@ class Trace:
         return self.losses.size
 
 
-def _param(values: list):
-    """One parameter of a class's rows: a (k, 1) column, or for one row the
-    float itself, which broadcasts alike at less cost."""
-    return float(values[0]) if len(values) == 1 else np.array(values, dtype=float)[:, None]
+def _param(values: list) -> np.ndarray:
+    """One parameter of a class's rows, as a (k, 1) column."""
+    return np.array(values, dtype=float)[:, None]
 
 
 # The learners of one class inside ``lockstep``, as rows of the stacked
@@ -399,11 +398,7 @@ class _SvbRows:
             first += count
 
     def update(self, m, sigma, g_m, g_sigma, t):
-        if len(self.schedules) == 1:
-            eta = self.schedules[0][0].rate(t, sigma)
-        else:
-            eta = np.concatenate([schedule.rate(t, sigma[rows])
-                                  for schedule, rows in self.schedules])
+        eta = np.concatenate([schedule.rate(t, sigma[rows]) for schedule, rows in self.schedules])
         return _svb_update(m, sigma, g_m, g_sigma, eta)
 
 
@@ -488,10 +483,11 @@ _PASS_VALUES = 2 ** 19
 def passes(configs: Sequence[LearnerConfig], t_max: int, d: int) -> list[range]:
     """Consecutive runs of ``configs`` whose walks and traces together
     record at most ``_PASS_VALUES`` values (a learner that records more
-    runs alone)."""
+    runs alone; a grid walks nothing and is charged nothing)."""
     out, first, held = [], 0, 0
     for i, config in enumerate(configs):
-        values = t_max * d * (1 if isinstance(config, (OgaConfig, EwaGridConfig)) else 2)
+        values = (0 if isinstance(config, EwaGridConfig)
+                  else t_max * d * (1 if isinstance(config, OgaConfig) else 2))
         if i > first and held + values > _PASS_VALUES:
             out.append(range(first, i))
             first, held = i, 0

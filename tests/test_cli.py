@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -777,6 +778,18 @@ class TestAtomicRunDirectory:
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         assert foreign.rstrip("/") in capsys.readouterr().err
         assert (out / "comparator.csv").read_text() == "kept"
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+    def test_the_run_directory_has_a_plain_mkdir_mode(self, tmp_path, mask):
+        config = self._config(tmp_path, 1)
+        old = os.umask(mask)
+        try:
+            (tmp_path / "plain").mkdir()
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain", "out")]
+        assert modes[0] == 0o777 & ~mask and modes[1] == modes[0]
 
     def test_a_file_is_not_replaced(self, tmp_path):
         out = tmp_path / "out"

@@ -758,6 +758,13 @@ class TestLockstep:
                          LossKind.hinge())
         assert walks[0] is None and walks[1] is not None
 
+    def test_a_grid_is_charged_nothing(self, monkeypatch):
+        grid = EwaGridConfig(eta=0.1, experts=diagonal_lattice(-2.0, 2.0, 5, 2))
+        oga = OgaConfig(eta=0.1)
+        monkeypatch.setattr(learners, "_PASS_VALUES", 2 * 30 * 2)
+        assert [list(g) for g in learners.passes([grid, oga, grid, oga, grid], 30, 2)] \
+            == [[0, 1, 2, 3, 4]]
+
     def test_a_walk_of_another_shape_is_rejected(self):
         ds = gen_toy_classification(30, seed=14)
         oga = OgaConfig(eta=0.1, box=BoxConstraints.symmetric(2))
