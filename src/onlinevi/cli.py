@@ -66,7 +66,6 @@ from .learners import (
     Thm3StrongSchedule,
     diagonal_lattice,
     lockstep,
-    passes,
     product_lattice,
     run_online,
 )
@@ -646,14 +645,12 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, load_ms: float) -> N
     totals: dict = {}
     algo_summaries: dict = {}
     # the grids first, which walk nothing: each (T, K) expert-loss matrix is
-    # freed before a pass holds its learners' walks
+    # freed before the pass of every other section holds its walks
     grids = [s for s in ctx.resolved if isinstance(s[1], EwaGridConfig)]
     walkers = [s for s in ctx.resolved if not isinstance(s[1], EwaGridConfig)]
-    groups = [grids] if grids else []
-    groups += [[walkers[i] for i in group]
-               for group in passes([c for _, c, _ in walkers], ctx.horizon, ctx.box.d)]
-    for sections in groups:
-        _run_pass(sections, ctx, comparator, out, phases, totals, algo_summaries)
+    for sections in (grids, walkers):
+        if sections:
+            _run_pass(sections, ctx, comparator, out, phases, totals, algo_summaries)
     algo_summaries = {spec.name: algo_summaries[spec.name] for spec, _, _ in ctx.resolved}
 
     start = time.perf_counter()
@@ -732,6 +729,9 @@ def _run_pass(sections: list, ctx: RunContext, comparator, out: Path, phases: di
         entry.update({k: v for k, v in meta.items() if k != "experts"})
         if trace.in_box is not None and not bool(np.all(trace.in_box)):
             entry["box_violations"] = int(np.sum(~trace.in_box))
+        if trace.final_sigma is not None:
+            entry["final_sigma"] = {"min": float(trace.final_sigma.min()),
+                                    "max": float(trace.final_sigma.max())}
         if trace.halvings is not None:
             halved = np.flatnonzero(trace.halvings) + 1
             entry["ngvi_halvings"] = {
@@ -802,6 +802,10 @@ def _read_series_csv(path: Path, horizon: int) -> np.ndarray:
         raise DataError(f"{path}: every row needs a numeric instant_loss") from None
     if losses.size != horizon:
         raise DataError(f"{path}: {losses.size} rows, but the run has T = {horizon}")
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        raise DataError(f"{path}: row t = {bad[0] + 1} has the instant_loss "
+                        f"{losses[bad[0]]}, which is not finite")
     return losses
 
 
@@ -816,6 +820,10 @@ def _read_comparator_csv(path: Path, d: int, horizon: int) -> ComparatorResult:
     if len(values) != 3 + d:
         raise DataError(f"{path}: expected a header and one row of total_loss, avg_loss, "
                         f"method, lower_bound and {d} coordinates")
+    names = ["total_loss", "avg_loss", "lower_bound", *(f"theta_{j}" for j in range(d))]
+    for name, value in zip(names, values):
+        if not np.isfinite(value):
+            raise DataError(f"{path}: {name} is {value}, which is not finite")
     return ComparatorResult(theta_star=np.array(values[3:]), cumulative_loss_star=values[0],
                             lower_bound=values[2],
                             diagnostics={"horizon": horizon, "method": cells[2]})
@@ -904,6 +912,9 @@ def cmd_gradcheck(loss: str, trials: int, tol: float, seed: int,
               f"(tol {tol:g})")
         return EXIT_OK if worst <= tol else EXIT_CHECK_FAILED
     if loss in ("squared-nn", "squared_nn"):
+        if mc_samples < 2:
+            # a standard error needs two samples
+            raise ConfigError("--mc-samples must be >= 2")
         return _gradcheck_nn(trials, seed, mc_samples)
     raise ConfigError(f"unknown loss {loss!r}")
 

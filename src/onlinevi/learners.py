@@ -29,23 +29,18 @@ arrays.  ``lockstep`` validates its inputs once, then walks the rows of
 learners at each step: their states are rows of stacked (k, d) arrays,
 one gradient call serves every row, and each learner class updates its
 own rows with its kernel's formula.  The loop does only the sequential
-work: record the decisions and states, compute the gradients, update, and
-check once for the whole stack that the gradients and the new states are
-finite with sigma > 0.  ``run_online`` gives one learner's Trace: from its
-walk in a pass with others, or from a pass of its own.  What depends only
-on the recorded decisions and states, the point losses and box
-membership, is computed after the loop in one vectorized pass.  The
-kernels' formulas and ``lockstep`` are the only implementation of the
-learners, and a learner's trace has the same bits whatever company it
-walks in.  The grid's weights depend only on the data, so its T
+work: record the decisions, compute the gradients, update, record each
+state row's box membership, and check once for the whole stack that the
+gradients and the new states are finite with sigma > 0.  It records only
+what a trace reads, never the states.  ``run_online`` gives one learner's
+Trace, from its walk in a pass with others or from a pass of its own,
+and adds the point losses at all T decisions in one vectorized pass.
+The kernels' formulas and ``lockstep`` are the only implementation of
+the learners, and a learner's trace has the same bits whatever company
+it walks in.  The grid's weights depend only on the data, so its T
 predictions come from the (T, K) expert-loss matrix in one vectorized
 pass, and it walks nothing.  A run owns its arrays and runs are
 independent.
-
-``passes`` splits a run's learners into consecutive passes whose records
-fit in ``_PASS_VALUES`` values.  So ``onlinevi run`` reports, as a
-section's ``wall_ms`` and ``phases_ms.learners[<name>]``, the wall time of
-the pass the learner walked in plus the learner's own work after it.
 """
 
 from __future__ import annotations
@@ -355,13 +350,9 @@ class Trace:
 
     predictions: np.ndarray              # (T, d_pred) decision theta_hat_t
     losses: np.ndarray                   # (T,) point loss at the decision
-    in_box: np.ndarray | None = None     # (T,) post-update box membership, if tracked
-    sigmas: np.ndarray | None = None     # (T, d) post-update sigma; None for oga, ewagrid
-    halvings: np.ndarray | None = None   # (T,) NGVI eta halvings per step; NGVI only
-
-    @property
-    def horizon(self) -> int:
-        return self.losses.size
+    in_box: np.ndarray | None = None       # (T,) post-update box membership; None without a box
+    final_sigma: np.ndarray | None = None  # (d,) sigma after the last step; None for oga, ewagrid
+    halvings: np.ndarray | None = None     # (T,) NGVI eta halvings per step; NGVI only
 
 
 def _param(values: list) -> np.ndarray:
@@ -474,35 +465,14 @@ def _finite(a: np.ndarray) -> bool:
     return zeros @ zeros == 0.0
 
 
-#: Recorded values (T x d decisions per learner, and T x d sigmas per
-#: Gaussian learner) that one ``lockstep`` pass may hold: ``passes`` splits
-#: a run's learners into consecutive passes within this bound.
-_PASS_VALUES = 2 ** 19
-
-
-def passes(configs: Sequence[LearnerConfig], t_max: int, d: int) -> list[range]:
-    """Consecutive runs of ``configs`` whose walks and traces together
-    record at most ``_PASS_VALUES`` values (a learner that records more
-    runs alone; a grid walks nothing and is charged nothing)."""
-    out, first, held = [], 0, 0
-    for i, config in enumerate(configs):
-        values = (0 if isinstance(config, EwaGridConfig)
-                  else t_max * d * (1 if isinstance(config, OgaConfig) else 2))
-        if i > first and held + values > _PASS_VALUES:
-            out.append(range(first, i))
-            first, held = i, 0
-        held += values
-    return out + [range(first, len(configs))] if configs else out
-
-
 @dataclass(frozen=True, eq=False)
 class Walk:
     """What one learner recorded in a ``lockstep`` pass over the stream."""
 
-    predictions: np.ndarray            # (T, d) decision before each update
-    after: np.ndarray                  # (T, d) mean after each update
-    sigmas: np.ndarray | None = None   # (T, d) post-update sigma; None for oga
-    halvings: np.ndarray | None = None  # (T,) NGVI eta halvings per step; NGVI only
+    predictions: np.ndarray                # (T, d) decision before each update
+    in_box: np.ndarray | None = None       # (T,) post-update box membership; None without a box
+    final_sigma: np.ndarray | None = None  # (d,) sigma after the last step; None for oga
+    halvings: np.ndarray | None = None     # (T,) NGVI eta halvings per step; NGVI only
 
 
 def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
@@ -518,7 +488,9 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     closed form, or one Monte-Carlo draw that all of them share), one more
     serves the OGA learners, and each learner class updates its own rows
     with its kernel.  Each row has the bits it would have in a pass of its
-    own, so a learner's walk does not depend on the company it keeps.
+    own, so a learner's walk does not depend on the company it keeps.  The
+    pass records only what a Walk holds: each learner's (T, d) decisions
+    and, after each step, whether each state row lies in its config's box.
 
     Inputs are validated once here; each step then checks only that the
     gradients and the new states are finite with sigma > 0.  The pass fails
@@ -558,7 +530,9 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
 
 def _walk(configs: list, names: list[str], features: np.ndarray, targets: np.ndarray,
           kind: LossKind, d: int, mc_samples: int, seed: int) -> list[Walk]:
-    """The loop of ``lockstep`` over its non-grid learners."""
+    """The loop of ``lockstep`` over its non-grid learners.  A projected
+    row's membership is True by construction (the clip's edges lie inside
+    the box); an unprojected row's is the record a trace reads."""
     t_max = features.shape[0]
     order = sorted(range(len(configs)), key=lambda i: list(_ROWS).index(type(configs[i])))
     k = len(order)
@@ -566,7 +540,7 @@ def _walk(configs: list, names: list[str], features: np.ndarray, targets: np.nda
     # One state array: the k means (OGA's theta last), then the k_gauss
     # sigmas.  Row j's sigma is row k + j.
     state = np.zeros((k + k_gauss, d))
-    m_gauss, m_oga, sigma = state[:k_gauss], state[k_gauss:k], state[k:]
+    means, m_gauss, m_oga, sigma = state[:k], state[:k_gauss], state[k_gauss:k], state[k:]
     sigma[:] = np.array([float(configs[i].prior.s) for i in order[:k_gauss]])[:, None]
     # each class's rows: its block, and views of its means and sigmas
     blocks, first = [], 0
@@ -576,17 +550,17 @@ def _walk(configs: list, names: list[str], features: np.ndarray, targets: np.nda
         mine = slice(first, first + len(rows))
         blocks.append((block, mine, state[mine], sigma[mine]))
         first += len(rows)
-    # the projection of the whole stack: each row's box, or none
-    boxes = [_projection_box(configs[i]) for i in order]
-    free = np.full(d, -np.inf), np.full(d, np.inf)
-    lo = np.array([free[0] if box is None else box.m_lo for box in boxes]
-                  + [free[0] if box is None else box.sigma_floor_lo for box in boxes[:k_gauss]])
-    hi = np.array([free[1] if box is None else box.m_hi for box in boxes]
-                  + [free[1] if box is None else box.sigma_hi for box in boxes[:k_gauss]])
-    project = any(box is not None for box in boxes)
-    # the state before each step, and after the last: learner-major, so
-    # that each learner's (T, d) records are contiguous
-    record = np.zeros((k + k_gauss, t_max + 1, d))
+    # the projection of the whole stack: each row's box, or none; and the
+    # box each row's membership is checked against, or none
+    projections = [_projection_box(configs[i]) for i in order]
+    lo, hi = _row_edges(projections, k_gauss, d, "sigma_floor_lo")
+    box_lo, box_hi = _row_edges([configs[i].box for i in order], k_gauss, d, "sigma_lo")
+    project = any(box is not None for box in projections)
+    # the decision before each step, learner-major, so that each learner's
+    # (T, d) record is contiguous; and each state row's box membership after
+    # it, column k + j for row j's sigma (always in for OGA, which has none)
+    record = np.zeros((k, t_max, d))
+    member = np.ones((t_max, 2 * k), dtype=bool)
 
     if kind.kind == SQUARED_NN and k_gauss:
         if mc_samples < 1:
@@ -606,7 +580,7 @@ def _walk(configs: list, names: list[str], features: np.ndarray, targets: np.nda
 
     for i, (x, y) in enumerate(zip(features, targets.tolist())):
         step = i + 1
-        record[:, i] = state
+        record[:, i] = means
         if not k_gauss:
             g_m, g_sigma = point_grad_xy(kind, m_oga, x, y), sigma
         else:
@@ -623,20 +597,35 @@ def _walk(configs: list, names: list[str], features: np.ndarray, targets: np.nda
                 sigma_rows[:] = new_sigma
         if project:
             state.clip(lo, hi, out=state)
+        ((state >= box_lo) & (state <= box_hi)).all(axis=1, out=member[i, :k + k_gauss])
         if not (_finite(state) and (not k_gauss or sigma.min() > 0.0)):
             fail(step, ~(np.isfinite(state) & ((np.arange(k + k_gauss) < k)[:, None]
                                                | (state > 0.0))).all(axis=1),
                  "the updated state is not finite with sigma > 0")
-    record[:, t_max] = state
 
     walks = [None] * k
     for block, rows, _, _ in blocks:
         for j, row in enumerate(range(rows.start, rows.stop)):
+            box = configs[order[row]].box
             walks[order[row]] = Walk(
-                predictions=record[row, :t_max], after=record[row, 1:],
-                sigmas=record[k + row, 1:] if row < k_gauss else None,
+                predictions=record[row],
+                in_box=None if box is None else member[:, row] & member[:, k + row],
+                final_sigma=sigma[row].copy() if row < k_gauss else None,
                 halvings=block.halvings[j] if isinstance(block, _NgviRows) else None)
     return walks
+
+
+def _row_edges(boxes: list, k_gauss: int, d: int,
+               sigma_lo_attr: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) edges of a state stack whose rows have ``boxes``: a
+    box's m_lo / m_hi on its mean row, and its ``sigma_lo_attr`` /
+    sigma_hi on the sigma row of the first ``k_gauss`` rows; -inf / inf
+    on the rows of no box."""
+    free = np.full(d, -np.inf), np.full(d, np.inf)
+    rows = [free if box is None else (box.m_lo, box.m_hi) for box in boxes]
+    rows += [free if box is None else (getattr(box, sigma_lo_attr), box.sigma_hi)
+             for box in boxes[:k_gauss]]
+    return tuple(np.array(edge) for edge in zip(*rows))
 
 
 def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
@@ -648,9 +637,7 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
     The steps are a ``lockstep`` pass: ``walk`` passes in this learner's
     Walk when the caller has already made the pass with others, and by
     default the learner walks alone.  From the walk, one pass of
-    ``point_loss_rows`` gives the point loss at every decision, and one pass
-    of ``BoxConstraints.contains_arrays`` the box membership of every
-    post-update state.
+    ``point_loss_rows`` gives the point loss at every decision.
 
     For the grid, ``expert_losses`` may pass in the (T, K) matrix
     ``expert_loss_matrix(kind, config.experts, data.features, data.targets)``
@@ -664,13 +651,9 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
     elif walk.predictions.shape != (features.shape[0], kind.param_dim(features.shape[1])):
         raise DimensionMismatchError(f"the walk has shape {walk.predictions.shape}, not "
                                      "(T, d) of this stream and loss")
-    in_box = None
-    if config.box is not None:
-        in_box = np.full(features.shape[0], True) if _projection_box(config) is not None \
-            else config.box.contains_arrays(walk.after, walk.sigmas)
     return Trace(predictions=walk.predictions,
                  losses=point_loss_rows(kind, walk.predictions, features, targets),
-                 in_box=in_box, sigmas=walk.sigmas, halvings=walk.halvings)
+                 in_box=walk.in_box, final_sigma=walk.final_sigma, halvings=walk.halvings)
 
 
 def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, expert_losses: np.ndarray | None,

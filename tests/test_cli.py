@@ -104,6 +104,17 @@ class TestRun:
         assert summary["algorithms"]["ngvi"]["ngvi_halvings"] == {
             "count": 0, "first_step": None, "last_step": None}
 
+    def test_final_sigma_of_each_gaussian_learner(self, run_dir):
+        summary = json.loads((run_dir / "summary.json").read_text())
+        ctx = materialize(load_experiment(run_dir / "config.ini"))
+        for spec, config, _ in ctx.resolved:
+            entry = summary["algorithms"][spec.name]
+            if spec.name in ("oga", "ewagrid"):
+                assert "final_sigma" not in entry, spec.name
+                continue
+            sigma = run_online(config, ctx.stream, ctx.kind, seed=ctx.cfg.seed).final_sigma
+            assert entry["final_sigma"] == {"min": sigma.min(), "max": sigma.max()}, spec.name
+
     def test_summary_recomputable_from_series(self, run_dir):
         # round-trip audit: every loss-derived number in summary.json must be
         # recomputable from the emitted CSVs
@@ -536,20 +547,48 @@ def _truncated(text):
     return "\n".join(text.splitlines()[:100]) + "\n"
 
 
+def _non_finite_loss(value):
+    def edit(text):
+        lines = text.splitlines()
+        lines[4] = "4," + value + "," + lines[4].split(",", 2)[2]
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _non_finite_comparator(column, value):
+    def edit(text):
+        header, row = text.splitlines()
+        cells = row.split(",")
+        cells[column] = value
+        return header + "\n" + ",".join(cells) + "\n"
+    return edit
+
+
 class TestMalformedRunDirectory:
-    @pytest.mark.parametrize("name, edit", [
-        pytest.param("comparator.csv", _header_only, id="comparator-header-only"),
-        pytest.param("sva.csv", _non_numeric_loss, id="series-non-numeric"),
-        pytest.param("sva.csv", _truncated, id="series-truncated"),
+    @pytest.mark.parametrize("name, edit, needle", [
+        pytest.param("comparator.csv", _header_only, "", id="comparator-header-only"),
+        pytest.param("sva.csv", _non_numeric_loss, "", id="series-non-numeric"),
+        pytest.param("sva.csv", _truncated, "", id="series-truncated"),
+        # a non-finite number is corrupt input, not a bound that fails
+        pytest.param("svb_thm3.csv", _non_finite_loss("nan"), "row t = 4", id="series-nan"),
+        pytest.param("svb_thm3.csv", _non_finite_loss("inf"), "row t = 4", id="series-inf"),
+        pytest.param("comparator.csv", _non_finite_comparator(0, "nan"), "total_loss",
+                     id="comparator-total-nan"),
+        pytest.param("comparator.csv", _non_finite_comparator(3, "-inf"), "lower_bound",
+                     id="comparator-lower-bound-inf"),
+        pytest.param("comparator.csv", _non_finite_comparator(5, "inf"), "theta_1",
+                     id="comparator-coordinate-inf"),
     ])
-    def test_bounds_exits_2_naming_the_file(self, run_dir, tmp_path, capsys, name, edit):
+    def test_bounds_exits_2_naming_the_file(self, run_dir, tmp_path, capsys, name, edit,
+                                            needle):
         import shutil
         broken = tmp_path / "broken"
         shutil.copytree(run_dir, broken)
         path = broken / name
         path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
         assert main(["bounds", "--run", str(broken), "--theorem", "all"]) == 2
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert name in err and needle in err
 
     def test_bounds_exits_2_on_a_key_nothing_reads(self, run_dir, tmp_path, capsys):
         import shutil
@@ -799,11 +838,7 @@ class TestAtomicRunDirectory:
 
 
 class TestPasses:
-    def test_split_passes_write_the_same_bytes(self, run_dir, tmp_path, monkeypatch):
-        # at most two learners' records per pass: the six walking sections
-        # in three passes (OGA records half, so oga and ogael share one)
-        import onlinevi.learners as learners
-
+    def test_the_grid_then_one_pass_of_every_walker(self, run_dir, tmp_path, monkeypatch):
         calls = []
         walk = cli.lockstep
 
@@ -811,13 +846,10 @@ class TestPasses:
             calls.append(len(configs))
             return walk(configs, *args, **kwargs)
 
-        monkeypatch.setattr(learners, "_PASS_VALUES", 2 * 2 * 400 * 2)
         monkeypatch.setattr(cli, "lockstep", counting)
         out = tmp_path / "out"
         assert main(["run", "--config", str(run_dir / "config.ini"), "--out", str(out)]) == 0
-        assert calls == [1, 2, 2, 2]  # the grid first, then the passes
-        for name in ALGO_NAMES + ["comparator"]:
-            assert (out / f"{name}.csv").read_bytes() == (run_dir / f"{name}.csv").read_bytes()
+        assert calls == [1, 6]
 
     def test_wall_ms_is_the_pass_and_the_sections_own_work(self, run_dir):
         summary = json.loads((run_dir / "summary.json").read_text())
@@ -907,6 +939,13 @@ class TestGradcheck:
     def test_nn_statistical(self):
         assert main(["gradcheck", "--loss", "squared-nn", "--trials", "2",
                      "--seed", "0", "--mc-samples", "40000"]) == 0
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_nn_needs_two_samples(self, capsys, samples):
+        # one sample has no standard error, so no margin to check against
+        assert main(["gradcheck", "--loss", "squared-nn", "--trials", "1",
+                     "--mc-samples", samples]) == 2
+        assert "--mc-samples must be >= 2" in capsys.readouterr().err
 
 
 class TestBounds:

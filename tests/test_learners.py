@@ -520,6 +520,17 @@ class TestReferenceLoop:
             assert 0 < trace.in_box.sum() < ds.T, name
 
 
+def _reference_sigmas(config, ds, kind, trace, seed=0):
+    """The (T, d) post-update sigmas of the reference loop, after checking
+    that its decisions and its last sigma are the trace's bit for bit."""
+    states = []
+    predictions, _ = _reference_run(config, ds, kind, seed=seed, states=states)
+    sigmas = np.array([s for _, s in states])
+    assert trace.predictions.tobytes() == predictions.tobytes()
+    assert trace.final_sigma.tobytes() == sigmas[-1].tobytes()
+    return sigmas
+
+
 class TestRunOnline:
     KIND = LossKind.hinge()
     BOX2 = BoxConstraints.symmetric(2)
@@ -578,18 +589,22 @@ class TestRunOnline:
             assert np.all(np.abs(trace.predictions) <= 20.0), name
             if trace.in_box is not None:
                 assert np.all(trace.in_box), name
-            if trace.sigmas is not None:
-                assert np.all(trace.sigmas > 0.0), name
-                assert np.all(trace.sigmas <= self.BOX2.sigma_hi), name
+            if trace.final_sigma is not None:
+                # every post-update sigma, from the reference loop, whose
+                # decisions and last sigma are the trace's bit for bit
+                sigmas = _reference_sigmas(cfg, ds, self.KIND, trace, seed=5)
+                assert np.all(sigmas > 0.0), name
+                assert np.all(sigmas <= self.BOX2.sigma_hi), name
 
     def test_ngvi_sigma_positive_and_violations_tracked(self):
         ds = gen_toy_classification(300, seed=4)
         cfg = self._configs(300)["ngvi"]
         trace = run_online(cfg, ds, self.KIND, seed=5)
+        sigmas = _reference_sigmas(cfg, ds, self.KIND, trace, seed=5)
         assert trace.in_box is not None
-        assert np.all(trace.sigmas > 0.0)
+        assert np.all(sigmas > 0.0)
         means = np.vstack([trace.predictions[1:], [np.nan, np.nan]])
-        inside = np.all((np.abs(means) <= 20.0) & (trace.sigmas <= 1.0), axis=1)
+        inside = np.all((np.abs(means) <= 20.0) & (sigmas <= 1.0), axis=1)
         np.testing.assert_array_equal(trace.in_box[:-1], inside[:-1])
 
     def test_sva_sigma_monotone_under_hinge(self):
@@ -597,7 +612,8 @@ class TestRunOnline:
         ds = gen_toy_classification(300, seed=6)
         cfg = SvaConfig(eta=0.05, prior=self.PRIOR2, box=self.BOX2)
         trace = run_online(cfg, ds, self.KIND)
-        assert np.all(np.diff(trace.sigmas, axis=0) <= 1e-15)
+        sigmas = _reference_sigmas(cfg, ds, self.KIND, trace)
+        assert np.all(np.diff(sigmas, axis=0) <= 1e-15)
 
     def test_svb_thm3_mean_path_invariant_to_sigma_init(self):
         # squared-linear g_m does not involve sigma, and under the Theorem 3
@@ -630,12 +646,15 @@ def _assert_walk_is_reference(cfg, walk, ds, kind, mc_samples, seed, name):
     assert trace.predictions.tobytes() == predictions.tobytes(), name
     assert trace.losses.tobytes() == losses.tobytes(), name
     if isinstance(cfg, OgaConfig):
-        assert trace.sigmas is None, name
+        assert trace.final_sigma is None, name
+        assert trace.in_box.all(), name  # projected onto its box
         return
-    assert trace.sigmas.tobytes() == np.array([s for _, s in states]).tobytes(), name
+    assert trace.final_sigma.tobytes() == states[-1][1].tobytes(), name
     if isinstance(cfg, NgviConfig):
         np.testing.assert_array_equal(trace.halvings, halvings, err_msg=name)
-    if cfg.box is not None:
+    if cfg.box is None:
+        assert trace.in_box is None, name
+    else:
         expected = [cfg.box.contains_arrays(m, s) for m, s in states]
         np.testing.assert_array_equal(trace.in_box, expected, err_msg=name)
 
@@ -733,37 +752,12 @@ class TestLockstep:
         for name, walk in zip(names, walks):
             _assert_walk_is_reference(pool[name], walk, ds, LossKind.hinge(), 32, 0, name)
 
-    def test_a_pass_split_by_the_value_bound(self, monkeypatch):
-        # four learners' records fit in a pass (OGA records half as much)
-        ds = gen_iid_regression(50, np.array([1.0, -2.0, 0.5]), 0.5, seed=13)
-        box = BoxConstraints.symmetric(3, m_abs=2.0)
-        pool = _pool(3, ds.T, box)
-        names = ["sva", "oga", "svb", "ngvi", "svb_thm3", "ogael", "sva_unprojected", "oga"]
-        configs = [pool[n] for n in names]
-        monkeypatch.setattr(learners, "_PASS_VALUES", 4 * ds.T * 3 * 2)
-        groups = learners.passes(configs, ds.T, 3)
-        assert [list(g) for g in groups] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        for group in groups:
-            walks = lockstep([configs[i] for i in group], ds, SQL)
-            for i, walk in zip(group, walks):
-                _assert_walk_is_reference(configs[i], walk, ds, SQL, 32, 0, names[i])
-        # a learner that records more than the bound runs alone
-        monkeypatch.setattr(learners, "_PASS_VALUES", 10)
-        assert [list(g) for g in learners.passes(configs, ds.T, 3)] == [[i] for i in range(8)]
-
     def test_the_grid_walks_nothing(self):
         ds = gen_toy_classification(30, seed=14)
         grid = EwaGridConfig(eta=0.1, experts=diagonal_lattice(-2.0, 2.0, 5, 2))
         walks = lockstep([grid, OgaConfig(eta=0.1, box=BoxConstraints.symmetric(2))], ds,
                          LossKind.hinge())
         assert walks[0] is None and walks[1] is not None
-
-    def test_a_grid_is_charged_nothing(self, monkeypatch):
-        grid = EwaGridConfig(eta=0.1, experts=diagonal_lattice(-2.0, 2.0, 5, 2))
-        oga = OgaConfig(eta=0.1)
-        monkeypatch.setattr(learners, "_PASS_VALUES", 2 * 30 * 2)
-        assert [list(g) for g in learners.passes([grid, oga, grid, oga, grid], 30, 2)] \
-            == [[0, 1, 2, 3, 4]]
 
     def test_a_walk_of_another_shape_is_rejected(self):
         ds = gen_toy_classification(30, seed=14)
