@@ -283,6 +283,8 @@ def _load_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
 
     # an empty subsample means no explicit size, as if the key were absent
     subsample = get("subsample", None, _COUNT) if ds_cfg.raw("subsample", "").strip() else None
+    if subsample is not None and subsample > ds.T:
+        raise ConfigError(f"[dataset] subsample: {subsample} is more than the {ds.T} rows")
     if subsample is None and ds.T > data_mod.DEFAULT_SUBSAMPLE_CAP:
         # desk-scale policy: oversized datasets (Cover Type) run subsampled
         subsample = data_mod.DEFAULT_SUBSAMPLE_CAP
@@ -387,9 +389,10 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
         experts_raw = opts.raw("experts", "diagonal:41").strip().lower()
         form, _, count = experts_raw.partition(":")
         count = count.strip() or ("41" if form == "diagonal" else "5")
-        if form not in ("diagonal", "product") or not count.isdecimal() or int(count) < 1:
+        if form not in ("diagonal", "product") or not count.isdecimal() or int(count) < 2:
             raise ConfigError(f"[algorithm.{spec.name}] experts must be diagonal:<k> or "
-                              f"product:<per-axis> with a count >= 1, got {experts_raw!r}")
+                              f"product:<per-axis> with a count >= 2 (one expert has "
+                              f"nothing to weigh), got {experts_raw!r}")
         k = int(count) if form == "diagonal" else int(count) ** box.d
         if k * (t_len + box.d) > _MAX_GRID_VALUES:
             raise ConfigError(f"[algorithm.{spec.name}] experts: {experts_raw} is {k} experts "
@@ -410,7 +413,6 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
             eta = float(np.sqrt(8.0 * np.log(k) / (max(b_max, 1e-12) ** 2 * t_len)))
         config = EwaGridConfig(eta=eta, experts=experts)
         meta["eta"] = eta
-        meta["experts"] = experts_raw
     else:  # pragma: no cover - tags validated at parse time
         raise ConfigError(f"unknown tag {spec.tag}")
     return spec, config, meta
@@ -422,6 +424,8 @@ def materialize(cfg: ExperimentConfig) -> RunContext:
         cfg.mc_samples = cfg.run.get("mc_samples", cfg.mc_samples, _COUNT)
     full = _load_dataset(cfg)
     if cfg.horizon is not None:
+        if cfg.horizon > full.T:
+            raise ConfigError(f"[run] horizon: {cfg.horizon} is more than the {full.T} rows")
         full = full.head(cfg.horizon)
     stream, holdout = full, None
     if cfg.holdout_fraction > 0.0:
@@ -631,7 +635,7 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, load_ms: float) -> N
     """Every output file of a run, written into the directory ``out``."""
     cfg = ctx.cfg
     # wall time per phase, in ms; "write" covers comparator.csv and the series CSVs
-    phases = {"load": load_ms, "learners": {}, "write": 0.0}
+    phases = {"load": load_ms, "write": 0.0}
 
     start = time.perf_counter()
     comparator = best_in_hindsight(
@@ -648,9 +652,14 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, load_ms: float) -> N
     # freed before the pass of every other section holds its walks
     grids = [s for s in ctx.resolved if isinstance(s[1], EwaGridConfig)]
     walkers = [s for s in ctx.resolved if not isinstance(s[1], EwaGridConfig)]
-    for sections in (grids, walkers):
-        if sections:
-            _run_pass(sections, ctx, comparator, out, phases, totals, algo_summaries)
+    _finish(grids, [None] * len(grids), 0.0, ctx, comparator, out, phases, totals, algo_summaries)
+    start = time.perf_counter()
+    walks = lockstep([config for _, config, _ in walkers], ctx.stream, ctx.kind,
+                     mc_samples=cfg.mc_samples, seed=cfg.seed,
+                     names=[spec.name for spec, _, _ in walkers])
+    pass_ms = (time.perf_counter() - start) * 1000.0
+    phases["pass"] = round(pass_ms, 3)
+    _finish(walkers, walks, pass_ms, ctx, comparator, out, phases, totals, algo_summaries)
     algo_summaries = {spec.name: algo_summaries[spec.name] for spec, _, _ in ctx.resolved}
 
     start = time.perf_counter()
@@ -701,17 +710,12 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, load_ms: float) -> N
     shutil.copyfile(config_path, out / "config.ini")
 
 
-def _run_pass(sections: list, ctx: RunContext, comparator, out: Path, phases: dict,
-              totals: dict, algo_summaries: dict) -> None:
-    """One ``lockstep`` pass over some sections, then each section's trace,
-    summary entry and series file.  A section's ``wall_ms`` (and its
-    ``phases_ms.learners`` entry) is the pass's wall time plus the
-    section's own work after the pass."""
-    start = time.perf_counter()
-    walks = lockstep([config for _, config, _ in sections], ctx.stream, ctx.kind,
-                     mc_samples=ctx.cfg.mc_samples, seed=ctx.cfg.seed,
-                     names=[spec.name for spec, _, _ in sections])
-    pass_ms = (time.perf_counter() - start) * 1000.0
+def _finish(sections: list, walks: list, pass_ms: float, ctx: RunContext, comparator,
+            out: Path, phases: dict, totals: dict, algo_summaries: dict) -> None:
+    """Each section's trace from its walk (None for a grid, which walks
+    nothing), summary entry and series file.  A section's ``wall_ms`` is
+    ``pass_ms``, the wall time of the pass that walked it (0 for a grid),
+    plus the section's own work here."""
     for (spec, config, meta), walk in zip(sections, walks):
         start = time.perf_counter()
         trace = run_online(config, ctx.stream, ctx.kind,
@@ -726,7 +730,7 @@ def _run_pass(sections: list, ctx: RunContext, comparator, out: Path, phases: di
             "theorem": None,
             "steps_to_plateau": _steps_to_plateau(ledger),
         }
-        entry.update({k: v for k, v in meta.items() if k != "experts"})
+        entry.update(meta)
         if trace.in_box is not None and not bool(np.all(trace.in_box)):
             entry["box_violations"] = int(np.sum(~trace.in_box))
         if trace.final_sigma is not None:
@@ -748,7 +752,6 @@ def _run_pass(sections: list, ctx: RunContext, comparator, out: Path, phases: di
                     trace.predictions, ctx.holdout, ctx.kind)
         entry["wall_ms"] = round(pass_ms + (time.perf_counter() - start) * 1000.0, 3)
         algo_summaries[spec.name] = entry
-        phases["learners"][spec.name] = entry["wall_ms"]
         start = time.perf_counter()
         _write_series_csv(out / f"{spec.name}.csv", ledger)
         phases["write"] = round(phases["write"] + _ms_since(start), 3)

@@ -37,10 +37,11 @@ Trace, from its walk in a pass with others or from a pass of its own,
 and adds the point losses at all T decisions in one vectorized pass.
 The kernels' formulas and ``lockstep`` are the only implementation of
 the learners, and a learner's trace has the same bits whatever company
-it walks in.  The grid's weights depend only on the data, so its T
-predictions come from the (T, K) expert-loss matrix in one vectorized
-pass, and it walks nothing.  A run owns its arrays and runs are
-independent.
+it walks in.  The grid's weights depend only on the data, so it walks
+nothing: ``lockstep`` walks only the other learners and rejects a grid,
+and ``run_online`` gives the grid's T predictions from the (T, K)
+expert-loss matrix in one vectorized pass.  A run owns its arrays and
+runs are independent.
 """
 
 from __future__ import annotations
@@ -477,11 +478,13 @@ class Walk:
 
 def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
              mc_samples: int = 32, seed: int = 0,
-             names: Sequence[str] | None = None) -> list[Walk | None]:
+             names: Sequence[str] | None = None) -> list[Walk]:
     """Walk the rows of a dataset once and advance every learner at each
     step: each predicts, computes the gradient it needs and updates.
-    Returns one Walk per config, in order (None for a grid, whose weights
-    depend only on the data: ``run_online`` computes them in one pass).
+    Returns one Walk per config, in order ([] for no configs, without
+    walking the stream).  The grid walks nothing: its weights depend only
+    on the data, and ``run_online`` computes them in one pass, so an
+    EwaGridConfig is a DomainError here.
 
     The learners' states are rows of stacked (k, d) arrays of means and
     sigmas.  One gradient call per step serves every Gaussian learner (the
@@ -490,7 +493,9 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     with its kernel.  Each row has the bits it would have in a pass of its
     own, so a learner's walk does not depend on the company it keeps.  The
     pass records only what a Walk holds: each learner's (T, d) decisions
-    and, after each step, whether each state row lies in its config's box.
+    and, after each step, whether each state row lies in its config's box
+    (True by construction on a projected row, whose clip's edges lie
+    inside the box).
 
     Inputs are validated once here; each step then checks only that the
     gradients and the new states are finite with sigma > 0.  The pass fails
@@ -507,9 +512,10 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     # public per-example functions and of this run then round alike
     features, targets = np.ascontiguousarray(data.features), data.targets
     d = kind.param_dim(features.shape[1])
-    walking = [i for i, config in enumerate(configs) if not isinstance(config, EwaGridConfig)]
-    for i in walking:
-        config = configs[i]
+    for config in configs:
+        if isinstance(config, EwaGridConfig):
+            raise DomainError("the grid walks nothing: its weights depend only on the data, "
+                              "and run_online computes them")
         if type(config) not in _ROWS:
             raise DomainError(f"unknown learner config {type(config).__name__}")
         if isinstance(config, OgaConfig) and config.box is None:
@@ -518,21 +524,10 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
         if size != d or (config.box is not None and config.box.d != d):
             raise DimensionMismatchError(f"learner and box must have dimension {d} "
                                          f"for {kind.kind} on {features.shape[1]} features")
-    names = [_ROWS[type(configs[i])][1] for i in walking] if names is None else \
-        [names[i] for i in walking]
-    walks: list = [None] * len(configs)
-    if walking:
-        for i, walk in zip(walking, _walk([configs[i] for i in walking], names, features,
-                                          targets, kind, d, mc_samples, seed)):
-            walks[i] = walk
-    return walks
-
-
-def _walk(configs: list, names: list[str], features: np.ndarray, targets: np.ndarray,
-          kind: LossKind, d: int, mc_samples: int, seed: int) -> list[Walk]:
-    """The loop of ``lockstep`` over its non-grid learners.  A projected
-    row's membership is True by construction (the clip's edges lie inside
-    the box); an unprojected row's is the record a trace reads."""
+    if not configs:
+        return []
+    if names is None:
+        names = [_ROWS[type(config)][1] for config in configs]
     t_max = features.shape[0]
     order = sorted(range(len(configs)), key=lambda i: list(_ROWS).index(type(configs[i])))
     k = len(order)

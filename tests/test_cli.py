@@ -99,8 +99,7 @@ class TestRun:
                 assert key in entry, (name, key)
         assert summary["fastest_to_plateau"] in ALGO_NAMES
         phases = summary["phases_ms"]
-        assert set(phases) == {"load", "comparator", "learners", "bounds", "write"}
-        assert set(phases["learners"]) == set(ALGO_NAMES)
+        assert set(phases) == {"load", "comparator", "pass", "bounds", "write"}
         assert summary["algorithms"]["ngvi"]["ngvi_halvings"] == {
             "count": 0, "first_step": None, "last_step": None}
 
@@ -226,6 +225,8 @@ class TestRun:
         ("algo = ngvi\nalpha = 0", "alpha"),
         ("algo = ngvi\neta = nan", "eta"),
         ("algo = ewagrid\nexperts = diagonal:abc", "experts"),
+        ("algo = ewagrid\nexperts = diagonal:1", "experts"),
+        ("algo = ewagrid\nexperts = product:1", "experts"),
         ("algo = oga\netta = 0.5", "etta"),
     ])
     def test_bad_algorithm_value_is_config_error(self, tmp_path, capsys, options, key):
@@ -347,6 +348,11 @@ class TestMalformedConfig:
         pytest.param("toy", "n = 400", "n = 0", "[dataset] n", id="n-zero"),
         pytest.param("toy", "n = 400", "n = 400\nsubsample = 0", "[dataset] subsample",
                      id="subsample-zero"),
+        pytest.param("toy", "n = 400", "n = 400\nsubsample = 500",
+                     "[dataset] subsample: 500 is more than the 400 rows",
+                     id="subsample-above-rows"),
+        pytest.param("toy", "seed = 1", "seed = 1\nhorizon = 5000",
+                     "[run] horizon: 5000 is more than the 400 rows", id="horizon-above-rows"),
         pytest.param("toy", "comparator_restarts = 5", "comparator_restarts = -3",
                      "[run] comparator_restarts", id="comparator_restarts-negative"),
         pytest.param("toy", "comparator_iters = 400", "comparator_iters = -1",
@@ -838,7 +844,12 @@ class TestAtomicRunDirectory:
 
 
 class TestPasses:
-    def test_the_grid_then_one_pass_of_every_walker(self, run_dir, tmp_path, monkeypatch):
+    def test_the_grid_then_one_pass_of_every_walker(self, tmp_path, monkeypatch):
+        # one lockstep call per run: of the six walkers on the toy config,
+        # and of none when the grid, which walks nothing, is alone; alone, it
+        # writes the same bytes
+        grid_only = (BASE_CONFIG[:BASE_CONFIG.index("[algorithm.")]
+                     + BASE_CONFIG[BASE_CONFIG.index("[algorithm.ewagrid]"):])
         calls = []
         walk = cli.lockstep
 
@@ -847,16 +858,23 @@ class TestPasses:
             return walk(configs, *args, **kwargs)
 
         monkeypatch.setattr(cli, "lockstep", counting)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(run_dir / "config.ini"), "--out", str(out)]) == 0
-        assert calls == [1, 6]
+        for name, text, walkers in (("toy", BASE_CONFIG, 6), ("grid", grid_only, 0)):
+            calls.clear()
+            config = tmp_path / f"{name}.ini"
+            config.write_text(text, encoding="utf-8")
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+            assert calls == [walkers], name
+        assert (tmp_path / "grid" / "ewagrid.csv").read_bytes() == \
+            (tmp_path / "toy" / "ewagrid.csv").read_bytes()
 
     def test_wall_ms_is_the_pass_and_the_sections_own_work(self, run_dir):
         summary = json.loads((run_dir / "summary.json").read_text())
-        learners = summary["phases_ms"]["learners"]
+        pass_ms = summary["phases_ms"]["pass"]
+        assert isinstance(pass_ms, float) and pass_ms > 0.0
         for name, entry in summary["algorithms"].items():
             assert isinstance(entry["wall_ms"], float) and entry["wall_ms"] > 0.0
-            assert learners[name] == entry["wall_ms"]
+            if name != "ewagrid":
+                assert entry["wall_ms"] >= pass_ms, name
 
 
 def _per_cell_series(losses, cumulative, averages) -> bytes:

@@ -755,9 +755,10 @@ class TestLockstep:
     def test_the_grid_walks_nothing(self):
         ds = gen_toy_classification(30, seed=14)
         grid = EwaGridConfig(eta=0.1, experts=diagonal_lattice(-2.0, 2.0, 5, 2))
-        walks = lockstep([grid, OgaConfig(eta=0.1, box=BoxConstraints.symmetric(2))], ds,
-                         LossKind.hinge())
-        assert walks[0] is None and walks[1] is not None
+        with pytest.raises(DomainError, match="the grid walks nothing"):
+            lockstep([grid, OgaConfig(eta=0.1, box=BoxConstraints.symmetric(2))], ds,
+                     LossKind.hinge())
+        assert lockstep([], ds, LossKind.hinge()) == []
 
     def test_a_walk_of_another_shape_is_rejected(self):
         ds = gen_toy_classification(30, seed=14)
