@@ -605,22 +605,33 @@ def alpha_estimate(prior: GaussianPrior) -> float:
 # per-realization Jensen audit used by the online-to-batch criterion
 
 
-#: Values in one block of the Jensen audit's (holdout rows, T) loss matrix;
-#: the audit takes the holdout a block of rows at a time, so its memory
-#: stays at about 8 MiB per temporary whatever the holdout size.
-_AUDIT_BLOCK_VALUES = 2 ** 20
+#: Values in one block of the Jensen audit's (holdout rows, T) loss matrix:
+#: about 256 KiB per float64 temporary (the product's scores, then the
+#: losses) whatever the holdout size, unless two rows of T values are more.
+#: Sized to the L2 cache, not to a workload: a block that fits there keeps
+#: the subtract, square and mean passes out of main memory.  Every block is
+#: computed in one tile allocated once per call, so its pages are faulted in
+#: once; a fresh array per block would fault them in again whenever malloc
+#: hands such a size back to the system (14,000 faults and twice the time
+#: per call, depending on what the process allocated before).  At T = 4800,
+#: H = 1200, d = 10 on a 2-core x86 machine the audit took 25-40 ms per
+#: learner with 2^14 or 2^15 values, and 63-90 ms wall, with about twice
+#: that in CPU as BLAS ran the product on a second thread, with 2^16 to 2^20.
+_AUDIT_BLOCK_VALUES = 2 ** 15
 
 
 def _mean_loss_per_row(kind: LossKind, preds: np.ndarray, features: np.ndarray,
                        targets: np.ndarray) -> np.ndarray:
     """The mean point loss of the (T, d) predictions on each example: the
-    row means of the (H, T) loss matrix, built in blocks of rows.  Each
-    block has at least two rows, since a one-row product takes BLAS's
-    matrix-vector kernel, which rounds otherwise than the matrix one."""
+    row means of the (H, T) loss matrix, built in blocks of rows in one
+    reused tile.  Each block has at least two rows, since a one-row product
+    takes BLAS's matrix-vector kernel, which rounds otherwise than the
+    matrix one."""
     n_rows = features.shape[0]
     blocks = max(1, min(n_rows // 2, -(-n_rows * preds.shape[0] // _AUDIT_BLOCK_VALUES)))
+    tile = np.empty((-(-n_rows // blocks), preds.shape[0]))
     return np.concatenate([
-        expert_loss_matrix(kind, preds, x, y).mean(axis=1)
+        expert_loss_matrix(kind, preds, x, y, tile[:len(x)]).mean(axis=1)
         for x, y in zip(np.array_split(features, blocks), np.array_split(targets, blocks))])
 
 

@@ -88,12 +88,28 @@ from .losses import (  # noqa: F401,E402
 )
 
 
+class _PositiveFields:
+    """Rejects, at construction, a field named in ``_POSITIVE`` that is not
+    a positive finite number, so that no learner runs with a step size of
+    0, a negative one, inf or NaN."""
+
+    _POSITIVE: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in self._POSITIVE:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{type(self).__name__}.{name} must be a positive finite "
+                                  f"number, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # step-size schedules for SVB (eta_{t,j} as a vector over coordinates)
 
 
 @dataclass(frozen=True)
-class FixedEta:
+class FixedEta(_PositiveFields):
+    _POSITIVE = ("eta",)
     eta: float
 
     def rate(self, t: int, sigma: np.ndarray) -> np.ndarray:
@@ -115,10 +131,11 @@ class InvSigmaSqrtT:
 
 
 @dataclass(frozen=True)
-class Thm3ConvexSchedule:
+class Thm3ConvexSchedule(_PositiveFields):
     """eta_{t,j} = D sqrt(2) / (L sqrt(t) sigma_{t,j}^2); the m-step then
     equals m - (D sqrt(2)/(L sqrt(t))) g_m independent of sigma."""
 
+    _POSITIVE = ("D", "L")
     D: float
     L: float
 
@@ -130,9 +147,10 @@ class Thm3ConvexSchedule:
 
 
 @dataclass(frozen=True)
-class Thm3StrongSchedule:
+class Thm3StrongSchedule(_PositiveFields):
     """eta_{t,j} = 2 / (H t sigma_{t,j}^2) for H-strongly-convex losses."""
 
+    _POSITIVE = ("H",)
     H: float
 
     def rate(self, t: int, sigma: np.ndarray) -> np.ndarray:
@@ -150,7 +168,8 @@ SvbSchedule = Union[FixedEta, InvSigmaSqrtT, Thm3ConvexSchedule, Thm3StrongSched
 
 
 @dataclass(frozen=True)
-class SvaConfig:
+class SvaConfig(_PositiveFields):
+    _POSITIVE = ("eta",)
     eta: float
     prior: GaussianPrior
     box: BoxConstraints | None = None
@@ -169,7 +188,8 @@ MAX_STEP_RETRIES = 10
 
 
 @dataclass(frozen=True)
-class NgviConfig:
+class NgviConfig(_PositiveFields):
+    _POSITIVE = ("eta", "alpha")
     eta: float
     alpha: float
     prior: GaussianPrior
@@ -179,27 +199,32 @@ class NgviConfig:
 
 
 @dataclass(frozen=True)
-class OgaConfig:
+class OgaConfig(_PositiveFields):
+    _POSITIVE = ("eta",)
     eta: float
     box: BoxConstraints | None = None
 
 
 @dataclass(frozen=True)
-class OgaElConfig:
+class OgaElConfig(_PositiveFields):
+    _POSITIVE = ("eta",)
     eta: float
     prior: GaussianPrior
     box: BoxConstraints | None = None
 
 
 @dataclass(frozen=True, eq=False)
-class EwaGridConfig:
+class EwaGridConfig(_PositiveFields):
+    _POSITIVE = ("eta",)
     eta: float
     experts: np.ndarray  # (K, d)
 
     def __post_init__(self):
+        super().__post_init__()
         experts = np.array(self.experts, dtype=float)
-        if experts.ndim != 2 or experts.shape[0] < 1:
-            raise DomainError("experts must be a nonempty (K, d) array")
+        if experts.ndim != 2 or experts.shape[0] < 2:
+            raise DomainError("experts must be a (K, d) array with K >= 2: one expert has "
+                              "nothing to weigh")
         experts.setflags(write=False)
         object.__setattr__(self, "experts", experts)
 

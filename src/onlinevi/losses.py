@@ -156,18 +156,18 @@ class ExpectedLossGradient:
 # one formula per loss
 
 
-def _score_loss(kind: LossKind, scores: np.ndarray, targets) -> np.ndarray:
+def _score_loss(kind: LossKind, scores: np.ndarray, targets, out=None) -> np.ndarray:
     """The point loss as a function of the score s (theta . x, or the
     network's output) and the target y: hinge max(0, 1 - y s), squared
     (y - s)^2.  Elementwise on an array of scores; every point-loss kernel
     applies it to the scores of its own contraction.  It works in place in
     one new array, so a (T, K) matrix of scores costs one more such matrix,
-    not two."""
+    not two, or in ``out`` (which may be ``scores`` itself) and costs none."""
     if kind.kind == HINGE:
-        loss = targets * scores
+        loss = np.multiply(targets, scores, out=out)
         np.subtract(1.0, loss, out=loss)
         return np.maximum(0.0, loss, out=loss)
-    loss = np.subtract(targets, scores)
+    loss = np.subtract(targets, scores, out=out)
     return np.square(loss, out=loss)
 
 
@@ -301,16 +301,19 @@ def point_loss_rows(kind: LossKind, thetas: np.ndarray, features: np.ndarray,
 
 
 def expert_loss_matrix(kind: LossKind, experts: np.ndarray, features: np.ndarray,
-                       targets: np.ndarray) -> np.ndarray:
-    """(T, K) point losses of every expert (row of ``experts``) along a stream."""
+                       targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(T, K) point losses of every expert (row of ``experts``) along a
+    stream, written into ``out`` when it is given: a C-contiguous (T, K)
+    float array, which then holds the scores and the losses in turn, so the
+    call allocates no (T, K) array.  The bits are the same either way."""
     if kind.kind == SQUARED_NN:
         # one expert at a time: a single pass would hold all K * T *
         # hidden_width pre-activations at once
         scores = np.stack([_nn_forward_rows(expert, features, kind.hidden_width)[0]
-                           for expert in experts], axis=1)
+                           for expert in experts], axis=1, out=out)
     else:
-        scores = features @ experts.T
-    return _score_loss(kind, scores, targets[:, None])
+        scores = np.matmul(features, experts.T, out=out)
+    return _score_loss(kind, scores, targets[:, None], out=out)
 
 
 def _point_loss_grad_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray,

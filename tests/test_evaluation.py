@@ -590,9 +590,12 @@ class TestJensenAudit:
                 (SQL, tie, regression), (HINGE, tie, classification)]
 
     @pytest.mark.parametrize("block_values, blocks", [
-        (1, 150), (12000, 11), (40000, 4), (400 * 301, 1), (2 ** 20, 1)])
+        (1, 150), (12000, 11), (40000, 4), (400 * 301, 1), (2 ** 20, 1),
+        # the module's own block size, unpatched
+        pytest.param(None, 4, id="default-4")])
     def test_row_means_bitwise_equal_to_one_matrix(self, monkeypatch, block_values, blocks):
-        monkeypatch.setattr(evaluation, "_AUDIT_BLOCK_VALUES", block_values)
+        if block_values is not None:
+            monkeypatch.setattr(evaluation, "_AUDIT_BLOCK_VALUES", block_values)
         calls = []
         monkeypatch.setattr(evaluation, "expert_loss_matrix",
                             lambda *args: calls.append(args) or expert_loss_matrix(*args))
@@ -609,6 +612,17 @@ class TestJensenAudit:
             allowance = evaluation._jensen_allowance(preds, x, y)
             assert jensen_holdout_audit(preds, holdout, kind) == \
                 bool(np.all(at_bar <= oracle + allowance))
+
+    def test_every_block_is_computed_in_one_tile(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "expert_loss_matrix",
+                            lambda *args: calls.append(args) or expert_loss_matrix(*args))
+        kind, preds, holdout = self._cases()[0]
+        evaluation._mean_loss_per_row(kind, preds, holdout.features, holdout.targets)
+        tiles = [args[4] for args in calls]
+        assert len(tiles) == 4
+        assert all(tile.base is tiles[0].base and tile.flags.c_contiguous for tile in tiles)
+        assert tiles[0].base.size <= max(evaluation._AUDIT_BLOCK_VALUES, 2 * preds.shape[0])
 
     def test_every_case_holds_ties_included(self):
         for kind, preds, holdout in self._cases():

@@ -23,6 +23,7 @@ from onlinevi.learners import (
     SvaConfig,
     SvbConfig,
     Thm3ConvexSchedule,
+    Thm3StrongSchedule,
     diagonal_lattice,
     expectation_grad,
     lockstep,
@@ -300,13 +301,43 @@ def _grid_oracle(cfg, ds, kind):
     return np.array(predictions)
 
 
+class TestConfigNumbers:
+    """Every public config and schedule rejects a step size (or constant of
+    a step size) that is not a positive finite number when it is built."""
+
+    BUILD = {
+        "FixedEta.eta": lambda v: FixedEta(eta=v),
+        "Thm3ConvexSchedule.D": lambda v: Thm3ConvexSchedule(D=v, L=1.0),
+        "Thm3ConvexSchedule.L": lambda v: Thm3ConvexSchedule(D=1.0, L=v),
+        "Thm3StrongSchedule.H": lambda v: Thm3StrongSchedule(H=v),
+        "SvaConfig.eta": lambda v: SvaConfig(eta=v, prior=PRIOR1),
+        "NgviConfig.eta": lambda v: NgviConfig(eta=v, alpha=0.1, prior=PRIOR1),
+        "NgviConfig.alpha": lambda v: NgviConfig(eta=1.0, alpha=v, prior=PRIOR1),
+        "OgaConfig.eta": lambda v: OgaConfig(eta=v, box=BOX1),
+        "OgaElConfig.eta": lambda v: OgaElConfig(eta=v, prior=PRIOR1, box=BOX1),
+        # eta = 0 would keep the grid's weights uniform forever
+        "EwaGridConfig.eta": lambda v: EwaGridConfig(eta=v, experts=[[0.0], [1.0]]),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("field", list(BUILD))
+    def test_rejects_bad_number(self, field, bad):
+        with pytest.raises(DomainError, match=f"{field} must be a positive finite number"):
+            self.BUILD[field](bad)
+
+    @pytest.mark.parametrize("field", list(BUILD))
+    def test_accepts_a_positive_number(self, field):
+        self.BUILD[field](0.5)
+
+    @pytest.mark.parametrize("experts", [[[0.0]], [[0.0, 1.0]], [], [0.0, 1.0]])
+    def test_grid_needs_two_experts(self, experts):
+        with pytest.raises(DomainError, match="K >= 2"):
+            EwaGridConfig(eta=1.0, experts=experts)
+
+
 class TestEwaGridUpdate:
     """The vectorized grid pass of run_online."""
-
-    def test_eta_zero_keeps_weights(self):
-        cfg = EwaGridConfig(eta=0.0, experts=[[0.0], [1.0]])
-        trace = run_online(cfg, _stream([[1.0]] * 4, [5.0, 0.1, -3.0, 2.0]), SQL)
-        np.testing.assert_allclose(trace.predictions, 0.5)
 
     def test_equal_losses_stay_equal(self):
         # experts -1 and 1 lose (0 - theta)^2 = 1 each on every row
@@ -338,8 +369,9 @@ class TestEwaGridUpdate:
         np.testing.assert_allclose(trace.predictions[1:], 2.0)
 
     def test_rejects_nan(self):
-        # inf - inf: the expert's score, and so its loss, is NaN
-        cfg = EwaGridConfig(eta=1.0, experts=[[np.inf, -np.inf]])
+        # inf - inf: the first expert's score, and so its loss, is NaN; the
+        # second expert's loss is finite
+        cfg = EwaGridConfig(eta=1.0, experts=[[np.inf, -np.inf], [0.0, 0.0]])
         with pytest.raises(DomainError, match="finite"), np.errstate(invalid="ignore"):
             run_online(cfg, _stream([[1.0, 1.0]], [0.0]), SQL)
 

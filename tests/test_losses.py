@@ -16,6 +16,7 @@ from onlinevi.losses import (
     expected_loss,
     expected_loss_grad,
     expected_loss_series,
+    expert_loss_matrix,
     gaussian_cdf,
     lipschitz_constant,
     mc_expected_loss_and_grad,
@@ -382,6 +383,17 @@ class TestPointSeries:
             scalar = [point_loss(kind, theta, DataExample(feats[i], targs[i]))
                       for i in range(10)]
             np.testing.assert_allclose(series, scalar, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", [HINGE, SQL, LossKind.squared_nn(2)], ids=lambda k: k.kind)
+    def test_expert_losses_into_out_are_the_same_bits(self, kind):
+        rng = CounterRng(17, "elm-out")
+        feats = rng.normals(21).reshape(7, 3)
+        targs = np.where(rng.uniforms(7) < 0.5, 1.0, -1.0)
+        experts = rng.normals(5 * kind.param_dim(3)).reshape(5, -1)
+        out = np.full((7, 5), np.nan)
+        into = expert_loss_matrix(kind, experts, feats, targs, out)
+        assert into is out
+        assert np.array_equal(into, expert_loss_matrix(kind, experts, feats, targs))
 
 
 def _separate_subgrad(kind, theta, features, targets):
