@@ -70,17 +70,17 @@ from .learners import (
     run_online,
 )
 from .losses import (
+    HINGE,
+    SQUARED_LINEAR,
     SQUARED_NN,
-    DataExample,
     LossKind,
-    expected_loss,
-    expected_loss_grad,
+    expected_grad_xy,
     expected_loss_series,
     expert_loss_matrix,
     lipschitz_constant,
-    point_loss_many,
+    mc_grad_eps,
+    point_loss_rows,
 )
-from .losses import _point_loss_grad_many  # package-internal MC plumbing
 from .losses import point_loss_series  # noqa: F401  (a name the benchmark's tracer wraps)
 from .rng import CounterRng
 
@@ -89,10 +89,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+#: The loss names that the config's ``loss`` key and ``gradcheck --loss``
+#: accept, each with the kind it names.
 _LOSS_NAMES = {
-    "hinge": LossKind.hinge,
-    "squared-linear": LossKind.squared_linear,
-    "squared_linear": LossKind.squared_linear,
+    "hinge": HINGE,
+    "squared-linear": SQUARED_LINEAR,
+    "squared_linear": SQUARED_LINEAR,
+    "squared-nn": SQUARED_NN,
+    "squared_nn": SQUARED_NN,
 }
 
 
@@ -243,10 +247,11 @@ def load_experiment(path) -> ExperimentConfig:
 
 def _loss_kind(dataset: _Section) -> LossKind:
     raw = dataset.raw("loss", "").strip().lower()
-    if raw in _LOSS_NAMES:
-        return _LOSS_NAMES[raw]()
-    if raw in ("squared-nn", "squared_nn"):
+    name = _LOSS_NAMES.get(raw)
+    if name == SQUARED_NN:
         return LossKind.squared_nn(dataset.get("hidden_width", 16, _COUNT))
+    if name is not None:
+        return LossKind(name)
     raise ConfigError(f"[dataset] loss must be hinge, squared-linear or squared-nn, got {raw!r}")
 
 
@@ -307,6 +312,9 @@ class RunContext:
     holdout: data_mod.Dataset | None
     box: BoxConstraints
     prior: GaussianPrior
+    #: the certified Lipschitz constant of the expected loss on the stream
+    #: and the box; None for squared-nn, which has none
+    lipschitz: float | None
     resolved: list  # (AlgoSpec, LearnerConfig, meta dict)
 
     @property
@@ -327,9 +335,8 @@ def _positive(spec: AlgoSpec, key: str, default: str | None = None,
     return _parse(where, raw, _POSITIVE)
 
 
-def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
-                       stream: data_mod.Dataset, box: BoxConstraints,
-                       prior: GaussianPrior):
+def _resolve_algorithm(spec: AlgoSpec, kind: LossKind, stream: data_mod.Dataset,
+                       box: BoxConstraints, prior: GaussianPrior, lipschitz: float | None):
     opts = spec.options
     t_len = stream.T
     auto_eta = 1.0 / np.sqrt(t_len)
@@ -356,11 +363,11 @@ def _resolve_algorithm(spec: AlgoSpec, cfg: ExperimentConfig, kind: LossKind,
             if d_val is None:
                 d_val = box.diameter()
             if l_val is None:
-                if not kind.convex:
+                if lipschitz is None:
                     raise ConfigError(f"[algorithm.{spec.name}] l: auto needs a convex loss; "
                                       f"{kind.kind} has no certified Lipschitz constant, so "
                                       "give l a number")
-                l_val = lipschitz_constant(kind, stream, box)
+                l_val = lipschitz
             schedule = Thm3ConvexSchedule(D=d_val, L=l_val)
             meta.update(D=d_val, L=l_val)
         elif name == "thm3_strong":
@@ -441,14 +448,21 @@ def materialize(cfg: ExperimentConfig) -> RunContext:
     box = BoxConstraints.symmetric(d_param, cfg.box_m_abs, cfg.box_sigma_hi,
                                    cfg.box_sigma_lo)
     prior = GaussianPrior(cfg.prior_s, d_param)
-    resolved = [_resolve_algorithm(spec, cfg, kind, stream, box, prior)
+    lipschitz = None
+    if kind.convex:
+        lipschitz = lipschitz_constant(kind, stream, box)
+        if lipschitz == 0.0:
+            raise DataError(f"dataset {stream.name!r}: the certified Lipschitz constant is "
+                            f"L = 0 there, so the {kind.kind} loss does not depend on theta "
+                            "on the box")
+    resolved = [_resolve_algorithm(spec, kind, stream, box, prior, lipschitz)
                 for spec in cfg.algorithms]
     sections = (cfg.run, cfg.dataset, *(spec.options for spec in cfg.algorithms))
     unread = [key for section in sections for key in section.unread()]
     if unread:
         raise ConfigError(f"keys that this run would ignore: {', '.join(unread)}")
     return RunContext(cfg=cfg, kind=kind, stream=stream, holdout=holdout,
-                      box=box, prior=prior, resolved=resolved)
+                      box=box, prior=prior, lipschitz=lipschitz, resolved=resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +472,7 @@ def materialize(cfg: ExperimentConfig) -> RunContext:
 def _point_mass_comparator(theta_star: np.ndarray, box: BoxConstraints) -> MeanFieldGaussian:
     """Near-point-mass comparator q = N(theta*, 0.01^2 I): the tightest
     interpretable distributional comparator with finite KL."""
-    sigma = np.full(theta_star.size, 0.01)
-    sigma = np.clip(sigma, np.maximum(box.sigma_lo, SIGMA_FLOOR), box.sigma_hi)
+    sigma = np.clip(np.full(theta_star.size, 0.01), box.sigma_floor_lo, box.sigma_hi)
     return MeanFieldGaussian(theta_star, sigma)
 
 
@@ -473,9 +486,6 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
     want = lambda n: theorem in ("all", str(n))
     records = []
     t_len = ctx.horizon
-    lipschitz = None
-    if ctx.kind.convex:
-        lipschitz = lipschitz_constant(ctx.kind, ctx.stream, ctx.box)
 
     for spec, config, meta in ctx.resolved:
         if spec.name not in totals:
@@ -501,15 +511,16 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
             kl = kl_divergence(q_star, ctx.prior.gaussian())
             expected_total = float(np.sum(expected_loss_series(
                 ctx.kind, q_star, ctx.stream.features, ctx.stream.targets)))
-            bound = sva_bound(BoundInputs(T=t_len, eta=config.eta, L=lipschitz,
+            bound = sva_bound(BoundInputs(T=t_len, eta=config.eta, L=ctx.lipschitz,
                                           alpha=alpha, kl_term=kl))
             emp = total - expected_total
             records.append({
                 "theorem": 2, "algorithm": spec.name, "empirical_regret": emp,
                 "bound": bound, "slack_ratio": emp / bound, "holds": emp <= bound,
                 "deterministic": False,
+                # the box is symmetric, so every coordinate has one sigma
                 "notes": (f"informational: alpha={alpha:.6g} (1/prior_s^2), "
-                          "comparator sigma=0.01"),
+                          f"comparator sigma={q_star.sigma[0]:g}"),
             })
 
         if spec.tag == "svb" and want(3) and isinstance(config.schedule, Thm3ConvexSchedule) \
@@ -537,7 +548,7 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
                 expected_total = float(np.sum(expected_loss_series(
                     ctx.kind, q, ctx.stream.features, ctx.stream.targets)))
                 dist_sq = float(np.sum((q.mu_vector() - mu1) ** 2))
-                bound = ogael_bound(BoundInputs(T=t_len, eta=config.eta, L=lipschitz,
+                bound = ogael_bound(BoundInputs(T=t_len, eta=config.eta, L=ctx.lipschitz,
                                                 dist_sq=dist_sq))
                 ratio = (total - expected_total) / bound
                 if ratio > worst_ratio:
@@ -554,7 +565,7 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
 
 def _theorem4_probes(ctx: RunContext, count: int) -> list[MeanFieldGaussian]:
     rng = CounterRng(ctx.cfg.seed, "thm4-probes")
-    sigma_lo = np.maximum(ctx.box.sigma_lo, SIGMA_FLOOR)
+    sigma_lo = ctx.box.sigma_floor_lo
     probes = []
     for _ in range(count):
         u_m = rng.uniforms(ctx.box.d)
@@ -847,125 +858,108 @@ def cmd_gen_toy(n: int, seed: int, out_path: str) -> int:
 # gradient checking
 
 
-def _fd_expected_grad(kind: LossKind, q: MeanFieldGaussian, ex: DataExample,
-                      step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the closed-form expected loss in
-    (m, sigma); the oracle for the analytic gradients."""
-    d = q.d
-    grad = np.zeros(2 * d)
-    for j in range(d):
-        for which in (0, 1):
-            m_plus, s_plus = q.m.copy(), q.sigma.copy()
-            m_minus, s_minus = q.m.copy(), q.sigma.copy()
-            if which == 0:
-                m_plus[j] += step
-                m_minus[j] -= step
-            else:
-                s_plus[j] += step
-                s_minus[j] -= step
-            f_plus = expected_loss(kind, MeanFieldGaussian(m_plus, s_plus), ex)
-            f_minus = expected_loss(kind, MeanFieldGaussian(m_minus, s_minus), ex)
-            grad[which * d + j] = (f_plus - f_minus) / (2.0 * step)
-    return grad
+def _central_differences(loss, m: np.ndarray, sigma: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of ``loss(m, sigma)`` in each coordinate of m,
+    then of sigma: a (2d, ...) array whose rows have the shape that
+    ``loss`` returns, row j being (loss(mu + step e_j) - loss(mu - step
+    e_j)) / (2 step) at mu = (m, sigma)."""
+    d = m.size
+    mu = np.concatenate([m, sigma])
+    rows = []
+    for j in range(2 * d):
+        plus, minus = mu.copy(), mu.copy()
+        plus[j] += step
+        minus[j] -= step
+        rows.append((loss(plus[:d], plus[d:]) - loss(minus[:d], minus[d:])) / (2.0 * step))
+    return np.array(rows)
 
 
 def sample_gradcheck_instance(kind: LossKind, rng: CounterRng, d_max: int = 5):
-    """Random (q, example) pair with the hinge margin kept within 4 sd of
+    """Random (m, sigma, x, y) with the hinge margin kept within 4 sd of
     zero so the gradients stay in a numerically checkable range."""
     while True:
         d = 1 + int(rng.integers(1, d_max)[0])
         x = rng.normals(d)
         if np.linalg.norm(x) < 0.3:
             continue
-        if kind.kind == "hinge":
+        if kind.kind == HINGE:
             y = 1.0 if rng.uniforms(1)[0] < 0.5 else -1.0
         else:
             y = float(rng.normals(1)[0])
         m = 0.7 * rng.normals(d)
         sigma = 0.5 + 0.7 * rng.uniforms(d)
-        q = MeanFieldGaussian(m, sigma)
-        ex = DataExample(x, y)
-        if kind.kind == "hinge":
+        if kind.kind == HINGE:
             mu_z = 1.0 - y * float(m @ x)
             s_z = float(np.sqrt(np.sum((sigma * x) ** 2)))
             if abs(mu_z / s_z) > 4.0:
                 continue
-        return q, ex
-
-
-def relative_grad_error(analytic: np.ndarray, oracle: np.ndarray) -> float:
-    denom = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(oracle)), 1e-8)
-    return float(np.linalg.norm(analytic - oracle)) / denom
+        return m, sigma, x, y
 
 
 def cmd_gradcheck(loss: str, trials: int, tol: float, seed: int,
                   mc_samples: int = 100000) -> int:
+    """Check ``expected_grad_xy`` (hinge, squared-linear) against central
+    differences of the closed-form expected loss, or ``mc_grad_eps``
+    (squared-nn) statistically; exit 1 when a check fails."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    rng = CounterRng(seed, "gradcheck")
-    if loss in _LOSS_NAMES:
-        kind = _LOSS_NAMES[loss]()
-        worst = 0.0
-        for _ in range(trials):
-            q, ex = sample_gradcheck_instance(kind, rng)
-            grad = expected_loss_grad(kind, q, ex)
-            analytic = np.concatenate([grad.g_m, grad.g_sigma])
-            worst = max(worst, relative_grad_error(analytic, _fd_expected_grad(kind, q, ex)))
-        print(f"gradcheck {loss}: max relative error {worst:.3e} over {trials} trials "
-              f"(tol {tol:g})")
-        return EXIT_OK if worst <= tol else EXIT_CHECK_FAILED
-    if loss in ("squared-nn", "squared_nn"):
+    name = _LOSS_NAMES.get(loss)
+    if name is None:
+        raise ConfigError(f"unknown loss {loss!r}")
+    if name == SQUARED_NN:
         if mc_samples < 2:
             # a standard error needs two samples
             raise ConfigError("--mc-samples must be >= 2")
         return _gradcheck_nn(trials, seed, mc_samples)
-    raise ConfigError(f"unknown loss {loss!r}")
+    kind = LossKind(name)
+    rng = CounterRng(seed, "gradcheck")
+    errors = []
+    for _ in range(trials):
+        m, sigma, x, y = sample_gradcheck_instance(kind, rng)
+        analytic = np.concatenate(expected_grad_xy(kind, m, sigma, x, y))
+        row = x[None, :], np.array([y])
+        oracle = _central_differences(
+            lambda mj, sj: expected_loss_series(kind, MeanFieldGaussian(mj, sj), *row)[0],
+            m, sigma, 1e-5)
+        denom = max(np.linalg.norm(analytic), np.linalg.norm(oracle), 1e-8)
+        errors.append(np.linalg.norm(analytic - oracle) / denom)
+    worst = float(np.max(errors))  # a NaN error is the worst, and fails
+    print(f"gradcheck {loss}: max relative error {worst:.3e} over {trials} trials "
+          f"(tol {tol:g})")
+    return EXIT_OK if worst <= tol else EXIT_CHECK_FAILED
 
 
 def _gradcheck_nn(trials: int, seed: int, mc_samples: int) -> int:
-    """Statistical check of the Monte-Carlo gradient: per coordinate the MC
-    estimate must sit within 3 combined standard errors of a common-random-
-    numbers finite difference of the MC expected loss."""
+    """Statistical check of the Monte-Carlo gradient: per coordinate the
+    mean of ``mc_grad_eps``'s one-sample estimates must sit within 3
+    combined standard errors of a common-random-numbers finite difference
+    of the Monte-Carlo loss."""
     kind = LossKind.squared_nn(4)
     rng = CounterRng(seed, "gradcheck-nn")
     fd_samples = max(1000, mc_samples // 5)
     h = 1e-3
+    d_in = 2
+    d = kind.param_dim(d_in)
     ok = True
     worst = 0.0
     for trial in range(trials):
-        d_in = 2
-        d = kind.param_dim(d_in)
         x = rng.normals(d_in)
         y = float(rng.normals(1)[0])
-        q = MeanFieldGaussian(0.5 * rng.normals(d), 0.3 + 0.4 * rng.uniforms(d))
-        ex = DataExample(x, y)
+        m, sigma = 0.5 * rng.normals(d), 0.3 + 0.4 * rng.uniforms(d)
 
+        # a (mc_samples, 1, d) eps gives each sample its own estimate
         eps = CounterRng(seed, f"gradcheck-nn-mc-{trial}").normals(mc_samples * d) \
-            .reshape(mc_samples, d)
-        thetas = q.m[None, :] + q.sigma[None, :] * eps
-        _, grads = _point_loss_grad_many(kind, thetas, x, y)
-        per_sample = np.concatenate([grads, grads * eps], axis=1)
+            .reshape(mc_samples, 1, d)
+        per_sample = np.concatenate(mc_grad_eps(kind, m, sigma, x, y, eps)[1:], axis=1)
         g_mc = per_sample.mean(axis=0)
         se_mc = per_sample.std(axis=0, ddof=1) / np.sqrt(mc_samples)
 
         eps_fd = CounterRng(seed, f"gradcheck-nn-fd-{trial}").normals(fd_samples * d) \
             .reshape(fd_samples, d)
-        g_fd = np.zeros(2 * d)
-        se_fd = np.zeros(2 * d)
-        for j in range(2 * d):
-            m_p, s_p = q.m.copy(), q.sigma.copy()
-            m_m, s_m = q.m.copy(), q.sigma.copy()
-            if j < d:
-                m_p[j] += h
-                m_m[j] -= h
-            else:
-                s_p[j - d] += h
-                s_m[j - d] -= h
-            loss_p = point_loss_many(kind, m_p[None, :] + s_p[None, :] * eps_fd, ex)
-            loss_m = point_loss_many(kind, m_m[None, :] + s_m[None, :] * eps_fd, ex)
-            diffs = (loss_p - loss_m) / (2.0 * h)
-            g_fd[j] = diffs.mean()
-            se_fd[j] = diffs.std(ddof=1) / np.sqrt(fd_samples)
+        diffs = _central_differences(
+            lambda mj, sj: point_loss_rows(kind, mj + sj * eps_fd, x, y), m, sigma, h)
+        g_fd = diffs.mean(axis=1)
+        se_fd = diffs.std(axis=1, ddof=1) / np.sqrt(fd_samples)
 
         margin = 3.0 * np.sqrt(se_mc ** 2 + se_fd ** 2) + 1e-6
         dev = np.abs(g_mc - g_fd)

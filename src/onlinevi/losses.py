@@ -501,8 +501,11 @@ def mc_grad_eps(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray,
     point loss of each sample, whose mean is the estimate of ``mc_grad_xy``,
     and the two gradient estimates.  m and sigma may be (d,) or rows (k, d);
     every row uses the same normals, and its estimates have the bits they
-    have on their own.  The learners' loop reads only the gradients, so the
-    mean is left to ``mc_grad_xy``."""
+    have on their own.  eps may carry leading axes, (..., samples, d), that
+    broadcast against those of m; each block of samples then gives its own
+    estimate, so (n, 1, d) normals give n one-sample estimates.  The
+    learners' loop reads only the gradients, so the mean is left to
+    ``mc_grad_xy``."""
     thetas = m[..., None, :] + sigma[..., None, :] * eps
     losses, grads = _point_loss_grad_many(kind, thetas, x, y)
     return losses, grads.mean(axis=-2), (grads * eps).mean(axis=-2)

@@ -59,6 +59,7 @@ from onlinevi.learners import (
     svb_step,
 )
 from onlinevi.losses import (
+    DataExample,
     LossKind,
     expected_grad_xy,
     expected_loss_grad,
@@ -111,7 +112,8 @@ class TestCriterion01GradientSuite:
             rng = CounterRng(101, f"acceptance-c1-{kind.kind}")
             errs = []
             for _ in range(100):
-                q, ex = sample_gradcheck_instance(kind, rng)
+                m, sigma, x, y = sample_gradcheck_instance(kind, rng)
+                q, ex = MeanFieldGaussian(m, sigma), DataExample(x, y)
                 grad = expected_loss_grad(kind, q, ex)
                 analytic = np.concatenate([grad.g_m, grad.g_sigma])
                 oracle = fd_expected_grad(kind, q, ex, step=1e-5)

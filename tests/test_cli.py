@@ -210,6 +210,23 @@ class TestRun:
         cli._write_series_csv(tmp_path / "own.csv", cli.build_ledger(trace.losses))
         assert (tmp_path / "own.csv").read_bytes() == (out / "ewagrid.csv").read_bytes()
 
+    def test_one_lipschitz_constant_per_materialize(self, run_dir, tmp_path, monkeypatch):
+        # the run resolves svb_thm3's l = auto and checks Theorems 2 and 4
+        # from the one constant; bounds computes it once more
+        calls = []
+        certify = cli.lipschitz_constant
+
+        def counting(*args):
+            calls.append(1)
+            return certify(*args)
+
+        monkeypatch.setattr(cli, "lipschitz_constant", counting)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_dir / "config.ini"), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert main(["bounds", "--run", str(out), "--theorem", "all"]) == 0
+        assert len(calls) == 2
+
     def test_horizon_zero_is_config_error(self, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text(BASE_CONFIG.replace("seed = 1", "seed = 1\nhorizon = 0"),
@@ -406,6 +423,29 @@ class TestMalformedConfig:
         code, err = self._run(tmp_path, capsys, text.replace(old, new, 1))
         assert code == 2
         assert needle in err
+
+    @pytest.mark.parametrize("loss, rows, box, algorithm", [
+        # every feature zero: the hinge loss is 1 whatever theta
+        pytest.param("hinge", "0,0,1\n0,0,-1\n", "", "[algorithm.sva]",
+                     id="hinge-zero-features-sva"),
+        pytest.param("squared-linear", "0,0,1\n0,0,-2\n", "", "[algorithm.ogael]",
+                     id="linear-zero-features-ogael"),
+        # the box pins theta at 0 and every target is 0
+        pytest.param("squared-linear", "1,2,0\n-3,0.5,0\n", "box_m_abs = 0",
+                     "[algorithm.svb_thm3]\nalgo = svb\nschedule = thm3_convex\nl = auto",
+                     id="linear-pinned-svb_thm3"),
+    ])
+    def test_lipschitz_zero_exits_2_naming_the_dataset(self, tmp_path, capsys, loss, rows,
+                                                       box, algorithm):
+        data = tmp_path / "flat.csv"
+        data.write_text("x1,x2,y\n" + rows * 25, encoding="utf-8")
+        label = "positive_label = 1\n" if loss == "hinge" else ""
+        code, err = self._run(tmp_path, capsys, (
+            f"[run]\nseed = 0\n{box}\n[dataset]\nsource = csv\npath = {data}\nlabel = y\n"
+            f"{label}loss = {loss}\n{algorithm}\n"))
+        assert code == 2
+        assert str(data) in err
+        assert "L = 0" in err
 
     @pytest.mark.parametrize("dataset, experts", [
         # 5^30 experts on 30 features; 2^65 on the default squared-nn width
@@ -958,6 +998,29 @@ class TestGradcheck:
         assert main(["gradcheck", "--loss", "squared-nn", "--trials", "2",
                      "--seed", "0", "--mc-samples", "40000"]) == 0
 
+    def test_nn_checks_the_kernel_of_the_pass(self, monkeypatch):
+        # a g_sigma 1.5 times too large in the Monte-Carlo kernel fails
+        kernel = cli.mc_grad_eps
+
+        def wrong(*args):
+            losses, g_m, g_sigma = kernel(*args)
+            return losses, g_m, 1.5 * g_sigma
+
+        monkeypatch.setattr(cli, "mc_grad_eps", wrong)
+        assert main(["gradcheck", "--loss", "squared-nn", "--trials", "1",
+                     "--mc-samples", "20000"]) == 1
+
+    def test_convex_checks_the_kernel_of_the_pass(self, monkeypatch):
+        # a g_m 1% too large in the closed-form kernel fails
+        kernel = cli.expected_grad_xy
+
+        def wrong(*args):
+            g_m, g_sigma = kernel(*args)
+            return 1.01 * g_m, g_sigma
+
+        monkeypatch.setattr(cli, "expected_grad_xy", wrong)
+        assert main(["gradcheck", "--loss", "hinge", "--trials", "20"]) == 1
+
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_nn_needs_two_samples(self, capsys, samples):
         # one sample has no standard error, so no margin to check against
@@ -969,6 +1032,25 @@ class TestGradcheck:
 class TestBounds:
     def test_all_hold(self, run_dir):
         assert main(["bounds", "--run", str(run_dir), "--theorem", "all"]) == 0
+
+    @pytest.mark.parametrize("box, sigma", [
+        ("box_sigma_lo = 1", "1"),
+        ("box_sigma_hi = 1e-8", "1e-08"),
+    ])
+    def test_theorem2_names_the_comparator_sigma_used(self, tmp_path, capsys, box, sigma):
+        # the point-mass comparator's 0.01 is clipped into the sigma box
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[run]\nseed = 1\n{box}\ncomparator_restarts = 0\n"
+                          "[dataset]\nsource = toy\nn = 100\nloss = hinge\n"
+                          "[algorithm.sva]\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        note = f"comparator sigma={sigma}"
+        assert summary["algorithms"]["sva"]["bound_notes"].endswith(note)
+        capsys.readouterr()
+        assert main(["bounds", "--run", str(out), "--theorem", "2"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"{note})")
 
     def test_single_theorem(self, run_dir):
         assert main(["bounds", "--run", str(run_dir), "--theorem", "3"]) == 0
