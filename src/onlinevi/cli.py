@@ -645,8 +645,9 @@ def _check_target(out: Path) -> None:
 def _run_into(out: Path, ctx: RunContext, config_path: str, load_ms: float) -> None:
     """Every output file of a run, written into the directory ``out``."""
     cfg = ctx.cfg
-    # wall time per phase, in ms; "write" covers comparator.csv and the series CSVs
-    phases = {"load": load_ms, "write": 0.0}
+    # wall time per phase, in ms; "write" covers comparator.csv and the series
+    # CSVs, "finish" each section's work after the pass but its write
+    phases = {"load": load_ms, "write": 0.0, "finish": 0.0}
 
     start = time.perf_counter()
     comparator = best_in_hindsight(
@@ -726,7 +727,7 @@ def _finish(sections: list, walks: list, pass_ms: float, ctx: RunContext, compar
     """Each section's trace from its walk (None for a grid, which walks
     nothing), summary entry and series file.  A section's ``wall_ms`` is
     ``pass_ms``, the wall time of the pass that walked it (0 for a grid),
-    plus the section's own work here."""
+    plus the section's own work here, which ``phases["finish"]`` sums."""
     for (spec, config, meta), walk in zip(sections, walks):
         start = time.perf_counter()
         trace = run_online(config, ctx.stream, ctx.kind,
@@ -761,7 +762,9 @@ def _finish(sections: list, walks: list, pass_ms: float, ctx: RunContext, compar
             if ctx.kind.convex:
                 entry["holdout_jensen_ok"] = jensen_holdout_audit(
                     trace.predictions, ctx.holdout, ctx.kind)
-        entry["wall_ms"] = round(pass_ms + (time.perf_counter() - start) * 1000.0, 3)
+        own_ms = (time.perf_counter() - start) * 1000.0
+        entry["wall_ms"] = round(pass_ms + own_ms, 3)
+        phases["finish"] = round(phases["finish"] + own_ms, 3)
         algo_summaries[spec.name] = entry
         start = time.perf_counter()
         _write_series_csv(out / f"{spec.name}.csv", ledger)

@@ -21,34 +21,40 @@ Algorithms (all over the mean-field Gaussian family unless noted):
 
 with h(x) = sqrt(1 + x^2) - x.
 
-Each update is an array kernel (``sva_step``, ``svb_step``, ``ngvi_step``,
-``oga_step``, ``ogael_step``): a pure function from the current arrays
-(m, sigma and the learner's auxiliary state) and a gradient to the next
-arrays.  ``lockstep`` validates its inputs once, then walks the rows of
-``Dataset.features`` / ``Dataset.targets`` once and advances all its
-learners at each step: their states are rows of stacked (k, d) arrays,
-one gradient call serves every row, and each learner class updates its
-own rows with its kernel's formula.  The loop does only the sequential
-work: record the decisions, compute the gradients, update, record each
-state row's box membership, and check once for the whole stack that the
-gradients and the new states are finite with sigma > 0.  It records only
-what a trace reads, never the states.  ``run_online`` gives one learner's
-Trace, from its walk in a pass with others or from a pass of its own,
-and adds the point losses at all T decisions in one vectorized pass.
-The kernels' formulas and ``lockstep`` are the only implementation of
-the learners, and a learner's trace has the same bits whatever company
-it walks in.  The grid's weights depend only on the data, so it walks
-nothing: ``lockstep`` walks only the other learners and rejects a grid,
-and ``run_online`` gives the grid's T predictions from the (T, K)
-expert-loss matrix in one vectorized pass.  A run owns its arrays and
-runs are independent.
+``lockstep`` is the only implementation of the walking learners.  It
+validates its inputs once, then walks the rows of ``Dataset.features`` /
+``Dataset.targets`` once and advances all its learners at each step.
+Their states are rows of one stacked array, the k means and then the
+Gaussian learners' sigmas, and their gradients rows of one buffer of the
+same layout: one gradient call serves every Gaussian row (the closed form,
+or one Monte-Carlo draw that all of them share), and one more the OGA
+rows.  A step (``_Step``) shares the formulas the classes have in common.
+The means of SVA, SVB, OGA-EL and OGA all move as m - c g_m, in one
+multiply-subtract; the sigmas of SVA and SVB are both base * h(a v), in
+one h-map.  Whatever does not change from step to step is computed once
+per pass as (k, 1) parameter columns or constant rows: SVA's (eta s) s
+and (eta/2) s, NGVI's beta terms (until a row halves its eta), and each
+SVB schedule's eta_t = num / (c tau_t sigma^2) as the columns (num, c,
+tau_t).  Every operation is elementwise or along a row, in the order of
+products of the formulas above, so each row has the bits it would have
+alone, and a learner's trace does not depend on the company it walks in.
+The loop does only the sequential work: record the decisions, compute
+the gradients, update, clip to the boxes, record each state row's box
+membership, and check once for the whole stack that the gradients and
+the new states are finite with sigma > 0.  It records only what a trace
+reads, never the states.  ``run_online`` gives one learner's Trace, from
+its walk in a pass with others or from a pass of its own, and adds the
+point losses at all T decisions in one vectorized pass.  The grid's
+weights depend only on the data, so it walks nothing: ``lockstep`` walks
+only the other learners and rejects a grid, and ``run_online`` gives the
+grid's T predictions from the (T, K) expert-loss matrix in one
+vectorized pass.  A run owns its arrays and runs are independent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence, Union
 
 import numpy as np
@@ -59,7 +65,6 @@ from .family import (
     SIGMA_FLOOR,
     BoxConstraints,
     GaussianPrior,
-    NaturalParams,
     h_map,
     natural_to_standard,
 )
@@ -105,6 +110,13 @@ class _PositiveFields:
 
 # ---------------------------------------------------------------------------
 # step-size schedules for SVB (eta_{t,j} as a vector over coordinates)
+#
+# Every schedule's ``terms`` is (num, c, tau): eta_{t,j} = num / (c tau_t
+# sigma_{t,j}^2) with tau_t = sqrt(t) (SQRT_T) or t (LINEAR_T), or the fixed
+# eta_{t,j} = num / c (FIXED).  ``lockstep`` makes (k, 1) parameter columns
+# of them and orders SVB's rows by tau, in that order.
+
+SQRT_T, LINEAR_T, FIXED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -112,8 +124,9 @@ class FixedEta(_PositiveFields):
     _POSITIVE = ("eta",)
     eta: float
 
-    def rate(self, t: int, sigma: np.ndarray) -> np.ndarray:
-        return np.full_like(sigma, self.eta)
+    @property
+    def terms(self) -> tuple[float, float, int]:
+        return self.eta, 1.0, FIXED
 
     def describe(self) -> str:
         return f"fixed eta={self.eta:g}"
@@ -123,8 +136,9 @@ class FixedEta(_PositiveFields):
 class InvSigmaSqrtT:
     """The experiments' default eta_{t,j} = 1 / (sigma_{t,j}^2 sqrt(t))."""
 
-    def rate(self, t: int, sigma: np.ndarray) -> np.ndarray:
-        return 1.0 / (sigma ** 2 * math.sqrt(t))
+    @property
+    def terms(self) -> tuple[float, float, int]:
+        return 1.0, 1.0, SQRT_T
 
     def describe(self) -> str:
         return "eta_t = 1/(sigma_t^2 sqrt(t))"
@@ -139,8 +153,9 @@ class Thm3ConvexSchedule(_PositiveFields):
     D: float
     L: float
 
-    def rate(self, t: int, sigma: np.ndarray) -> np.ndarray:
-        return (self.D * math.sqrt(2.0)) / (self.L * math.sqrt(t) * sigma ** 2)
+    @property
+    def terms(self) -> tuple[float, float, int]:
+        return self.D * math.sqrt(2.0), self.L, SQRT_T
 
     def describe(self) -> str:
         return f"eta_tj = D*sqrt(2)/(L*sqrt(t)*sigma^2), D={self.D:g}, L={self.L:g}"
@@ -153,8 +168,9 @@ class Thm3StrongSchedule(_PositiveFields):
     _POSITIVE = ("H",)
     H: float
 
-    def rate(self, t: int, sigma: np.ndarray) -> np.ndarray:
-        return 2.0 / (self.H * t * sigma ** 2)
+    @property
+    def terms(self) -> tuple[float, float, int]:
+        return 2.0, self.H, LINEAR_T
 
     def describe(self) -> str:
         return f"eta_tj = 2/(H*t*sigma^2), H={self.H:g}"
@@ -250,15 +266,7 @@ def product_lattice(lo: float, hi: float, per_axis: int, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# update kernels
-#
-# Each ``*_step`` kernel is its ``_*_update`` formula on one learner's
-# arrays with that learner's parameters, then the projection onto the
-# learner's box (``_projection_box``).  ``lockstep`` calls the same
-# formulas on the rows (k, d) of all the learners of one class at once, the
-# parameters then being (k, 1) columns, and clips the whole stack to its
-# rows' boxes afterwards; every operation is elementwise or along a row, so
-# each row gets the bits it would get on its own.
+# the formulas behind the updates
 
 
 def _projection_box(config: LearnerConfig) -> BoxConstraints | None:
@@ -266,35 +274,6 @@ def _projection_box(config: LearnerConfig) -> BoxConstraints | None:
     if isinstance(config, NgviConfig) or (isinstance(config, SvaConfig) and not config.project):
         return None  # NGVI has no lambda-space projection
     return config.box
-
-
-def _project(config: LearnerConfig, m: np.ndarray,
-             sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    box = _projection_box(config)
-    return (m, sigma) if box is None else box.clip(m, sigma)
-
-
-def _sva_update(m, accum, g_m, g_sigma, eta, s):
-    m = m - eta * s * s * g_m
-    accum = accum + g_sigma
-    return m, s * h_map(0.5 * eta * s * accum), accum
-
-
-def sva_step(m: np.ndarray, accum: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
-             config: SvaConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m, sigma, accum = _sva_update(m, accum, g_m, g_sigma, config.eta, config.prior.s)
-    return (*_project(config, m, sigma), accum)
-
-
-def _svb_update(m, sigma, g_m, g_sigma, eta):
-    m = m - eta * sigma ** 2 * g_m
-    return m, sigma * h_map(0.5 * eta * sigma * g_sigma)
-
-
-def svb_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
-             t: int, config: SvbConfig) -> tuple[np.ndarray, np.ndarray]:
-    return _project(config, *_svb_update(m, sigma, g_m, g_sigma,
-                                         config.schedule.rate(t, sigma)))
 
 
 def expectation_grad(g_m: np.ndarray, g_sigma: np.ndarray, m: np.ndarray,
@@ -309,61 +288,32 @@ def expectation_grad(g_m: np.ndarray, g_sigma: np.ndarray, m: np.ndarray,
     return g_m - 2.0 * m * g_var, g_var
 
 
-def _ngvi_update(lam, g_mu1, g_mu2, lam_prior, eta, alpha):
-    """The recursion with eta halved, row by row, until lambda2 < 0 on the
-    whole row; returns (lambda1, lambda2, halvings): None if no row needed
-    a halving, else the halvings per row as a (k, 1) column, with
-    MAX_STEP_RETRIES + 1 on a row that no halving brought back."""
+def _ngvi_terms(eta, alpha, lam_prior):
+    """(1 - beta, beta lambda_prior, eta beta) of the NGVI recursion at
+    step size eta, 1/beta = 1/alpha + 1/eta: what a step takes from eta."""
+    beta = 1.0 / (1.0 / alpha + 1.0 / eta)
+    return 1.0 - beta, beta * lam_prior, eta * beta
+
+
+def _ngvi_update(lam, g_mu, terms, eta, alpha, lam_prior):
+    """The recursion on lambda = (lambda1, lambda2) stacked as (2, k, d),
+    from ``terms``, ``_ngvi_terms`` at eta, with eta halved row by row (and
+    the terms recomputed) until lambda2 < 0 on the whole row; returns
+    (lambda, halvings): None if no row needed a halving, else the halvings
+    per row as a (k, 1) column, with MAX_STEP_RETRIES + 1 on a row that no
+    halving brought back."""
     halvings = None
     for _ in range(MAX_STEP_RETRIES + 1):
-        beta = 1.0 / (1.0 / alpha + 1.0 / eta)
-        l1 = (1.0 - beta) * lam[0] + beta * lam_prior[0] - eta * beta * g_mu1
-        l2 = (1.0 - beta) * lam[1] + beta * lam_prior[1] - eta * beta * g_mu2
-        inside = l2 < 0.0
+        keep, pull, rate = terms
+        new = keep * lam + pull - rate * g_mu
+        inside = new[1] < 0.0
         if inside.all():
             break
         ok = inside.all(axis=-1, keepdims=True)
         eta = np.where(ok, eta, 0.5 * eta)
+        terms = _ngvi_terms(eta, alpha, lam_prior)
         halvings = ~ok + (0 if halvings is None else halvings)
-    return l1, l2, halvings
-
-
-def ngvi_step(lam: tuple[np.ndarray, np.ndarray], g_mu1: np.ndarray, g_mu2: np.ndarray,
-              lam_prior: NaturalParams, step: int,
-              config: NgviConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Natural-parameter recursion on (lambda1, lambda2); returns the new pair
-    and the number of eta halvings the step needed."""
-    l1, l2, halvings = _ngvi_update(lam, g_mu1, g_mu2,
-                                    (lam_prior.lambda1, lam_prior.lambda2),
-                                    config.eta, config.alpha)
-    halvings = 0 if halvings is None else int(np.max(halvings))
-    if halvings > MAX_STEP_RETRIES:
-        raise InvalidPrecisionError(
-            f"NGVI step {step} left the family (lambda2 >= 0) after "
-            f"{MAX_STEP_RETRIES} eta halvings",
-            step=step,
-        )
-    return l1, l2, halvings
-
-
-def _oga_update(theta, g, eta):
-    return theta - eta * g
-
-
-def oga_step(theta: np.ndarray, g: np.ndarray, config: OgaConfig) -> np.ndarray:
-    theta = _oga_update(theta, g, config.eta)
-    if config.box is not None:
-        theta = theta.clip(config.box.m_lo, config.box.m_hi)
-    return theta
-
-
-def _ogael_update(m, sigma, g_m, g_sigma, eta):
-    return m - eta * g_m, np.maximum(sigma - eta * g_sigma, SIGMA_FLOOR)
-
-
-def ogael_step(m: np.ndarray, sigma: np.ndarray, g_m: np.ndarray, g_sigma: np.ndarray,
-               config: OgaElConfig) -> tuple[np.ndarray, np.ndarray]:
-    return _project(config, *_ogael_update(m, sigma, g_m, g_sigma, config.eta))
+    return new, halvings
 
 
 # ---------------------------------------------------------------------------
@@ -381,92 +331,128 @@ class Trace:
     halvings: np.ndarray | None = None     # (T,) NGVI eta halvings per step; NGVI only
 
 
-def _param(values: list) -> np.ndarray:
-    """One parameter of a class's rows, as a (k, 1) column."""
-    return np.array(values, dtype=float)[:, None]
+#: The learner classes in the order of their rows, with the name that
+#: errors give a learner the caller did not name.  NGVI comes first, so
+#: that the means of the other four, which all step as m - c g_m, are one
+#: block, and so are the sigmas of SVA and SVB, which both step as
+#: base h(a v); the Gaussian learners come before OGA, so that their
+#: sigmas are one block too.
+_ROWS = {NgviConfig: "ngvi", SvaConfig: "sva", SvbConfig: "svb", OgaElConfig: "ogael",
+         OgaConfig: "oga"}
 
 
-# The learners of one class inside ``lockstep``, as rows of the stacked
-# state: ``update`` takes the rows' (m, sigma) and gradients and returns the
-# next (m, sigma), sigma None for OGA, before the projection, which
-# ``lockstep`` applies to the whole stack at once.  NGVI's block keeps the
-# (k, T) record of its step halvings and names its rows in the error when no
-# halving brings one back.
+def _row_key(config) -> tuple[int, int]:
+    """The rows in class order, SVB's by the tau of its schedule: tau_t =
+    sqrt(t) first, then tau_t = t, then the fixed step sizes."""
+    tau = config.schedule.terms[2] if isinstance(config, SvbConfig) else 0
+    return list(_ROWS).index(type(config)), tau
 
 
-class _SvaRows:
-    def __init__(self, configs: list[SvaConfig], names: list[str], d: int, t_max: int):
-        self.eta = _param([c.eta for c in configs])
-        self.s = _param([c.prior.s for c in configs])
-        self.accum = np.zeros((len(configs), d))
-
-    def update(self, m, sigma, g_m, g_sigma, t):
-        m, sigma, self.accum = _sva_update(m, self.accum, g_m, g_sigma, self.eta, self.s)
-        return m, sigma
+def _column(values) -> np.ndarray:
+    """One parameter of some rows, as a (k, 1) column."""
+    return np.array(values, dtype=float).reshape(-1, 1)
 
 
-class _SvbRows:
-    def __init__(self, configs: list[SvbConfig], names: list[str], d: int, t_max: int):
-        # one rate call per run of consecutive rows with equal schedules
-        self.schedules, first = [], 0
-        for schedule, rows in groupby(c.schedule for c in configs):
-            count = len(list(rows))
-            self.schedules.append((schedule, slice(first, first + count)))
-            first += count
+class _Step:
+    """One step of every learner of a ``lockstep`` pass, in place on the
+    stacked ``state`` (the k means, then the sigmas of the Gaussian rows),
+    from the gradient rows ``grad`` of the same layout.  ``configs`` are in
+    row order, ``_row_key``'s.
 
-    def update(self, m, sigma, g_m, g_sigma, t):
-        eta = np.concatenate([schedule.rate(t, sigma[rows]) for schedule, rows in self.schedules])
-        return _svb_update(m, sigma, g_m, g_sigma, eta)
+    What does not change from step to step is computed once, here: each
+    class's parameters as (k, 1) columns (NGVI's beta terms until a row
+    halves its eta), and the constant rows of the buffers that the classes
+    share.  A step is then one mean step m - c g_m for SVA, SVB, OGA-EL and
+    OGA, with c = (eta s) s, eta_t sigma^2, eta and eta; one h-map for the
+    sigmas of SVA and SVB, base h(a v) with (base, a, v) = (s, (eta/2) s,
+    sum of g_sigma) and (sigma, (eta_t/2) sigma, g_sigma); OGA-EL's floored
+    sigma step; and NGVI's recursion.  Every operation is elementwise or
+    along a row, in each row's own order of products, so each row gets the
+    bits it would get on its own."""
 
+    def __init__(self, configs: list, names: list[str], state: np.ndarray, grad: np.ndarray,
+                 t_max: int):
+        k, d = len(configs), state.shape[1]
+        ngvi, sva, svb, ogael, oga = ([c for c in configs if type(c) is cls] for cls in _ROWS)
+        n, n_sva, n_svb = len(ngvi), len(sva), len(svb)
+        sigma, g_sigma = state[k:], grad[k:]
+        # NGVI: its rows' (m, sigma, g_m, g_sigma), and lambda, its prior, the
+        # gradient in expectation coordinates and the beta terms, each (2, n, d)
+        self.ngvi = (state[:n], sigma[:n], grad[:n], g_sigma[:n])
+        self.ngvi_names, self.halvings = names[:n], np.zeros((n, t_max), dtype=int)
+        self.eta, self.alpha = _column([c.eta for c in ngvi]), _column([c.alpha for c in ngvi])
+        priors = [c.prior.natural() for c in ngvi]
+        self.lam_prior = np.array([[p.lambda1 for p in priors],
+                                   [p.lambda2 for p in priors]]).reshape(2, n, d)
+        self.lam, self.g_mu = self.lam_prior, np.empty((2, n, d))
+        self.terms = _ngvi_terms(self.eta, self.alpha, self.lam_prior)
+        # the mean step of every other row, with SVB's c filled in at each step
+        self.means, self.g_means = state[n:k], grad[n:k]
+        self.coef, self.work = np.empty_like(self.means), np.empty_like(self.means)
+        eta, s = _column([c.eta for c in sva]), _column([c.prior.s for c in sva])
+        self.coef[:n_sva] = eta * s * s
+        self.coef[n_sva + n_svb:] = _column([c.eta for c in ogael + oga])
+        # the h-map of SVA's and SVB's sigmas, with SVB's rows filled in at each step
+        self.h_sigma = sigma[n:n + n_sva + n_svb]
+        self.base, self.a, self.v = (np.zeros_like(self.h_sigma) for _ in range(3))
+        self.base[:n_sva], self.a[:n_sva] = s, 0.5 * eta * s
+        self.accum, self.g_accum = self.v[:n_sva], g_sigma[n:n + n_sva]
+        # SVB: eta_t = num / ((c tau_t) sigma^2) on its first rows, tau_t being
+        # sqrt(t) and then t, and the fixed eta = num / c on the rest
+        svb_rows = slice(n + n_sva, n + n_sva + n_svb)
+        self.svb_sigma, self.g_svb = sigma[svb_rows], g_sigma[svb_rows]
+        self.svb_coef = self.coef[n_sva:n_sva + n_svb]
+        self.svb_base, self.svb_a, self.svb_v = (b[n_sva:] for b in (self.base, self.a, self.v))
+        taus = [c.schedule.terms[2] for c in svb]
+        varying = n_svb - taus.count(FIXED)
+        num, c = (_column([cfg.schedule.terms[i] for cfg in svb]) for i in (0, 1))
+        self.num, self.c = num[:varying], c[:varying]
+        self.tau = np.empty_like(self.c)
+        self.tau_root, self.tau_t = np.split(self.tau, [taus.count(SQRT_T)])
+        self.rate, self.sq = np.empty((n_svb, d)), np.empty((n_svb, d))
+        self.rate[varying:] = num[varying:] / c[varying:]
+        self.varying_rate, self.varying_sq = self.rate[:varying], self.sq[:varying]
+        # OGA-EL's sigma step
+        ogael_rows = slice(n + n_sva + n_svb, None)
+        self.ogael = (sigma[ogael_rows], g_sigma[ogael_rows], _column([c.eta for c in ogael]),
+                      np.empty((len(ogael), d)))
 
-class _NgviRows:
-    def __init__(self, configs: list[NgviConfig], names: list[str], d: int, t_max: int):
-        self.names = names
-        self.eta = _param([c.eta for c in configs])
-        self.alpha = _param([c.alpha for c in configs])
-        priors = [c.prior.natural() for c in configs]
-        self.lam_prior = (np.array([p.lambda1 for p in priors]),
-                          np.array([p.lambda2 for p in priors]))
-        self.lam = self.lam_prior
-        self.halvings = np.zeros((len(configs), t_max), dtype=int)
+    def __call__(self, t: int) -> None:
+        if self.ngvi_names:
+            self._ngvi(t)
+        if self.svb_coef.size:
+            sigma, sq, rate = self.svb_sigma, self.sq, self.rate
+            np.multiply(sigma, sigma, out=sq)
+            self.tau_root[:], self.tau_t[:] = math.sqrt(t), t
+            np.divide(self.num, self.c * self.tau * self.varying_sq, out=self.varying_rate)
+            np.multiply(rate, sq, out=self.svb_coef)
+            np.multiply(np.multiply(0.5, rate, out=self.svb_a), sigma, out=self.svb_a)
+            self.svb_base[:] = sigma
+            self.svb_v[:] = self.g_svb
+        np.subtract(self.means, np.multiply(self.coef, self.g_means, out=self.work),
+                    out=self.means)
+        if self.h_sigma.size:
+            np.add(self.accum, self.g_accum, out=self.accum)
+            np.multiply(self.base, h_map(self.a * self.v), out=self.h_sigma)
+        sigma, g_sigma, eta, work = self.ogael
+        if eta.size:
+            np.subtract(sigma, np.multiply(eta, g_sigma, out=work), out=sigma)
+            np.maximum(sigma, SIGMA_FLOOR, out=sigma)
 
-    def update(self, m, sigma, g_m, g_sigma, t):
-        g_mu1, g_mu2 = expectation_grad(g_m, g_sigma, m, sigma)
-        l1, l2, halvings = _ngvi_update(self.lam, g_mu1, g_mu2, self.lam_prior, self.eta,
-                                        self.alpha)
+    def _ngvi(self, t: int) -> None:
+        m, sigma, g_m, g_sigma = self.ngvi
+        self.g_mu[0], self.g_mu[1] = expectation_grad(g_m, g_sigma, m, sigma)
+        lam, halvings = _ngvi_update(self.lam, self.g_mu, self.terms, self.eta, self.alpha,
+                                     self.lam_prior)
         if halvings is not None:
             failed = np.flatnonzero(halvings > MAX_STEP_RETRIES)
             if failed.size:
                 raise InvalidPrecisionError(
-                    f"step {t} ({self.names[failed[0]]}): NGVI left the family "
+                    f"step {t} ({self.ngvi_names[failed[0]]}): NGVI left the family "
                     f"(lambda2 >= 0) after {MAX_STEP_RETRIES} eta halvings", step=t)
             self.halvings[:, t - 1] = halvings[:, 0]
-        self.lam = (l1, l2)
-        return natural_to_standard(l1, l2)
-
-
-class _OgaRows:
-    def __init__(self, configs: list[OgaConfig], names: list[str], d: int, t_max: int):
-        self.eta = _param([c.eta for c in configs])
-
-    def update(self, m, sigma, g_m, g_sigma, t):
-        return _oga_update(m, g_m, self.eta), None
-
-
-class _OgaElRows:
-    def __init__(self, configs: list[OgaElConfig], names: list[str], d: int, t_max: int):
-        self.eta = _param([c.eta for c in configs])
-
-    def update(self, m, sigma, g_m, g_sigma, t):
-        return _ogael_update(m, sigma, g_m, g_sigma, self.eta)
-
-
-#: The learner classes in the order of their rows: the Gaussian learners
-#: first, so that their sigmas are one (k_gauss, d) block, then OGA; with
-#: the name that errors give a learner the caller did not name.
-_ROWS = {SvaConfig: (_SvaRows, "sva"), SvbConfig: (_SvbRows, "svb"),
-         NgviConfig: (_NgviRows, "ngvi"), OgaElConfig: (_OgaElRows, "ogael"),
-         OgaConfig: (_OgaRows, "oga")}
+        self.lam = lam
+        m[:], sigma[:] = natural_to_standard(*lam)
 
 
 #: Normals per block of Monte-Carlo steps that ``lockstep`` draws in one
@@ -511,12 +497,13 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     on the data, and ``run_online`` computes them in one pass, so an
     EwaGridConfig is a DomainError here.
 
-    The learners' states are rows of stacked (k, d) arrays of means and
-    sigmas.  One gradient call per step serves every Gaussian learner (the
-    closed form, or one Monte-Carlo draw that all of them share), one more
-    serves the OGA learners, and each learner class updates its own rows
-    with its kernel.  Each row has the bits it would have in a pass of its
-    own, so a learner's walk does not depend on the company it keeps.  The
+    The learners' states are rows of one stacked array of means and
+    sigmas, and their gradients rows of one buffer of the same layout.  One
+    gradient call per step fills it for every Gaussian learner (the closed
+    form, or one Monte-Carlo draw that all of them share), one more for the
+    OGA learners, and ``_Step`` updates every row.  Each row has the bits it
+    would have in a pass of its own, so a learner's walk does not depend on
+    the company it keeps.  The
     pass records only what a Walk holds: each learner's (T, d) decisions
     and, after each step, whether each state row lies in its config's box
     (True by construction on a projected row, whose clip's edges lie
@@ -552,24 +539,20 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     if not configs:
         return []
     if names is None:
-        names = [_ROWS[type(config)][1] for config in configs]
+        names = [_ROWS[type(config)] for config in configs]
     t_max = features.shape[0]
-    order = sorted(range(len(configs)), key=lambda i: list(_ROWS).index(type(configs[i])))
+    order = sorted(range(len(configs)), key=lambda i: _row_key(configs[i]))
     k = len(order)
     k_gauss = sum(not isinstance(configs[i], OgaConfig) for i in order)
     # One state array: the k means (OGA's theta last), then the k_gauss
-    # sigmas.  Row j's sigma is row k + j.
+    # sigmas, row j's sigma being row k + j; and the gradients in the same
+    # layout, g_m then g_sigma.
     state = np.zeros((k + k_gauss, d))
     means, m_gauss, m_oga, sigma = state[:k], state[:k_gauss], state[k_gauss:k], state[k:]
     sigma[:] = np.array([float(configs[i].prior.s) for i in order[:k_gauss]])[:, None]
-    # each class's rows: its block, and views of its means and sigmas
-    blocks, first = [], 0
-    for cls, rows in groupby(order, key=lambda i: type(configs[i])):
-        rows = list(rows)
-        block = _ROWS[cls][0]([configs[i] for i in rows], [names[i] for i in rows], d, t_max)
-        mine = slice(first, first + len(rows))
-        blocks.append((block, mine, state[mine], sigma[mine]))
-        first += len(rows)
+    grad = np.zeros_like(state)
+    g_m_gauss, g_oga, g_sigma = grad[:k_gauss], grad[k_gauss:k], grad[k:]
+    advance = _Step([configs[i] for i in order], [names[i] for i in order], state, grad, t_max)
     # the projection of the whole stack: each row's box, or none; and the
     # box each row's membership is checked against, or none
     projections = [_projection_box(configs[i]) for i in order]
@@ -587,11 +570,12 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
             raise DomainError("mc_samples must be >= 1")
         eps_rows = _step_eps(seed, t_max, mc_samples, d)
 
-        def gaussian_grad(m, s, x, y):
-            return mc_grad_eps(kind, m, s, x, y, next(eps_rows))[1:]
+        def gaussian_grad(x, y):
+            _, g_m_gauss[:], g_sigma[:] = mc_grad_eps(kind, m_gauss, sigma, x, y,
+                                                       next(eps_rows))
     else:
-        def gaussian_grad(m, s, x, y):
-            return expected_grad_xy(kind, m, s, x, y)
+        def gaussian_grad(x, y):
+            g_m_gauss[:], g_sigma[:] = expected_grad_xy(kind, m_gauss, sigma, x, y)
 
     def fail(step, bad_rows, what):
         # a state row below k is a mean, and row k + j the sigma of row j
@@ -601,20 +585,13 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     for i, (x, y) in enumerate(zip(features, targets.tolist())):
         step = i + 1
         record[:, i] = means
-        if not k_gauss:
-            g_m, g_sigma = point_grad_xy(kind, m_oga, x, y), sigma
-        else:
-            g_m, g_sigma = gaussian_grad(m_gauss, sigma, x, y)
-            if k > k_gauss:
-                g_m = np.concatenate([g_m, point_grad_xy(kind, m_oga, x, y)])
-        if not (_finite(g_m) and _finite(g_sigma)):
-            fail(step, ~np.isfinite(np.concatenate([g_m, g_sigma])).all(axis=1),
-                 "the gradient is not finite")
-        for block, rows, m_rows, sigma_rows in blocks:
-            m_rows[:], new_sigma = block.update(m_rows, sigma_rows, g_m[rows], g_sigma[rows],
-                                                step)
-            if new_sigma is not None:
-                sigma_rows[:] = new_sigma
+        if k_gauss:
+            gaussian_grad(x, y)
+        if k > k_gauss:
+            g_oga[:] = point_grad_xy(kind, m_oga, x, y)
+        if not _finite(grad):
+            fail(step, ~np.isfinite(grad).all(axis=1), "the gradient is not finite")
+        advance(step)
         if project:
             state.clip(lo, hi, out=state)
         ((state >= box_lo) & (state <= box_hi)).all(axis=1, out=member[i, :k + k_gauss])
@@ -624,14 +601,12 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
                  "the updated state is not finite with sigma > 0")
 
     walks = [None] * k
-    for block, rows, _, _ in blocks:
-        for j, row in enumerate(range(rows.start, rows.stop)):
-            box = configs[order[row]].box
-            walks[order[row]] = Walk(
-                predictions=record[row],
-                in_box=None if box is None else member[:, row] & member[:, k + row],
-                final_sigma=sigma[row].copy() if row < k_gauss else None,
-                halvings=block.halvings[j] if isinstance(block, _NgviRows) else None)
+    for row, i in enumerate(order):
+        box = configs[i].box
+        walks[i] = Walk(predictions=record[row],
+                        in_box=None if box is None else member[:, row] & member[:, k + row],
+                        final_sigma=sigma[row].copy() if row < k_gauss else None,
+                        halvings=advance.halvings[row] if row < len(advance.halvings) else None)
     return walks
 
 

@@ -3,6 +3,7 @@
 Supported loss kinds:
 
     hinge            l(theta) = max(0, 1 - y <theta, x>),  y in {-1, +1}
+                     for classification, or any real y
     squared_linear   l(theta) = (y - <theta, x>)^2
     squared_nn       l(theta) = (y - f_theta(x))^2 with a one-hidden-layer
                      ReLU network; theta packs (W1, b1, w2, b2) flat.
@@ -33,8 +34,9 @@ its (m, sigma) gradients are in closed form; the network case has no
 closed form and is served by the reparameterized Monte-Carlo estimator.
 
 Closed forms.  The hinge margin z = 1 - y <theta, x> is univariate
-Gaussian with mean mu_z = 1 - y <m, x> and variance s_z^2 = sum_j
-sigma_j^2 x_j^2, so E[z_+] = mu_z Phi(mu_z/s_z) + s_z phi(mu_z/s_z).
+Gaussian with mean mu_z = 1 - y <m, x> and variance s_z^2 = y^2 sum_j
+sigma_j^2 x_j^2, so E[z_+] = mu_z Phi(mu_z/s_z) + s_z phi(mu_z/s_z), and
+dE/dsigma_j = phi(mu_z/s_z) y^2 sigma_j x_j^2 / s_z.
 For the squared linear loss E[l] = (y - <m, x>)^2 + sum_j sigma_j^2 x_j^2.
 Phi(z) = erfc(-z / sqrt 2) / 2 takes erfc from the standard library's
 ``math.erfc``, so the package needs numpy and nothing else.
@@ -416,21 +418,22 @@ def expected_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.nda
     if kind.kind == SQUARED_LINEAR:
         return np.multiply.outer(-2.0 * (y - scores), x), 2.0 * sigma * x ** 2
     if kind.kind == HINGE:
-        slope, s_z, z = [], [], []
+        # s_z = |y| root, so dE/dsigma = phi(z) |y| sigma x^2 / root
+        slope, roots, z, y_abs = [], [], [], abs(y)
         for score, square in zip(scores.tolist(), ((sigma * x) ** 2).sum(axis=1).tolist()):
             mu_z, root = 1.0 - y * score, math.sqrt(square)
-            if root == 0.0:
+            if y_abs * root == 0.0:
                 # the margin is the point mu_z: dE/dm = -y x 1{mu_z > 0}, and
                 # phi(inf) = 0 makes dE/dsigma 0
                 slope.append(-y * (1.0 if mu_z > 0.0 else 0.0))
-                s_z.append(1.0)
+                roots.append(1.0)
                 z.append(math.inf)
             else:
-                z.append(mu_z / root)
+                z.append(mu_z / (y_abs * root))
                 slope.append(-y * gaussian_cdf(z[-1]))
-                s_z.append(root)
-        g_sigma = sigma * x ** 2 / np.array(s_z)[:, None] * gaussian_pdf(np.array(z))[:, None]
-        return np.multiply.outer(slope, x), g_sigma
+                roots.append(root)
+        g_sigma = sigma * (y_abs * x ** 2) / np.array(roots)[:, None]
+        return np.multiply.outer(slope, x), g_sigma * gaussian_pdf(np.array(z))[:, None]
     raise UnsupportedLossError(
         "squared_nn has no closed-form gradient; use mc_expected_loss_and_grad"
     )
@@ -451,7 +454,7 @@ def expected_loss_series(kind: LossKind, q: MeanFieldGaussian, features: np.ndar
     if kind.kind == SQUARED_LINEAR:
         return out + (features ** 2) @ (q.sigma ** 2)
     mu_z = 1.0 - targets * scores
-    s_z = np.sqrt((features ** 2) @ (q.sigma ** 2))
+    s_z = np.abs(targets) * np.sqrt((features ** 2) @ (q.sigma ** 2))
     pos = s_z > 0.0
     z = mu_z[pos] / s_z[pos]
     out[pos] = mu_z[pos] * gaussian_cdf(z) + s_z[pos] * gaussian_pdf(z)
@@ -519,14 +522,16 @@ def lipschitz_constant(kind: LossKind, data: Dataset, box: BoxConstraints) -> fl
     """Certified Lipschitz constant L of the expected loss over a dataset,
     L = 2 L'.
 
-    L' bounds the point-loss gradient norm: max_t ||x_t|| for hinge, and
-    for the squared linear loss the box-corner bound
+    L' bounds the point-loss gradient norm: max_t |y_t| ||x_t|| for hinge,
+    whose subgradient is -y_t x_t 1{margin > 0} (||x_t|| on a stream of
+    +-1 labels, but hinge runs on real-valued targets too), and for the
+    squared linear loss the box-corner bound
     max_t 2 ||x_t|| (|y_t| + sum_j max(|lo_j|, |hi_j|) |x_tj|).
     """
     features = data.features
     norms = np.linalg.norm(features, axis=1)
     if kind.kind == HINGE:
-        return 2.0 * float(np.max(norms))
+        return 2.0 * float(np.max(np.abs(data.targets) * norms))
     if kind.kind == SQUARED_LINEAR:
         if features.shape[1] != box.d:
             raise DimensionMismatchError("box dimension must match feature dimension")

@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 import pytest
-from conftest import fd_expected_grad, golden_section, rel_vec_error
+from conftest import (fd_expected_grad, golden_section, ngvi_step, rel_vec_error, sva_step,
+                      svb_step)
 
 from onlinevi.cli import main, sample_gradcheck_instance
 from onlinevi.data import gen_iid_regression, gen_toy_classification
@@ -53,10 +54,7 @@ from onlinevi.learners import (
     Thm3ConvexSchedule,
     diagonal_lattice,
     expectation_grad,
-    ngvi_step,
     run_online,
-    sva_step,
-    svb_step,
 )
 from onlinevi.losses import (
     DataExample,

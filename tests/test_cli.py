@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -99,7 +100,7 @@ class TestRun:
                 assert key in entry, (name, key)
         assert summary["fastest_to_plateau"] in ALGO_NAMES
         phases = summary["phases_ms"]
-        assert set(phases) == {"load", "comparator", "pass", "bounds", "write"}
+        assert set(phases) == {"load", "comparator", "pass", "finish", "bounds", "write"}
         assert summary["algorithms"]["ngvi"]["ngvi_halvings"] == {
             "count": 0, "first_step": None, "last_step": None}
 
@@ -480,7 +481,7 @@ class TestMalformedConfig:
 
 
 # ---------------------------------------------------------------------------
-# property: a malformed config never reaches run_online
+# property: a malformed config fails before the pass
 
 
 _SMALL_SECTIONS = {
@@ -552,7 +553,7 @@ def _non_numeric_algorithm_value(draw):
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("a malformed config reached run_online")
+    raise AssertionError("a malformed config reached the pass")
 
 
 class TestMalformedConfigProperty:
@@ -567,6 +568,7 @@ class TestMalformedConfigProperty:
         text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
                        for name, options in sections.items())
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "lockstep", _must_not_run)
             mp.setattr(cli, "run_online", _must_not_run)
             config = Path(tmp) / "bad.ini"
             config.write_text(text, encoding="utf-8")
@@ -916,6 +918,16 @@ class TestPasses:
             if name != "ewagrid":
                 assert entry["wall_ms"] >= pass_ms, name
 
+    def test_finish_is_the_sections_own_work(self, run_dir):
+        # traces, ledgers, holdout estimate and audit: each section's
+        # wall_ms past the pass, the grid's whole
+        summary = json.loads((run_dir / "summary.json").read_text())
+        phases, algorithms = summary["phases_ms"], summary["algorithms"]
+        own = sum(entry["wall_ms"] - (0.0 if name == "ewagrid" else phases["pass"])
+                  for name, entry in algorithms.items())
+        assert phases["finish"] > 0.0
+        assert phases["finish"] == pytest.approx(own, abs=0.01)
+
 
 def _per_cell_series(losses, cumulative, averages) -> bytes:
     """A series file formatted one cell at a time with ``_fmt`` (oracle)."""
@@ -1064,6 +1076,100 @@ class TestBounds:
 
     def test_not_a_run_dir(self, tmp_path):
         assert main(["bounds", "--run", str(tmp_path), "--theorem", "all"]) == 2
+
+    def test_hinge_on_real_targets_certifies_l_from_the_labels(self, tmp_path, capsys):
+        # hinge on an iid_regression stream: targets up to 3.55e6, where the
+        # hinge gradient -y x Phi(z) is that many times ||x||.  With L from
+        # ||x|| alone, Theorems 3 and 4 read VIOLATED on correct learners.
+        config = tmp_path / "exp.ini"
+        config.write_text("[run]\nseed = 79\n[dataset]\nsource = iid_regression\n"
+                          "theta_star = 1e6,1\nn = 200\nloss = hinge\n"
+                          "[algorithm.svb_thm3]\nalgo = svb\nschedule = thm3_convex\n"
+                          "[algorithm.ogael]\neta = 0.1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["bounds", "--run", str(out), "--theorem", "all"]) == 0
+        report = capsys.readouterr().out
+        assert "L=2.55301e+07" in report and "VIOLATED" not in report
+
+
+# ---------------------------------------------------------------------------
+# property: on a convex loss, a run that succeeds has bounds that hold
+
+_ETA = st.floats(1e-3, 10.0).map(repr)
+_SECTION_OPTIONS = {
+    "sva": st.fixed_dictionaries({"eta": st.one_of(st.just("auto"), _ETA),
+                                  "project": st.sampled_from(["true", "false"])}),
+    "svb": st.just({"schedule": "inv_sigma_sqrt_t"}),
+    "svb_fixed": st.fixed_dictionaries({"algo": st.just("svb"), "schedule": st.just("fixed"),
+                                        "eta": _ETA}),
+    "svb_thm3": st.just({"algo": "svb", "schedule": "thm3_convex"}),
+    "svb_strong": st.fixed_dictionaries({"algo": st.just("svb"),
+                                         "schedule": st.just("thm3_strong"), "h": _ETA}),
+    "ngvi": st.fixed_dictionaries({"eta": _ETA, "alpha": _ETA}),
+    "oga": st.fixed_dictionaries({"eta": st.one_of(st.just("auto"), _ETA)}),
+    "ogael": st.fixed_dictionaries({"eta": st.one_of(st.just("auto"), _ETA)}),
+    "ewagrid": st.fixed_dictionaries({"experts": st.sampled_from(["diagonal:5", "diagonal:21"]),
+                                      "eta": st.one_of(st.just("auto"), _ETA)}),
+}
+#: the sections with a theorem that ``bounds`` checks on a convex loss
+_CHECKED = {"sva", "svb_thm3", "ogael", "ewagrid"}
+
+
+@st.composite
+def _convex_config(draw):
+    loss, source = draw(st.sampled_from([("hinge", "toy"), ("hinge", "iid_regression"),
+                                         ("squared-linear", "iid_regression")]))
+    dataset = {"source": source, "loss": loss, "n": draw(st.integers(20, 200))}
+    if source == "iid_regression":
+        theta = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3))
+        dataset["theta_star"] = ",".join(map(repr, theta))
+    run = {"seed": draw(st.integers(0, 1000)), "comparator_restarts": draw(st.integers(0, 1)),
+           "comparator_iters": "100", "prior_s": repr(draw(st.floats(0.1, 10.0))),
+           "box_m_abs": repr(draw(st.floats(0.5, 50.0))),
+           "box_sigma_hi": repr(draw(st.floats(0.05, 2.0))),
+           "holdout_fraction": draw(st.sampled_from(["0", "0.1", "0.3"]))}
+    names = draw(st.lists(st.sampled_from(sorted(_SECTION_OPTIONS)), min_size=1, max_size=4,
+                          unique=True))
+    sections = {f"algorithm.{name}": draw(_SECTION_OPTIONS[name]) for name in names}
+    return {"run": run, "dataset": dataset, **sections}
+
+
+class TestRunThenBoundsProperty:
+    """A deterministic theorem cannot fail on a correct learner: a convex
+    run that exits 0 has bounds that hold.  A run that fails exits 2 naming
+    a key, or 3 naming a step and a learner, and leaves no directory."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_convex_config())
+    def test_a_run_that_succeeds_has_bounds_that_hold(self, sections):
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+                       for name, options in sections.items())
+        names = [name.split(".", 1)[1] for name in sections if name.startswith("algorithm.")]
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+            config = Path(tmp) / "exp.ini"
+            config.write_text(text, encoding="utf-8")
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", "--config", str(config), "--out", str(out)])
+            if code == 0:
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    bounds = main(["bounds", "--run", str(out), "--theorem", "all"])
+                assert bounds == 0 or (bounds == 2 and not _CHECKED.intersection(names)
+                                       and "no applicable checks" in err.getvalue()), text
+                return
+            message = err.getvalue()
+            assert "Traceback" not in message
+            assert not out.exists(), text
+            if code == 2:
+                assert message.startswith("configuration error: "), message
+                assert re.search(r"\[[a-z_.]+\]|dataset ", message), message
+            else:
+                assert code == 3, (code, message)
+                step = re.match(r"runtime error: step \d+ \((\w+)\): ", message)
+                assert step and step.group(1) in names, message
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ recursion, and the online loop contracts."""
 
 import numpy as np
 import pytest
-from conftest import golden_section
+from conftest import golden_section, ngvi_step, oga_step, ogael_step, sva_step, svb_step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -27,13 +27,8 @@ from onlinevi.learners import (
     diagonal_lattice,
     expectation_grad,
     lockstep,
-    ngvi_step,
-    oga_step,
-    ogael_step,
     product_lattice,
     run_online,
-    sva_step,
-    svb_step,
 )
 from onlinevi.losses import (DataExample, LossKind, expected_grad_xy, expected_loss,
                              expert_loss_matrix, mc_grad_eps, mc_grad_xy, point_grad_xy,
@@ -54,6 +49,15 @@ def _vec(*values):
 def _stream(features, targets):
     return Dataset(np.array(features, dtype=float), np.array(targets, dtype=float),
                    REGRESSION, "stream")
+
+
+def assert_same_bits(actual, expected, name=""):
+    """The same IEEE-754 words, shape included.  Unlike assert_array_equal,
+    which takes -0.0 for 0.0, this sees a flipped sign of a zero, which the
+    series CSVs would print as -0."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape, name
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64), err_msg=name)
 
 
 class TestPredict:
@@ -473,8 +477,8 @@ class TestReferenceLoop:
         for name, cfg in _learner_configs(d, ds.T, box).items():
             trace = run_online(cfg, ds, kind, mc_samples=8, seed=3)
             predictions, losses = _reference_run(cfg, ds, kind, mc_samples=8, seed=3)
-            np.testing.assert_array_equal(trace.losses, losses, err_msg=name)
-            np.testing.assert_array_equal(trace.predictions, predictions, err_msg=name)
+            assert_same_bits(trace.losses, losses, name)
+            assert_same_bits(trace.predictions, predictions, name)
 
     @pytest.mark.parametrize("t_len, mc_samples, blocks", [
         (25, 8, 1),      # one partial block of 315 steps
@@ -493,8 +497,8 @@ class TestReferenceLoop:
             trace = run_online(cfg, ds, self.NN, mc_samples=mc_samples, seed=3)
             predictions, losses = _reference_run(cfg, ds, self.NN, mc_samples=mc_samples,
                                                  seed=3)
-            np.testing.assert_array_equal(trace.predictions, predictions, err_msg=name)
-            np.testing.assert_array_equal(trace.losses, losses, err_msg=name)
+            assert_same_bits(trace.predictions, predictions, name)
+            assert_same_bits(trace.losses, losses, name)
 
     def test_ngvi_halving_path_identical(self):
         # on this Monte-Carlo stream NGVI halves its step once, at step 17
@@ -504,8 +508,8 @@ class TestReferenceLoop:
         np.testing.assert_array_equal(np.flatnonzero(trace.halvings) + 1, [17])
         assert trace.halvings.sum() == 1
         predictions, losses = _reference_run(cfg, ds, self.NN, mc_samples=8, seed=0)
-        np.testing.assert_array_equal(trace.losses, losses)
-        np.testing.assert_array_equal(trace.predictions, predictions)
+        assert_same_bits(trace.losses, losses)
+        assert_same_bits(trace.predictions, predictions)
 
     @pytest.mark.parametrize("stream", list(STREAMS))
     def test_vectorized_grid_matches_recursion(self, stream):
@@ -533,7 +537,7 @@ class TestReferenceLoop:
             trace = run_online(cfg, ds, kind, mc_samples=8, seed=3)
             losses = [point_loss(kind, p, DataExample(x, y))
                       for p, x, y in zip(trace.predictions, ds.features, ds.targets.tolist())]
-            np.testing.assert_array_equal(trace.losses, losses, err_msg=name)
+            assert_same_bits(trace.losses, losses, name)
 
     @pytest.mark.parametrize("stream", ["hinge", "squared_nn"])
     def test_in_box_matches_a_per_step_check(self, stream):
@@ -558,8 +562,8 @@ def _reference_sigmas(config, ds, kind, trace, seed=0):
     states = []
     predictions, _ = _reference_run(config, ds, kind, seed=seed, states=states)
     sigmas = np.array([s for _, s in states])
-    assert trace.predictions.tobytes() == predictions.tobytes()
-    assert trace.final_sigma.tobytes() == sigmas[-1].tobytes()
+    assert_same_bits(trace.predictions, predictions)
+    assert_same_bits(trace.final_sigma, sigmas[-1])
     return sigmas
 
 
@@ -606,8 +610,8 @@ class TestRunOnline:
         for name, cfg in self._configs(200).items():
             a = run_online(cfg, ds, self.KIND, seed=11)
             b = run_online(cfg, ds, self.KIND, seed=11)
-            np.testing.assert_array_equal(a.losses, b.losses, err_msg=name)
-            np.testing.assert_array_equal(a.predictions, b.predictions, err_msg=name)
+            assert_same_bits(a.losses, b.losses, name)
+            assert_same_bits(a.predictions, b.predictions, name)
 
     def test_box_and_positivity_invariants(self):
         # after every update: sigma > 0, and (m, sigma) inside the box for
@@ -675,13 +679,13 @@ def _assert_walk_is_reference(cfg, walk, ds, kind, mc_samples, seed, name):
     states, halvings = [], []
     predictions, losses = _reference_run(cfg, ds, kind, mc_samples=mc_samples, seed=seed,
                                          states=states, halvings=halvings)
-    assert trace.predictions.tobytes() == predictions.tobytes(), name
-    assert trace.losses.tobytes() == losses.tobytes(), name
+    assert_same_bits(trace.predictions, predictions, name)
+    assert_same_bits(trace.losses, losses, name)
     if isinstance(cfg, OgaConfig):
         assert trace.final_sigma is None, name
         assert trace.in_box.all(), name  # projected onto its box
         return
-    assert trace.final_sigma.tobytes() == states[-1][1].tobytes(), name
+    assert_same_bits(trace.final_sigma, states[-1][1], name)
     if isinstance(cfg, NgviConfig):
         np.testing.assert_array_equal(trace.halvings, halvings, err_msg=name)
     if cfg.box is None:
@@ -698,13 +702,17 @@ def _failed_step(exc) -> int:
 
 def _pool(d, t_len, box):
     """Every learner kind with its variants: SVA projected and not, SVB
-    under three schedules, an NGVI with a hot step that halves it on the
+    under all four schedules, an NGVI with a hot step that halves it on the
     network streams, learners with no box."""
     prior = GaussianPrior(1.0, d)
     eta = 1.0 / np.sqrt(t_len)
     return {
         **_learner_configs(d, t_len, box),
         "svb_fixed": SvbConfig(schedule=FixedEta(0.2), prior=prior, box=box),
+        # constants that are no powers of two, so that their products round
+        "svb_strong": SvbConfig(schedule=Thm3StrongSchedule(H=2.7), prior=prior, box=box),
+        "svb_thm3_odd": SvbConfig(schedule=Thm3ConvexSchedule(D=3.1, L=1.3), prior=prior,
+                                  box=box),
         "ngvi_hot": NgviConfig(eta=2.0, alpha=0.1, prior=prior),
         "sva_free": SvaConfig(eta=eta, prior=GaussianPrior(0.7, d)),
         "svb_free": SvbConfig(schedule=InvSigmaSqrtT(), prior=prior),
@@ -779,7 +787,7 @@ class TestLockstep:
         ds = gen_toy_classification(200, seed=12)
         box = BoxConstraints.symmetric(2, m_abs=1.0)
         pool = _pool(2, ds.T, box)
-        names = ["svb_fixed", "svb", "svb_thm3", "svb_fixed", "svb"]
+        names = ["svb_fixed", "svb", "svb_strong", "svb_thm3_odd", "svb_fixed", "svb"]
         walks = lockstep([pool[n] for n in names], ds, LossKind.hinge())
         for name, walk in zip(names, walks):
             _assert_walk_is_reference(pool[name], walk, ds, LossKind.hinge(), 32, 0, name)

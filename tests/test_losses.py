@@ -13,6 +13,7 @@ from onlinevi.family import BoxConstraints, MeanFieldGaussian
 from onlinevi.losses import (
     DataExample,
     LossKind,
+    expected_grad_xy,
     expected_loss,
     expected_loss_grad,
     expected_loss_series,
@@ -104,6 +105,23 @@ class TestExpectedLoss:
         samples = np.maximum(0.0, 1.0 - z)
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(expected_loss(HINGE, q, ex) - samples.mean()) < 3.0 * se
+
+    @pytest.mark.parametrize("y", [0.01, 0.3, -3.7])
+    def test_hinge_real_label_monte_carlo_oracle(self, y):
+        # on a real-valued target the margin 1 - y theta . x has standard
+        # deviation |y| sqrt(sum_j sigma_j^2 x_j^2): the closed-form loss and
+        # gradient agree with 10^6 reparameterized samples within 3 standard
+        # errors
+        q = MeanFieldGaussian([0.4, -0.2], [0.8, 1.3])
+        ex = DataExample([1.5, 0.7], y)
+        eps = CounterRng(78, "hinge-real-mc").normals(2 * 10 ** 6).reshape(-1, 2)
+        margins = 1.0 - y * ((q.m + q.sigma * eps) @ ex.x)
+        g_m = -y * (margins > 0.0)[:, None] * ex.x
+        rows = np.column_stack([np.maximum(0.0, margins), g_m, g_m * eps])
+        means, se = rows.mean(axis=0), rows.std(axis=0, ddof=1) / np.sqrt(rows.shape[0])
+        g = expected_loss_grad(HINGE, q, ex)
+        closed = np.concatenate([[expected_loss(HINGE, q, ex)], g.g_m, g.g_sigma])
+        assert np.all(np.abs(closed - means) <= 3.0 * se + 1e-12)
 
     def test_nn_routed_to_mc(self):
         kind = LossKind.squared_nn(2)
@@ -341,6 +359,28 @@ class TestLipschitz:
         data = Dataset([[3.0, 4.0]], [1.0], CLASSIFICATION, "one")
         box = BoxConstraints.symmetric(2)
         assert lipschitz_constant(HINGE, data, box) == 10.0  # L' = 5, L = 2L'
+
+    def test_hinge_scales_with_the_label(self):
+        # the hinge subgradient is -y x 1{margin > 0}: on real-valued
+        # targets L' is max_t |y_t| ||x_t||, here row 2's 4 * 2, where
+        # max_t ||x_t|| would be 5
+        data = Dataset([[3.0, 4.0], [0.0, 2.0]], [0.5, -4.0], REGRESSION, "real")
+        assert lipschitz_constant(HINGE, data, BoxConstraints.symmetric(2)) == 16.0
+
+    @pytest.mark.parametrize("x, y", [([2.0], 0.01), ([0.5, -1.2, 0.8], 0.05),
+                                      ([0.5, -1.2, 0.8], -3.7)])
+    def test_hinge_constant_bounds_the_gradient_on_real_labels(self, x, y):
+        # ||(dLbar/dm, dLbar/dsigma)|| <= L at 4000 random (m, sigma): the
+        # sigma-gradient scales with |y| as the m-gradient does, so labels
+        # with |y| < 0.4 need that as much as labels with |y| > 1
+        data = Dataset([x], [y], REGRESSION, "real")
+        lip = lipschitz_constant(HINGE, data, BoxConstraints.symmetric(len(x)))
+        rng = CounterRng(17, "lip-hinge-real")
+        n = 4000
+        m = -3.0 + 6.0 * rng.uniforms(n * len(x)).reshape(n, len(x))
+        sigma = 1e-3 + 3.0 * rng.uniforms(n * len(x)).reshape(n, len(x))
+        g_m, g_sigma = expected_grad_xy(HINGE, m, sigma, data.features[0], y)
+        assert np.all(np.sqrt(np.sum(g_m ** 2 + g_sigma ** 2, axis=1)) <= lip)
 
     def test_hinge_zero_features(self):
         data = Dataset([[0.0, 0.0]], [1.0], CLASSIFICATION, "zero")
