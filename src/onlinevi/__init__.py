@@ -8,6 +8,15 @@ gradients), ``learners`` (the online update rules and the run loop),
 ``rng`` (the deterministic counter-based generator).
 """
 
+import os
+
+# One OpenBLAS thread unless the user chose a count.  The products here are
+# too small for a second thread to help, an idle OpenBLAS worker busy-waits
+# (CPU spent on no work), and a product large enough to thread splits its
+# sums by the core count, which can move the outputs' last bits.  It must be
+# set before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .family import (
     SIGMA_FLOOR,
     BoxConstraints,

@@ -137,6 +137,24 @@ class CsvSchema:
     has_header: bool = True
 
 
+def _bad_cell(path, row: list[str], line: int, label_idx: int,
+              positive_label: str | None) -> DataError:
+    """The error for the first bad cell of a row that failed to parse,
+    found cell by cell: only the error path pays for the diagnosis."""
+    for j, cell in enumerate(row):
+        text = cell.strip()
+        if text == "":
+            return DataError(f"{path}: missing value at row {line}, column {j + 1}")
+        if j == label_idx and positive_label is not None:
+            continue
+        try:
+            float(text)
+        except ValueError:
+            what = "label" if j == label_idx else "cell"
+            return DataError(f"{path}: unparseable {what} at row {line}, column {j + 1}: {text!r}")
+    raise AssertionError(f"{path}: row {line} parses")
+
+
 def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
     """RFC-4180-style reader; '.' decimal separator.
 
@@ -144,24 +162,27 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
     ``positive_label`` the task is classification and labels map to +1 on
     an exact string match, -1 otherwise; without one the label column must
     parse as floats (regression).  Unparseable or missing cells are hard
-    errors with their row and column; no imputation.
+    errors with their row (the line in the file) and column; no imputation.
     """
+    rows: list[list[str]] = []
+    lines: list[int] = []  # each row's line in the file, blank lines counted
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh, delimiter=schema.delimiter))
-    rows = [row for row in rows if row]
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise DataError(f"{path}: empty file")
 
     header: list[str] | None = None
     if schema.has_header:
-        header, rows = rows[0], rows[1:]
+        header, rows, lines = rows[0], rows[1:], lines[1:]
         if not rows:
             raise DataError(f"{path}: no data rows after header")
 
     if isinstance(schema.label, int):
         label_idx = schema.label
-        if not (0 <= label_idx < len(rows[0])):
-            raise DataError(f"{path}: label column index {label_idx} out of range")
     else:
         if header is None:
             raise DataError("label column by name requires a header")
@@ -169,37 +190,27 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
             label_idx = header.index(schema.label)
         except ValueError:
             raise DataError(f"{path}: no column named {schema.label!r}") from None
+    if not (0 <= label_idx < len(rows[0])):
+        raise DataError(f"{path}: label column index {label_idx} out of range")
 
     width = len(rows[0])
     features = np.empty((len(rows), width - 1))
     targets = np.empty(len(rows))
-    offset = 1 if schema.has_header else 0
-    for i, row in enumerate(rows):
+    for i, (row, line) in enumerate(zip(rows, lines)):
         if len(row) != width:
-            raise DataError(f"{path}: row {i + offset + 1} has {len(row)} cells, expected {width}")
-        col_out = 0
-        for j, cell in enumerate(row):
-            text = cell.strip()
-            if text == "":
-                raise DataError(f"{path}: missing value at row {i + offset + 1}, column {j + 1}")
-            if j == label_idx:
-                if schema.positive_label is not None:
-                    targets[i] = 1.0 if text == schema.positive_label else -1.0
-                else:
-                    try:
-                        targets[i] = float(text)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: unparseable label at row {i + offset + 1}, "
-                            f"column {j + 1}: {text!r}") from None
+            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+        texts = [cell.strip() for cell in row]
+        label = texts.pop(label_idx)
+        try:
+            features[i] = [float(text) for text in texts]
+            if schema.positive_label is None:
+                targets[i] = float(label)
+            elif label:
+                targets[i] = 1.0 if label == schema.positive_label else -1.0
             else:
-                try:
-                    features[i, col_out] = float(text)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: unparseable cell at row {i + offset + 1}, "
-                        f"column {j + 1}: {text!r}") from None
-                col_out += 1
+                raise ValueError
+        except ValueError:
+            raise _bad_cell(path, row, line, label_idx, schema.positive_label) from None
 
     task = CLASSIFICATION if schema.positive_label is not None else REGRESSION
     ds_name = name if name is not None else str(path)

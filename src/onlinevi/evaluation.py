@@ -40,7 +40,8 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, DimensionMismatchError, DomainError
 from .family import BoxConstraints, GaussianPrior
-from .losses import HINGE, LossKind, expert_loss_matrix, mean_loss_and_grad, point_loss_series
+from .losses import (HINGE, SQUARED_LINEAR, LossKind, expert_loss_matrix, mean_loss_and_grad,
+                     point_loss_series)
 from .losses import nn_batch_mean_grad  # noqa: F401  (a name the benchmark's tracer wraps)
 from .rng import CounterRng
 
@@ -613,10 +614,10 @@ def alpha_estimate(prior: GaussianPrior) -> float:
 #: computed in one tile allocated once per call, so its pages are faulted in
 #: once; a fresh array per block would fault them in again whenever malloc
 #: hands such a size back to the system (14,000 faults and twice the time
-#: per call, depending on what the process allocated before).  At T = 4800,
-#: H = 1200, d = 10 on a 2-core x86 machine the audit took 25-40 ms per
-#: learner with 2^14 or 2^15 values, and 63-90 ms wall, with about twice
-#: that in CPU as BLAS ran the product on a second thread, with 2^16 to 2^20.
+#: per call, depending on what the process allocated before).  The hinge
+#: audit alone builds these blocks.  At T = 4800, H = 1200, d = 10 on a
+#: 2-core x86 machine, with two BLAS threads, the matrix audit took 25-40 ms
+#: per learner with 2^14 or 2^15 values, and 63-90 ms wall with 2^16 to 2^20.
 _AUDIT_BLOCK_VALUES = 2 ** 15
 
 
@@ -633,6 +634,20 @@ def _mean_loss_per_row(kind: LossKind, preds: np.ndarray, features: np.ndarray,
     return np.concatenate([
         expert_loss_matrix(kind, preds, x, y, tile[:len(x)]).mean(axis=1)
         for x, y in zip(np.array_split(features, blocks), np.array_split(targets, blocks))])
+
+
+def _squared_linear_mean_loss_per_row(preds: np.ndarray, theta_bar: np.ndarray,
+                                      features: np.ndarray,
+                                      targets: np.ndarray) -> np.ndarray:
+    """The mean squared-linear loss of the (T, d) predictions on each
+    example, from their first two moments in O((T + H) d^2) and no (H, T)
+    matrix: mean_t (y - theta_t . x)^2 = (y - theta_bar . x)^2 + x^T C x
+    exactly, with C = D^T D / T and D = preds - theta_bar.  The first term
+    is computed here, not taken from the audit's other side."""
+    spread = preds - theta_bar
+    cov = (spread.T @ spread) / preds.shape[0]
+    residual = targets - features @ theta_bar
+    return residual * residual + np.einsum("hj,hj->h", features @ cov, features)
 
 
 #: Rounding allowance of the Jensen audit, per holdout row (x, y):
@@ -659,6 +674,21 @@ def _jensen_allowance(preds: np.ndarray, features: np.ndarray,
     gamma_T + 6 u) R^2 <= 5.05 u (T + d + 2) R^2 while n u <= 0.01, and
     _JENSEN_ROUNDING rounds the factor 5.05 up to 8 for the second-order
     terms.
+
+    The squared-linear averaged side from the moments (r^2 + x^T C x with
+    the computed theta_bar, r = y - theta_bar . x, C = D^T D / T and D =
+    preds - theta_bar) has the same allowance.  With M_j = max_t |theta_tj|
+    and e = (theta_bar - exact mean) . x, |e| <= gamma_T P:
+      - mean_t (y - theta_t . x)^2 = r^2 + x^T C x - 2 r e exactly, so the
+        identity at the computed theta_bar is off by <= 2 gamma_T R^2;
+      - r is off by <= (gamma_d + u) R, so r^2 by <= (2 gamma_d + 3 u) R^2;
+      - |C_jk| <= M_j M_k (Cauchy-Schwarz), so sum_jk |x_j C_jk x_k| <=
+        P^2 <= R^2; rounding D, the T-term sums of C and the division adds
+        <= (gamma_T + 3 u) of it, the two d-term sums of x^T C x gamma_2d;
+      - the final sum of two terms <= R^2 rounds by <= 2 u R^2.
+    With the loss at theta_bar as above, the two sides are then off by at
+    most (2 gamma_{T+d} + 3 gamma_T + 4 gamma_d + 11 u) R^2 <= 6.06 u (T +
+    d + 2) R^2, inside the same 8 u (T + d + 2) R^2.
     """
     reach = np.abs(features) @ np.max(np.abs(preds), axis=0)
     size = 1.0 + np.abs(targets) + reach
@@ -669,11 +699,17 @@ def jensen_holdout_audit(predictions: np.ndarray, holdout: Dataset, kind: LossKi
     """For convex kinds: point_loss(theta_bar, ex) <= mean_t point_loss
     (theta_hat_t, ex) for every holdout example, deterministically, up to
     the rounding of the two computed sides (``_jensen_allowance``): a tie,
-    as when every prediction is one point, reads True."""
+    as when every prediction is one point, reads True.  Squared-linear's
+    averaged side comes from the decisions' moments, hinge's from the tiled
+    (H, T) loss matrix."""
     if not kind.convex:
         raise DomainError("Jensen audit applies to convex kinds only")
     preds = np.asarray(predictions, dtype=float)
     features, targets = holdout.features, holdout.targets
-    averaged = _mean_loss_per_row(kind, preds, features, targets)
-    at_bar = point_loss_series(kind, preds.mean(axis=0), features, targets)
+    theta_bar = preds.mean(axis=0)
+    if kind.kind == SQUARED_LINEAR:
+        averaged = _squared_linear_mean_loss_per_row(preds, theta_bar, features, targets)
+    else:
+        averaged = _mean_loss_per_row(kind, preds, features, targets)
+    at_bar = point_loss_series(kind, theta_bar, features, targets)
     return bool(np.all(at_bar <= averaged + _jensen_allowance(preds, features, targets)))

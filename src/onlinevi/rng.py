@@ -171,8 +171,11 @@ class CounterRng:
         idx = np.arange(n)
         if n <= 1:
             return idx
-        u = self.uniforms(n - 1)
-        for pos, i in enumerate(range(n - 1, 0, -1)):
-            j = min(int(u[pos] * (i + 1)), i)
-            idx[i], idx[j] = idx[j], idx[i]
+        # swaps through memoryviews, which read and write Python numbers: a
+        # numpy item access per swap takes about three times as long, and
+        # Python lists of the n values would raise the peak memory
+        view = memoryview(idx)
+        for u, i in zip(memoryview(self.uniforms(n - 1)), range(n - 1, 0, -1)):
+            j = min(int(u * (i + 1)), i)
+            view[i], view[j] = view[j], view[i]
         return idx

@@ -1176,16 +1176,55 @@ class TestRunThenBoundsProperty:
 # the runtime needs numpy and the standard library only
 
 
-def _python(code: str, *args: str) -> str:
+def _python(code: str, *args: str, **variables: str | None) -> str:
     """Standard output of ``code`` run by a fresh interpreter that imports
-    this package's source."""
+    this package's source, with the environment ``variables`` set (or
+    unset, where None)."""
     src = str(Path(onlinevi.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+class TestBlasThreads:
+    """Importing the package asks OpenBLAS for one thread unless the user
+    already chose a count; the count never changes the outputs."""
+
+    COUNT = "import os, onlinevi\nprint(len(os.listdir('/proc/self/task')))"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="threads are counted from /proc/self/task")
+    def test_import_leaves_one_thread_unless_the_user_chose(self):
+        assert _python(self.COUNT, OPENBLAS_NUM_THREADS=None).strip() == "1"
+        # OpenBLAS caps the count at the number of processors
+        expected = min(2, os.cpu_count() or 1)
+        assert _python(self.COUNT, OPENBLAS_NUM_THREADS="2").strip() == str(expected)
+
+    def test_thread_count_does_not_change_the_csvs(self, tmp_path):
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            "[run]\nseed = 2\nholdout_fraction = 0.25\ncomparator_restarts = 2\n"
+            "comparator_iters = 200\n\n[dataset]\nsource = csv\n"
+            f"path = {tmp_path / 'toy.csv'}\nlabel = y\npositive_label = 1\nloss = hinge\n\n"
+            + BASE_CONFIG[BASE_CONFIG.index("[algorithm.sva]"):], encoding="utf-8")
+        code = ("import sys\nfrom onlinevi.cli import main\n"
+                "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))")
+        main(["gen-toy", "--n", "300", "--seed", "4", "--out", str(tmp_path / "toy.csv")])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            _python(code, str(config), str(out), OPENBLAS_NUM_THREADS=threads)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert set(outputs[0]) == {"comparator.csv", *(f"{n}.csv" for n in ALGO_NAMES)}
+        assert outputs[0] == outputs[1]
 
 
 class TestNumpyOnlyRuntime:

@@ -95,6 +95,43 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing value"):
             load_csv(path, CsvSchema(label=0, has_header=True))
 
+    @pytest.mark.parametrize("text, schema, message", [
+        # the row is the file's line: blank lines count
+        ("a,b,y\n1,2,3\n\n4,x,6\n", CsvSchema(label="y"),
+         "data.csv: unparseable cell at row 4, column 2: 'x'"),
+        ("\na,b,y\n\n1,2,3\n\n4,5\n", CsvSchema(label="y"),
+         "data.csv: row 6 has 2 cells, expected 3"),
+        # a named label past the rows' last cell
+        ("a,b,y\n1,2\n", CsvSchema(label="y"), "data.csv: label column index 2 out of range"),
+        ("a,b,y\n1,2,3\n4, ,6\n", CsvSchema(label="y"),
+         "data.csv: missing value at row 3, column 2"),
+        ("a,b,y\n1,2,3\n\n4,5,?\n", CsvSchema(label="y"),
+         "data.csv: unparseable label at row 4, column 3: '?'"),
+        # a classification label is never parsed, but must not be empty
+        ("a,b,y\n1,2,yes\n4,oops,\n", CsvSchema(label="y", positive_label="yes"),
+         "data.csv: unparseable cell at row 3, column 2: 'oops'"),
+        ("a,b,y\n1,2,yes\n4,5,\n", CsvSchema(label="y", positive_label="yes"),
+         "data.csv: missing value at row 3, column 3"),
+        ("1,2,3\n\n4,5,x\n", CsvSchema(label=0, has_header=False),
+         "data.csv: unparseable cell at row 3, column 3: 'x'"),
+    ])
+    def test_error_names_the_first_bad_cell_by_file_line(self, tmp_path, text, schema,
+                                                         message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(DataError) as err:
+            load_csv(path, schema)
+        assert str(err.value) == f"{tmp_path}/{message}"
+
+    def test_values_are_the_floats_of_the_stripped_cells(self, tmp_path):
+        cells = [[" 1.5", "-2e-3 ", "0.1", "yes"], ["1e308", " 7 ", "-0.0", "no"],
+                 ["0.30000000000000004", "+3", "1_000", " yes "], ["5e-324", "-1e-320", "2.5E+2", "x"]]
+        path = self._write(tmp_path, "".join(",".join(row) + "\n\n" for row in cells))
+        ds = load_csv(path, CsvSchema(label=3, has_header=False, positive_label="yes"))
+        expected = np.array([[float(cell.strip()) for cell in row[:3]] for row in cells])
+        assert ds.features.tobytes() == expected.tobytes()
+        assert ds.features.shape == (4, 3) and ds.features.flags.c_contiguous
+        np.testing.assert_array_equal(ds.targets, [1.0, -1.0, 1.0, -1.0])
+
     def test_published_shape_audit_passes(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = ["f" + ",f".join(str(j) for j in range(30)) + ",diagnosis"]

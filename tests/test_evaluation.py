@@ -3,7 +3,7 @@ formulas, online-to-batch conversion, and the strong-convexity constant."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onlinevi import evaluation
@@ -640,6 +640,43 @@ class TestJensenAudit:
                                 lambda *args: np.where(np.arange(len(y)) == 5, excess,
                                                        point_loss_series(*args)))
             assert jensen_holdout_audit(preds, holdout, kind) == holds
+
+    def test_squared_linear_builds_no_loss_matrix(self, monkeypatch):
+        # squared-linear's averaged side comes from the decisions' moments;
+        # hinge, which has no such identity, keeps the tiled matrix
+        calls = []
+        monkeypatch.setattr(evaluation, "expert_loss_matrix",
+                            lambda *args: calls.append(args) or expert_loss_matrix(*args))
+        for kind, preds, holdout in self._cases():
+            calls.clear()
+            assert jensen_holdout_audit(preds, holdout, kind)
+            assert (len(calls) > 0) == (kind is HINGE), kind.kind
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(t=st.integers(1, 400), h=st.integers(2, 300), d=st.integers(1, 6),
+           scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]), tie=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(t=1, h=2, d=1, scale=1.0, tie=False, seed=0)
+    @example(t=400, h=300, d=6, scale=1e6, tie=True, seed=1)
+    @example(t=400, h=300, d=6, scale=1e6, tie=False, seed=2)
+    def test_squared_linear_moments_agree_with_the_tiled_matrix(self, t, h, d, scale, tie,
+                                                                 seed):
+        # the tiled (H, T) matrix is the oracle: the audit's boolean is the
+        # one the matrix gives, and the two averaged sides differ by less
+        # than the allowance, which bounds the rounding of either
+        preds = scale * CounterRng(seed, "jh-moments").normals(t * d).reshape(t, d)
+        if tie:
+            preds = np.tile(preds[:1], (t, 1))
+        holdout = gen_iid_regression(h, np.linspace(-1.0, 1.0, d), 0.3, seed=seed)
+        x, y = holdout.features, holdout.targets
+        theta_bar = preds.mean(axis=0)
+        tiled = evaluation._mean_loss_per_row(SQL, preds, x, y)
+        moments = evaluation._squared_linear_mean_loss_per_row(preds, theta_bar, x, y)
+        allowance = evaluation._jensen_allowance(preds, x, y)
+        at_bar = point_loss_series(SQL, theta_bar, x, y)
+        assert jensen_holdout_audit(preds, holdout, SQL) == \
+            bool(np.all(at_bar <= tiled + allowance))
+        assert np.all(np.abs(moments - tiled) <= allowance)
 
 
 def _fd_min_hessian_eig(s: float, m: float, sigma: float) -> float:

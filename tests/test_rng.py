@@ -2,6 +2,7 @@
 sanity, permutation properties."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,27 @@ class TestPermutation:
         a = CounterRng(7, "perm").permutation(100)
         b = CounterRng(7, "perm").permutation(100)
         np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def _item_loop(rng, n):
+        """The Fisher-Yates loop on a numpy array, one item access per
+        swap: the oracle for the list-based loop."""
+        idx = np.arange(n)
+        if n <= 1:
+            return idx
+        u = rng.uniforms(n - 1)
+        for pos, i in enumerate(range(n - 1, 0, -1)):
+            j = min(int(u[pos] * (i + 1)), i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return idx
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3])
+    def test_same_indices_as_the_item_loop(self, seed):
+        for n in (0, 1, 2, 3, 10, 257, 10000):
+            perm = CounterRng(seed, "stream-permutation").permutation(n)
+            oracle = self._item_loop(CounterRng(seed, "stream-permutation"), n)
+            assert perm.dtype == oracle.dtype and perm.shape == (n,)
+            assert np.array_equal(perm, oracle), (seed, n)
 
     def test_actually_permutes(self):
         perm = CounterRng(7, "perm").permutation(100)
