@@ -65,6 +65,7 @@ from .learners import (
     Thm3ConvexSchedule,
     Thm3StrongSchedule,
     diagonal_lattice,
+    expert_loss_blocks,
     lockstep,
     product_lattice,
     run_online,
@@ -76,7 +77,6 @@ from .losses import (
     LossKind,
     expected_grad_xy,
     expected_loss_series,
-    expert_loss_matrix,
     lipschitz_constant,
     mc_grad_eps,
     point_loss_rows,
@@ -161,8 +161,10 @@ class ExperimentConfig:
 
 _ALGORITHM_TAGS = ("sva", "svb", "ngvi", "oga", "ogael", "ewagrid")
 
-#: Cap on the values the expert grid holds: K experts of dimension d and
-#: their (T, K) loss matrix, K (T + d) float64 values in at most 1 GiB.
+#: Cap on the grid's work: K experts of dimension d and their losses on T
+#: rows, K (T + d) float64 values, at most 1 GiB if they were held at once.
+#: A run holds only the experts and one tile of losses (``row_blocks``), so
+#: the cap bounds the losses a run computes, not its memory.
 _MAX_GRID_VALUES = 2 ** 27
 
 
@@ -403,18 +405,21 @@ def _resolve_algorithm(spec: AlgoSpec, kind: LossKind, stream: data_mod.Dataset,
         k = int(count) if form == "diagonal" else int(count) ** box.d
         if k * (t_len + box.d) > _MAX_GRID_VALUES:
             raise ConfigError(f"[algorithm.{spec.name}] experts: {experts_raw} is {k} experts "
-                              f"in dimension {box.d}; with T = {t_len} the grid and its loss "
-                              f"matrix would exceed {_MAX_GRID_VALUES} values")
+                              f"in dimension {box.d}; with T = {t_len} the grid and its "
+                              f"losses would exceed {_MAX_GRID_VALUES} values")
         lattice = diagonal_lattice if form == "diagonal" else product_lattice
         experts = lattice(float(np.min(box.m_lo)), float(np.max(box.m_hi)), int(count), box.d)
         eta = _positive(spec, "eta", "auto", allow_auto=True)
-        losses = expert_loss_matrix(kind, experts, stream.features, stream.targets)
-        b_max = float(np.max(losses))
-        # Theorem 1's constants, from the one (T, K) matrix of the run, which
-        # `cmd_run` hands to `run_online`
-        meta["expert_losses"] = losses
+        # Theorem 1's constants, from the expert losses a tile at a time: B
+        # the largest, and the best expert's total from the column totals
+        # carried across the tiles (the grid's pass recomputes the tiles)
+        maxima = []
+        for _, losses, sums in expert_loss_blocks(kind, experts, stream.features,
+                                                  stream.targets):
+            maxima.append(np.max(losses))
+        b_max = float(np.max(maxima))
         meta["B"] = b_max
-        meta["best_expert_total"] = float(np.min(losses.sum(axis=0)))
+        meta["best_expert_total"] = float(np.min(sums[-1]))
         if eta is None:
             k = experts.shape[0]
             eta = float(np.sqrt(8.0 * np.log(k) / (max(b_max, 1e-12) ** 2 * t_len)))
@@ -660,8 +665,8 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, load_ms: float) -> N
 
     totals: dict = {}
     algo_summaries: dict = {}
-    # the grids first, which walk nothing: each (T, K) expert-loss matrix is
-    # freed before the pass of every other section holds its walks
+    # the grids first, which walk nothing: each grid's trace is freed before
+    # the pass of every other section holds its walks
     grids = [s for s in ctx.resolved if isinstance(s[1], EwaGridConfig)]
     walkers = [s for s in ctx.resolved if not isinstance(s[1], EwaGridConfig)]
     _finish(grids, [None] * len(grids), 0.0, ctx, comparator, out, phases, totals, algo_summaries)
@@ -730,8 +735,7 @@ def _finish(sections: list, walks: list, pass_ms: float, ctx: RunContext, compar
     plus the section's own work here, which ``phases["finish"]`` sums."""
     for (spec, config, meta), walk in zip(sections, walks):
         start = time.perf_counter()
-        trace = run_online(config, ctx.stream, ctx.kind,
-                           expert_losses=meta.pop("expert_losses", None), walk=walk)
+        trace = run_online(config, ctx.stream, ctx.kind, walk=walk)
         ledger = build_ledger(trace.losses)
         totals[spec.name] = ledger.total
         entry = {

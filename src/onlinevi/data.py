@@ -7,6 +7,7 @@ datasets and stream orders are bit-identical across reruns.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,6 +156,19 @@ def _bad_cell(path, row: list[str], line: int, label_idx: int,
     raise AssertionError(f"{path}: row {line} parses")
 
 
+def _label_index(path, schema: CsvSchema, header: list[str] | None) -> int:
+    """The label's column: ``schema.label`` itself, or its place in the
+    header."""
+    if isinstance(schema.label, int):
+        return schema.label
+    if header is None:
+        raise DataError("label column by name requires a header")
+    try:
+        return header.index(schema.label)
+    except ValueError:
+        raise DataError(f"{path}: no column named {schema.label!r}") from None
+
+
 def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
     """RFC-4180-style reader; '.' decimal separator.
 
@@ -164,57 +178,48 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
     parse as floats (regression).  Unparseable or missing cells are hard
     errors with their row (the line in the file) and column; no imputation.
     """
-    rows: list[list[str]] = []
-    lines: list[int] = []  # each row's line in the file, blank lines counted
+    header: list[str] | None = None
+    width = None
+    # each row converted as the reader yields it, into growing float storage
+    features, targets = array("d"), array("d")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-
-    header: list[str] | None = None
-    if schema.has_header:
-        header, rows, lines = rows[0], rows[1:], lines[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows after header")
-
-    if isinstance(schema.label, int):
-        label_idx = schema.label
-    else:
-        if header is None:
-            raise DataError("label column by name requires a header")
-        try:
-            label_idx = header.index(schema.label)
-        except ValueError:
-            raise DataError(f"{path}: no column named {schema.label!r}") from None
-    if not (0 <= label_idx < len(rows[0])):
-        raise DataError(f"{path}: label column index {label_idx} out of range")
-
-    width = len(rows[0])
-    features = np.empty((len(rows), width - 1))
-    targets = np.empty(len(rows))
-    for i, (row, line) in enumerate(zip(rows, lines)):
-        if len(row) != width:
-            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
-        texts = [cell.strip() for cell in row]
-        label = texts.pop(label_idx)
-        try:
-            features[i] = [float(text) for text in texts]
-            if schema.positive_label is None:
-                targets[i] = float(label)
-            elif label:
-                targets[i] = 1.0 if label == schema.positive_label else -1.0
-            else:
-                raise ValueError
-        except ValueError:
-            raise _bad_cell(path, row, line, label_idx, schema.positive_label) from None
+            if not row:
+                continue
+            if schema.has_header and header is None:
+                header = row
+                continue
+            line = reader.line_num  # the row's line in the file, blank lines counted
+            if width is None:
+                label_idx = _label_index(path, schema, header)
+                if not (0 <= label_idx < len(row)):
+                    raise DataError(f"{path}: label column index {label_idx} out of range")
+                width = len(row)
+            if len(row) != width:
+                raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+            texts = [cell.strip() for cell in row]
+            label = texts.pop(label_idx)
+            try:
+                values = [float(text) for text in texts]
+                if schema.positive_label is None:
+                    target = float(label)
+                elif label:
+                    target = 1.0 if label == schema.positive_label else -1.0
+                else:
+                    raise ValueError
+            except ValueError:
+                raise _bad_cell(path, row, line, label_idx, schema.positive_label) from None
+            features.extend(values)
+            targets.append(target)
+    if width is None:
+        raise DataError(f"{path}: empty file" if header is None
+                        else f"{path}: no data rows after header")
 
     task = CLASSIFICATION if schema.positive_label is not None else REGRESSION
     ds_name = name if name is not None else str(path)
-    ds = Dataset(features, targets, task, ds_name, note=f"loaded from {path}")
+    ds = Dataset(np.frombuffer(features).reshape(len(targets), width - 1),
+                 np.frombuffer(targets), task, ds_name, note=f"loaded from {path}")
     normalized = _normalize_name(ds_name)
     if normalized in KNOWN_SHAPES:
         expected = KNOWN_SHAPES[normalized]

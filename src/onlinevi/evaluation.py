@@ -40,8 +40,8 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, DimensionMismatchError, DomainError
 from .family import BoxConstraints, GaussianPrior
-from .losses import (HINGE, SQUARED_LINEAR, LossKind, expert_loss_matrix, mean_loss_and_grad,
-                     point_loss_series)
+from .losses import (HINGE, SQUARED_LINEAR, TILE_VALUES, LossKind, expert_loss_matrix,
+                     mean_loss_and_grad, nn_workspace, point_loss_series, row_blocks)
 from .losses import nn_batch_mean_grad  # noqa: F401  (a name the benchmark's tracer wraps)
 from .rng import CounterRng
 
@@ -381,7 +381,8 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
     the projected least-squares solution, at most ``iters`` steps each.
     Each evaluation of the loss and its (sub)gradient is one pass of
     ``losses.mean_loss_and_grad``; ``diagnostics["evaluations"]`` counts
-    them.
+    them.  For squared_nn every evaluation writes its per-row arrays into
+    one ``nn_workspace``, allocated once per call.
 
     For the convex kinds the search is projected subgradient descent with
     step c/sqrt(k) from starts uniform over the box.  At the checkpoints of
@@ -427,9 +428,10 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
         # is one candidate, evaluated once.
         end_point = np.zeros(d_param)
         end_point[-1] = min(max(float(np.mean(targets)), lo[-1]), hi[-1])
-        end_value, _ = mean_value_and_grad(end_point)
         starts = [project(rng.normals(d_param) * _NN_START_SCALE) for _ in range(restarts)]
-        theta_star, value = _spg_minimize(mean_value_and_grad, project, starts, iters)
+        with nn_workspace(t_len, kind.hidden_width):
+            end_value, _ = mean_value_and_grad(end_point)
+            theta_star, value = _spg_minimize(mean_value_and_grad, project, starts, iters)
         if not value < end_value:
             theta_star = end_point
         total = float(np.sum(point_loss_series(kind, theta_star, features, targets)))
@@ -606,34 +608,21 @@ def alpha_estimate(prior: GaussianPrior) -> float:
 # per-realization Jensen audit used by the online-to-batch criterion
 
 
-#: Values in one block of the Jensen audit's (holdout rows, T) loss matrix:
-#: about 256 KiB per float64 temporary (the product's scores, then the
-#: losses) whatever the holdout size, unless two rows of T values are more.
-#: Sized to the L2 cache, not to a workload: a block that fits there keeps
-#: the subtract, square and mean passes out of main memory.  Every block is
-#: computed in one tile allocated once per call, so its pages are faulted in
-#: once; a fresh array per block would fault them in again whenever malloc
-#: hands such a size back to the system (14,000 faults and twice the time
-#: per call, depending on what the process allocated before).  The hinge
-#: audit alone builds these blocks.  At T = 4800, H = 1200, d = 10 on a
-#: 2-core x86 machine, with two BLAS threads, the matrix audit took 25-40 ms
-#: per learner with 2^14 or 2^15 values, and 63-90 ms wall with 2^16 to 2^20.
-_AUDIT_BLOCK_VALUES = 2 ** 15
+#: Values in one tile of the Jensen audit's (holdout rows, T) loss matrix:
+#: the package's one tile size, ``losses.TILE_VALUES``.  The hinge audit
+#: alone builds these tiles.
+_AUDIT_BLOCK_VALUES = TILE_VALUES
 
 
 def _mean_loss_per_row(kind: LossKind, preds: np.ndarray, features: np.ndarray,
                        targets: np.ndarray) -> np.ndarray:
     """The mean point loss of the (T, d) predictions on each example: the
-    row means of the (H, T) loss matrix, built in blocks of rows in one
-    reused tile.  Each block has at least two rows, since a one-row product
-    takes BLAS's matrix-vector kernel, which rounds otherwise than the
-    matrix one."""
-    n_rows = features.shape[0]
-    blocks = max(1, min(n_rows // 2, -(-n_rows * preds.shape[0] // _AUDIT_BLOCK_VALUES)))
-    tile = np.empty((-(-n_rows // blocks), preds.shape[0]))
+    row means of the (H, T) loss matrix, built in the blocks of rows of
+    ``row_blocks`` in one reused tile."""
+    tile, blocks = row_blocks(features.shape[0], preds.shape[0], _AUDIT_BLOCK_VALUES)
     return np.concatenate([
-        expert_loss_matrix(kind, preds, x, y, tile[:len(x)]).mean(axis=1)
-        for x, y in zip(np.array_split(features, blocks), np.array_split(targets, blocks))])
+        expert_loss_matrix(kind, preds, features[a:b], targets[a:b], tile[:b - a]).mean(axis=1)
+        for a, b in blocks])
 
 
 def _squared_linear_mean_loss_per_row(preds: np.ndarray, theta_bar: np.ndarray,

@@ -47,8 +47,9 @@ its walk in a pass with others or from a pass of its own, and adds the
 point losses at all T decisions in one vectorized pass.  The grid's
 weights depend only on the data, so it walks nothing: ``lockstep`` walks
 only the other learners and rejects a grid, and ``run_online`` gives the
-grid's T predictions from the (T, K) expert-loss matrix in one
-vectorized pass.  A run owns its arrays and runs are independent.
+grid's T predictions from its expert losses, a tile of rows at a time
+(``expert_loss_blocks``), without holding the (T, K) matrix.  A run owns
+its arrays and runs are independent.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .losses import (
     mc_grad_eps,
     point_grad_xy,
     point_loss_rows,
+    row_blocks,
 )
 from .rng import step_normals
 
@@ -624,8 +626,7 @@ def _row_edges(boxes: list, k_gauss: int, d: int,
 
 
 def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
-               mc_samples: int = 32, seed: int = 0, expert_losses: np.ndarray | None = None,
-               walk: Walk | None = None) -> Trace:
+               mc_samples: int = 32, seed: int = 0, walk: Walk | None = None) -> Trace:
     """Run one algorithm over the rows of a dataset: predict, compute the
     gradient the algorithm needs, update.
 
@@ -633,14 +634,10 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
     Walk when the caller has already made the pass with others, and by
     default the learner walks alone.  From the walk, one pass of
     ``point_loss_rows`` gives the point loss at every decision.
-
-    For the grid, ``expert_losses`` may pass in the (T, K) matrix
-    ``expert_loss_matrix(kind, config.experts, data.features, data.targets)``
-    when the caller has already built it.
     """
     features, targets = np.ascontiguousarray(data.features), data.targets
     if isinstance(config, EwaGridConfig):
-        return _run_ewa_grid(config, kind, expert_losses, features, targets)
+        return _run_ewa_grid(config, kind, features, targets)
     if walk is None:
         (walk,) = lockstep([config], data, kind, mc_samples=mc_samples, seed=seed)
     elif walk.predictions.shape != (features.shape[0], kind.param_dim(features.shape[1])):
@@ -651,31 +648,54 @@ def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
                  in_box=walk.in_box, final_sigma=walk.final_sigma, halvings=walk.halvings)
 
 
-def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, expert_losses: np.ndarray | None,
-                  features: np.ndarray, targets: np.ndarray) -> Trace:
+def expert_loss_blocks(kind: LossKind, experts: np.ndarray, features: np.ndarray,
+                       targets: np.ndarray):
+    """The (T, K) losses of the K experts along the stream, a block of rows
+    at a time in one reused tile (``row_blocks``), with no (T, K) array.
+    For each block of rows a, ..., b - 1 it yields a, the block's (b - a, K)
+    losses, and the (b - a + 1, K) running sums S_a, ..., S_b, where S_t =
+    l_0 + ... + l_{t-1} adds the rows in order, carried from block to
+    block: so S_t has the bits of a cumulative sum over the whole matrix,
+    and S_T those of its column sums.  The next block overwrites both
+    arrays; the caller may overwrite every row of the sums but the last."""
+    tile, blocks = row_blocks(features.shape[0], experts.shape[0])
+    sums = np.zeros((tile.shape[0] + 1, experts.shape[0]))
+    for a, b in blocks:
+        losses = expert_loss_matrix(kind, experts, features[a:b], targets[a:b], tile[:b - a])
+        sums[1:b - a + 1] = losses
+        np.cumsum(sums[:b - a + 1], axis=0, out=sums[:b - a + 1])
+        yield a, losses, sums[:b - a + 1]
+        sums[0] = sums[b - a]
+
+
+def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, features: np.ndarray,
+                  targets: np.ndarray) -> Trace:
     """The grid's weights depend only on the data, never on its own
-    predictions, so all T steps are one pass over the (T, K) expert-loss
-    matrix: log w_t = -eta sum_{s<t} l_s up to normalization, the closed
-    form of the multiplicative-weights recursion log w_{t+1} = log w_t -
-    eta l_t from uniform weights."""
+    predictions, so all T steps are one pass over the expert losses: log
+    w_t = -eta S_t up to normalization, with S_t the running sum of the
+    losses before step t, the closed form of the multiplicative-weights
+    recursion log w_{t+1} = log w_t - eta l_t from uniform weights.  The
+    pass takes the losses and their running sums a block of rows at a time
+    (``expert_loss_blocks``) and turns the sums into weights in place.
+
+    Row t of the weighted sum of the experts is ``einsum``'s sum over k on
+    row t alone, so a prediction has the same bits in any block and in any
+    prefix of the stream; a BLAS product (``weights @ experts``) rounds by
+    the number of rows it is given."""
     d = kind.param_dim(features.shape[1])
     if config.experts.shape[1] != d:
         raise DimensionMismatchError(f"experts have dimension {config.experts.shape[1]}, "
                                      f"{kind.kind} needs {d}")
-    shape = (features.shape[0], config.experts.shape[0])
-    if expert_losses is None:
-        expert_losses = expert_loss_matrix(kind, config.experts, features, targets)
-    elif expert_losses.shape != shape:
-        raise DimensionMismatchError(f"expert losses have shape {expert_losses.shape}; "
-                                     f"{shape[0]} rows and {shape[1]} experts need {shape}")
-    if not np.all(np.isfinite(expert_losses)):
-        raise DomainError("expert losses must be finite")
-    weights = np.zeros_like(expert_losses)
-    np.cumsum(expert_losses[:-1], axis=0, out=weights[1:])
-    weights *= -config.eta
-    weights -= weights.max(axis=1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=1, keepdims=True)
-    predictions = weights @ config.experts
+    predictions = np.empty((features.shape[0], d))
+    for start, losses, sums in expert_loss_blocks(kind, config.experts, features, targets):
+        if not np.all(np.isfinite(losses)):
+            raise DomainError("expert losses must be finite")
+        weights = sums[:-1]
+        weights *= -config.eta
+        weights -= weights.max(axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=1, keepdims=True)
+        np.einsum("tk,kd->td", weights, config.experts,
+                  out=predictions[start:start + len(weights)])
     return Trace(predictions=predictions,
                  losses=point_loss_rows(kind, predictions, features, targets))

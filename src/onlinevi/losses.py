@@ -18,7 +18,8 @@ differ only in their shape:
     point_loss_rows        theta_t on example t (or many thetas on one
                            example), each score a lone dot product
     point_loss_series      one theta on every row
-    expert_loss_matrix     K thetas on every row, a (T, K) matrix
+    expert_loss_matrix     K thetas on every row, a (T, K) matrix (or a
+                           block of its rows, in a tile of ``row_blocks``)
     mean_loss_and_grad     one theta on every row: mean loss, subgradient
     _point_loss_grad_many  many thetas on one example: losses and
                            subgradients (the Monte-Carlo step)
@@ -44,6 +45,7 @@ Phi(z) = erfc(-z / sqrt 2) / 2 takes erfc from the standard library's
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -213,12 +215,15 @@ def _nn_forward(thetas: np.ndarray, x: np.ndarray, hw: int):
     return np.sum(w2 * hidden, axis=-1) + b2, pre, hidden, w2
 
 
-def _nn_forward_rows(theta: np.ndarray, features: np.ndarray, hw: int):
-    """One theta on every row of ``features``; returns as ``_nn_forward``."""
+def _nn_forward_rows(theta: np.ndarray, features: np.ndarray, hw: int, out=None):
+    """One theta on every row of ``features``; returns as ``_nn_forward``.
+    ``out`` may give the (rows, hw) arrays for the pre-activations and the
+    hidden units; the bits are the same either way."""
     w1, b1, w2, b2 = _nn_unpack(theta, hw, features.shape[1])
-    pre = features @ w1.T
+    pre, hidden = (None, None) if out is None else out
+    pre = np.matmul(features, w1.T, out=pre)
     pre += b1
-    hidden = np.maximum(pre, 0.0)
+    hidden = np.maximum(pre, 0.0, out=hidden)
     return hidden @ w2 + b2, pre, hidden, w2
 
 
@@ -302,6 +307,39 @@ def point_loss_rows(kind: LossKind, thetas: np.ndarray, features: np.ndarray,
     return _score_loss(kind, scores, targets)
 
 
+#: Values in one tile of a loss matrix that is built a block of rows at a
+#: time: the grid's (T, K) expert losses, and the hinge Jensen audit's
+#: (holdout rows, T) matrix.  That is about 256 KiB per float64 tile,
+#: whatever the number of rows, unless two rows of the matrix are more.  It
+#: is sized to the L2 cache, not to a workload: a block that fits there
+#: keeps the passes over it out of main memory.  Every block is computed in
+#: one tile allocated once per matrix, so its pages are faulted in once; a
+#: fresh array per block would fault them in again whenever malloc hands
+#: such a size back to the system (14,000 faults and twice the time per
+#: audit, depending on what the process allocated before).  At T = 4800, H
+#: = 1200, d = 10 on a 2-core x86 machine, with two BLAS threads, the
+#: matrix audit took 25-40 ms per learner with 2^14 or 2^15 values, and
+#: 63-90 ms wall with 2^16 to 2^20.
+TILE_VALUES = 2 ** 15
+
+
+def row_blocks(n_rows: int, width: int,
+               values: int | None = None) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """How to build an (n_rows, width) loss matrix a block of rows at a time
+    in one reused tile of about ``values`` values (``TILE_VALUES`` by
+    default): returns the tile, uninitialized, and the (start, stop) of each
+    block, the blocks of ``np.array_split`` into that many.  Each block has
+    at least two rows (unless n_rows < 2), since a one-row product takes
+    BLAS's matrix-vector kernel, which rounds otherwise than the matrix one;
+    with that, each row of ``expert_loss_matrix`` has the same bits in any
+    block."""
+    values = TILE_VALUES if values is None else values
+    blocks = max(1, min(n_rows // 2, -(-n_rows * width // values)))
+    size, extra = divmod(n_rows, blocks)
+    stops = [(i + 1) * size + min(i + 1, extra) for i in range(blocks)]
+    return np.empty((-(-n_rows // blocks), width)), list(zip([0] + stops[:-1], stops))
+
+
 def expert_loss_matrix(kind: LossKind, experts: np.ndarray, features: np.ndarray,
                        targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(T, K) point losses of every expert (row of ``experts``) along a
@@ -333,10 +371,40 @@ def _point_loss_grad_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray,
     return _score_loss(kind, f, y), grads
 
 
+def _nn_buffers(n: int, hidden_width: int) -> tuple[np.ndarray, ...]:
+    """The four (n, hidden_width) arrays that ``mean_loss_and_grad``'s
+    network branch writes on n rows: the pre-activations, the hidden units,
+    the ReLU mask and the gate dl/db1 per row."""
+    shape = (n, hidden_width)
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
+
+
+#: The arrays of the open ``nn_workspace``, or None.
+_workspace: tuple[np.ndarray, ...] | None = None
+
+
+@contextlib.contextmanager
+def nn_workspace(n: int, hidden_width: int):
+    """Inside the block, ``mean_loss_and_grad``'s network branch on n rows
+    of a width-``hidden_width`` network writes its four per-row arrays into
+    one set allocated here, instead of allocating four per call: a caller
+    that evaluates many thetas on one stream (the comparator) allocates them
+    once.  The bits are the same either way.  Four fresh arrays per call
+    would be fresh mmaps whenever malloc has handed such sizes back to the
+    system, and would fault their pages in on every call."""
+    global _workspace
+    outer, _workspace = _workspace, _nn_buffers(n, hidden_width)
+    try:
+        yield
+    finally:
+        _workspace = outer
+
+
 def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray,
                        targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean point loss of a fixed theta along a stream and its mean
-    subgradient, from one pass of ``features @ theta`` (or of the network).
+    subgradient, from one pass of ``features @ theta`` (or of the network,
+    in the arrays of an open ``nn_workspace`` of its shape).
 
     The loss equals ``np.mean(point_loss_series(...))`` bit for bit; the
     subgradient follows ``point_grad`` (hinge 1{margin > 0}, ReLU
@@ -361,9 +429,12 @@ def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray,
         scores = features @ theta
         return (float(np.mean(_score_loss(kind, scores, targets))),
                 features.T @ _score_slope(kind, scores, targets) / n)
-    f, pre, hidden, w2 = _nn_forward_rows(theta, features, kind.hidden_width)
+    shape = (n, kind.hidden_width)
+    fits = _workspace is not None and _workspace[0].shape == shape
+    pre, hidden, mask, gate = _workspace if fits else _nn_buffers(*shape)
+    f, pre, hidden, w2 = _nn_forward_rows(theta, features, kind.hidden_width, (pre, hidden))
     dloss = _score_slope(kind, f, targets)          # (n,)
-    gate = np.multiply(dloss[:, None], pre > 0.0)   # per-row dl/db1
+    np.multiply(dloss[:, None], np.greater(pre, 0.0, out=mask), out=gate)  # per-row dl/db1
     gate *= w2
     grad = _nn_pack((gate.T @ features) / n, np.einsum("ij->j", gate) / n,
                     np.einsum("ij,i->j", hidden, dloss) / n, dloss.mean())

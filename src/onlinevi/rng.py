@@ -36,7 +36,12 @@ Box-Muller helper over the last axis.
 
 from __future__ import annotations
 
-import hashlib
+try:
+    # hashlib takes blake2b from here too; importing hashlib itself would
+    # load OpenSSL's libcrypto (about 3.6 MB of resident memory) for nothing
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - a Python built without _blake2
+    from hashlib import blake2b
 
 import numpy as np
 
@@ -74,7 +79,7 @@ def _hash64(label) -> np.uint64:
     if isinstance(label, (int, np.integer)):
         return _U64(int(label) & 0xFFFFFFFFFFFFFFFF)
     if isinstance(label, str):
-        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+        digest = blake2b(label.encode("utf-8"), digest_size=8).digest()
         return _U64(int.from_bytes(digest, "little"))
     raise TypeError(f"stream label must be int or str, got {type(label).__name__}")
 

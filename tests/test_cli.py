@@ -187,29 +187,76 @@ class TestRun:
             b = (out2 / f"{name}.csv").read_bytes()
             assert a == b, name
 
-    def test_one_expert_loss_matrix_per_run(self, run_dir, tmp_path, monkeypatch):
-        # the grid's (T, K) matrix that gives B is the one the grid runs on,
-        # and its series equals that of a grid run that builds its own
+    def test_grid_losses_are_built_one_tile_at_a_time(self, run_dir, tmp_path, monkeypatch):
+        # in a run whose tile holds 2^10 values, no call of the expert-loss
+        # kernel sees more than one tile's rows, and the grid's series equals
+        # that of a grid run on its own at the default tile size
         import onlinevi.learners as learners
+        import onlinevi.losses as losses
 
-        calls = []
-        build = cli.expert_loss_matrix
+        shapes = []
+        build = learners.expert_loss_matrix
 
-        def counting(*args):
-            calls.append(1)
-            return build(*args)
+        def recording(kind, experts, features, *rest):
+            shapes.append((len(features), len(experts)))
+            return build(kind, experts, features, *rest)
 
-        monkeypatch.setattr(cli, "expert_loss_matrix", counting)
-        monkeypatch.setattr(learners, "expert_loss_matrix", counting)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(run_dir / "config.ini"), "--out", str(out)]) == 0
-        assert len(calls) == 1
         ctx = materialize(load_experiment(run_dir / "config.ini"))
         (_, config, _), = [r for r in ctx.resolved if r[0].name == "ewagrid"]
         trace = run_online(config, ctx.stream, ctx.kind)
-        assert len(calls) == 3
+        monkeypatch.setattr(losses, "TILE_VALUES", 2 ** 10)
+        monkeypatch.setattr(learners, "expert_loss_matrix", recording)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_dir / "config.ini"), "--out", str(out)]) == 0
+        # B and the best expert's total, then the grid's pass
+        assert sum(rows for rows, _ in shapes) == 2 * ctx.horizon
+        assert len(shapes) > 2
+        assert all(rows <= max(2, -(-2 ** 10 // k)) for rows, k in shapes)
         cli._write_series_csv(tmp_path / "own.csv", cli.build_ledger(trace.losses))
         assert (tmp_path / "own.csv").read_bytes() == (out / "ewagrid.csv").read_bytes()
+
+    def test_theorem_1_constants_do_not_depend_on_the_tile(self, run_dir, monkeypatch):
+        # B and the best expert's total against one (T, K) matrix
+        import onlinevi.losses as losses
+
+        ctx = materialize(load_experiment(run_dir / "config.ini"))
+        (_, config, meta), = [r for r in ctx.resolved if r[0].name == "ewagrid"]
+        matrix = losses.expert_loss_matrix(ctx.kind, config.experts, ctx.stream.features,
+                                           ctx.stream.targets)
+        for values in (2 ** 6, 2 ** 10):
+            monkeypatch.setattr(losses, "TILE_VALUES", values)
+            (_, _, tiled), = [r for r in materialize(load_experiment(run_dir / "config.ini"))
+                              .resolved if r[0].name == "ewagrid"]
+            assert (tiled["B"], tiled["best_expert_total"]) == (meta["B"],
+                                                                meta["best_expert_total"])
+        assert meta["B"] == float(np.max(matrix))
+        assert meta["best_expert_total"] == float(np.min(matrix.sum(axis=0)))
+
+    def test_materialize_holds_no_grid_matrix(self, tmp_path, monkeypatch):
+        # the peak after the stream is loaded, at T = 20,000 and K = 41
+        import tracemalloc
+
+        config = tmp_path / "grid.ini"
+        config.write_text("[run]\nseed = 1\n[dataset]\nsource = toy\nn = 20000\n"
+                          "loss = hinge\n[algorithm.ewagrid]\nexperts = diagonal:41\n",
+                          encoding="utf-8")
+        load = cli._load_dataset
+
+        def loaded_before_the_peak(cfg):
+            full = load(cfg)
+            tracemalloc.reset_peak()
+            return full
+
+        monkeypatch.setattr(cli, "_load_dataset", loaded_before_the_peak)
+        experiment = load_experiment(config)
+        tracemalloc.start()
+        try:
+            ctx = materialize(experiment)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx.horizon == 20_000
+        assert peak < 20_000 * 41 * 8 / 4
 
     def test_one_lipschitz_constant_per_materialize(self, run_dir, tmp_path, monkeypatch):
         # the run resolves svb_thm3's l = auto and checks Theorems 2 and 4
@@ -1232,6 +1279,11 @@ class TestNumpyOnlyRuntime:
         out = _python("import sys, onlinevi.cli\n"
                       "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert out.strip() == "[]"
+
+    def test_import_loads_no_openssl(self):
+        # rng takes blake2b from _blake2; hashlib would load OpenSSL's libcrypto
+        out = _python("import sys, onlinevi.cli\nprint('_hashlib' in sys.modules)")
+        assert out.strip() == "False"
 
     def test_every_verb_runs_with_scipy_blocked(self, tmp_path):
         config = tmp_path / "exp.ini"

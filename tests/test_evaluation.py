@@ -1,12 +1,15 @@
 """Regret accounting, comparators against grid/analytic oracles, bound
 formulas, online-to-batch conversion, and the strong-convexity constant."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onlinevi import evaluation
+from onlinevi import losses as losses_mod
 from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regression,
                            gen_toy_classification)
 from onlinevi.errors import DataError, DomainError
@@ -61,6 +64,27 @@ class TestBestInHindsight:
         box = BoxConstraints.symmetric(2)
         comp = best_in_hindsight(data, HINGE, box, restarts=5, iters=300, seed=0)
         assert comp.cumulative_loss_star == pytest.approx(0.0, abs=1e-6)
+
+    def test_network_evaluations_share_one_workspace(self, monkeypatch):
+        # one search allocates the network's per-row arrays once, and has
+        # the bits of a search whose evaluations allocate their own
+        kind = LossKind.squared_nn(4)
+        data = gen_iid_regression(300, np.array([1.0, -0.5]), 0.3, seed=5)
+        box = BoxConstraints.symmetric(kind.param_dim(2))
+        allocated = []
+        allocate = losses_mod._nn_buffers
+        monkeypatch.setattr(losses_mod, "_nn_buffers",
+                            lambda *shape: allocated.append(shape) or allocate(*shape))
+        shared = best_in_hindsight(data, kind, box, restarts=2, iters=50, seed=1)
+        assert shared.diagnostics["evaluations"] > 2 and allocated == [(300, 4)]
+        assert losses_mod._workspace is None
+        allocated.clear()
+        monkeypatch.setattr(evaluation, "nn_workspace",
+                            lambda n, width: contextlib.nullcontext())
+        own = best_in_hindsight(data, kind, box, restarts=2, iters=50, seed=1)
+        assert len(allocated) == own.diagnostics["evaluations"]
+        assert own.theta_star.tobytes() == shared.theta_star.tobytes()
+        assert own.cumulative_loss_star == shared.cumulative_loss_star
 
     def test_one_dim_least_squares(self):
         data = Dataset([[1.0], [1.0]], [1.0, 3.0], REGRESSION, "two")

@@ -2,6 +2,8 @@
 recursion against its unrolled sum, the grid against its log-space
 recursion, and the online loop contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import golden_section, ngvi_step, oga_step, ogael_step, sva_step, svb_step
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from onlinevi import learners
+from onlinevi import losses as losses_mod
 from onlinevi.errors import DimensionMismatchError, DomainError, InvalidPrecisionError
 from onlinevi.family import (BoxConstraints, GaussianPrior, MeanFieldGaussian,
                              natural_to_standard)
@@ -379,25 +382,81 @@ class TestEwaGridUpdate:
         with pytest.raises(DomainError, match="finite"), np.errstate(invalid="ignore"):
             run_online(cfg, _stream([[1.0, 1.0]], [0.0]), SQL)
 
-    def test_given_expert_losses_are_the_ones_built(self):
-        # a matrix the caller already built gives the same bits; one of
-        # another shape is rejected
-        experts = product_lattice(-2.0, 2.0, 3, 2)
-        cfg = EwaGridConfig(eta=0.5, experts=experts)
-        ds = gen_toy_classification(20, seed=26)
-        losses = expert_loss_matrix(LossKind.hinge(), experts, ds.features, ds.targets)
-        own = run_online(cfg, ds, LossKind.hinge())
-        given = run_online(cfg, ds, LossKind.hinge(), expert_losses=losses)
-        assert own.losses.tobytes() == given.losses.tobytes()
-        with pytest.raises(DimensionMismatchError, match="expert losses"):
-            run_online(cfg, ds, LossKind.hinge(), expert_losses=losses[1:])
-
     def test_prediction_in_convex_hull(self):
         experts = product_lattice(-2.0, 2.0, 3, 2)
         cfg = EwaGridConfig(eta=0.5, experts=experts)
         trace = run_online(cfg, gen_toy_classification(20, seed=26), LossKind.hinge())
         assert np.all(trace.predictions >= experts.min(axis=0) - 1e-12)
         assert np.all(trace.predictions <= experts.max(axis=0) + 1e-12)
+
+
+
+class TestGridTiles:
+    """The grid computes its expert losses a tile of rows at a time
+    (``expert_loss_blocks``) and each row of its trace from that row alone,
+    so neither the tile size nor the length of the stream changes a bit."""
+
+    STREAMS = {
+        "hinge": (LossKind.hinge(), gen_toy_classification(3000, seed=40)),
+        # ten features, where a BLAS product of the weights and the experts
+        # gave a prefix other bits than the whole stream
+        "squared_linear": (SQL, gen_iid_regression(4800, np.linspace(-1.0, 1.0, 10), 0.5,
+                                                   seed=40)),
+        "squared_nn": (LossKind.squared_nn(3),
+                       gen_iid_regression(1500, np.array([1.0, -1.0]), 0.3, seed=40)),
+    }
+
+    @staticmethod
+    def _config(kind, ds):
+        experts = diagonal_lattice(-1.0, 1.0, 41, kind.param_dim(ds.d))
+        return EwaGridConfig(eta=0.01, experts=experts)
+
+    @pytest.mark.parametrize("stream", list(STREAMS))
+    def test_a_prefix_is_a_stream(self, stream):
+        kind, ds = self.STREAMS[stream]
+        cfg = self._config(kind, ds)
+        whole = run_online(cfg, ds, kind)
+        for t in (2, 3, 100, 801, ds.T - 1):
+            prefix = run_online(cfg, ds.head(t), kind)
+            assert_same_bits(prefix.predictions, whole.predictions[:t], f"predictions, t={t}")
+            assert_same_bits(prefix.losses, whole.losses[:t], f"losses, t={t}")
+
+    @pytest.mark.parametrize("stream", list(STREAMS))
+    def test_the_tile_size_changes_no_bit(self, monkeypatch, stream):
+        # the blocks against one (T, K) matrix: the same losses, the same
+        # largest loss B, and column totals carried across the blocks with
+        # the bits of the matrix's column sums; and the same trace
+        kind, ds = self.STREAMS[stream]
+        cfg = self._config(kind, ds)
+        matrix = expert_loss_matrix(kind, cfg.experts, ds.features, ds.targets)
+        default = run_online(cfg, ds, kind)
+        for values in (2 ** 6, 2 ** 10):
+            monkeypatch.setattr(losses_mod, "TILE_VALUES", values)
+            maxima, rows = [], 0
+            for start, block, sums in learners.expert_loss_blocks(kind, cfg.experts,
+                                                                  ds.features, ds.targets):
+                assert start == rows and len(block) * 41 <= max(2 * 41, values + 40)
+                assert_same_bits(block, matrix[start:start + len(block)])
+                rows += len(block)
+                maxima.append(block.max())
+            assert rows == ds.T and len(maxima) > 1
+            assert max(maxima) == matrix.max()
+            assert_same_bits(sums[-1], matrix.sum(axis=0))
+            trace = run_online(cfg, ds, kind)
+            assert_same_bits(trace.predictions, default.predictions, f"{values} values")
+            assert_same_bits(trace.losses, default.losses, f"{values} values")
+
+    def test_the_grid_holds_no_loss_matrix(self):
+        t_len, k = 20_000, 41
+        ds = gen_toy_classification(t_len, seed=41)
+        cfg = EwaGridConfig(eta=0.01, experts=diagonal_lattice(-20.0, 20.0, k, 2))
+        tracemalloc.start()
+        try:
+            run_online(cfg, ds, LossKind.hinge())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t_len * k * 8 / 4
 
 
 def _reference_run(config, ds, kind, mc_samples=32, seed=0, states=None, halvings=None):

@@ -1,11 +1,14 @@
 """Counter-based generator: determinism, stream independence, distribution
 sanity, permutation properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onlinevi import rng
 from onlinevi.rng import CounterRng, derive_seed, step_normals
 
 
@@ -19,6 +22,12 @@ class TestDeterminism:
         r = CounterRng(42, "x")
         first = np.concatenate([r.uniforms(5), r.uniforms(5)])
         np.testing.assert_array_equal(first, CounterRng(42, "x").uniforms(10))
+
+    @pytest.mark.parametrize("label", ["mc-expected-loss", "", "stream-permutation",
+                                       "\u00f1and\u00fa", "\u6d41-\U0001f3b2"])
+    def test_string_labels_hash_as_hashlib_blake2b(self, label):
+        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+        assert rng._hash64(label) == int.from_bytes(digest, "little")
 
     def test_streams_differ(self):
         a = CounterRng(42, "x").uniforms(100)
