@@ -8,7 +8,13 @@ gradients), ``learners`` (the online update rules and the run loop),
 ``rng`` (the deterministic counter-based generator).
 """
 
-import os
+import time
+
+#: When the package began to import; ``onlinevi run`` reports the time from
+#: here to the start of the command as its ``import`` phase.
+_import_start = time.perf_counter()
+
+import os  # noqa: E402
 
 # One OpenBLAS thread unless the user chose a count.  The products here are
 # too small for a second thread to help, an idle OpenBLAS worker busy-waits

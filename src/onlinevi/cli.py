@@ -25,6 +25,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _import_start
 from . import data as data_mod
 from .errors import ConfigError, DataError, DomainError, OnlineViError
 from .evaluation import (
@@ -75,6 +77,7 @@ from .losses import (
     SQUARED_LINEAR,
     SQUARED_NN,
     LossKind,
+    box_loss_bound,
     expected_grad_xy,
     expected_loss_series,
     lipschitz_constant,
@@ -370,6 +373,11 @@ def _resolve_algorithm(spec: AlgoSpec, kind: LossKind, stream: data_mod.Dataset,
                                       f"{kind.kind} has no certified Lipschitz constant, so "
                                       "give l a number")
                 l_val = lipschitz
+            floor = l_val * SIGMA_FLOOR ** 2
+            if floor == 0.0 or not math.isfinite(d_val * math.sqrt(2.0) / floor):
+                raise ConfigError(f"[algorithm.{spec.name}] l: L = {l_val:.6g} is so small "
+                                  "that the schedule's step D sqrt(2) / (L sigma^2) overflows "
+                                  f"a float at sigma = {SIGMA_FLOOR:g}")
             schedule = Thm3ConvexSchedule(D=d_val, L=l_val)
             meta.update(D=d_val, L=l_val)
         elif name == "thm3_strong":
@@ -418,6 +426,10 @@ def _resolve_algorithm(spec: AlgoSpec, kind: LossKind, stream: data_mod.Dataset,
                                                   stream.targets):
             maxima.append(np.max(losses))
         b_max = float(np.max(maxima))
+        if not math.isfinite(b_max * b_max * t_len):
+            raise DataError(f"dataset {stream.name!r}: [algorithm.{spec.name}] needs B^2 T "
+                            f"finite for Theorem 1 and eta = auto, but the largest expert "
+                            f"loss is B = {b_max:.6g} on its {t_len} rows")
         meta["B"] = b_max
         meta["best_expert_total"] = float(np.min(sums[-1]))
         if eta is None:
@@ -453,6 +465,9 @@ def materialize(cfg: ExperimentConfig) -> RunContext:
     box = BoxConstraints.symmetric(d_param, cfg.box_m_abs, cfg.box_sigma_hi,
                                    cfg.box_sigma_lo)
     prior = GaussianPrior(cfg.prior_s, d_param)
+    if not math.isfinite(box.diameter()):
+        raise ConfigError(f"[run] box_m_abs: the box's diameter D overflows a float at "
+                          f"box_m_abs = {cfg.box_m_abs:g}")
     lipschitz = None
     if kind.convex:
         lipschitz = lipschitz_constant(kind, stream, box)
@@ -460,6 +475,17 @@ def materialize(cfg: ExperimentConfig) -> RunContext:
             raise DataError(f"dataset {stream.name!r}: the certified Lipschitz constant is "
                             f"L = 0 there, so the {kind.kind} loss does not depend on theta "
                             "on the box")
+        # the theorems' constants and every loss of a decision in the box must
+        # be floats: L^2 T, and B^2 n for the largest box loss B on all n rows
+        # (the totals and the holdout's spread are at most n B and n B^2)
+        reach = box_loss_bound(kind, full.features, full.targets, box)
+        if not (math.isfinite(lipschitz * lipschitz * stream.T)
+                and math.isfinite(reach * reach * full.T)):
+            raise DataError(f"dataset {stream.name!r}: its values are too large for a run in "
+                            f"floats: the certified Lipschitz constant L = {lipschitz:.6g} "
+                            f"and the largest loss of a decision in the box B = {reach:.6g} "
+                            f"on its {full.T} rows need L^2 T and B^2 n finite; rescale "
+                            "the data or set standardize = true")
     resolved = [_resolve_algorithm(spec, kind, stream, box, prior, lipschitz)
                 for spec in cfg.algorithms]
     sections = (cfg.run, cfg.dataset, *(spec.options for spec in cfg.algorithms))
@@ -596,6 +622,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     holds nothing but what a run writes (``_check_target``); it is replaced
     whole.  A failed run leaves no new directory and the old one as it was."""
     start = time.perf_counter()
+    import_ms = round((start - _import_start) * 1000.0, 3)
     cfg = load_experiment(config_path)
     ctx = materialize(cfg)
     load_ms = _ms_since(start)
@@ -612,7 +639,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
         mask = os.umask(0)
         os.umask(mask)
         stage.chmod(0o777 & ~mask)
-        _run_into(stage, ctx, config_path, load_ms)
+        _run_into(stage, ctx, config_path, {"import": import_ms, "load": load_ms})
         if out.exists():
             out.rename(old)
         try:
@@ -647,12 +674,13 @@ def _check_target(out: Path) -> None:
                               "write; it is replaced only if it holds a run's files alone")
 
 
-def _run_into(out: Path, ctx: RunContext, config_path: str, load_ms: float) -> None:
-    """Every output file of a run, written into the directory ``out``."""
+def _run_into(out: Path, ctx: RunContext, config_path: str, phases: dict) -> None:
+    """Every output file of a run, written into the directory ``out``;
+    ``phases`` holds the wall times of the phases before it, in ms."""
     cfg = ctx.cfg
     # wall time per phase, in ms; "write" covers comparator.csv and the series
     # CSVs, "finish" each section's work after the pass but its write
-    phases = {"load": load_ms, "write": 0.0, "finish": 0.0}
+    phases.update(write=0.0, finish=0.0)
 
     start = time.perf_counter()
     comparator = best_in_hindsight(
@@ -736,6 +764,11 @@ def _finish(sections: list, walks: list, pass_ms: float, ctx: RunContext, compar
     for (spec, config, meta), walk in zip(sections, walks):
         start = time.perf_counter()
         trace = run_online(config, ctx.stream, ctx.kind, walk=walk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflow = np.flatnonzero(~np.isfinite(np.cumsum(trace.losses)))
+        if overflow.size:
+            raise DomainError(f"step {overflow[0] + 1} ({spec.name}): the cumulative point "
+                              "loss is not finite")
         ledger = build_ledger(trace.losses)
         totals[spec.name] = ledger.total
         entry = {
@@ -761,7 +794,11 @@ def _finish(sections: list, walks: list, pass_ms: float, ctx: RunContext, compar
             }
         if ctx.holdout is not None:
             theta_bar = online_to_batch(trace.predictions)
-            mean, se = generalization_estimate(theta_bar, ctx.holdout, ctx.kind)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, se = generalization_estimate(theta_bar, ctx.holdout, ctx.kind)
+            if not (math.isfinite(mean) and math.isfinite(se)):
+                raise DomainError(f"step {ctx.horizon} ({spec.name}): the holdout risk of the "
+                                  "mean decision is not finite")
             entry["holdout_risk"] = {"mean": mean, "se": se}
             if ctx.kind.convex:
                 entry["holdout_jensen_ok"] = jensen_holdout_audit(

@@ -176,17 +176,23 @@ def kl_divergence(q: MeanFieldGaussian, p: MeanFieldGaussian) -> float:
     return max(float(total), 0.0)
 
 
-def h_map(x):
+def h_map(x, out: np.ndarray | None = None):
     """h(x) = sqrt(1 + x^2) - x, componentwise; strictly positive and decreasing.
 
-    For x > 0 the equivalent 1 / (sqrt(1 + x^2) + x) avoids cancellation.
-    """
+    One formula: r = sqrt(1 + x^2) + |x|, then 1 / r where x > 0.  For
+    x <= 0, r is sqrt(1 + x^2) - x exactly (a subtraction is the addition
+    of the negation); for x > 0, 1 / r is the form without cancellation.
+    ``out``, an array of x's shape that is not x itself, receives r, so a
+    caller on a fixed shape allocates nothing for it."""
     arr = np.asarray(x, dtype=float)
-    root = np.sqrt(1.0 + arr * arr)
-    out = np.where(arr > 0.0, 1.0 / (root + np.abs(arr)), root - arr)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    root = np.multiply(arr, arr, out=np.empty_like(arr) if out is None else out)
+    np.add(1.0, root, out=root)
+    np.sqrt(root, out=root)
+    np.add(root, np.absolute(arr), out=root)
+    np.divide(1.0, root, out=root, where=arr > 0.0)
+    if root.ndim == 0:
+        return float(root)
+    return root
 
 
 def project_box(q: MeanFieldGaussian, box: BoxConstraints) -> MeanFieldGaussian:

@@ -362,15 +362,18 @@ class _Step:
     row order, ``_row_key``'s.
 
     What does not change from step to step is computed once, here: each
-    class's parameters as (k, 1) columns (NGVI's beta terms until a row
-    halves its eta), and the constant rows of the buffers that the classes
-    share.  A step is then one mean step m - c g_m for SVA, SVB, OGA-EL and
-    OGA, with c = (eta s) s, eta_t sigma^2, eta and eta; one h-map for the
-    sigmas of SVA and SVB, base h(a v) with (base, a, v) = (s, (eta/2) s,
-    sum of g_sigma) and (sigma, (eta_t/2) sigma, g_sigma); OGA-EL's floored
-    sigma step; and NGVI's recursion.  Every operation is elementwise or
-    along a row, in each row's own order of products, so each row gets the
-    bits it would get on its own."""
+    class's parameters as constant rows, and SVB's (c tau_t) column of every
+    step as a (T, rows, 1) table.  A step is then one mean step m - c g_m
+    for SVA, SVB, OGA-EL and OGA, with c = (eta s) s, eta_t sigma^2, eta and
+    eta; one h-map (``h_map`` into a buffer of this step) for the sigmas of
+    SVA and SVB, base h(a v) with (base, a, v) = (s, (eta/2) s, sum of
+    g_sigma) and (sigma, (eta_t/2) sigma, g_sigma); OGA-EL's floored sigma
+    step; and NGVI's recursion, in place: its gradient in expectation
+    coordinates and its lambda' go into buffers (two for lambda, swapped at
+    each step), and only a step on which some row leaves the family (lambda2'
+    >= 0) goes through ``_ngvi_update``'s halvings, from the same lambda.
+    Every operation is elementwise or along a row, in each row's own order
+    of products, so each row gets the bits it would get on its own."""
 
     def __init__(self, configs: list, names: list[str], state: np.ndarray, grad: np.ndarray,
                  t_max: int):
@@ -378,25 +381,35 @@ class _Step:
         ngvi, sva, svb, ogael, oga = ([c for c in configs if type(c) is cls] for cls in _ROWS)
         n, n_sva, n_svb = len(ngvi), len(sva), len(svb)
         sigma, g_sigma = state[k:], grad[k:]
-        # NGVI: its rows' (m, sigma, g_m, g_sigma), and lambda, its prior, the
-        # gradient in expectation coordinates and the beta terms, each (2, n, d)
+
+        # NGVI: its rows' (m, sigma, g_m, g_sigma); lambda (two buffers), its
+        # prior, the gradient in expectation coordinates and the beta terms,
+        # each (2, n, d)
         self.ngvi = (state[:n], sigma[:n], grad[:n], g_sigma[:n])
         self.ngvi_names, self.halvings = names[:n], np.zeros((n, t_max), dtype=int)
         self.eta, self.alpha = _column([c.eta for c in ngvi]), _column([c.alpha for c in ngvi])
         priors = [c.prior.natural() for c in ngvi]
         self.lam_prior = np.array([[p.lambda1 for p in priors],
                                    [p.lambda2 for p in priors]]).reshape(2, n, d)
-        self.lam, self.g_mu = self.lam_prior, np.empty((2, n, d))
+        self.lam, self.lam_next = self.lam_prior.copy(), np.empty((2, n, d))
+        self.g_mu, self.ngvi_work, self.var = np.empty((2, n, d)), np.empty((2, n, d)), \
+            np.empty((n, d))
         self.terms = _ngvi_terms(self.eta, self.alpha, self.lam_prior)
+        keep, pull, rate = self.terms
+        self.full_terms = tuple(np.broadcast_to(term, (2, n, d)).copy()
+                                for term in (keep, pull, rate))
         # the mean step of every other row, with SVB's c filled in at each step
         self.means, self.g_means = state[n:k], grad[n:k]
         self.coef, self.work = np.empty_like(self.means), np.empty_like(self.means)
         eta, s = _column([c.eta for c in sva]), _column([c.prior.s for c in sva])
         self.coef[:n_sva] = eta * s * s
         self.coef[n_sva + n_svb:] = _column([c.eta for c in ogael + oga])
-        # the h-map of SVA's and SVB's sigmas, with SVB's rows filled in at each step
+        # the h-map of SVA's and SVB's sigmas: a v goes into av, h(a v) into h
+        # and base h into the sigmas; SVB's rows of base, a and v are filled
+        # in at each step
         self.h_sigma = sigma[n:n + n_sva + n_svb]
-        self.base, self.a, self.v = (np.zeros_like(self.h_sigma) for _ in range(3))
+        self.base, self.a, self.v, self.av, self.h = (np.zeros_like(self.h_sigma)
+                                                      for _ in range(5))
         self.base[:n_sva], self.a[:n_sva] = s, 0.5 * eta * s
         self.accum, self.g_accum = self.v[:n_sva], g_sigma[n:n + n_sva]
         # SVB: eta_t = num / ((c tau_t) sigma^2) on its first rows, tau_t being
@@ -406,11 +419,15 @@ class _Step:
         self.svb_coef = self.coef[n_sva:n_sva + n_svb]
         self.svb_base, self.svb_a, self.svb_v = (b[n_sva:] for b in (self.base, self.a, self.v))
         taus = [c.schedule.terms[2] for c in svb]
-        varying = n_svb - taus.count(FIXED)
+        varying, roots = n_svb - taus.count(FIXED), taus.count(SQRT_T)
         num, c = (_column([cfg.schedule.terms[i] for cfg in svb]) for i in (0, 1))
-        self.num, self.c = num[:varying], c[:varying]
-        self.tau = np.empty_like(self.c)
-        self.tau_root, self.tau_t = np.split(self.tau, [taus.count(SQRT_T)])
+        self.num = num[:varying]
+        # (c tau_t) of step t in row t - 1; sqrt and math.sqrt both round
+        # correctly, so tau_t is the same number either way
+        steps = np.arange(1.0, t_max + 1.0)
+        tau = np.empty((t_max, varying, 1))
+        tau[:, :roots, 0], tau[:, roots:, 0] = np.sqrt(steps)[:, None], steps[:, None]
+        self.c_tau = c[:varying] * tau
         self.rate, self.sq = np.empty((n_svb, d)), np.empty((n_svb, d))
         self.rate[varying:] = num[varying:] / c[varying:]
         self.varying_rate, self.varying_sq = self.rate[:varying], self.sq[:varying]
@@ -423,10 +440,11 @@ class _Step:
         if self.ngvi_names:
             self._ngvi(t)
         if self.svb_coef.size:
-            sigma, sq, rate = self.svb_sigma, self.sq, self.rate
+            sigma, sq, rate, varying_rate = self.svb_sigma, self.sq, self.rate, self.varying_rate
             np.multiply(sigma, sigma, out=sq)
-            self.tau_root[:], self.tau_t[:] = math.sqrt(t), t
-            np.divide(self.num, self.c * self.tau * self.varying_sq, out=self.varying_rate)
+            if varying_rate.size:
+                np.multiply(self.c_tau[t - 1], self.varying_sq, out=varying_rate)
+                np.divide(self.num, varying_rate, out=varying_rate)
             np.multiply(rate, sq, out=self.svb_coef)
             np.multiply(np.multiply(0.5, rate, out=self.svb_a), sigma, out=self.svb_a)
             self.svb_base[:] = sigma
@@ -435,7 +453,8 @@ class _Step:
                     out=self.means)
         if self.h_sigma.size:
             np.add(self.accum, self.g_accum, out=self.accum)
-            np.multiply(self.base, h_map(self.a * self.v), out=self.h_sigma)
+            h_map(np.multiply(self.a, self.v, out=self.av), out=self.h)
+            np.multiply(self.base, self.h, out=self.h_sigma)
         sigma, g_sigma, eta, work = self.ogael
         if eta.size:
             np.subtract(sigma, np.multiply(eta, g_sigma, out=work), out=sigma)
@@ -443,18 +462,30 @@ class _Step:
 
     def _ngvi(self, t: int) -> None:
         m, sigma, g_m, g_sigma = self.ngvi
-        self.g_mu[0], self.g_mu[1] = expectation_grad(g_m, g_sigma, m, sigma)
-        lam, halvings = _ngvi_update(self.lam, self.g_mu, self.terms, self.eta, self.alpha,
-                                     self.lam_prior)
-        if halvings is not None:
+        g_mu, g_var, new = self.g_mu, self.g_mu[1], self.lam_next
+        # g_var = g_sigma / (2 sigma), g_mu1 = g_m - (2 m) g_var
+        np.divide(g_sigma, np.multiply(2.0, sigma, out=g_var), out=g_var)
+        np.subtract(g_m, np.multiply(np.multiply(2.0, m, out=g_mu[0]), g_var, out=g_mu[0]),
+                    out=g_mu[0])
+        # lambda' = (keep lambda + pull) - rate g_mu
+        keep, pull, rate = self.full_terms
+        np.add(np.multiply(keep, self.lam, out=new), pull, out=new)
+        np.subtract(new, np.multiply(rate, g_mu, out=self.ngvi_work), out=new)
+        if not np.maximum.reduce(new[1], axis=None) < 0.0:
+            lam, halvings = _ngvi_update(self.lam, g_mu, self.terms, self.eta, self.alpha,
+                                         self.lam_prior)
             failed = np.flatnonzero(halvings > MAX_STEP_RETRIES)
             if failed.size:
                 raise InvalidPrecisionError(
                     f"step {t} ({self.ngvi_names[failed[0]]}): NGVI left the family "
                     f"(lambda2 >= 0) after {MAX_STEP_RETRIES} eta halvings", step=t)
             self.halvings[:, t - 1] = halvings[:, 0]
-        self.lam = lam
-        m[:], sigma[:] = natural_to_standard(*lam)
+            new[:] = lam
+        self.lam, self.lam_next = new, self.lam
+        # (m, sigma) = (var lambda1, sqrt(var)), var = -0.5 / lambda2
+        var = np.divide(-0.5, new[1], out=self.var)
+        np.multiply(var, new[0], out=m)
+        np.sqrt(var, out=sigma)
 
 
 #: Normals per block of Monte-Carlo steps that ``lockstep`` draws in one
@@ -471,12 +502,6 @@ def _step_eps(seed: int, t_max: int, samples: int, d: int):
         count = min(block, t_max + 1 - first)
         yield from step_normals(seed, first, count, samples * d,
                                 MC_STREAM).reshape(count, samples, d)
-
-
-def _finite(a: np.ndarray) -> bool:
-    # a - a is 0 where a is finite and NaN elsewhere, and cannot overflow
-    zeros = (a - a).ravel()
-    return zeros @ zeros == 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,17 +571,24 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     order = sorted(range(len(configs)), key=lambda i: _row_key(configs[i]))
     k = len(order)
     k_gauss = sum(not isinstance(configs[i], OgaConfig) for i in order)
-    # One state array: the k means (OGA's theta last), then the k_gauss
-    # sigmas, row j's sigma being row k + j; and the gradients in the same
-    # layout, g_m then g_sigma.
-    state = np.zeros((k + k_gauss, d))
-    means, m_gauss, m_oga, sigma = state[:k], state[:k_gauss], state[k_gauss:k], state[k:]
+    # One state array: the k means (OGA's theta last), then k sigmas, row j's
+    # sigma being row k + j; OGA's k - k_gauss sigmas stay 0, so that one
+    # closed-form call serves every mean row (with sigma = 0 it gives the
+    # point subgradient, bit for bit).  The gradients have the same layout,
+    # g_m then g_sigma.  The step, the clip and the checks see the live rows
+    # alone, the means and the Gaussian rows' sigmas.
+    state = np.zeros((2 * k, d))
+    rows = k + k_gauss
+    live, means, m_gauss, m_oga = state[:rows], state[:k], state[:k_gauss], state[k_gauss:k]
+    sigmas, sigma = state[k:], state[k:rows]
     sigma[:] = np.array([float(configs[i].prior.s) for i in order[:k_gauss]])[:, None]
     grad = np.zeros_like(state)
-    g_m_gauss, g_oga, g_sigma = grad[:k_gauss], grad[k_gauss:k], grad[k:]
-    advance = _Step([configs[i] for i in order], [names[i] for i in order], state, grad, t_max)
-    # the projection of the whole stack: each row's box, or none; and the
-    # box each row's membership is checked against, or none
+    live_grad, g_m_gauss, g_oga, g_sigma = grad[:rows], grad[:k_gauss], grad[k_gauss:k], \
+        grad[k:rows]
+    advance = _Step([configs[i] for i in order], [names[i] for i in order], live, live_grad,
+                    t_max)
+    # the projection of the live rows: each row's box, or none; and the box
+    # each row's membership is checked against, or none
     projections = [_projection_box(configs[i]) for i in order]
     lo, hi = _row_edges(projections, k_gauss, d, "sigma_floor_lo")
     box_lo, box_hi = _row_edges([configs[i].box for i in order], k_gauss, d, "sigma_lo")
@@ -566,40 +598,47 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     # it, column k + j for row j's sigma (always in for OGA, which has none)
     record = np.zeros((k, t_max, d))
     member = np.ones((t_max, 2 * k), dtype=bool)
+    # the per-step checks: a finite row has a zero dot product with zeros,
+    # and inf or NaN makes it NaN; and the box comparisons' buffers
+    zeros, flat_state, flat_grad = np.zeros(rows * d), live.reshape(-1), live_grad.reshape(-1)
+    above, below = np.empty((rows, d), bool), np.empty((rows, d), bool)
 
-    if kind.kind == SQUARED_NN and k_gauss:
-        if mc_samples < 1:
-            raise DomainError("mc_samples must be >= 1")
-        eps_rows = _step_eps(seed, t_max, mc_samples, d)
-
-        def gaussian_grad(x, y):
-            _, g_m_gauss[:], g_sigma[:] = mc_grad_eps(kind, m_gauss, sigma, x, y,
-                                                       next(eps_rows))
+    if kind.kind != SQUARED_NN:
+        def gradient(x, y):
+            grad[:k], grad[k:] = expected_grad_xy(kind, means, sigmas, x, y)
     else:
-        def gaussian_grad(x, y):
-            g_m_gauss[:], g_sigma[:] = expected_grad_xy(kind, m_gauss, sigma, x, y)
+        if mc_samples < 1 and k_gauss:
+            raise DomainError("mc_samples must be >= 1")
+        eps_rows = _step_eps(seed, t_max, mc_samples, d) if k_gauss else None
+
+        def gradient(x, y):
+            if k_gauss:
+                _, g_m_gauss[:], g_sigma[:] = mc_grad_eps(kind, m_gauss, sigma, x, y,
+                                                           next(eps_rows))
+            if k > k_gauss:
+                g_oga[:] = point_grad_xy(kind, m_oga, x, y)
 
     def fail(step, bad_rows, what):
         # a state row below k is a mean, and row k + j the sigma of row j
         name = names[min(order[r - k if r >= k else r] for r in np.flatnonzero(bad_rows))]
         raise DomainError(f"step {step} ({name}): {what}")
 
+    minimum, all_of = np.minimum.reduce, np.logical_and.reduce
     for i, (x, y) in enumerate(zip(features, targets.tolist())):
         step = i + 1
         record[:, i] = means
-        if k_gauss:
-            gaussian_grad(x, y)
-        if k > k_gauss:
-            g_oga[:] = point_grad_xy(kind, m_oga, x, y)
-        if not _finite(grad):
-            fail(step, ~np.isfinite(grad).all(axis=1), "the gradient is not finite")
+        gradient(x, y)
+        if not flat_grad @ zeros == 0.0:
+            fail(step, ~np.isfinite(live_grad).all(axis=1), "the gradient is not finite")
         advance(step)
         if project:
-            state.clip(lo, hi, out=state)
-        ((state >= box_lo) & (state <= box_hi)).all(axis=1, out=member[i, :k + k_gauss])
-        if not (_finite(state) and (not k_gauss or sigma.min() > 0.0)):
-            fail(step, ~(np.isfinite(state) & ((np.arange(k + k_gauss) < k)[:, None]
-                                               | (state > 0.0))).all(axis=1),
+            live.clip(lo, hi, out=live)
+        np.greater_equal(live, box_lo, out=above)
+        all_of(np.logical_and(above, np.less_equal(live, box_hi, out=below), out=above),
+               axis=1, out=member[i, :rows])
+        if not (flat_state @ zeros == 0.0 and (not k_gauss or minimum(sigma, axis=None) > 0.0)):
+            fail(step, ~(np.isfinite(live) & ((np.arange(rows) < k)[:, None]
+                                              | (live > 0.0))).all(axis=1),
                  "the updated state is not finite with sigma > 0")
 
     walks = [None] * k

@@ -489,22 +489,27 @@ def expected_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.nda
     if kind.kind == SQUARED_LINEAR:
         return np.multiply.outer(-2.0 * (y - scores), x), 2.0 * sigma * x ** 2
     if kind.kind == HINGE:
-        # s_z = |y| root, so dE/dsigma = phi(z) |y| sigma x^2 / root
-        slope, roots, z, y_abs = [], [], [], abs(y)
+        # s_z = |y| root, so dE/dsigma = phi(z) |y| sigma x^2 / root, with
+        # Phi(z) = erfc(-z / sqrt 2) / 2 and phi's exponent -z^2 / 2 per row
+        slope, roots, exponents, y_abs = [], [], [], abs(y)
+        erfc, sqrt, sqrt2 = math.erfc, math.sqrt, _SQRT2
         for score, square in zip(scores.tolist(), ((sigma * x) ** 2).sum(axis=1).tolist()):
-            mu_z, root = 1.0 - y * score, math.sqrt(square)
+            mu_z, root = 1.0 - y * score, sqrt(square)
             if y_abs * root == 0.0:
-                # the margin is the point mu_z: dE/dm = -y x 1{mu_z > 0}, and
-                # phi(inf) = 0 makes dE/dsigma 0
+                # the margin is the point mu_z: dE/dm = -y x 1{mu_z > 0} (the
+                # point subgradient, so a row with sigma = 0 gets its bits),
+                # and phi(inf) = 0 makes dE/dsigma 0
                 slope.append(-y * (1.0 if mu_z > 0.0 else 0.0))
                 roots.append(1.0)
-                z.append(math.inf)
+                exponents.append(-math.inf)
             else:
-                z.append(mu_z / (y_abs * root))
-                slope.append(-y * gaussian_cdf(z[-1]))
+                z = mu_z / (y_abs * root)
+                slope.append(-y * (0.5 * erfc(-z / sqrt2)))
                 roots.append(root)
+                exponents.append(-0.5 * z * z)
         g_sigma = sigma * (y_abs * x ** 2) / np.array(roots)[:, None]
-        return np.multiply.outer(slope, x), g_sigma * gaussian_pdf(np.array(z))[:, None]
+        pdf = _INV_SQRT_2PI * np.exp(exponents)
+        return np.multiply.outer(slope, x), g_sigma * pdf[:, None]
     raise UnsupportedLossError(
         "squared_nn has no closed-form gradient; use mc_expected_loss_and_grad"
     )
@@ -611,3 +616,19 @@ def lipschitz_constant(kind: LossKind, data: Dataset, box: BoxConstraints) -> fl
         resid_bound = targets + np.abs(features) @ corner
         return 2.0 * float(np.max(2.0 * norms * resid_bound))
     raise UnsupportedLossError("no certified Lipschitz constant for squared_nn")
+
+
+def box_loss_bound(kind: LossKind, features: np.ndarray, targets: np.ndarray,
+                   box: BoxConstraints) -> float:
+    """The largest point loss that a theta in the box can take on any of the
+    rows, at most: max_t 1 + |y_t| sum_j c_j |x_tj| for hinge and max_t (|y_t|
+    + sum_j c_j |x_tj|)^2 for the squared linear loss, c_j = max(|lo_j|,
+    |hi_j|); inf where that overflows a float."""
+    corner = np.maximum(np.abs(box.m_lo), np.abs(box.m_hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.abs(features) @ corner
+        if kind.kind == HINGE:
+            return float(np.max(1.0 + np.abs(targets) * reach))
+        if kind.kind == SQUARED_LINEAR:
+            return float(np.max((np.abs(targets) + reach) ** 2))
+    raise UnsupportedLossError("no box loss bound for squared_nn")

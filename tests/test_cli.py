@@ -100,7 +100,9 @@ class TestRun:
                 assert key in entry, (name, key)
         assert summary["fastest_to_plateau"] in ALGO_NAMES
         phases = summary["phases_ms"]
-        assert set(phases) == {"load", "comparator", "pass", "finish", "bounds", "write"}
+        assert set(phases) == {"import", "load", "comparator", "pass", "finish", "bounds",
+                               "write"}
+        assert phases["import"] > 0.0
         assert summary["algorithms"]["ngvi"]["ngvi_halvings"] == {
             "count": 0, "first_step": None, "last_step": None}
 
@@ -1213,6 +1215,84 @@ class TestRunThenBoundsProperty:
             if code == 2:
                 assert message.startswith("configuration error: "), message
                 assert re.search(r"\[[a-z_.]+\]|dataset ", message), message
+            else:
+                assert code == 3, (code, message)
+                step = re.match(r"runtime error: step \d+ \((\w+)\): ", message)
+                assert step and step.group(1) in names, message
+
+
+def _finite_json(value) -> bool:
+    if isinstance(value, float):
+        return np.isfinite(value)
+    if isinstance(value, dict):
+        return all(_finite_json(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_json(v) for v in value)
+    return True
+
+
+@st.composite
+def _extreme_csv(draw):
+    """A small regression CSV (x0, ..., y) with one cell scaled by 10^k, or
+    with tiny or subnormal targets, and a convex config over it."""
+    rows, d = draw(st.integers(6, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    table = rng.uniform(-1.5, 1.5, size=(rows, d + 1))
+    case = draw(st.sampled_from(["cell", "tiny", "subnormal"]))
+    if case == "cell":
+        row, column = draw(st.integers(0, rows - 1)), draw(st.integers(0, d))
+        table[row, column] *= 10.0 ** draw(st.integers(0, 308))
+    elif case == "tiny":
+        table[:, -1] *= 10.0 ** -draw(st.integers(150, 307))
+    else:
+        table[:, -1] = rng.integers(-1000, 1000, rows) * 5e-324
+    text = ",".join([f"x{j}" for j in range(d)] + ["y"]) + "\n"
+    text += "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    run = {"seed": draw(st.integers(0, 1000)), "comparator_restarts": draw(st.integers(0, 1)),
+           "comparator_iters": "50",
+           "holdout_fraction": draw(st.sampled_from(["0", "0.2"]))}
+    dataset = {"source": "csv", "label": "y", "permute": "false",
+               "loss": draw(st.sampled_from(["hinge", "squared-linear"])),
+               "standardize": draw(st.sampled_from(["true", "false"]))}
+    names = draw(st.lists(st.sampled_from(sorted(_SECTION_OPTIONS)), min_size=1, max_size=4,
+                          unique=True))
+    sections = {f"algorithm.{name}": draw(_SECTION_OPTIONS[name]) for name in names}
+    return text, {"run": run, "dataset": dataset, **sections}
+
+
+class TestExtremeInputProperty:
+    """Finite input whose squares or losses overflow a float, or whose
+    targets are tiny or subnormal: a run exits 0 with a finite summary,
+    exits 2 naming a key or the dataset, or exits 3 naming a step and a
+    learner.  It never ends in a traceback (exit 1)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_extreme_csv())
+    def test_every_run_exits_with_a_name(self, case):
+        table, sections = case
+        names = [name.split(".", 1)[1] for name in sections if name.startswith("algorithm.")]
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+            (Path(tmp) / "data.csv").write_text(table, encoding="utf-8")
+            sections["dataset"]["path"] = Path(tmp) / "data.csv"
+            text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+                           for name, options in sections.items())
+            config = Path(tmp) / "exp.ini"
+            config.write_text(text, encoding="utf-8")
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", "--config", str(config), "--out", str(out)])
+            message = err.getvalue()
+            if code == 0:
+                summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                                     parse_constant=float)
+                assert _finite_json(summary), (text, table)
+                return
+            assert "Traceback" not in message
+            assert not out.exists(), text
+            if code == 2:
+                assert message.startswith("configuration error: "), message
+                assert re.search(r"\[[\w.]+\]|dataset ", message), message
             else:
                 assert code == 3, (code, message)
                 step = re.match(r"runtime error: step \d+ \((\w+)\): ", message)

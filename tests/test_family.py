@@ -87,6 +87,36 @@ class TestHMap:
         out = h_map(np.array([0.0, 0.75]))
         np.testing.assert_allclose(out, [1.0, 0.5])
 
+    @staticmethod
+    def _two_branches(x):
+        """h in its two-branch form: 1 / (root + x) for x > 0, root - x
+        otherwise, root = sqrt(1 + x^2)."""
+        root = np.sqrt(1.0 + x * x)
+        return np.where(x > 0.0, 1.0 / (root + np.abs(x)), root - x)
+
+    EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-160,
+                1.3e154, -1.4e154, 1e300, -1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("extra", [[], EXTREMES])
+    def test_one_formula_has_the_bits_of_two_branches(self, extra, values):
+        # for x <= 0, root + |x| is root - x exactly: a subtraction is the
+        # addition of the negation.  A NaN in gives a NaN out; IEEE 754
+        # leaves the sign of that NaN open, and numpy's loops differ in it
+        x = np.array(values + extra)
+        out = np.empty_like(x)
+        with np.errstate(all="ignore"):
+            new, old = h_map(x), self._two_branches(x)
+            assert h_map(x, out=out) is out
+            scalars = [h_map(value) for value in x.tolist()]
+        nan = np.isnan(old)
+        np.testing.assert_array_equal(np.isnan(new), nan)
+        np.testing.assert_array_equal(new[~nan].view(np.int64), old[~nan].view(np.int64))
+        np.testing.assert_array_equal(out.view(np.int64), new.view(np.int64))
+        np.testing.assert_array_equal(np.array(scalars)[~nan].view(np.int64),
+                                      new[~nan].view(np.int64))
+
 
 class TestProjectBox:
     BOX = BoxConstraints.symmetric(1, m_abs=20.0, sigma_hi=1.0)
