@@ -24,22 +24,26 @@ with h(x) = sqrt(1 + x^2) - x.
 ``lockstep`` is the only implementation of the walking learners.  It
 validates its inputs once, then walks the rows of ``Dataset.features`` /
 ``Dataset.targets`` once and advances all its learners at each step.
-Their states are rows of one stacked array, the k means and then the
-Gaussian learners' sigmas, and their gradients rows of one buffer of the
-same layout: one gradient call serves every Gaussian row (the closed form,
-or one Monte-Carlo draw that all of them share), and one more the OGA
-rows.  A step (``_Step``) shares the formulas the classes have in common.
-The means of SVA, SVB, OGA-EL and OGA all move as m - c g_m, in one
-multiply-subtract; the sigmas of SVA and SVB are both base * h(a v), in
-one h-map.  Whatever does not change from step to step is computed once
-per pass as (k, 1) parameter columns or constant rows: SVA's (eta s) s
-and (eta/2) s, NGVI's beta terms (until a row halves its eta), and each
-SVB schedule's eta_t = num / (c tau_t sigma^2) as the columns (num, c,
-tau_t).  Every operation is elementwise or along a row, in the order of
-products of the formulas above, so each row has the bits it would have
-alone, and a learner's trace does not depend on the company it walks in.
-The loop does only the sequential work: record the decisions, compute
-the gradients, update, clip to the boxes, record each state row's box
+Their states are rows of one stacked array, the k means and then k
+sigmas, and their gradients rows of one buffer of the same layout.  The
+OGA rows' sigmas stay 0, outside the live rows that the step and the
+checks see: on the convex losses one closed-form call then serves every
+row, since with sigma = 0 it gives the point subgradient bit for bit; on
+squared-nn one Monte-Carlo draw, shared by all Gaussian rows, and one
+point call for the OGA rows.  A step (``_Step``) shares the formulas the
+classes have in common.  The means of SVA, SVB, OGA-EL and OGA all move
+as m - c g_m, in one multiply-subtract; the sigmas of SVA and SVB are
+both base * h(a v), in one h-map into a buffer.  Whatever does not change
+from step to step is computed once per pass as constant rows: SVA's
+(eta s) s and (eta/2) s, NGVI's beta terms, and each SVB schedule's
+eta_t = num / (c tau_t sigma^2) from num and a (T, rows, 1) table of
+c tau_t.  NGVI's recursion runs in place, in buffers; only a step on
+which some row leaves the family goes through the halvings.  Every
+operation is elementwise or along a row, in the order of products of the
+formulas above, so each row has the bits it would have alone, and a
+learner's trace does not depend on the company it walks in.  The loop
+does only the sequential work: record the decisions, compute the
+gradients, update, clip to the boxes, record each state row's box
 membership, and check once for the whole stack that the gradients and
 the new states are finite with sigma > 0.  It records only what a trace
 reads, never the states.  ``run_online`` gives one learner's Trace, from
@@ -357,23 +361,25 @@ def _column(values) -> np.ndarray:
 
 class _Step:
     """One step of every learner of a ``lockstep`` pass, in place on the
-    stacked ``state`` (the k means, then the sigmas of the Gaussian rows),
-    from the gradient rows ``grad`` of the same layout.  ``configs`` are in
-    row order, ``_row_key``'s.
+    live rows of the stacked ``state`` (the k means, then the sigmas of the
+    Gaussian rows; OGA's zero sigmas lie outside them), from the gradient
+    rows ``grad`` of the same layout.  ``configs`` are in row order,
+    ``_row_key``'s.
 
     What does not change from step to step is computed once, here: each
     class's parameters as constant rows, and SVB's (c tau_t) column of every
     step as a (T, rows, 1) table.  A step is then one mean step m - c g_m
     for SVA, SVB, OGA-EL and OGA, with c = (eta s) s, eta_t sigma^2, eta and
-    eta; one h-map (``h_map`` into a buffer of this step) for the sigmas of
-    SVA and SVB, base h(a v) with (base, a, v) = (s, (eta/2) s, sum of
-    g_sigma) and (sigma, (eta_t/2) sigma, g_sigma); OGA-EL's floored sigma
-    step; and NGVI's recursion, in place: its gradient in expectation
-    coordinates and its lambda' go into buffers (two for lambda, swapped at
-    each step), and only a step on which some row leaves the family (lambda2'
-    >= 0) goes through ``_ngvi_update``'s halvings, from the same lambda.
-    Every operation is elementwise or along a row, in each row's own order
-    of products, so each row gets the bits it would get on its own."""
+    eta; one h-map (``h_map`` into a buffer) for the sigmas of SVA and SVB,
+    base h(a v) with (base, a, v) = (s, (eta/2) s, sum of g_sigma) and
+    (sigma, (eta_t/2) sigma, g_sigma); OGA-EL's floored sigma step; and
+    NGVI's recursion, in place: its gradient in expectation coordinates and
+    its lambda' go into buffers (two for lambda, swapped at each step), and
+    only a step on which some row leaves the family (lambda2' >= 0) goes
+    through ``_ngvi_update``'s halvings, recomputed from the same lambda, so
+    every row keeps its bits and the step its halvings record.  Every
+    operation is elementwise or along a row, in each row's own order of
+    products, so each row gets the bits it would get on its own."""
 
     def __init__(self, configs: list, names: list[str], state: np.ndarray, grad: np.ndarray,
                  t_max: int):
@@ -421,7 +427,7 @@ class _Step:
         taus = [c.schedule.terms[2] for c in svb]
         varying, roots = n_svb - taus.count(FIXED), taus.count(SQRT_T)
         num, c = (_column([cfg.schedule.terms[i] for cfg in svb]) for i in (0, 1))
-        self.num = num[:varying]
+        self.num = np.repeat(num[:varying], d, axis=1)
         # (c tau_t) of step t in row t - 1; sqrt and math.sqrt both round
         # correctly, so tau_t is the same number either way
         steps = np.arange(1.0, t_max + 1.0)
@@ -433,8 +439,9 @@ class _Step:
         self.varying_rate, self.varying_sq = self.rate[:varying], self.sq[:varying]
         # OGA-EL's sigma step
         ogael_rows = slice(n + n_sva + n_svb, None)
-        self.ogael = (sigma[ogael_rows], g_sigma[ogael_rows], _column([c.eta for c in ogael]),
-                      np.empty((len(ogael), d)))
+        self.ogael = (sigma[ogael_rows], g_sigma[ogael_rows],
+                      np.repeat(_column([c.eta for c in ogael]), d, axis=1),
+                      np.full((len(ogael), d), SIGMA_FLOOR), np.empty((len(ogael), d)))
 
     def __call__(self, t: int) -> None:
         if self.ngvi_names:
@@ -455,10 +462,10 @@ class _Step:
             np.add(self.accum, self.g_accum, out=self.accum)
             h_map(np.multiply(self.a, self.v, out=self.av), out=self.h)
             np.multiply(self.base, self.h, out=self.h_sigma)
-        sigma, g_sigma, eta, work = self.ogael
+        sigma, g_sigma, eta, floor, work = self.ogael
         if eta.size:
             np.subtract(sigma, np.multiply(eta, g_sigma, out=work), out=sigma)
-            np.maximum(sigma, SIGMA_FLOOR, out=sigma)
+            np.maximum(sigma, floor, out=sigma)
 
     def _ngvi(self, t: int) -> None:
         m, sigma, g_m, g_sigma = self.ngvi
@@ -526,11 +533,12 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
 
     The learners' states are rows of one stacked array of means and
     sigmas, and their gradients rows of one buffer of the same layout.  One
-    gradient call per step fills it for every Gaussian learner (the closed
-    form, or one Monte-Carlo draw that all of them share), one more for the
-    OGA learners, and ``_Step`` updates every row.  Each row has the bits it
-    would have in a pass of its own, so a learner's walk does not depend on
-    the company it keeps.  The
+    gradient call per step fills it for every learner on the convex losses
+    (the closed form, OGA's rows with sigma = 0), and on squared-nn one
+    Monte-Carlo draw that all Gaussian learners share plus one point call
+    for the OGA learners; ``_Step`` updates every row.  Each row has the
+    bits it would have in a pass of its own, so a learner's walk does not
+    depend on the company it keeps.  The
     pass records only what a Walk holds: each learner's (T, d) decisions
     and, after each step, whether each state row lies in its config's box
     (True by construction on a projected row, whose clip's edges lie
@@ -583,6 +591,7 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     sigmas, sigma = state[k:], state[k:rows]
     sigma[:] = np.array([float(configs[i].prior.s) for i in order[:k_gauss]])[:, None]
     grad = np.zeros_like(state)
+    g_all = grad[:k], grad[k:]
     live_grad, g_m_gauss, g_oga, g_sigma = grad[:rows], grad[:k_gauss], grad[k_gauss:k], \
         grad[k:rows]
     advance = _Step([configs[i] for i in order], [names[i] for i in order], live, live_grad,
@@ -598,14 +607,14 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     # it, column k + j for row j's sigma (always in for OGA, which has none)
     record = np.zeros((k, t_max, d))
     member = np.ones((t_max, 2 * k), dtype=bool)
-    # the per-step checks: a finite row has a zero dot product with zeros,
-    # and inf or NaN makes it NaN; and the box comparisons' buffers
+    # the per-step checks: a finite array has a zero dot product with zeros,
+    # one with an inf or a NaN a NaN one; and the box comparisons' buffers
     zeros, flat_state, flat_grad = np.zeros(rows * d), live.reshape(-1), live_grad.reshape(-1)
     above, below = np.empty((rows, d), bool), np.empty((rows, d), bool)
 
     if kind.kind != SQUARED_NN:
         def gradient(x, y):
-            grad[:k], grad[k:] = expected_grad_xy(kind, means, sigmas, x, y)
+            expected_grad_xy(kind, means, sigmas, x, y, out=g_all)
     else:
         if mc_samples < 1 and k_gauss:
             raise DomainError("mc_samples must be >= 1")

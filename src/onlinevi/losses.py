@@ -475,25 +475,31 @@ def expected_loss_grad(kind: LossKind, q: MeanFieldGaussian,
 
 
 def expected_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.ndarray,
-                     y: float) -> tuple[np.ndarray, np.ndarray]:
+                     y: float, out: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel of ``expected_loss_grad``: (g_m, g_sigma) for a validated
     (m, sigma), or for rows (k, d) of them, and one (x, y) row; the result
-    is not checked for finiteness.  Each row's gradient has the bits it has
-    on its own: its score is a lone dot product, s_z a sum along the row,
-    and the few numbers per row (mu_z, s_z, z, Phi(z)) are Python floats,
-    as one row's are."""
+    is not checked for finiteness.  Rows (k, d) may give ``out``, a pair of
+    (k, d) arrays that receive (g_m, g_sigma).  Each row's gradient has the
+    bits it has on its own: its score is a lone dot product, s_z a sum
+    along the row, and the few numbers per row (mu_z, s_z, z, Phi(z)) are
+    Python floats, as one row's are.  A row with sigma = 0 gets the point
+    subgradient's bits (``point_grad_xy``)."""
     if m.ndim == 1:
         g_m, g_sigma = expected_grad_xy(kind, m[None], sigma[None], x, y)
         return g_m[0], g_sigma[0]
+    g_m, g_sigma = (None, None) if out is None else out
     scores = _lone_dots(m, x)
     if kind.kind == SQUARED_LINEAR:
-        return np.multiply.outer(-2.0 * (y - scores), x), 2.0 * sigma * x ** 2
+        return (np.multiply.outer(-2.0 * (y - scores), x, out=g_m),
+                np.multiply(2.0 * sigma, x ** 2, out=g_sigma))
     if kind.kind == HINGE:
         # s_z = |y| root, so dE/dsigma = phi(z) |y| sigma x^2 / root, with
         # Phi(z) = erfc(-z / sqrt 2) / 2 and phi's exponent -z^2 / 2 per row
         slope, roots, exponents, y_abs = [], [], [], abs(y)
         erfc, sqrt, sqrt2 = math.erfc, math.sqrt, _SQRT2
-        for score, square in zip(scores.tolist(), ((sigma * x) ** 2).sum(axis=1).tolist()):
+        squares = np.add.reduce((sigma * x) ** 2, axis=1)
+        for score, square in zip(scores.tolist(), squares.tolist()):
             mu_z, root = 1.0 - y * score, sqrt(square)
             if y_abs * root == 0.0:
                 # the margin is the point mu_z: dE/dm = -y x 1{mu_z > 0} (the
@@ -507,9 +513,10 @@ def expected_grad_xy(kind: LossKind, m: np.ndarray, sigma: np.ndarray, x: np.nda
                 slope.append(-y * (0.5 * erfc(-z / sqrt2)))
                 roots.append(root)
                 exponents.append(-0.5 * z * z)
-        g_sigma = sigma * (y_abs * x ** 2) / np.array(roots)[:, None]
+        g_sigma = np.divide(sigma * (y_abs * x ** 2), np.array(roots)[:, None], out=g_sigma)
         pdf = _INV_SQRT_2PI * np.exp(exponents)
-        return np.multiply.outer(slope, x), g_sigma * pdf[:, None]
+        return np.multiply.outer(slope, x, out=g_m), np.multiply(g_sigma, pdf[:, None],
+                                                                 out=g_sigma)
     raise UnsupportedLossError(
         "squared_nn has no closed-form gradient; use mc_expected_loss_and_grad"
     )
