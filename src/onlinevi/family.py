@@ -182,8 +182,8 @@ def h_map(x, out: np.ndarray | None = None):
     One formula: r = sqrt(1 + x^2) + |x|, then 1 / r where x > 0.  For
     x <= 0, r is sqrt(1 + x^2) - x exactly (a subtraction is the addition
     of the negation); for x > 0, 1 / r is the form without cancellation.
-    ``out``, an array of x's shape that is not x itself, receives r, so a
-    caller on a fixed shape allocates nothing for it."""
+    ``out``, an array of x's shape that is not x itself, receives the
+    result, so a caller on a fixed shape allocates no array for it."""
     arr = np.asarray(x, dtype=float)
     root = np.multiply(arr, arr, out=np.empty_like(arr) if out is None else out)
     np.add(1.0, root, out=root)

@@ -387,7 +387,6 @@ class _Step:
         ngvi, sva, svb, ogael, oga = ([c for c in configs if type(c) is cls] for cls in _ROWS)
         n, n_sva, n_svb = len(ngvi), len(sva), len(svb)
         sigma, g_sigma = state[k:], grad[k:]
-
         # NGVI: its rows' (m, sigma, g_m, g_sigma); lambda (two buffers), its
         # prior, the gradient in expectation coordinates and the beta terms,
         # each (2, n, d)
@@ -400,10 +399,8 @@ class _Step:
         self.lam, self.lam_next = self.lam_prior.copy(), np.empty((2, n, d))
         self.g_mu, self.ngvi_work, self.var = np.empty((2, n, d)), np.empty((2, n, d)), \
             np.empty((n, d))
-        self.terms = _ngvi_terms(self.eta, self.alpha, self.lam_prior)
-        keep, pull, rate = self.terms
-        self.full_terms = tuple(np.broadcast_to(term, (2, n, d)).copy()
-                                for term in (keep, pull, rate))
+        self.terms = tuple(np.broadcast_to(term, (2, n, d)).copy()
+                           for term in _ngvi_terms(self.eta, self.alpha, self.lam_prior))
         # the mean step of every other row, with SVB's c filled in at each step
         self.means, self.g_means = state[n:k], grad[n:k]
         self.coef, self.work = np.empty_like(self.means), np.empty_like(self.means)
@@ -475,7 +472,7 @@ class _Step:
         np.subtract(g_m, np.multiply(np.multiply(2.0, m, out=g_mu[0]), g_var, out=g_mu[0]),
                     out=g_mu[0])
         # lambda' = (keep lambda + pull) - rate g_mu
-        keep, pull, rate = self.full_terms
+        keep, pull, rate = self.terms
         np.add(np.multiply(keep, self.lam, out=new), pull, out=new)
         np.subtract(new, np.multiply(rate, g_mu, out=self.ngvi_work), out=new)
         if not np.maximum.reduce(new[1], axis=None) < 0.0:
