@@ -66,13 +66,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatchError, DomainError, InvalidPrecisionError
-from .family import (
-    SIGMA_FLOOR,
-    BoxConstraints,
-    GaussianPrior,
-    h_map,
-    natural_to_standard,
-)
+from .family import SIGMA_FLOOR, BoxConstraints, GaussianPrior, h_map
 from .losses import (
     MC_STREAM,
     SQUARED_NN,
@@ -584,13 +578,10 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     # alone, the means and the Gaussian rows' sigmas.
     state = np.zeros((2 * k, d))
     rows = k + k_gauss
-    live, means, m_gauss, m_oga = state[:rows], state[:k], state[:k_gauss], state[k_gauss:k]
-    sigmas, sigma = state[k:], state[k:rows]
+    live, means, sigma = state[:rows], state[:k], state[k:rows]
     sigma[:] = np.array([float(configs[i].prior.s) for i in order[:k_gauss]])[:, None]
     grad = np.zeros_like(state)
-    g_all = grad[:k], grad[k:]
-    live_grad, g_m_gauss, g_oga, g_sigma = grad[:rows], grad[:k_gauss], grad[k_gauss:k], \
-        grad[k:rows]
+    live_grad = grad[:rows]
     advance = _Step([configs[i] for i in order], [names[i] for i in order], live, live_grad,
                     t_max)
     # the projection of the live rows: each row's box, or none; and the box
@@ -610,12 +601,16 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     above, below = np.empty((rows, d), bool), np.empty((rows, d), bool)
 
     if kind.kind != SQUARED_NN:
+        sigmas, g_all = state[k:], (grad[:k], grad[k:])
+
         def gradient(x, y):
             expected_grad_xy(kind, means, sigmas, x, y, out=g_all)
     else:
         if mc_samples < 1 and k_gauss:
             raise DomainError("mc_samples must be >= 1")
         eps_rows = _step_eps(seed, t_max, mc_samples, d) if k_gauss else None
+        m_gauss, m_oga = state[:k_gauss], state[k_gauss:k]
+        g_m_gauss, g_oga, g_sigma = grad[:k_gauss], grad[k_gauss:k], grad[k:rows]
 
         def gradient(x, y):
             if k_gauss:
