@@ -53,18 +53,21 @@ from .learners import (
     NgviConfig,
     OgaConfig,
     OgaElConfig,
+    Decisions,
     SvaConfig,
     SvbConfig,
     Thm3ConvexSchedule,
     Thm3StrongSchedule,
     Trace,
-    Walk,
+    grid_pass,
     lockstep,
     run_online,
 )
 from .evaluation import (
     BoundInputs,
     ComparatorResult,
+    DecisionMean,
+    JensenAudit,
     RegretLedger,
     alpha_estimate,
     best_in_hindsight,
@@ -72,6 +75,7 @@ from .evaluation import (
     ewa_bound,
     generalization_estimate,
     ogael_bound,
+    jensen_holdout_audit,
     ogael_kl_bound,
     online_to_batch,
     regret,

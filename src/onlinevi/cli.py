@@ -42,18 +42,21 @@ from .errors import ConfigError, DataError, DomainError, OnlineViError
 from .evaluation import (
     BoundInputs,
     ComparatorResult,
+    DecisionMean,
+    JensenAudit,
     alpha_estimate,
     best_in_hindsight,
     build_ledger,
     ewa_bound,
     generalization_estimate,
-    jensen_holdout_audit,
     ogael_bound,
-    online_to_batch,
     regret,
     sva_bound,
     svb_bounds,
 )
+# names the benchmark's tracer wraps; a run reads the decisions through the
+# readers above instead
+from .evaluation import jensen_holdout_audit, online_to_batch  # noqa: F401
 from .family import SIGMA_FLOOR, BoxConstraints, GaussianPrior, MeanFieldGaussian, kl_divergence
 from .learners import (
     EwaGridConfig,
@@ -68,6 +71,7 @@ from .learners import (
     Thm3StrongSchedule,
     diagonal_lattice,
     expert_loss_blocks,
+    grid_pass,
     lockstep,
     product_lattice,
     run_online,
@@ -693,18 +697,26 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, phases: dict) -> Non
 
     totals: dict = {}
     algo_summaries: dict = {}
-    # the grids first, which walk nothing: each grid's trace is freed before
-    # the pass of every other section holds its walks
+    # a reader of each section's decisions, for a run with a holdout: the
+    # Jensen audit on a convex loss, which keeps theta_bar too, or theta_bar
+    readers = {spec.name: (JensenAudit(ctx.kind, ctx.holdout) if ctx.kind.convex
+                           else DecisionMean())
+               for spec, _, _ in ctx.resolved if ctx.holdout is not None}
+    # the grids first, which walk nothing, then one pass of every other section
     grids = [s for s in ctx.resolved if isinstance(s[1], EwaGridConfig)]
     walkers = [s for s in ctx.resolved if not isinstance(s[1], EwaGridConfig)]
-    _finish(grids, [None] * len(grids), 0.0, ctx, comparator, out, phases, totals, algo_summaries)
+    _finish(grids, [None] * len(grids), readers, 0.0, ctx, comparator, out, phases, totals,
+            algo_summaries)
     start = time.perf_counter()
     walks = lockstep([config for _, config, _ in walkers], ctx.stream, ctx.kind,
                      mc_samples=cfg.mc_samples, seed=cfg.seed,
-                     names=[spec.name for spec, _, _ in walkers])
+                     names=[spec.name for spec, _, _ in walkers],
+                     readers=[[readers[spec.name]] if readers else []
+                              for spec, _, _ in walkers])
     pass_ms = (time.perf_counter() - start) * 1000.0
     phases["pass"] = round(pass_ms, 3)
-    _finish(walkers, walks, pass_ms, ctx, comparator, out, phases, totals, algo_summaries)
+    _finish(walkers, walks, readers, pass_ms, ctx, comparator, out, phases, totals,
+            algo_summaries)
     algo_summaries = {spec.name: algo_summaries[spec.name] for spec, _, _ in ctx.resolved}
 
     start = time.perf_counter()
@@ -755,14 +767,21 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, phases: dict) -> Non
     shutil.copyfile(config_path, out / "config.ini")
 
 
-def _finish(sections: list, walks: list, pass_ms: float, ctx: RunContext, comparator,
-            out: Path, phases: dict, totals: dict, algo_summaries: dict) -> None:
-    """Each section's trace from its walk (None for a grid, which walks
-    nothing), summary entry and series file.  A section's ``wall_ms`` is
-    ``pass_ms``, the wall time of the pass that walked it (0 for a grid),
-    plus the section's own work here, which ``phases["finish"]`` sums."""
+def _finish(sections: list, walks: list, readers: dict, pass_ms: float, ctx: RunContext,
+            comparator, out: Path, phases: dict, totals: dict, algo_summaries: dict) -> None:
+    """Each section's summary entry and series file, from the trace of the
+    pass that walked it and from its reader in ``readers`` (a run with a
+    holdout); a grid, whose walk is None, makes its pass here.  A section's
+    ``wall_ms`` is ``pass_ms``, the wall time of the pass that walked it (0
+    for a grid), plus the section's own work here, which
+    ``phases["finish"]`` sums."""
     for (spec, config, meta), walk in zip(sections, walks):
         start = time.perf_counter()
+        if walk is None:
+            walk = grid_pass(config, ctx.stream, ctx.kind,
+                             [readers[spec.name]] if readers else [])
+        # the pass's trace, checked against the stream; one call per section,
+        # which the benchmark's tracer times
         trace = run_online(config, ctx.stream, ctx.kind, walk=walk)
         with np.errstate(over="ignore", invalid="ignore"):
             overflow = np.flatnonzero(~np.isfinite(np.cumsum(trace.losses)))
@@ -793,7 +812,8 @@ def _finish(sections: list, walks: list, pass_ms: float, ctx: RunContext, compar
                 "last_step": int(halved[-1]) if halved.size else None,
             }
         if ctx.holdout is not None:
-            theta_bar = online_to_batch(trace.predictions)
+            reader = readers[spec.name]
+            theta_bar = reader.theta_bar()
             with np.errstate(over="ignore", invalid="ignore"):
                 mean, se = generalization_estimate(theta_bar, ctx.holdout, ctx.kind)
             if not (math.isfinite(mean) and math.isfinite(se)):
@@ -801,8 +821,7 @@ def _finish(sections: list, walks: list, pass_ms: float, ctx: RunContext, compar
                                   "mean decision is not finite")
             entry["holdout_risk"] = {"mean": mean, "se": se}
             if ctx.kind.convex:
-                entry["holdout_jensen_ok"] = jensen_holdout_audit(
-                    trace.predictions, ctx.holdout, ctx.kind)
+                entry["holdout_jensen_ok"] = reader.holds()
         own_ms = (time.perf_counter() - start) * 1000.0
         entry["wall_ms"] = round(pass_ms + own_ms, 3)
         phases["finish"] = round(phases["finish"] + own_ms, 3)

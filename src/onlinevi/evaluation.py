@@ -22,8 +22,12 @@ unconstrained least-squares minimum for squared_linear.  For squared_nn it
 is spectral projected gradient from small random starts, which stops each
 start when it stalls, against the closed-form end point of a start at the
 origin (method "local").
-The Jensen audit of the online-to-batch average compares its two
-sides up to a stated rounding allowance.
+The online-to-batch average theta_bar and the Jensen audit, which compares
+its two sides up to a stated rounding allowance, are readers of the
+decisions (``DecisionMean``, ``JensenAudit``): a pass hands them a block of
+steps at a time and they keep O(d^2 + holdout rows) values, never the
+decisions.  ``online_to_batch`` and ``jensen_holdout_audit`` are the same
+readers handed a (T, d) array in one block.
 
 Checks log (empirical regret, bound, slack ratio) rather than only
 pass/fail so loose bounds stay informative.
@@ -568,13 +572,54 @@ def ogael_kl_bound(inputs: BoundInputs) -> float:
 # online-to-batch and generalization
 
 
+class DecisionMean:
+    """A reader of the decisions that keeps theta_bar_T = (1/T) sum_t
+    theta_t and M_j = max_t |theta_tj|, and nothing that grows with T.
+
+    ``take(start, block)`` hands it the (n, d) decisions of steps start + 1,
+    ..., start + n, in step order.  The sum adds them one after another,
+    carried from block to block, and starts from the first decision, not
+    from 0.0, so that a column of -0.0 keeps its sign: with d >= 2 these are
+    the bits of ``preds.mean(axis=0)``, which adds the rows of a (T, d)
+    array one after another.  (A (T, 1) array numpy sums pairwise, so with d
+    = 1 the two differ in the last bits.)  The row-by-row sum of a block is
+    the last row of ``np.cumsum`` over it, which is sequential on every
+    shape, so the bits do not depend on the blocks."""
+
+    def __init__(self):
+        self.count = 0
+        self.total = self.reach = None
+        self._sums = None  # row 0 the sum so far, then the block's rows
+
+    def take(self, start: int, block: np.ndarray) -> None:
+        if self.count == 0:
+            self.total, self.reach = block[0].copy(), np.abs(block[0])
+            self.count, block = 1, block[1:]
+        n = block.shape[0]
+        if not n:
+            return
+        if self._sums is None or self._sums.shape[0] <= n:
+            self._sums = np.empty((n + 1, block.shape[1]))
+        sums = self._sums[:n + 1]
+        sums[0], sums[1:] = self.total, block
+        np.cumsum(sums, axis=0, out=sums)
+        self.total[:] = sums[n]
+        np.maximum(self.reach, np.max(np.abs(block), axis=0), out=self.reach)
+        self.count += n
+
+    def theta_bar(self) -> np.ndarray:
+        return self.total / self.count
+
+
 def online_to_batch(predictions) -> np.ndarray:
     """theta_bar_T = (1/T) sum_t theta_hat_t of the (T, d) decisions
-    (``Trace.predictions``)."""
+    (``Trace.predictions``): ``DecisionMean`` handed them in one block."""
     preds = np.asarray(predictions, dtype=float)
     if preds.ndim != 2 or preds.shape[0] == 0:
         raise DataError("predictions must be a nonempty (T, d) array")
-    return preds.mean(axis=0)
+    mean = DecisionMean()
+    mean.take(0, preds)
+    return mean.theta_bar()
 
 
 def generalization_estimate(theta_bar, holdout: Dataset,
@@ -608,35 +653,20 @@ def alpha_estimate(prior: GaussianPrior) -> float:
 # per-realization Jensen audit used by the online-to-batch criterion
 
 
-#: Values in one tile of the Jensen audit's (holdout rows, T) loss matrix:
-#: the package's one tile size, ``losses.TILE_VALUES``.  The hinge audit
-#: alone builds these tiles.
+#: Values in one tile of the hinge audit's (holdout rows, n) loss matrix of
+#: a block of n decisions: the package's one tile size, ``losses.TILE_VALUES``.
 _AUDIT_BLOCK_VALUES = TILE_VALUES
 
 
-def _mean_loss_per_row(kind: LossKind, preds: np.ndarray, features: np.ndarray,
-                       targets: np.ndarray) -> np.ndarray:
-    """The mean point loss of the (T, d) predictions on each example: the
-    row means of the (H, T) loss matrix, built in the blocks of rows of
-    ``row_blocks`` in one reused tile."""
+def _add_loss_row_sums(kind: LossKind, preds: np.ndarray, features: np.ndarray,
+                       targets: np.ndarray, row_sums: np.ndarray) -> None:
+    """Add to ``row_sums[h]`` the point losses of the (n, d) decisions on
+    example h: the row sums of their (H, n) loss matrix, built in the blocks
+    of rows of ``row_blocks`` in one reused tile."""
     tile, blocks = row_blocks(features.shape[0], preds.shape[0], _AUDIT_BLOCK_VALUES)
-    return np.concatenate([
-        expert_loss_matrix(kind, preds, features[a:b], targets[a:b], tile[:b - a]).mean(axis=1)
-        for a, b in blocks])
-
-
-def _squared_linear_mean_loss_per_row(preds: np.ndarray, theta_bar: np.ndarray,
-                                      features: np.ndarray,
-                                      targets: np.ndarray) -> np.ndarray:
-    """The mean squared-linear loss of the (T, d) predictions on each
-    example, from their first two moments in O((T + H) d^2) and no (H, T)
-    matrix: mean_t (y - theta_t . x)^2 = (y - theta_bar . x)^2 + x^T C x
-    exactly, with C = D^T D / T and D = preds - theta_bar.  The first term
-    is computed here, not taken from the audit's other side."""
-    spread = preds - theta_bar
-    cov = (spread.T @ spread) / preds.shape[0]
-    residual = targets - features @ theta_bar
-    return residual * residual + np.einsum("hj,hj->h", features @ cov, features)
+    for a, b in blocks:
+        row_sums[a:b] += expert_loss_matrix(kind, preds, features[a:b], targets[a:b],
+                                            tile[:b - a]).sum(axis=1)
 
 
 #: Rounding allowance of the Jensen audit, per holdout row (x, y):
@@ -645,16 +675,19 @@ def _squared_linear_mean_loss_per_row(preds: np.ndarray, theta_bar: np.ndarray,
 _JENSEN_ROUNDING = 8.0 * 2.0 ** -53
 
 
-def _jensen_allowance(preds: np.ndarray, features: np.ndarray,
+def _jensen_allowance(reach: np.ndarray, t_len: int, features: np.ndarray,
                       targets: np.ndarray) -> np.ndarray:
     """A bound on the floating-point error of the two computed sides of
-    Jensen's inequality on each holdout row, for hinge and squared-linear.
+    Jensen's inequality on each holdout row (x, y), for hinge and
+    squared-linear, from T = ``t_len`` decisions with M_j = max_t
+    |theta_tj| (``reach``).
 
     With u = 2^-53 and gamma_n = n u / (1 - n u) (the error bound of a sum
-    of n + 1 terms, in any order, relative to the sum of magnitudes), and P
-    = sum_j |x_j| max_t |theta_tj| >= every |theta . x| involved:
-      - theta_bar has a coordinate error <= gamma_T max_t |theta_tj|, so
-        theta_bar . x is off by <= gamma_{T+d} P;
+    of n + 1 terms, in any order and grouping, so also of a sum carried
+    from block to block, relative to the sum of magnitudes), P = sum_j |x_j|
+    M_j >= every |theta . x| involved, and R = 1 + |y| + P:
+      - theta_bar has a coordinate error <= gamma_T M_j, so theta_bar . x is
+        off by <= gamma_{T+d} P;
       - each theta_t . x is off by <= gamma_d P;
       - on |s| <= P, both losses are 2R-Lipschitz in s and at most R^2, and
         evaluating one rounds by <= 3 u R^2;
@@ -664,41 +697,79 @@ def _jensen_allowance(preds: np.ndarray, features: np.ndarray,
     _JENSEN_ROUNDING rounds the factor 5.05 up to 8 for the second-order
     terms.
 
-    The squared-linear averaged side from the moments (r^2 + x^T C x with
-    the computed theta_bar, r = y - theta_bar . x, C = D^T D / T and D =
-    preds - theta_bar) has the same allowance.  With M_j = max_t |theta_tj|
-    and e = (theta_bar - exact mean) . x, |e| <= gamma_T P:
-      - mean_t (y - theta_t . x)^2 = r^2 + x^T C x - 2 r e exactly, so the
-        identity at the computed theta_bar is off by <= 2 gamma_T R^2;
-      - r is off by <= (gamma_d + u) R, so r^2 by <= (2 gamma_d + 3 u) R^2;
-      - |C_jk| <= M_j M_k (Cauchy-Schwarz), so sum_jk |x_j C_jk x_k| <=
-        P^2 <= R^2; rounding D, the T-term sums of C and the division adds
-        <= (gamma_T + 3 u) of it, the two d-term sums of x^T C x gamma_2d;
-      - the final sum of two terms <= R^2 rounds by <= 2 u R^2.
+    Squared-linear's averaged side comes from the uncentered moments, y^2 -
+    2 y (theta_bar . x) + x^T (S / T) x with S = sum_t theta_t theta_t^T;
+    that identity is exact at the exact theta_bar and S, so only rounding
+    enters.  Each of y^2, 2 |y| P and P^2 is at most R^2:
+      - y^2 rounds by <= u R^2;
+      - 2 y (theta_bar . x) is off by <= 2 |y| (gamma_{T+d} + u) P <=
+        (gamma_{T+d} + u) R^2;
+      - S_jk sums T products of magnitude <= M_j M_k, so S_jk / T is off by
+        <= gamma_{T+1} M_j M_k: the uncentered moments are bounded by M_j
+        M_k, as the covariance is (Cauchy-Schwarz);
+      - x^T (S / T) x is then off by <= gamma_{T+1} P^2 from S / T and by
+        <= gamma_2d P^2 from its two d-term sums;
+      - the two final additions, of terms whose magnitudes sum to <= (|y| +
+        P)^2 <= R^2, round by <= gamma_2 R^2.
     With the loss at theta_bar as above, the two sides are then off by at
-    most (2 gamma_{T+d} + 3 gamma_T + 4 gamma_d + 11 u) R^2 <= 6.06 u (T +
+    most (3 gamma_{T+d} + gamma_{T+1} + gamma_2d + 7 u) R^2 <= 5.06 u (T +
     d + 2) R^2, inside the same 8 u (T + d + 2) R^2.
     """
-    reach = np.abs(features) @ np.max(np.abs(preds), axis=0)
-    size = 1.0 + np.abs(targets) + reach
-    return _JENSEN_ROUNDING * (preds.shape[0] + features.shape[1] + 2) * size ** 2
+    size = 1.0 + np.abs(targets) + np.abs(features) @ reach
+    return _JENSEN_ROUNDING * (t_len + features.shape[1] + 2) * size ** 2
+
+
+class JensenAudit(DecisionMean):
+    """A reader of the decisions that, besides theta_bar, audits Jensen's
+    inequality on a holdout set for a convex loss: point_loss(theta_bar,
+    ex) <= mean_t point_loss(theta_t, ex) on every holdout example, up to
+    the rounding of the two computed sides (``_jensen_allowance``), so that
+    a tie, as when every decision is one point, reads True.
+
+    It keeps what the averaged side needs, carried from block to block: on
+    squared-linear the sum S = sum_t theta_t theta_t^T of the decisions'
+    outer products, O(d^2); on hinge, which has no such identity, each
+    holdout row's loss sum over t, O(H), from the (H, n) loss matrix of each
+    block (``_add_loss_row_sums``)."""
+
+    def __init__(self, kind: LossKind, holdout: Dataset):
+        if not kind.convex:
+            raise DomainError("Jensen audit applies to convex kinds only")
+        super().__init__()
+        self.kind, self.holdout = kind, holdout
+        self.second = None
+        self.row_sums = None if kind.kind == SQUARED_LINEAR else np.zeros(holdout.T)
+
+    def take(self, start: int, block: np.ndarray) -> None:
+        super().take(start, block)
+        if self.row_sums is not None:
+            _add_loss_row_sums(self.kind, block, self.holdout.features, self.holdout.targets,
+                               self.row_sums)
+        elif self.second is None:
+            self.second = block.T @ block
+        else:
+            self.second += block.T @ block
+
+    def averaged(self) -> np.ndarray:
+        """mean_t point_loss(theta_t, ex) on each holdout example; on
+        squared-linear y^2 - 2 y (theta_bar . x) + x^T (S / T) x."""
+        if self.row_sums is not None:
+            return self.row_sums / self.count
+        features, targets = self.holdout.features, self.holdout.targets
+        return (targets * targets - 2.0 * targets * (features @ self.theta_bar())
+                + np.einsum("hj,hj->h", features @ (self.second / self.count), features))
+
+    def holds(self) -> bool:
+        features, targets = self.holdout.features, self.holdout.targets
+        at_bar = point_loss_series(self.kind, self.theta_bar(), features, targets)
+        allowance = _jensen_allowance(self.reach, self.count, features, targets)
+        return bool(np.all(at_bar <= self.averaged() + allowance))
 
 
 def jensen_holdout_audit(predictions: np.ndarray, holdout: Dataset, kind: LossKind) -> bool:
     """For convex kinds: point_loss(theta_bar, ex) <= mean_t point_loss
-    (theta_hat_t, ex) for every holdout example, deterministically, up to
-    the rounding of the two computed sides (``_jensen_allowance``): a tie,
-    as when every prediction is one point, reads True.  Squared-linear's
-    averaged side comes from the decisions' moments, hinge's from the tiled
-    (H, T) loss matrix."""
-    if not kind.convex:
-        raise DomainError("Jensen audit applies to convex kinds only")
-    preds = np.asarray(predictions, dtype=float)
-    features, targets = holdout.features, holdout.targets
-    theta_bar = preds.mean(axis=0)
-    if kind.kind == SQUARED_LINEAR:
-        averaged = _squared_linear_mean_loss_per_row(preds, theta_bar, features, targets)
-    else:
-        averaged = _mean_loss_per_row(kind, preds, features, targets)
-    at_bar = point_loss_series(kind, theta_bar, features, targets)
-    return bool(np.all(at_bar <= averaged + _jensen_allowance(preds, features, targets)))
+    (theta_hat_t, ex) for every holdout example, up to rounding:
+    ``JensenAudit`` handed the (T, d) decisions in one block."""
+    audit = JensenAudit(kind, holdout)
+    audit.take(0, np.asarray(predictions, dtype=float))
+    return audit.holds()

@@ -45,21 +45,30 @@ learner's trace does not depend on the company it walks in.  The loop
 does only the sequential work: record the decisions, compute the
 gradients, update, clip to the boxes, record each state row's box
 membership, and check once for the whole stack that the gradients and
-the new states are finite with sigma > 0.  It records only what a trace
-reads, never the states.  ``run_online`` gives one learner's Trace, from
-its walk in a pass with others or from a pass of its own, and adds the
-point losses at all T decisions in one vectorized pass.  The grid's
-weights depend only on the data, so it walks nothing: ``lockstep`` walks
-only the other learners and rejects a grid, and ``run_online`` gives the
-grid's T predictions from its expert losses, a tile of rows at a time
-(``expert_loss_blocks``), without holding the (T, K) matrix.  A run owns
-its arrays and runs are independent.
+the new states are finite with sigma > 0.  It never records the states.
+
+A pass streams its decisions.  It walks the stream in blocks of B steps,
+B k d being about ``losses.TILE_VALUES``, and keeps the k learners'
+decisions in one reused (k, B, d) buffer.  At the end of each block it
+computes their point losses (``point_loss_rows``, the bits of one call over
+all T) and hands each learner's rows to that learner's readers: objects
+with a ``take(start, block)`` that keep (T,) records or O(d^2) sums, such
+as ``evaluation.DecisionMean`` (theta_bar) and ``evaluation.JensenAudit``.
+So a pass holds O(k B d + k T) values, and no decision array of T rows
+unless a ``Decisions`` reader keeps one: ``run_online``, one learner in a
+pass of its own, does, so that its Trace has the (T, d) decisions.  The
+grid's weights depend only on the data, so it walks nothing: ``lockstep``
+walks only the other learners and rejects a grid, and ``grid_pass`` gives
+the grid's T predictions from its expert losses, a tile of rows at a time
+(``expert_loss_blocks``), without holding the (T, K) matrix, and hands
+each tile's predictions to readers as ``lockstep`` does.  A run owns its
+arrays and runs are independent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -70,6 +79,7 @@ from .family import SIGMA_FLOOR, BoxConstraints, GaussianPrior, h_map
 from .losses import (
     MC_STREAM,
     SQUARED_NN,
+    TILE_VALUES,
     LossKind,
     expected_grad_xy,
     expert_loss_matrix,
@@ -322,13 +332,28 @@ def _ngvi_update(lam, g_mu, terms, eta, alpha, lam_prior):
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Per-step record of one online run (arrays indexed by step, 0-based)."""
+    """Per-step record of one online run (arrays indexed by step, 0-based):
+    what a pass keeps of a learner, O(T), and its decisions only when a
+    ``Decisions`` reader kept them."""
 
-    predictions: np.ndarray              # (T, d_pred) decision theta_hat_t
-    losses: np.ndarray                   # (T,) point loss at the decision
+    losses: np.ndarray                     # (T,) point loss at the decision
     in_box: np.ndarray | None = None       # (T,) post-update box membership; None without a box
     final_sigma: np.ndarray | None = None  # (d,) sigma after the last step; None for oga, ewagrid
     halvings: np.ndarray | None = None     # (T,) NGVI eta halvings per step; NGVI only
+    predictions: np.ndarray | None = None  # (T, d) decision theta_hat_t, if kept
+
+
+class Decisions:
+    """A reader that keeps every decision: the (T, d) array ``rows``, which
+    ``run_online`` returns as ``Trace.predictions``.  A reader's ``take(start,
+    block)`` is handed the (n, d) decisions of steps start + 1, ..., start +
+    n, in step order, in a buffer that the next block overwrites."""
+
+    def __init__(self, t_max: int, d: int):
+        self.rows = np.empty((t_max, d))
+
+    def take(self, start: int, block: np.ndarray) -> None:
+        self.rows[start:start + block.shape[0]] = block
 
 
 #: The learner classes in the order of their rows, with the name that
@@ -502,24 +527,14 @@ def _step_eps(seed: int, t_max: int, samples: int, d: int):
                                 MC_STREAM).reshape(count, samples, d)
 
 
-@dataclass(frozen=True, eq=False)
-class Walk:
-    """What one learner recorded in a ``lockstep`` pass over the stream."""
-
-    predictions: np.ndarray                # (T, d) decision before each update
-    in_box: np.ndarray | None = None       # (T,) post-update box membership; None without a box
-    final_sigma: np.ndarray | None = None  # (d,) sigma after the last step; None for oga
-    halvings: np.ndarray | None = None     # (T,) NGVI eta halvings per step; NGVI only
-
-
 def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
-             mc_samples: int = 32, seed: int = 0,
-             names: Sequence[str] | None = None) -> list[Walk]:
+             mc_samples: int = 32, seed: int = 0, names: Sequence[str] | None = None,
+             readers: Sequence[Sequence] | None = None) -> list[Trace]:
     """Walk the rows of a dataset once and advance every learner at each
     step: each predicts, computes the gradient it needs and updates.
-    Returns one Walk per config, in order ([] for no configs, without
+    Returns one Trace per config, in order ([] for no configs, without
     walking the stream).  The grid walks nothing: its weights depend only
-    on the data, and ``run_online`` computes them in one pass, so an
+    on the data, and ``grid_pass`` computes them in one pass, so an
     EwaGridConfig is a DomainError here.
 
     The learners' states are rows of one stacked array of means and
@@ -529,11 +544,20 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     Monte-Carlo draw that all Gaussian learners share plus one point call
     for the OGA learners; ``_Step`` updates every row.  Each row has the
     bits it would have in a pass of its own, so a learner's walk does not
-    depend on the company it keeps.  The
-    pass records only what a Walk holds: each learner's (T, d) decisions
-    and, after each step, whether each state row lies in its config's box
-    (True by construction on a projected row, whose clip's edges lie
-    inside the box).
+    depend on the company it keeps.
+
+    The pass walks the stream in blocks of B steps, B k d being about
+    ``TILE_VALUES``, and keeps the k learners' decisions in one reused (k,
+    B, d) buffer.  At the end of each block it computes every learner's
+    point loss at its B decisions (``point_loss_rows``: each score is a lone
+    dot product, or a network forward pass per row, so each has the bits of
+    one call over all T) and hands each learner's (n, d) rows to its
+    ``readers`` (one sequence of readers per config, each with a
+    ``take(start, block)``, such as ``Decisions``).  So a pass holds O(k B d
+    + k T) values, whatever its readers keep: each Trace holds the (T,)
+    point losses and, after each step, whether each state row lies in its
+    config's box (True by construction on a projected row, whose clip's
+    edges lie inside the box), and no decisions.
 
     Inputs are validated once here; each step then checks only that the
     gradients and the new states are finite with sigma > 0.  The pass fails
@@ -553,7 +577,7 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     for config in configs:
         if isinstance(config, EwaGridConfig):
             raise DomainError("the grid walks nothing: its weights depend only on the data, "
-                              "and run_online computes them")
+                              "and grid_pass computes them")
         if type(config) not in _ROWS:
             raise DomainError(f"unknown learner config {type(config).__name__}")
         if isinstance(config, OgaConfig) and config.box is None:
@@ -566,6 +590,8 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
         return []
     if names is None:
         names = [_ROWS[type(config)] for config in configs]
+    if readers is None:
+        readers = [()] * len(configs)
     t_max = features.shape[0]
     order = sorted(range(len(configs)), key=lambda i: _row_key(configs[i]))
     k = len(order)
@@ -590,11 +616,15 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     lo, hi = _row_edges(projections, k_gauss, d, "sigma_floor_lo")
     box_lo, box_hi = _row_edges([configs[i].box for i in order], k_gauss, d, "sigma_lo")
     project = any(box is not None for box in projections)
-    # the decision before each step, learner-major, so that each learner's
-    # (T, d) record is contiguous; and each state row's box membership after
-    # it, column k + j for row j's sigma (always in for OGA, which has none)
-    record = np.zeros((k, t_max, d))
+    # the decisions of one block of steps, learner-major, so that each
+    # learner's (n, d) rows are contiguous; every learner's point losses;
+    # and each state row's box membership after each step, column k + j for
+    # row j's sigma (always in for OGA, which has none)
+    block = max(1, TILE_VALUES // (k * d))
+    record = np.empty((k, min(block, t_max), d))
+    losses = np.empty((k, t_max))
     member = np.ones((t_max, 2 * k), dtype=bool)
+    row_readers = [readers[i] for i in order]
     # the per-step checks: a finite array has a zero dot product with zeros,
     # one with an inf or a NaN a NaN one; and the box comparisons' buffers
     zeros, flat_state, flat_grad = np.zeros(rows * d), live.reshape(-1), live_grad.reshape(-1)
@@ -625,31 +655,41 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
         raise DomainError(f"step {step} ({name}): {what}")
 
     minimum, all_of = np.minimum.reduce, np.logical_and.reduce
-    for i, (x, y) in enumerate(zip(features, targets.tolist())):
-        step = i + 1
-        record[:, i] = means
-        gradient(x, y)
-        if not flat_grad @ zeros == 0.0:
-            fail(step, ~np.isfinite(live_grad).all(axis=1), "the gradient is not finite")
-        advance(step)
-        if project:
-            live.clip(lo, hi, out=live)
-        np.greater_equal(live, box_lo, out=above)
-        all_of(np.logical_and(above, np.less_equal(live, box_hi, out=below), out=above),
-               axis=1, out=member[i, :rows])
-        if not (flat_state @ zeros == 0.0 and (not k_gauss or minimum(sigma, axis=None) > 0.0)):
-            fail(step, ~(np.isfinite(live) & ((np.arange(rows) < k)[:, None]
-                                              | (live > 0.0))).all(axis=1),
-                 "the updated state is not finite with sigma > 0")
+    target_list = targets.tolist()
+    for start in range(0, t_max, block):
+        stop = min(start + block, t_max)
+        for j, (x, y) in enumerate(zip(features[start:stop], target_list[start:stop])):
+            step = start + j + 1
+            record[:, j] = means
+            gradient(x, y)
+            if not flat_grad @ zeros == 0.0:
+                fail(step, ~np.isfinite(live_grad).all(axis=1), "the gradient is not finite")
+            advance(step)
+            if project:
+                live.clip(lo, hi, out=live)
+            np.greater_equal(live, box_lo, out=above)
+            all_of(np.logical_and(above, np.less_equal(live, box_hi, out=below), out=above),
+                   axis=1, out=member[step - 1, :rows])
+            if not (flat_state @ zeros == 0.0
+                    and (not k_gauss or minimum(sigma, axis=None) > 0.0)):
+                fail(step, ~(np.isfinite(live) & ((np.arange(rows) < k)[:, None]
+                                                  | (live > 0.0))).all(axis=1),
+                     "the updated state is not finite with sigma > 0")
+        decided = record[:, :stop - start]
+        losses[:, start:stop] = point_loss_rows(kind, decided, features[start:stop],
+                                                targets[start:stop])
+        for row, row_readers_of in enumerate(row_readers):
+            for reader in row_readers_of:
+                reader.take(start, decided[row])
 
-    walks = [None] * k
+    traces = [None] * k
     for row, i in enumerate(order):
         box = configs[i].box
-        walks[i] = Walk(predictions=record[row],
-                        in_box=None if box is None else member[:, row] & member[:, k + row],
-                        final_sigma=sigma[row].copy() if row < k_gauss else None,
-                        halvings=advance.halvings[row] if row < len(advance.halvings) else None)
-    return walks
+        traces[i] = Trace(losses=losses[row],
+                          in_box=None if box is None else member[:, row] & member[:, k + row],
+                          final_sigma=sigma[row].copy() if row < k_gauss else None,
+                          halvings=advance.halvings[row] if row < len(advance.halvings) else None)
+    return traces
 
 
 def _row_edges(boxes: list, k_gauss: int, d: int,
@@ -666,26 +706,26 @@ def _row_edges(boxes: list, k_gauss: int, d: int,
 
 
 def run_online(config: LearnerConfig, data: Dataset, kind: LossKind, *,
-               mc_samples: int = 32, seed: int = 0, walk: Walk | None = None) -> Trace:
+               mc_samples: int = 32, seed: int = 0, walk: Trace | None = None) -> Trace:
     """Run one algorithm over the rows of a dataset: predict, compute the
-    gradient the algorithm needs, update.
-
-    The steps are a ``lockstep`` pass: ``walk`` passes in this learner's
-    Walk when the caller has already made the pass with others, and by
-    default the learner walks alone.  From the walk, one pass of
-    ``point_loss_rows`` gives the point loss at every decision.
-    """
-    features, targets = np.ascontiguousarray(data.features), data.targets
+    gradient the algorithm needs, update.  By default the learner makes a
+    pass of its own (``lockstep``, or ``grid_pass`` for the grid) with a
+    ``Decisions`` reader, so its Trace keeps the (T, d) decisions.  ``walk``
+    passes in instead this learner's Trace from a pass that the caller made
+    with others, which is checked against the stream and returned as it is:
+    it keeps no decisions."""
+    if walk is not None:
+        if walk.losses.shape != (data.T,):
+            raise DimensionMismatchError(f"the walk has {walk.losses.size} steps, not the "
+                                         f"T = {data.T} of this stream")
+        return walk
+    decisions = Decisions(data.T, kind.param_dim(data.d))
     if isinstance(config, EwaGridConfig):
-        return _run_ewa_grid(config, kind, features, targets)
-    if walk is None:
-        (walk,) = lockstep([config], data, kind, mc_samples=mc_samples, seed=seed)
-    elif walk.predictions.shape != (features.shape[0], kind.param_dim(features.shape[1])):
-        raise DimensionMismatchError(f"the walk has shape {walk.predictions.shape}, not "
-                                     "(T, d) of this stream and loss")
-    return Trace(predictions=walk.predictions,
-                 losses=point_loss_rows(kind, walk.predictions, features, targets),
-                 in_box=walk.in_box, final_sigma=walk.final_sigma, halvings=walk.halvings)
+        trace = grid_pass(config, data, kind, [decisions])
+    else:
+        (trace,) = lockstep([config], data, kind, mc_samples=mc_samples, seed=seed,
+                            readers=[[decisions]])
+    return replace(trace, predictions=decisions.rows)
 
 
 def expert_loss_blocks(kind: LossKind, experts: np.ndarray, features: np.ndarray,
@@ -708,34 +748,44 @@ def expert_loss_blocks(kind: LossKind, experts: np.ndarray, features: np.ndarray
         sums[0] = sums[b - a]
 
 
-def _run_ewa_grid(config: EwaGridConfig, kind: LossKind, features: np.ndarray,
-                  targets: np.ndarray) -> Trace:
-    """The grid's weights depend only on the data, never on its own
-    predictions, so all T steps are one pass over the expert losses: log
-    w_t = -eta S_t up to normalization, with S_t the running sum of the
-    losses before step t, the closed form of the multiplicative-weights
-    recursion log w_{t+1} = log w_t - eta l_t from uniform weights.  The
-    pass takes the losses and their running sums a block of rows at a time
-    (``expert_loss_blocks``) and turns the sums into weights in place.
+def grid_pass(config: EwaGridConfig, data: Dataset, kind: LossKind,
+              readers: Sequence = ()) -> Trace:
+    """The grid's Trace, and its decisions handed to ``readers`` as
+    ``lockstep`` hands a learner's.  The grid's weights depend only on the
+    data, never on its own predictions, so all T steps are one pass over the
+    expert losses: log w_t = -eta S_t up to normalization, with S_t the
+    running sum of the losses before step t, the closed form of the
+    multiplicative-weights recursion log w_{t+1} = log w_t - eta l_t from
+    uniform weights.  The pass takes the losses and their running sums a
+    block of rows at a time (``expert_loss_blocks``), turns the sums into
+    weights in place, and hands each block's predictions and their point
+    losses on, so it holds no (T, K) and no (T, d) array.
 
     Row t of the weighted sum of the experts is ``einsum``'s sum over k on
     row t alone, so a prediction has the same bits in any block and in any
     prefix of the stream; a BLAS product (``weights @ experts``) rounds by
     the number of rows it is given."""
+    features, targets = np.ascontiguousarray(data.features), data.targets
     d = kind.param_dim(features.shape[1])
     if config.experts.shape[1] != d:
         raise DimensionMismatchError(f"experts have dimension {config.experts.shape[1]}, "
                                      f"{kind.kind} needs {d}")
-    predictions = np.empty((features.shape[0], d))
-    for start, losses, sums in expert_loss_blocks(kind, config.experts, features, targets):
-        if not np.all(np.isfinite(losses)):
+    losses, buffer = np.empty(features.shape[0]), None
+    for start, expert_losses, sums in expert_loss_blocks(kind, config.experts, features,
+                                                         targets):
+        if not np.all(np.isfinite(expert_losses)):
             raise DomainError("expert losses must be finite")
         weights = sums[:-1]
         weights *= -config.eta
         weights -= weights.max(axis=1, keepdims=True)
         np.exp(weights, out=weights)
         weights /= weights.sum(axis=1, keepdims=True)
-        np.einsum("tk,kd->td", weights, config.experts,
-                  out=predictions[start:start + len(weights)])
-    return Trace(predictions=predictions,
-                 losses=point_loss_rows(kind, predictions, features, targets))
+        if buffer is None:
+            buffer = np.empty((len(weights), d))
+        block = np.einsum("tk,kd->td", weights, config.experts, out=buffer[:len(weights)])
+        stop = start + len(block)
+        losses[start:stop] = point_loss_rows(kind, block, features[start:stop],
+                                             targets[start:stop])
+        for reader in readers:
+            reader.take(start, block)
+    return Trace(losses=losses)

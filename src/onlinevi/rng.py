@@ -52,25 +52,29 @@ _U64 = np.uint64
 _TWO_NEG53 = 2.0 ** -53
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays (in place on a
-    new array: fresh temporaries cost more than the arithmetic)."""
+def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer, vectorized over uint64 arrays.  With
+    ``scratch``, a uint64 array of z's shape, it mixes z in place through
+    that one buffer; without, a copy of z through a new one (fresh
+    temporaries cost more than the arithmetic)."""
+    if scratch is None:
+        z = np.array(z, dtype=np.uint64)
+        scratch = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = z ^ (z >> _U64(30))
-        z *= _MIX1
-        z ^= z >> _U64(27)
-        z *= _MIX2
-        z ^= z >> _U64(31)
-        return z
+        for shift, factor in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.bitwise_xor(z, np.right_shift(z, _U64(shift), out=scratch), out=z)
+            if factor is not None:
+                np.multiply(z, factor, out=z)
+    return z
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """((word >> 11) + 0.5) * 2**-53, shifting ``words`` in place; the
-    shifted words fit in 53 bits, so their int64 view converts exactly (and
-    faster than uint64)."""
+def _uniforms(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """((word >> 11) + 0.5) * 2**-53, shifting ``words`` in place, into
+    ``out`` (float64, of words' shape) or a new array; the shifted words fit
+    in 53 bits, so their int64 view converts exactly (and faster than
+    uint64)."""
     words >>= _U64(11)
-    u = words.view(np.int64).astype(np.float64)
-    u += 0.5
+    u = np.add(words.view(np.int64), 0.5, out=out)
     u *= _TWO_NEG53
     return u
 
@@ -90,17 +94,21 @@ def _stream_word(stream) -> np.uint64:
         return _mix64(np.array([_hash64(stream) * _GOLDEN + _U64(1)], dtype=np.uint64))[0]
 
 
-def _normals_from_words(words: np.ndarray, n: int) -> np.ndarray:
-    """Box-Muller over the last axis of ``words`` (2m counter words per
-    row, m = ceil(n/2), consumed): the first m give u1, the next m u2."""
+def _normals_from_words(words: np.ndarray, n: int,
+                        spare: np.ndarray | None = None) -> np.ndarray:
+    """Box-Muller over the last axis of ``words`` (2m mixed counter words per
+    row, m = ceil(n/2)): the first m give u1, the next m u2.  The uniforms go
+    into ``spare`` (float64, of words' shape) or a new buffer, and the
+    normals over the spent words."""
     m = words.shape[-1] // 2
-    u = _uniforms(words)
-    r = np.log(u[..., :m])
+    u = _uniforms(words, np.empty(words.shape) if spare is None else spare)
+    r = u[..., :m]
+    np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     angle = u[..., m:]
     angle *= 2.0 * np.pi
-    out = np.empty(words.shape)
+    out = words.view(np.float64)
     np.multiply(r, np.cos(angle), out=out[..., 0::2])
     np.multiply(r, np.sin(angle, out=angle), out=out[..., 1::2])
     return out[..., :n]
@@ -129,8 +137,10 @@ def step_normals(seed: int, first: int, count: int, n: int, stream=0) -> np.ndar
     k = np.arange(1, 2 * ((n + 1) // 2) + 1, dtype=np.uint64)
     # uint64 arrays wrap mod 2**64 without a warning
     seeds = _mix64(_U64(int(seed) & 0xFFFFFFFFFFFFFFFF) + steps * _GOLDEN + _U64(1))
-    words = _mix64((_mix64(seeds) ^ _stream_word(stream))[:, None] + k * _GOLDEN)
-    return _normals_from_words(words, n)
+    words = (_mix64(seeds) ^ _stream_word(stream))[:, None] + k * _GOLDEN
+    # one scratch buffer: for the mixing, then for the uniforms
+    scratch = np.empty_like(words)
+    return _normals_from_words(_mix64(words, scratch), n, scratch.view(np.float64))
 
 
 class CounterRng:

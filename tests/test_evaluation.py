@@ -595,6 +595,19 @@ class TestGeneralizationEstimate:
         assert se == 0.0
 
 
+def _tiled_mean(kind, preds, x, y):
+    """The mean loss of the (T, d) decisions on each holdout row, from the
+    row sums of their tiled (H, T) loss matrix."""
+    row_sums = np.zeros(len(y))
+    evaluation._add_loss_row_sums(kind, preds, x, y, row_sums)
+    return row_sums / len(preds)
+
+
+def _allowance(preds, x, y):
+    """``_jensen_allowance`` of the (T, d) decisions."""
+    return evaluation._jensen_allowance(np.max(np.abs(preds), axis=0), len(preds), x, y)
+
+
 class TestJensenAudit:
     def test_holds_on_random_runs(self):
         preds = CounterRng(33, "jh").normals(60).reshape(20, 3)
@@ -628,12 +641,12 @@ class TestJensenAudit:
             # the oracle: one (H, T) matrix
             oracle = expert_loss_matrix(kind, preds, x, y).mean(axis=1)
             calls.clear()
-            blocked = evaluation._mean_loss_per_row(kind, preds, x, y)
+            blocked = _tiled_mean(kind, preds, x, y)
             assert len(calls) == blocks
             assert min(len(args[2]) for args in calls) >= 2
             assert np.array_equal(blocked, oracle)
             at_bar = point_loss_series(kind, preds.mean(axis=0), x, y)
-            allowance = evaluation._jensen_allowance(preds, x, y)
+            allowance = _allowance(preds, x, y)
             assert jensen_holdout_audit(preds, holdout, kind) == \
                 bool(np.all(at_bar <= oracle + allowance))
 
@@ -642,7 +655,7 @@ class TestJensenAudit:
         monkeypatch.setattr(evaluation, "expert_loss_matrix",
                             lambda *args: calls.append(args) or expert_loss_matrix(*args))
         kind, preds, holdout = self._cases()[0]
-        evaluation._mean_loss_per_row(kind, preds, holdout.features, holdout.targets)
+        _tiled_mean(kind, preds, holdout.features, holdout.targets)
         tiles = [args[4] for args in calls]
         assert len(tiles) == 4
         assert all(tile.base is tiles[0].base and tile.flags.c_contiguous for tile in tiles)
@@ -658,8 +671,8 @@ class TestJensenAudit:
         # multiple of that row's allowance over the averaged side
         for kind, preds, holdout in self._cases()[2:]:
             x, y = holdout.features, holdout.targets
-            averaged = evaluation._mean_loss_per_row(kind, preds, x, y)
-            excess = averaged + multiple * evaluation._jensen_allowance(preds, x, y)
+            averaged = _tiled_mean(kind, preds, x, y)
+            excess = averaged + multiple * _allowance(preds, x, y)
             monkeypatch.setattr(evaluation, "point_loss_series",
                                 lambda *args: np.where(np.arange(len(y)) == 5, excess,
                                                        point_loss_series(*args)))
@@ -694,9 +707,11 @@ class TestJensenAudit:
         holdout = gen_iid_regression(h, np.linspace(-1.0, 1.0, d), 0.3, seed=seed)
         x, y = holdout.features, holdout.targets
         theta_bar = preds.mean(axis=0)
-        tiled = evaluation._mean_loss_per_row(SQL, preds, x, y)
-        moments = evaluation._squared_linear_mean_loss_per_row(preds, theta_bar, x, y)
-        allowance = evaluation._jensen_allowance(preds, x, y)
+        tiled = _tiled_mean(SQL, preds, x, y)
+        audit = evaluation.JensenAudit(SQL, holdout)
+        audit.take(0, preds)
+        moments = audit.averaged()
+        allowance = _allowance(preds, x, y)
         at_bar = point_loss_series(SQL, theta_bar, x, y)
         assert jensen_holdout_audit(preds, holdout, SQL) == \
             bool(np.all(at_bar <= tiled + allowance))

@@ -3,6 +3,7 @@ recursion against its unrolled sum, the grid against its log-space
 recursion, and the online loop contracts."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from onlinevi.errors import DimensionMismatchError, DomainError, InvalidPrecisio
 from onlinevi.family import (BoxConstraints, GaussianPrior, MeanFieldGaussian,
                              natural_to_standard)
 from onlinevi.learners import (
+    Decisions,
     EwaGridConfig,
     FixedEta,
     InvSigmaSqrtT,
@@ -731,6 +733,14 @@ class TestRunOnline:
         np.testing.assert_allclose(paths[0], paths[2], atol=1e-10)
 
 
+def _kept_lockstep(configs, ds, kind, **kwargs):
+    """``lockstep``'s traces with each learner's decisions, kept by a
+    ``Decisions`` reader."""
+    kept = [Decisions(ds.T, kind.param_dim(ds.d)) for _ in configs]
+    walks = lockstep(configs, ds, kind, readers=[[k] for k in kept], **kwargs)
+    return [replace(walk, predictions=k.rows) for walk, k in zip(walks, kept)]
+
+
 def _assert_walk_is_reference(cfg, walk, ds, kind, mc_samples, seed, name):
     """The trace of a learner's walk in a lockstep pass against the
     reference loop of that learner alone: the same IEEE-754 words."""
@@ -825,7 +835,7 @@ class TestLockstep:
                 assert _failed_step(alone[named]) == step
                 assert type(failed.value) is type(alone[named])
             names = [name for name in names if name not in alone]
-            walks = lockstep([pool[n] for n in names], ds, kind, mc_samples=4, seed=seed)
+            walks = _kept_lockstep([pool[n] for n in names], ds, kind, mc_samples=4, seed=seed)
         for name, walk in zip(names, walks):
             _assert_walk_is_reference(pool[name], walk, ds, kind, 4, seed, name)
 
@@ -837,7 +847,7 @@ class TestLockstep:
         pool = _pool(d, ds.T, BoxConstraints.symmetric(d, m_abs=5.0))
         pool["ngvi_hot"] = NgviConfig(eta=2.0, alpha=0.1, prior=GaussianPrior(1.0, d))
         names = ["sva", "ngvi_hot", "svb", "oga", "svb_thm3", "ogael", "sva_unprojected"]
-        walks = lockstep([pool[n] for n in names], ds, self.NN, mc_samples=8, seed=0)
+        walks = _kept_lockstep([pool[n] for n in names], ds, self.NN, mc_samples=8, seed=0)
         assert list(np.flatnonzero(walks[1].halvings) + 1) == [17]
         for name, walk in zip(names, walks):
             _assert_walk_is_reference(pool[name], walk, ds, self.NN, 8, 0, name)
@@ -858,8 +868,8 @@ class TestLockstep:
         names = ["ngvi_hotter", *others, "ngvi_hot"]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                walks = lockstep([pool[n] for n in names], ds, self.NN, mc_samples=4,
-                                 seed=seed)
+                walks = _kept_lockstep([pool[n] for n in names], ds, self.NN, mc_samples=4,
+                                       seed=seed)
         except (DomainError, InvalidPrecisionError):
             assume(False)  # a failing pass: test_every_learner_equals_its_reference's
         assume(walks[0].halvings.any())
@@ -871,7 +881,7 @@ class TestLockstep:
         box = BoxConstraints.symmetric(2, m_abs=1.0)
         pool = _pool(2, ds.T, box)
         names = ["svb_fixed", "svb", "svb_strong", "svb_thm3_odd", "svb_fixed", "svb"]
-        walks = lockstep([pool[n] for n in names], ds, LossKind.hinge())
+        walks = _kept_lockstep([pool[n] for n in names], ds, LossKind.hinge())
         for name, walk in zip(names, walks):
             _assert_walk_is_reference(pool[name], walk, ds, LossKind.hinge(), 32, 0, name)
 
