@@ -577,14 +577,14 @@ class DecisionMean:
     theta_t and M_j = max_t |theta_tj|, and nothing that grows with T.
 
     ``take(start, block)`` hands it the (n, d) decisions of steps start + 1,
-    ..., start + n, in step order.  The sum adds them one after another,
-    carried from block to block, and starts from the first decision, not
-    from 0.0, so that a column of -0.0 keeps its sign: with d >= 2 these are
-    the bits of ``preds.mean(axis=0)``, which adds the rows of a (T, d)
-    array one after another.  (A (T, 1) array numpy sums pairwise, so with d
-    = 1 the two differ in the last bits.)  The row-by-row sum of a block is
-    the last row of ``np.cumsum`` over it, which is sequential on every
-    shape, so the bits do not depend on the blocks."""
+    ..., start + n, in step order.  The sum adds them one after another to
+    0.0, carried from block to block, as numpy adds the rows of a (T, d)
+    array: with d >= 2 these are the bits of ``preds.mean(axis=0)``, a
+    column of -0.0 included (it sums to 0.0).  (A (T, 1) array numpy sums
+    pairwise, so with d = 1 the two differ in the last bits.)  The
+    row-by-row sum of a block is the last row of ``np.cumsum`` over it,
+    which is sequential on every shape, so the bits do not depend on the
+    blocks."""
 
     def __init__(self):
         self.count = 0
@@ -592,14 +592,11 @@ class DecisionMean:
         self._sums = None  # row 0 the sum so far, then the block's rows
 
     def take(self, start: int, block: np.ndarray) -> None:
-        if self.count == 0:
-            self.total, self.reach = block[0].copy(), np.abs(block[0])
-            self.count, block = 1, block[1:]
-        n = block.shape[0]
-        if not n:
-            return
+        n, d = block.shape
+        if self.total is None:
+            self.total, self.reach = np.zeros(d), np.zeros(d)
         if self._sums is None or self._sums.shape[0] <= n:
-            self._sums = np.empty((n + 1, block.shape[1]))
+            self._sums = np.empty((n + 1, d))
         sums = self._sums[:n + 1]
         sums[0], sums[1:] = self.total, block
         np.cumsum(sums, axis=0, out=sums)

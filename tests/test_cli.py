@@ -958,6 +958,43 @@ class TestPasses:
         assert (tmp_path / "grid" / "ewagrid.csv").read_bytes() == \
             (tmp_path / "toy" / "ewagrid.csv").read_bytes()
 
+    def test_a_run_holds_no_decision_array(self, tmp_path):
+        # twelve walkers and the grid at T = 5000, d = 40 with a 20% holdout
+        # on squared-linear: the Jensen audit and theta_bar of every section
+        # read the decisions a block at a time, so the traced peak (numpy
+        # reports its allocations to tracemalloc) stays far below the 19.2
+        # MB that the twelve walkers' (T, d) decisions would take; the peak
+        # is the stream's load, about 6 MB
+        import tracemalloc
+
+        sections = {"sva": {}, "svb": {}, "svb_thm3": {"schedule": "thm3_convex"},
+                    "ngvi": {}, "oga": {}, "ogael": {}}
+        sections.update({f"{name}_2": {"eta": "0.01"} for name in ("sva", "oga", "ogael")})
+        sections.update(svb_2={"schedule": "fixed", "eta": "0.01"}, ngvi_2={"eta": "0.5"},
+                        svb_thm3_2={"schedule": "thm3_convex"}, ewagrid={})
+        theta = ",".join(f"{v:.3f}" for v in np.linspace(-1.0, 1.0, 40))
+        text = ("[run]\nseed = 3\nholdout_fraction = 0.2\n[dataset]\n"
+                f"source = iid_regression\nn = 6250\ntheta_star = {theta}\n"
+                "loss = squared-linear\n")
+        text += "".join(f"[algorithm.{name}]\nalgo = {name.split('_')[0]}\n"
+                        + "".join(f"{k} = {v}\n" for k, v in options.items())
+                        for name, options in sections.items())
+        config = tmp_path / "wide.ini"
+        config.write_text(text, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        t_len, d = summary["dataset"]["T"], summary["dataset"]["d"]
+        walkers = len(sections) - 1
+        assert (walkers, t_len, d) == (12, 5000, 40)
+        assert all(entry["holdout_jensen_ok"] for entry in summary["algorithms"].values())
+        decisions = walkers * t_len * d * 8
+        assert peak < 0.4 * decisions, (peak, decisions)
+
     def test_wall_ms_is_the_pass_and_the_sections_own_work(self, run_dir):
         summary = json.loads((run_dir / "summary.json").read_text())
         pass_ms = summary["phases_ms"]["pass"]
@@ -1214,7 +1251,7 @@ class TestRunThenBoundsProperty:
             assert not out.exists(), text
             if code == 2:
                 assert message.startswith("configuration error: "), message
-                assert re.search(r"\[[a-z_.]+\]|dataset ", message), message
+                assert re.search(r"\[[\w.]+\]|dataset ", message), message
             else:
                 assert code == 3, (code, message)
                 step = re.match(r"runtime error: step \d+ \((\w+)\): ", message)

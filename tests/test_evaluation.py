@@ -564,6 +564,20 @@ class TestOnlineToBatch:
     def test_two_point_average(self):
         np.testing.assert_allclose(online_to_batch(np.array([[0.0], [2.0]])), [1.0])
 
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
+    def test_a_column_of_negative_zeros_sums_as_numpy_does(self, length):
+        # the sum starts from 0.0, as numpy's does: a column of -0.0 has the
+        # mean 0.0, whatever the blocks
+        preds = np.zeros((5, 3))
+        preds[:, 1] = -0.0
+        preds[:, 2] = np.arange(5.0)
+        mean = evaluation.DecisionMean()
+        for start in range(0, 5, length):
+            mean.take(start, preds[start:start + length])
+        assert mean.theta_bar().tobytes() == preds.mean(axis=0).tobytes()
+        assert not np.signbit(mean.theta_bar()[1])
+        assert online_to_batch(preds).tobytes() == mean.theta_bar().tobytes()
+
     def test_resummation_oracle(self):
         preds = CounterRng(32, "otb").normals(400).reshape(100, 4)
         theta_bar = online_to_batch(preds)
@@ -716,6 +730,51 @@ class TestJensenAudit:
         assert jensen_holdout_audit(preds, holdout, SQL) == \
             bool(np.all(at_bar <= tiled + allowance))
         assert np.all(np.abs(moments - tiled) <= allowance)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind_name=st.sampled_from(["hinge", "squared_linear"]), t=st.integers(1, 300),
+           h=st.integers(2, 120), d=st.integers(1, 5),
+           scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]),
+           shape=st.sampled_from(["spread", "tie", "near-constant"]),
+           length=st.sampled_from(["1", "2", "7", "T-1", "T"]), seed=st.integers(0, 2 ** 16))
+    @example(kind_name="squared_linear", t=300, h=120, d=5, scale=1e150, shape="near-constant",
+             length="7", seed=1)
+    @example(kind_name="hinge", t=300, h=120, d=5, scale=1e-150, shape="tie", length="2", seed=2)
+    def test_the_streamed_audit_is_the_two_pass_audit(self, kind_name, t, h, d, scale, shape,
+                                                      length, seed):
+        # the audit handed the decisions in blocks against two passes over
+        # the (T, d) array: theta_bar, then the (H, T) loss matrix; Jensen's
+        # inequality holds on both within the allowance, and the two
+        # averaged sides differ by less than it
+        kind = HINGE if kind_name == "hinge" else SQL
+        rng = CounterRng(seed, "jh-stream")
+        preds = scale * rng.normals(t * d).reshape(t, d)
+        if shape == "tie":
+            preds = np.tile(preds[:1], (t, 1))
+        elif shape == "near-constant":
+            preds = preds[:1] * (1.0 + 1e-12 * rng.normals(t * d).reshape(t, d))
+        holdout = gen_iid_regression(h, np.linspace(-1.0, 1.0, d), 0.3, seed=seed)
+        if kind is HINGE:
+            signs = np.where(rng.uniforms(h) < 0.5, -1.0, 1.0)
+            holdout = Dataset(holdout.features, signs, CLASSIFICATION, "signs")
+        x, y = holdout.features, holdout.targets
+        theta_bar = preds.mean(axis=0)
+        averaged = expert_loss_matrix(kind, preds, x, y).mean(axis=1)
+        allowance = _allowance(preds, x, y)
+        two_pass = bool(np.all(point_loss_series(kind, theta_bar, x, y) <= averaged + allowance))
+        n = {"1": 1, "2": 2, "7": 7, "T-1": max(1, t - 1), "T": t}[length]
+        audit = evaluation.JensenAudit(kind, holdout)
+        for start in range(0, t, n):
+            audit.take(start, preds[start:start + n])
+        assert audit.holds() == two_pass and two_pass
+        assert np.all(np.abs(audit.averaged() - averaged) <= allowance)
+        whole = evaluation.DecisionMean()
+        whole.take(0, preds)
+        assert audit.count == t
+        assert audit.theta_bar().tobytes() == whole.theta_bar().tobytes()
+        assert audit.reach.tobytes() == np.max(np.abs(preds), axis=0).tobytes()
+        if d >= 2:
+            assert audit.theta_bar().tobytes() == theta_bar.tobytes()
 
 
 def _fd_min_hessian_eig(s: float, m: float, sigma: float) -> float:

@@ -14,6 +14,7 @@ from scipy.special import logsumexp
 
 from onlinevi import learners
 from onlinevi import losses as losses_mod
+from onlinevi.evaluation import DecisionMean
 from onlinevi.errors import DimensionMismatchError, DomainError, InvalidPrecisionError
 from onlinevi.family import (BoxConstraints, GaussianPrior, MeanFieldGaussian,
                              natural_to_standard)
@@ -37,7 +38,7 @@ from onlinevi.learners import (
 )
 from onlinevi.losses import (DataExample, LossKind, expected_grad_xy, expected_loss,
                              expert_loss_matrix, mc_grad_eps, mc_grad_xy, point_grad_xy,
-                             point_loss)
+                             point_loss, point_loss_rows)
 from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regression,
                            gen_toy_classification)
 from onlinevi.rng import CounterRng, derive_seed
@@ -899,6 +900,81 @@ class TestLockstep:
         (walk,) = lockstep([oga], ds.head(20), LossKind.hinge())
         with pytest.raises(DimensionMismatchError, match="walk"):
             run_online(oga, ds, LossKind.hinge(), walk=walk)
+
+
+class TestStreamingReaders:
+    """A pass hands each learner's decisions to its readers a block of steps
+    at a time; the block length changes no bit of what they keep, against
+    the recorded path: the (T, d) decisions, their point losses in one call,
+    their mean and their largest magnitudes."""
+
+    NN = LossKind.squared_nn(3)
+
+    @staticmethod
+    def _assert_kept_as_recorded(rows, losses, kept, mean, kind, ds, name):
+        assert_same_bits(kept.rows, rows, name)
+        assert_same_bits(losses, point_loss_rows(kind, rows, ds.features, ds.targets), name)
+        # the mean of the rows added one after another to 0.0 in step order,
+        # which numpy's mean over the rows of a (T, d >= 2) array is too
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += row
+        assert_same_bits(mean.theta_bar(), total / len(rows), name)
+        if rows.shape[1] >= 2:
+            assert_same_bits(mean.theta_bar(), rows.mean(axis=0), name)
+        assert_same_bits(mean.reach, np.max(np.abs(rows), axis=0), name)
+        assert mean.count == len(rows), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind_name=st.sampled_from(["hinge", "squared_linear", "squared_nn"]),
+           d_in=st.integers(1, 4), seed=st.integers(0, 2 ** 31))
+    def test_the_block_length_changes_no_bit(self, data, kind_name, d_in, seed):
+        kind = {"hinge": LossKind.hinge(), "squared_linear": SQL,
+                "squared_nn": self.NN}[kind_name]
+        t_len = data.draw(st.integers(2, 60 if kind is self.NN else 200), label="T")
+        ds = TestLockstep._stream(kind, t_len, d_in, seed)
+        d = kind.param_dim(ds.d)
+        pool = _pool(d, ds.T, BoxConstraints.symmetric(d, m_abs=2.0))
+        names = data.draw(st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=6),
+                          label="learners")
+        configs, k = [pool[n] for n in names], len(names)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                recorded = _kept_lockstep(configs, ds, kind, mc_samples=4, seed=seed)
+        except (DomainError, InvalidPrecisionError):
+            assume(False)  # a failing pass: test_every_learner_equals_its_reference's
+        default = max(1, learners.TILE_VALUES // (k * d))
+        for length in sorted({1, 2, 7, t_len - 1, t_len, default}):
+            kept = [Decisions(t_len, d) for _ in configs]
+            means = [DecisionMean() for _ in configs]
+            with pytest.MonkeyPatch.context() as patch, \
+                    np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                patch.setattr(learners, "TILE_VALUES", length * k * d)
+                walks = lockstep(configs, ds, kind, mc_samples=4, seed=seed,
+                                 readers=[[a, b] for a, b in zip(kept, means)])
+            for name, walk, full, rows, mean in zip(names, walks, recorded, kept, means):
+                label = f"{name}, blocks of {length}"
+                assert_same_bits(walk.losses, full.losses, label)
+                self._assert_kept_as_recorded(full.predictions, walk.losses, rows, mean, kind,
+                                              ds, label)
+
+    @pytest.mark.parametrize("kind_name", ["hinge", "squared_linear", "squared_nn"])
+    def test_the_grid_hands_on_its_tiles(self, monkeypatch, kind_name):
+        kind = {"hinge": LossKind.hinge(), "squared_linear": SQL,
+                "squared_nn": self.NN}[kind_name]
+        ds = TestLockstep._stream(kind, 150, 2, 21)
+        d = kind.param_dim(ds.d)
+        grid = EwaGridConfig(eta=0.3, experts=diagonal_lattice(-2.0, 2.0, 9, d))
+        recorded = run_online(grid, ds, kind)
+        for values in (None, 2 ** 6, 2 ** 10):
+            if values is not None:
+                monkeypatch.setattr(losses_mod, "TILE_VALUES", values)
+            kept, mean = Decisions(ds.T, d), DecisionMean()
+            trace = learners.grid_pass(grid, ds, kind, [kept, mean])
+            assert trace.predictions is None
+            assert_same_bits(trace.losses, recorded.losses, str(values))
+            self._assert_kept_as_recorded(recorded.predictions, trace.losses, kept, mean, kind,
+                                          ds, str(values))
 
 
 class TestLockstepFailures:
