@@ -697,10 +697,10 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, phases: dict) -> Non
 
     totals: dict = {}
     algo_summaries: dict = {}
-    # a reader of each section's decisions, for a run with a holdout: the
-    # Jensen audit on a convex loss, which keeps theta_bar too, or theta_bar
-    readers = {spec.name: (JensenAudit(ctx.kind, ctx.holdout) if ctx.kind.convex
-                           else DecisionMean())
+    # the readers of each section's decisions: none without a holdout, else
+    # the Jensen audit on a convex loss, which keeps theta_bar too, or theta_bar
+    readers = {spec.name: [JensenAudit(ctx.kind, ctx.holdout) if ctx.kind.convex
+                           else DecisionMean()]
                for spec, _, _ in ctx.resolved if ctx.holdout is not None}
     # the grids first, which walk nothing, then one pass of every other section
     grids = [s for s in ctx.resolved if isinstance(s[1], EwaGridConfig)]
@@ -711,8 +711,7 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, phases: dict) -> Non
     walks = lockstep([config for _, config, _ in walkers], ctx.stream, ctx.kind,
                      mc_samples=cfg.mc_samples, seed=cfg.seed,
                      names=[spec.name for spec, _, _ in walkers],
-                     readers=[[readers[spec.name]] if readers else []
-                              for spec, _, _ in walkers])
+                     readers=[readers.get(spec.name, ()) for spec, _, _ in walkers])
     pass_ms = (time.perf_counter() - start) * 1000.0
     phases["pass"] = round(pass_ms, 3)
     _finish(walkers, walks, readers, pass_ms, ctx, comparator, out, phases, totals,
@@ -770,7 +769,7 @@ def _run_into(out: Path, ctx: RunContext, config_path: str, phases: dict) -> Non
 def _finish(sections: list, walks: list, readers: dict, pass_ms: float, ctx: RunContext,
             comparator, out: Path, phases: dict, totals: dict, algo_summaries: dict) -> None:
     """Each section's summary entry and series file, from the trace of the
-    pass that walked it and from its reader in ``readers`` (a run with a
+    pass that walked it and from its readers in ``readers`` (a run with a
     holdout); a grid, whose walk is None, makes its pass here.  A section's
     ``wall_ms`` is ``pass_ms``, the wall time of the pass that walked it (0
     for a grid), plus the section's own work here, which
@@ -778,8 +777,7 @@ def _finish(sections: list, walks: list, readers: dict, pass_ms: float, ctx: Run
     for (spec, config, meta), walk in zip(sections, walks):
         start = time.perf_counter()
         if walk is None:
-            walk = grid_pass(config, ctx.stream, ctx.kind,
-                             [readers[spec.name]] if readers else [])
+            walk = grid_pass(config, ctx.stream, ctx.kind, readers.get(spec.name, ()))
         # the pass's trace, checked against the stream; one call per section,
         # which the benchmark's tracer times
         trace = run_online(config, ctx.stream, ctx.kind, walk=walk)
@@ -812,7 +810,7 @@ def _finish(sections: list, walks: list, readers: dict, pass_ms: float, ctx: Run
                 "last_step": int(halved[-1]) if halved.size else None,
             }
         if ctx.holdout is not None:
-            reader = readers[spec.name]
+            (reader,) = readers[spec.name]
             theta_bar = reader.theta_bar()
             with np.errstate(over="ignore", invalid="ignore"):
                 mean, se = generalization_estimate(theta_bar, ctx.holdout, ctx.kind)
