@@ -678,9 +678,9 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
         decided = record[:, :stop - start]
         losses[:, start:stop] = point_loss_rows(kind, decided, features[start:stop],
                                                 targets[start:stop])
-        for row, row_readers_of in enumerate(row_readers):
-            for reader in row_readers_of:
-                reader.take(start, decided[row])
+        for rows_of_learner, readers_of_learner in zip(decided, row_readers):
+            for reader in readers_of_learner:
+                reader.take(start, rows_of_learner)
 
     traces = [None] * k
     for row, i in enumerate(order):
