@@ -6,9 +6,11 @@ datasets and stream orders are bit-identical across reruns.
 
 from __future__ import annotations
 
+import copy
 import csv
+import warnings
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +49,22 @@ class Dataset:
     note: str = ""
 
     def __post_init__(self):
-        features = np.array(self.features, dtype=float)
-        targets = np.array(self.targets, dtype=float).reshape(-1)
+        self._keep(np.array(self.features, dtype=float),
+                   np.array(self.targets, dtype=float).reshape(-1))
+
+    @classmethod
+    def _owning(cls, features: np.ndarray, targets: np.ndarray, task: str, name: str,
+                note: str = "") -> "Dataset":
+        """A dataset that keeps ``features`` and ``targets``, float64 arrays
+        that nothing else holds, after checking them, without a copy."""
+        ds = object.__new__(cls)
+        for key, value in (("task", task), ("name", name), ("note", note)):
+            object.__setattr__(ds, key, value)
+        ds._keep(features, targets)
+        return ds
+
+    def _keep(self, features: np.ndarray, targets: np.ndarray) -> None:
+        """Check the rows, then keep the arrays, read-only."""
         if features.ndim != 2 or features.shape[0] < 1:
             raise DataError("features must be a nonempty (T, d) matrix")
         if targets.size != features.shape[0]:
@@ -77,8 +93,23 @@ class Dataset:
         return [DataExample(self.features[i], self.targets[i]) for i in range(self.T)]
 
     def head(self, n: int) -> "Dataset":
-        n = min(n, self.T)
-        return replace(self, features=self.features[:n], targets=self.targets[:n])
+        """The first n rows (every row when n >= T)."""
+        return self._rows(slice(min(n, self.T)))
+
+    def tail(self, n: int) -> "Dataset":
+        """The last n rows (every row when n >= T)."""
+        return self._rows(slice(self.T - min(n, self.T), None))
+
+    def _rows(self, rows: slice) -> "Dataset":
+        """The rows ``rows`` as read-only views of this dataset's arrays:
+        rows that construction checked are neither copied nor checked again."""
+        features = self.features[rows]
+        if features.shape[0] < 1:
+            raise DataError("features must be a nonempty (T, d) matrix")
+        view = copy.copy(self)
+        object.__setattr__(view, "features", features)
+        object.__setattr__(view, "targets", self.targets[rows])
+        return view
 
 
 @dataclass(frozen=True)
@@ -169,15 +200,57 @@ def _label_index(path, schema: CsvSchema, header: list[str] | None) -> int:
         raise DataError(f"{path}: no column named {schema.label!r}") from None
 
 
-def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
-    """RFC-4180-style reader; '.' decimal separator.
+def _class_label(positive_label: str):
+    """The converter of a classification label cell: +1 on an exact match
+    of the stripped text, -1 otherwise, and an error on an empty cell."""
+    def convert(cell: str) -> float:
+        text = cell.strip()
+        if not text:
+            raise ValueError("missing label")
+        return 1.0 if text == positive_label else -1.0
+    return convert
 
-    Features are all non-label columns in file order.  With a
-    ``positive_label`` the task is classification and labels map to +1 on
-    an exact string match, -1 otherwise; without one the label column must
-    parse as floats (regression).  Unparseable or missing cells are hard
-    errors with their row (the line in the file) and column; no imputation.
+
+def _bulk_table(path, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
+    """(features, targets) parsed by numpy's C reader, or None where it
+    refuses the file; then ``_row_table`` decides.
+
+    The reader converts each cell with ``PyOS_string_to_double``, the
+    correctly rounded routine behind ``float()``, after stripping the same
+    whitespace, so a table it accepts has the values the row loop gives.  It
+    refuses more: ``1_0``, and with the row loop a whitespace-only line, a
+    short or long row, an empty cell.  Blank lines it skips, as
+    ``csv.reader``'s empty rows are.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        header = next(filter(None, reader), None) if schema.has_header else None
+        try:
+            label_idx = _label_index(path, schema, header)
+        except DataError:
+            return None
+        if label_idx < 0:
+            return None
+        converters = None
+        if schema.positive_label is not None:
+            converters = {label_idx: _class_label(schema.positive_label)}
+        # the rest of the file, from the line after the header's
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without data rows
+            try:
+                table = np.loadtxt(fh, delimiter=schema.delimiter, comments=None,
+                                   quotechar='"', ndmin=2, converters=converters)
+            except (ValueError, TypeError):  # TypeError: a delimiter it cannot take
+                return None
+    if table.shape[0] == 0 or label_idx >= table.shape[1]:
+        return None
+    targets = table[:, label_idx].copy()
+    return np.delete(table, label_idx, axis=1), targets
+
+
+def _row_table(path, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
+    """(features, targets) converted row by row as ``csv.reader`` yields
+    them: the reference semantics, and the errors naming row and column."""
     header: list[str] | None = None
     width = None
     # each row converted as the reader yields it, into growing float storage
@@ -215,11 +288,30 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
     if width is None:
         raise DataError(f"{path}: empty file" if header is None
                         else f"{path}: no data rows after header")
+    return np.frombuffer(features).reshape(len(targets), width - 1), np.frombuffer(targets)
 
+
+def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
+    """RFC-4180-style reader; '.' decimal separator.
+
+    Features are all non-label columns in file order.  With a
+    ``positive_label`` the task is classification and labels map to +1 on
+    an exact string match, -1 otherwise; without one the label column must
+    parse as floats (regression).  Unparseable or missing cells are hard
+    errors with their row (the line in the file) and column; no imputation.
+
+    The table is parsed in bulk by numpy's C reader; only a file that reader
+    refuses goes through the row loop, which names the bad cell, or accepts
+    a spelling only ``float()`` reads (such as ``1_0``).
+    """
+    table = _bulk_table(path, schema)
     task = CLASSIFICATION if schema.positive_label is not None else REGRESSION
     ds_name = name if name is not None else str(path)
-    ds = Dataset(np.frombuffer(features).reshape(len(targets), width - 1),
-                 np.frombuffer(targets), task, ds_name, note=f"loaded from {path}")
+    note = f"loaded from {path}"
+    if table is None:
+        ds = Dataset(*_row_table(path, schema), task, ds_name, note=note)
+    else:  # the bulk parse's arrays are the dataset's own
+        ds = Dataset._owning(*table, task, ds_name, note=note)
     normalized = _normalize_name(ds_name)
     if normalized in KNOWN_SHAPES:
         expected = KNOWN_SHAPES[normalized]

@@ -182,15 +182,23 @@ class CounterRng:
         return np.minimum(vals, bound - 1)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n), one uniform per swap."""
+        """Fisher-Yates permutation of range(n), one uniform per swap: for
+        i = n-1, ..., 1 in turn, swap i with j_i = min(floor(u_i (i+1)), i)."""
         idx = np.arange(n)
         if n <= 1:
             return idx
-        # swaps through memoryviews, which read and write Python numbers: a
-        # numpy item access per swap takes about three times as long, and
-        # Python lists of the n values would raise the peak memory
+        # every j_i at once: the float64 product of u_i and the exactly
+        # converted i+1 is the one Python's u * (i + 1) rounds to, and the
+        # int64 cast truncates it as int() does
+        steps = np.arange(n - 1, 0, -1)
+        targets = self.uniforms(n - 1)
+        targets *= steps + 1
+        targets = np.minimum(targets.astype(np.int64), steps)
+        # the swaps depend on each other and go one by one, through
+        # memoryviews, which read and write Python numbers: a numpy item
+        # access per swap takes about three times as long, and Python lists
+        # of the n values would raise the peak memory
         view = memoryview(idx)
-        for u, i in zip(memoryview(self.uniforms(n - 1)), range(n - 1, 0, -1)):
-            j = min(int(u * (i + 1)), i)
+        for i, j in zip(range(n - 1, 0, -1), memoryview(targets)):
             view[i], view[j] = view[j], view[i]
         return idx

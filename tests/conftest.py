@@ -2,16 +2,21 @@
 
 These stay independent of the implementation paths they check: golden
 section for closed-form argmin updates, central finite differences for
-analytic gradients, and the learners' updates written one learner at a
-time, each the paper's formula as it reads (``lockstep`` runs them fused
-across learners, and must give the same bits).
+analytic gradients, the learners' updates written one learner at a time,
+each the paper's formula as it reads (``lockstep`` runs them fused across
+learners, and must give the same bits), and the CSV readers written cell by
+cell in Python (``load_csv`` and the series reader parse in bulk, and must
+give the same bits or the same error).
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from onlinevi.errors import InvalidPrecisionError
+from onlinevi.data import CLASSIFICATION, REGRESSION, Dataset
+from onlinevi.errors import DataError, InvalidPrecisionError
 from onlinevi.family import SIGMA_FLOOR, MeanFieldGaussian, h_map
 from onlinevi.learners import (MAX_STEP_RETRIES, FixedEta, InvSigmaSqrtT, NgviConfig,
                                SvaConfig, Thm3ConvexSchedule)
@@ -126,3 +131,82 @@ def oga_step(theta, g, config):
 def ogael_step(m, sigma, g_m, g_sigma, config):
     return _project(config, m - config.eta * g_m,
                     np.maximum(sigma - config.eta * g_sigma, SIGMA_FLOOR))
+
+
+# ---------------------------------------------------------------------------
+# the CSV readers, one cell at a time
+
+
+def reference_load_csv(path, schema) -> Dataset:
+    """``data.load_csv`` as a loop over ``csv.reader``'s rows, each cell
+    stripped and converted by ``float()``; blank lines are skipped but
+    counted in the row (file line) that an error names."""
+    header, width = None, None
+    features, targets = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        for row in reader:
+            if not row:
+                continue
+            if schema.has_header and header is None:
+                header = row
+                continue
+            line = reader.line_num
+            if width is None:
+                if isinstance(schema.label, int):
+                    label_idx = schema.label
+                elif header is None:
+                    raise DataError("label column by name requires a header")
+                elif schema.label in header:
+                    label_idx = header.index(schema.label)
+                else:
+                    raise DataError(f"{path}: no column named {schema.label!r}")
+                if not (0 <= label_idx < len(row)):
+                    raise DataError(f"{path}: label column index {label_idx} out of range")
+                width = len(row)
+            if len(row) != width:
+                raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+            values = []
+            for j, cell in enumerate(row):
+                text = cell.strip()
+                if text == "":
+                    raise DataError(f"{path}: missing value at row {line}, column {j + 1}")
+                if j == label_idx and schema.positive_label is not None:
+                    values.append(1.0 if text == schema.positive_label else -1.0)
+                    continue
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    what = "label" if j == label_idx else "cell"
+                    raise DataError(f"{path}: unparseable {what} at row {line}, "
+                                    f"column {j + 1}: {text!r}") from None
+            targets.append(values.pop(label_idx))
+            features.append(values)
+    if width is None:
+        raise DataError(f"{path}: empty file" if header is None
+                        else f"{path}: no data rows after header")
+    task = CLASSIFICATION if schema.positive_label is not None else REGRESSION
+    return Dataset(np.array(features).reshape(len(targets), width - 1), np.array(targets),
+                   task, str(path))
+
+
+def reference_read_series(path: Path, horizon: int) -> np.ndarray:
+    """A series file's instant losses, line by line: the second
+    comma-separated cell of each line after the header, by ``float()``."""
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    if not lines or lines[0] != "t,instant_loss,cum_loss,avg_cum_loss":
+        raise DataError(f"{path}: not a series file")
+    losses = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        try:
+            losses.append(float(cells[1]))
+        except (IndexError, ValueError):
+            raise DataError(f"{path}: every row needs a numeric instant_loss") from None
+    if len(losses) != horizon:
+        raise DataError(f"{path}: {len(losses)} rows, but the run has T = {horizon}")
+    for t, value in enumerate(losses, start=1):
+        if not math.isfinite(value):
+            raise DataError(f"{path}: row t = {t} has the instant_loss {np.float64(value)}, "
+                            "which is not finite")
+    return np.array(losses)

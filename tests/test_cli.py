@@ -260,6 +260,42 @@ class TestRun:
         assert ctx.horizon == 20_000
         assert peak < 20_000 * 41 * 8 / 4
 
+    def test_materialize_holds_one_copy_of_a_csv_table(self, tmp_path, monkeypatch):
+        # the stream and the holdout of a 3000 x 60 table are views of the
+        # loaded rows, not copies: when the constants are computed, the run
+        # holds one table (it held two when both were copied)
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal((3000, 61))
+        data = tmp_path / "wide.csv"
+        header = ",".join([f"x{j}" for j in range(60)] + ["y"])
+        data.write_text(header + "\n" + "\n".join(",".join(map(repr, row))
+                                                    for row in table.tolist()) + "\n",
+                        encoding="utf-8")
+        config = tmp_path / "wide.ini"
+        config.write_text(f"[run]\nseed = 1\nholdout_fraction = 0.2\n[dataset]\n"
+                          f"source = csv\npath = {data}\nlabel = y\n"
+                          "loss = squared-linear\n[algorithm.oga]\n", encoding="utf-8")
+        held = []
+        certify = cli.lipschitz_constant
+
+        def measured(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return certify(*args)
+
+        monkeypatch.setattr(cli, "lipschitz_constant", measured)
+        experiment = load_experiment(config)
+        tracemalloc.start()
+        try:
+            ctx = materialize(experiment)
+        finally:
+            tracemalloc.stop()
+        features = 3000 * 60 * 8
+        assert (ctx.stream.T, ctx.holdout.T) == (2400, 600)
+        assert ctx.stream.features.base is ctx.holdout.features.base is not None
+        assert features <= held[0] < 1.5 * features
+
     def test_one_lipschitz_constant_per_materialize(self, run_dir, tmp_path, monkeypatch):
         # the run resolves svb_thm3's l = auto and checks Theorems 2 and 4
         # from the one constant; bounds computes it once more
@@ -696,6 +732,78 @@ class TestMalformedRunDirectory:
             "n = 400", "n = 400\nnoise_sd = 0.5"), encoding="utf-8")
         assert main(["bounds", "--run", str(broken), "--theorem", "all"]) == 2
         assert "[dataset] noise_sd" in capsys.readouterr().err
+
+
+def _lines(edit):
+    """An edit of a series file's text through its list of lines."""
+    def apply(text):
+        lines = text.split("\n")
+        edit(lines)
+        return "\n".join(lines)
+    return apply
+
+
+def _set_cell(row, cell):
+    return _lines(lambda lines: lines.__setitem__(row, lines[row].split(",")[0] + "," + cell
+                                                  + "," + ",".join(lines[row].split(",")[2:])))
+
+
+#: edits of a valid 6-row series file, each read by ``_read_series_csv`` as
+#: the cell-by-cell reader does
+_SERIES_MUTATIONS = {
+    "unchanged": lambda text: text,
+    "blank-line-inside": _lines(lambda lines: lines.insert(3, "")),
+    "whitespace-line-inside": _lines(lambda lines: lines.insert(3, "  ")),
+    "trailing-blank-lines": lambda text: text + "\n\n\n",
+    "leading-blank-line": lambda text: "\n" + text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "one-column-row": _lines(lambda lines: lines.__setitem__(4, "4")),
+    "two-column-row": _lines(lambda lines: lines.__setitem__(4, "4,0.25")),
+    "extra-columns": _lines(lambda lines: lines.__setitem__(4, lines[4] + ",x,y")),
+    "non-numeric-cell": _set_cell(2, "abc"),
+    "empty-cell": _set_cell(2, ""),
+    "quoted-cell": _set_cell(2, '"0.5"'),
+    "padded-cell": _set_cell(2, " 0.5\t"),
+    "underscored-cell": _set_cell(2, "1_5"),
+    "other-column-non-numeric": _lines(lambda lines: lines.__setitem__(2, "x,0.5,y,z")),
+    "nan": _set_cell(3, "nan"),
+    "minus-nan": _set_cell(3, "-nan"),
+    "inf": _set_cell(5, "inf"),
+    "minus-infinity": _set_cell(5, "-Infinity"),
+    "overflow": _set_cell(5, "1e400"),
+    "row-too-many": _lines(lambda lines: lines.insert(-1, "7,0.5,1,1")),
+    "row-too-few": _lines(lambda lines: lines.pop(-2)),
+    "header-only": lambda text: text.split("\n")[0] + "\n",
+    "empty-file": lambda text: "",
+    "wrong-header": lambda text: text.replace("instant_loss", "loss", 1),
+    "header-with-spaces": lambda text: text.replace(",", ", ", 3),
+}
+
+
+class TestSeriesReaderMutations:
+    """The bulk series reader accepts a mutated file exactly when the
+    cell-by-cell reader (``reference_read_series``) does: the same bits, or
+    the same message."""
+
+    @staticmethod
+    def _outcome(read, path):
+        try:
+            return read(path, 6).view(np.uint64).tolist()
+        except onlinevi.errors.DataError as err:
+            return str(err)
+
+    @pytest.mark.parametrize("mutation", sorted(_SERIES_MUTATIONS))
+    def test_accepted_or_rejected_as_cell_by_cell(self, tmp_path, mutation):
+        from conftest import reference_read_series
+        path = tmp_path / "sva.csv"
+        losses = np.array([0.25, 1.0 / 3.0, 0.0, 2.5e-300, 7.0, 1e300])
+        cli._write_series_csv(path, cli.build_ledger(losses))
+        path.write_bytes(_SERIES_MUTATIONS[mutation](path.read_text(encoding="utf-8"))
+                         .encode("utf-8"))
+        got = self._outcome(cli._read_series_csv, path)
+        assert got == self._outcome(reference_read_series, path)
+        if mutation == "unchanged":
+            assert got == losses.view(np.uint64).tolist()
 
 
 class TestNetworkLossRun:
@@ -1178,6 +1286,73 @@ class TestBounds:
         assert main(["bounds", "--run", str(out), "--theorem", "all"]) == 0
         report = capsys.readouterr().out
         assert "L=2.55301e+07" in report and "VIOLATED" not in report
+
+
+#: 6 rows, 3 features and one target of 4.96e75: standardized, with a
+#: 20% holdout, the comparator's lower bound is 2.46e151, whose last bit
+#: (3e135) is the whole of svb_thm3's Theorem 3 regret
+_HUGE_TARGET_CSV = """x0,x1,x2,y
+0.126,-0.132,0.64,0.412
+0.105,-0.536,0.362,4.96e+75
+1.304,0.947,-0.704,-0.129
+-1.265,-0.623,0.041,1.366
+-2.325,-0.219,-1.246,-0.665
+-0.732,-0.544,-0.316,0.352
+"""
+
+
+class TestRegretRounding:
+    """Theorems 1, 3 and 4 hold their regret to the bound plus a bound on
+    the rounding of the computed regret, ``cli._regret_allowance``."""
+
+    @pytest.fixture(scope="class")
+    def huge_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("huge")
+        (root / "d.csv").write_text(_HUGE_TARGET_CSV, encoding="utf-8")
+        config = root / "exp.ini"
+        config.write_text(f"[run]\nseed = 0\nholdout_fraction = 0.2\n[dataset]\n"
+                          f"source = csv\npath = {root / 'd.csv'}\nlabel = y\n"
+                          "standardize = true\nloss = squared-linear\n"
+                          "[algorithm.svb_thm3]\nalgo = svb\nschedule = thm3_convex\n",
+                          encoding="utf-8")
+        out = root / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        return out
+
+    def test_a_regret_of_last_bits_holds(self, huge_run, capsys):
+        capsys.readouterr()
+        assert main(["bounds", "--run", str(huge_run), "--theorem", "all"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("theorem 3 [deterministic] svb_thm3: regret=2.90735e+135 ")
+        assert "-> holds" in line and "within the rounding allowance" in line
+
+    def test_the_allowance_is_the_edge(self, huge_run):
+        # a total just inside the bound plus the allowance holds, one just
+        # outside does not
+        ctx = materialize(load_experiment(huge_run / "config.ini"))
+        stored = cli._read_comparator_csv(huge_run / "comparator.csv", ctx.box.d, ctx.horizon)
+        (record,) = cli.bound_records(ctx, {"svb_thm3": stored.lower_bound}, stored, "3")
+        base = stored.lower_bound + record["bound"]
+        allowance = cli._regret_allowance(ctx.horizon, base, stored.lower_bound, summed=False)
+        for factor, holds in ((0.5, True), (2.0, False)):
+            total = base + factor * allowance
+            (record,) = cli.bound_records(ctx, {"svb_thm3": total}, stored, "3")
+            assert total - stored.lower_bound > record["bound"]
+            assert record["holds"] is holds
+
+    @pytest.mark.parametrize("name", ["svb_bounds", "ewa_bound", "ogael_bound"])
+    def test_a_bound_below_the_regret_is_violated(self, run_dir, monkeypatch, capsys, name):
+        # each deterministic theorem's bound set to -1e4, below every regret
+        # on the 400-row toy stream (Theorem 4's reach -100) beyond rounding
+        bound = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: (
+            (-1e4, *bound(*args)[1:]) if name == "svb_bounds" else -1e4))
+        capsys.readouterr()
+        assert main(["bounds", "--run", str(run_dir), "--theorem", "all"]) == 1
+        violated = [line for line in capsys.readouterr().out.splitlines() if "VIOLATED" in line]
+        theorem = {"ewa_bound": 1, "svb_bounds": 3, "ogael_bound": 4}[name]
+        assert [line.split()[1] for line in violated] == [str(theorem)]
+        assert "rounding allowance" not in violated[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 """Generators, CSV loader, and stream preparation."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import reference_load_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import onlinevi.data as data_mod
 from onlinevi.data import (
     CsvSchema,
     Dataset,
@@ -153,6 +160,115 @@ class TestLoadCsv:
         path = self._write(tmp_path, "a;b;y\n1.0;2.0;0.5\n")
         ds = load_csv(path, CsvSchema(label="y", delimiter=";"))
         assert ds.targets[0] == 0.5
+
+    def test_clean_files_are_parsed_in_bulk(self, tmp_path, monkeypatch):
+        # CRLF line ends, quoted and padded cells, blank lines and `;`: no row loop
+        def refused(*args):
+            raise AssertionError("the row loop ran")
+
+        monkeypatch.setattr(data_mod, "_row_table", refused)
+        text = '\r\na;"b";y\r\n"1.5" ; 2e-3\t;yes\r\n\r\n\xa0-7;"0.1";no\r\n'
+        ds = load_csv(self._write(tmp_path, text),
+                      CsvSchema(label="y", positive_label="yes", delimiter=";"))
+        assert ds.features.tobytes() == np.array([[1.5, 2e-3], [-7.0, 0.1]]).tobytes()
+        np.testing.assert_array_equal(ds.targets, [1.0, -1.0])
+
+    def test_spellings_only_float_reads_go_through_the_row_loop(self, tmp_path, monkeypatch):
+        calls = []
+        rows = data_mod._row_table
+
+        def counting(*args):
+            calls.append(1)
+            return rows(*args)
+
+        monkeypatch.setattr(data_mod, "_row_table", counting)
+        ds = load_csv(self._write(tmp_path, "a,y\n1_0,2\n3,4\n"), CsvSchema(label="y"))
+        assert calls == [1]
+        np.testing.assert_array_equal(ds.features, [[10.0], [3.0]])
+
+
+# ---------------------------------------------------------------------------
+# property: the bulk parse gives the row loop's bits or its error
+
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\xa0", "  "])
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10 ** 6, 10 ** 6).map(str))
+#: spellings that only float() reads, that neither reader reads, and that
+#: read as values no dataset takes
+_ODD = st.sampled_from(["1_0", "nan", "-nan", "inf", "-inf", "Infinity", "+INF", "1e400",
+                        "5e-324", ".5", "5.", "", "x", "1.5.2", "#3", "1 2"])
+_LABEL = st.sampled_from(["yes", "no", " yes", "YES", "1"])
+_ODD_LABEL = st.sampled_from(["", "y es", '"yes'])
+
+
+@st.composite
+def _cell(draw, text, padded_quote=False):
+    """A cell: the text with padding around it, or quoted with padding
+    inside and after (before the quote, as ``padded_quote`` allows, the
+    padding keeps the quote in the cell's text)."""
+    value = draw(_PAD) + draw(text) + draw(_PAD)
+    if draw(st.integers(0, 3)) == 0:
+        value = ('' if not padded_quote else draw(_PAD)) + f'"{value}"' + draw(_PAD)
+    return value
+
+
+@st.composite
+def _csv_case(draw):
+    """A CSV text and a schema over it: a clean file, or one with a few
+    faults (odd cells, short or long rows, trailing delimiters,
+    whitespace-only lines, a label out of range)."""
+    faults = draw(st.integers(0, 2))  # each fault's odds are 1 in 20 / faults
+    fault = lambda: faults > 0 and draw(st.integers(1, 20)) <= faults
+    delimiter = draw(st.sampled_from([",", ",", ";"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    width = draw(st.integers(1, 4))
+    has_header = draw(st.booleans())
+    label = draw(st.sampled_from([-1, width])) if fault() else draw(st.integers(0, width - 1))
+    positive = draw(st.sampled_from([None, None, "yes"]))
+    lines = [delimiter.join(f"c{j}" for j in range(width))] if has_header else []
+    for _ in range(draw(st.integers(0 if fault() else 1, 6))):
+        cells = draw(st.sampled_from([width - 1, width + 1])) if fault() else width
+        row = []
+        for j in range(cells):
+            if j == label and positive:
+                text = _ODD_LABEL if fault() else _LABEL
+            else:
+                text = _ODD if fault() else _FINITE
+            row.append(draw(_cell(text, padded_quote=fault())))
+        lines.append(delimiter.join(row) + (delimiter if fault() else ""))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(" " if fault() else "")  # a whitespace-only or blank line
+    text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+    if has_header and draw(st.booleans()):
+        label = f"c{label}"
+    schema = CsvSchema(label=label, positive_label=positive, delimiter=delimiter,
+                       has_header=has_header)
+    return text, schema
+
+
+def _outcome(load, path, schema):
+    try:
+        ds = load(path, schema)
+    except DataError as err:
+        return "error", str(err)
+    return (ds.features.shape, ds.features.view(np.uint64).tobytes(),
+            ds.targets.view(np.uint64).tobytes(), ds.task)
+
+
+class TestLoadCsvProperty:
+    """``load_csv`` gives the bits of the cell-by-cell loop
+    (``reference_load_csv``) on every file that loop reads, and its error
+    message on every file it rejects."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_csv_case())
+    def test_same_bits_or_same_error_as_the_row_loop(self, case):
+        text, schema = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(load_csv, path, schema) == _outcome(reference_load_csv, path,
+                                                                schema)
 
 
 class TestPrepareStream:

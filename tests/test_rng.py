@@ -125,6 +125,14 @@ class TestPermutation:
             assert perm.dtype == oracle.dtype and perm.shape == (n,)
             assert np.array_equal(perm, oracle), (seed, n)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_same_indices_as_the_item_loop_on_long_streams(self, seed):
+        # streams up to five times the toy's 10k rows
+        for n in (20011, 50000):
+            perm = CounterRng(seed, "stream-permutation").permutation(n)
+            oracle = self._item_loop(CounterRng(seed, "stream-permutation"), n)
+            assert np.array_equal(perm, oracle), (seed, n)
+
     def test_actually_permutes(self):
         perm = CounterRng(7, "perm").permutation(100)
         assert not np.array_equal(perm, np.arange(100))
