@@ -1326,18 +1326,24 @@ class TestRegretRounding:
         assert line.startswith("theorem 3 [deterministic] svb_thm3: regret=2.90735e+135 ")
         assert "-> holds" in line and "within the rounding allowance" in line
 
-    def test_the_allowance_is_the_edge(self, huge_run):
-        # a total just inside the bound plus the allowance holds, one just
-        # outside does not
-        ctx = materialize(load_experiment(huge_run / "config.ini"))
-        stored = cli._read_comparator_csv(huge_run / "comparator.csv", ctx.box.d, ctx.horizon)
-        (record,) = cli.bound_records(ctx, {"svb_thm3": stored.lower_bound}, stored, "3")
-        base = stored.lower_bound + record["bound"]
-        allowance = cli._regret_allowance(ctx.horizon, base, stored.lower_bound, summed=False)
+    @pytest.mark.parametrize("theorem", [1, 3])
+    def test_the_allowance_is_the_edge(self, huge_run, run_dir, theorem):
+        # a total just inside the bound plus 2u (T (s + c) + |c|) holds, one
+        # just outside does not: c is the best expert's total (Theorem 1, a
+        # sum too) or the comparator's lower bound (Theorem 3, without T c)
+        run, name = (run_dir, "ewagrid") if theorem == 1 else (huge_run, "svb_thm3")
+        ctx = materialize(load_experiment(run / "config.ini"))
+        stored = cli._read_comparator_csv(run / "comparator.csv", ctx.box.d, ctx.horizon)
+        (_, _, meta), = [r for r in ctx.resolved if r[0].name == name]
+        other = meta["best_expert_total"] if theorem == 1 else stored.lower_bound
+        (record,) = cli.bound_records(ctx, {name: other}, stored, str(theorem))
+        base = other + record["bound"]
+        summed = other if theorem == 1 else 0.0
+        allowance = 2.0 ** -52 * (ctx.horizon * (base + summed) + abs(other))
         for factor, holds in ((0.5, True), (2.0, False)):
             total = base + factor * allowance
-            (record,) = cli.bound_records(ctx, {"svb_thm3": total}, stored, "3")
-            assert total - stored.lower_bound > record["bound"]
+            (record,) = cli.bound_records(ctx, {name: total}, stored, str(theorem))
+            assert total - other > record["bound"]
             assert record["holds"] is holds
 
     @pytest.mark.parametrize("name", ["svb_bounds", "ewa_bound", "ogael_bound"])
