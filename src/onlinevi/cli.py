@@ -33,6 +33,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -166,8 +167,6 @@ class ExperimentConfig:
     mc_samples: int = 32
 
 
-_ALGORITHM_TAGS = ("sva", "svb", "ngvi", "oga", "ogael", "ewagrid")
-
 #: Cap on the grid's work: K experts of dimension d and their losses on T
 #: rows, K (T + d) float64 values, at most 1 GiB if they were held at once.
 #: A run holds only the experts and one tile of losses (``row_blocks``), so
@@ -239,7 +238,7 @@ def load_experiment(path) -> ExperimentConfig:
         name = section[len("algorithm."):]
         options = _Section(section, options)
         tag = options.raw("algo", name).strip().lower()
-        if tag not in _ALGORITHM_TAGS:
+        if tag not in _LEARNERS:
             raise ConfigError(f"[{section}]: unknown algorithm tag {tag!r}")
         algorithms.append(AlgoSpec(name=name, tag=tag, options=options))
     if not algorithms:
@@ -324,7 +323,7 @@ class RunContext:
     #: the certified Lipschitz constant of the expected loss on the stream
     #: and the box; None for squared-nn, which has none
     lipschitz: float | None
-    resolved: list  # (AlgoSpec, LearnerConfig, meta dict)
+    resolved: list = field(default_factory=list)  # (AlgoSpec, LearnerConfig, meta dict)
 
     @property
     def horizon(self) -> int:
@@ -344,106 +343,87 @@ def _positive(spec: AlgoSpec, key: str, default: str | None = None,
     return _parse(where, raw, _POSITIVE)
 
 
-def _resolve_algorithm(spec: AlgoSpec, kind: LossKind, stream: data_mod.Dataset,
-                       box: BoxConstraints, prior: GaussianPrior, lipschitz: float | None):
-    opts = spec.options
-    t_len = stream.T
-    auto_eta = 1.0 / np.sqrt(t_len)
+def _step_size_learner(make):
+    """The ``build`` of a learner with one step size ``eta``, whose ``auto``
+    is 1/sqrt(T); ``make(eta, spec, ctx)`` returns its config."""
+    def build(spec: AlgoSpec, ctx: RunContext):
+        eta = _positive(spec, "eta", "auto", allow_auto=True) or 1.0 / np.sqrt(ctx.horizon)
+        return make(eta, spec, ctx), {"eta": eta}
+    return build
 
-    def eta_value(default: float) -> float:
-        eta = _positive(spec, "eta", "auto", allow_auto=True)
-        return default if eta is None else eta
 
+def _build_svb(spec: AlgoSpec, ctx: RunContext):
+    name = spec.options.raw("schedule", "inv_sigma_sqrt_t").strip().lower().replace("-", "_")
     meta: dict = {}
-    if spec.tag == "sva":
-        eta = eta_value(auto_eta)
-        project = opts.get("project", True, _BOOL)
-        config = SvaConfig(eta=eta, prior=prior, box=box, project=project)
-        meta["eta"] = eta
-    elif spec.tag == "svb":
-        name = opts.raw("schedule", "inv_sigma_sqrt_t").strip().lower().replace("-", "_")
-        if name == "inv_sigma_sqrt_t":
-            schedule = InvSigmaSqrtT()
-        elif name == "fixed":
-            schedule = FixedEta(_positive(spec, "eta"))
-        elif name == "thm3_convex":
-            d_val = _positive(spec, "d", "auto", allow_auto=True)
-            l_val = _positive(spec, "l", "auto", allow_auto=True)
-            if d_val is None:
-                d_val = box.diameter()
-            if l_val is None:
-                if lipschitz is None:
-                    raise ConfigError(f"[algorithm.{spec.name}] l: auto needs a convex loss; "
-                                      f"{kind.kind} has no certified Lipschitz constant, so "
-                                      "give l a number")
-                l_val = lipschitz
-            floor = l_val * SIGMA_FLOOR ** 2
-            if floor == 0.0 or not math.isfinite(d_val * math.sqrt(2.0) / floor):
-                raise ConfigError(f"[algorithm.{spec.name}] l: L = {l_val:.6g} is so small "
-                                  "that the schedule's step D sqrt(2) / (L sigma^2) overflows "
-                                  f"a float at sigma = {SIGMA_FLOOR:g}")
-            schedule = Thm3ConvexSchedule(D=d_val, L=l_val)
-            meta.update(D=d_val, L=l_val)
-        elif name == "thm3_strong":
-            schedule = Thm3StrongSchedule(H=_positive(spec, "h"))
-        else:
-            raise ConfigError(f"[algorithm.{spec.name}] schedule: unknown schedule {name!r}; "
-                              "expected one of fixed, inv_sigma_sqrt_t, thm3_convex, thm3_strong")
-        config = SvbConfig(schedule=schedule, prior=prior, box=box)
-        meta["schedule"] = schedule.describe()
-    elif spec.tag == "ngvi":
-        eta = _positive(spec, "eta", "1")
-        # default mixing step matches the usual natural-gradient step sizes;
-        # large alpha makes the iterate jitter at the per-example noise scale
-        alpha = _positive(spec, "alpha", "0.02")
-        config = NgviConfig(eta=eta, alpha=alpha, prior=prior, box=box)
-        meta.update(eta=eta, alpha=alpha)
-    elif spec.tag == "oga":
-        eta = eta_value(auto_eta)
-        config = OgaConfig(eta=eta, box=box)
-        meta["eta"] = eta
-    elif spec.tag == "ogael":
-        eta = eta_value(auto_eta)
-        config = OgaElConfig(eta=eta, prior=prior, box=box)
-        meta["eta"] = eta
-    elif spec.tag == "ewagrid":
-        experts_raw = opts.raw("experts", "diagonal:41").strip().lower()
-        form, _, count = experts_raw.partition(":")
-        count = count.strip() or ("41" if form == "diagonal" else "5")
-        if form not in ("diagonal", "product") or not count.isdecimal() or int(count) < 2:
-            raise ConfigError(f"[algorithm.{spec.name}] experts must be diagonal:<k> or "
-                              f"product:<per-axis> with a count >= 2 (one expert has "
-                              f"nothing to weigh), got {experts_raw!r}")
-        k = int(count) if form == "diagonal" else int(count) ** box.d
-        if k * (t_len + box.d) > _MAX_GRID_VALUES:
-            raise ConfigError(f"[algorithm.{spec.name}] experts: {experts_raw} is {k} experts "
-                              f"in dimension {box.d}; with T = {t_len} the grid and its "
-                              f"losses would exceed {_MAX_GRID_VALUES} values")
-        lattice = diagonal_lattice if form == "diagonal" else product_lattice
-        experts = lattice(float(np.min(box.m_lo)), float(np.max(box.m_hi)), int(count), box.d)
-        eta = _positive(spec, "eta", "auto", allow_auto=True)
-        # Theorem 1's constants, from the expert losses a tile at a time: B
-        # the largest, and the best expert's total from the column totals
-        # carried across the tiles (the grid's pass recomputes the tiles)
-        maxima = []
-        for _, losses, sums in expert_loss_blocks(kind, experts, stream.features,
-                                                  stream.targets):
-            maxima.append(np.max(losses))
-        b_max = float(np.max(maxima))
-        if not math.isfinite(b_max * b_max * t_len):
-            raise DataError(f"dataset {stream.name!r}: [algorithm.{spec.name}] needs B^2 T "
-                            f"finite for Theorem 1 and eta = auto, but the largest expert "
-                            f"loss is B = {b_max:.6g} on its {t_len} rows")
-        meta["B"] = b_max
-        meta["best_expert_total"] = float(np.min(sums[-1]))
-        if eta is None:
-            k = experts.shape[0]
-            eta = float(np.sqrt(8.0 * np.log(k) / (max(b_max, 1e-12) ** 2 * t_len)))
-        config = EwaGridConfig(eta=eta, experts=experts)
-        meta["eta"] = eta
-    else:  # pragma: no cover - tags validated at parse time
-        raise ConfigError(f"unknown tag {spec.tag}")
-    return spec, config, meta
+    if name == "inv_sigma_sqrt_t":
+        schedule = InvSigmaSqrtT()
+    elif name == "fixed":
+        schedule = FixedEta(_positive(spec, "eta"))
+    elif name == "thm3_convex":
+        d_val = _positive(spec, "d", "auto", allow_auto=True) or ctx.box.diameter()
+        l_val = _positive(spec, "l", "auto", allow_auto=True)
+        if l_val is None:
+            if ctx.lipschitz is None:
+                raise ConfigError(f"[algorithm.{spec.name}] l: auto needs a convex loss; "
+                                  f"{ctx.kind.kind} has no certified Lipschitz constant, so "
+                                  "give l a number")
+            l_val = ctx.lipschitz
+        floor = l_val * SIGMA_FLOOR ** 2
+        if floor == 0.0 or not math.isfinite(d_val * math.sqrt(2.0) / floor):
+            raise ConfigError(f"[algorithm.{spec.name}] l: L = {l_val:.6g} is so small "
+                              "that the schedule's step D sqrt(2) / (L sigma^2) overflows "
+                              f"a float at sigma = {SIGMA_FLOOR:g}")
+        schedule = Thm3ConvexSchedule(D=d_val, L=l_val)
+        meta.update(D=d_val, L=l_val)
+    elif name == "thm3_strong":
+        schedule = Thm3StrongSchedule(H=_positive(spec, "h"))
+    else:
+        raise ConfigError(f"[algorithm.{spec.name}] schedule: unknown schedule {name!r}; "
+                          "expected one of fixed, inv_sigma_sqrt_t, thm3_convex, thm3_strong")
+    meta["schedule"] = schedule.describe()
+    return SvbConfig(schedule=schedule, prior=ctx.prior, box=ctx.box), meta
+
+
+def _build_ngvi(spec: AlgoSpec, ctx: RunContext):
+    # default mixing step matches the usual natural-gradient step sizes;
+    # large alpha makes the iterate jitter at the per-example noise scale
+    meta = {"eta": _positive(spec, "eta", "1"), "alpha": _positive(spec, "alpha", "0.02")}
+    return NgviConfig(prior=ctx.prior, box=ctx.box, **meta), meta
+
+
+def _build_ewagrid(spec: AlgoSpec, ctx: RunContext):
+    box, stream, t_len = ctx.box, ctx.stream, ctx.horizon
+    experts_raw = spec.options.raw("experts", "diagonal:41").strip().lower()
+    form, _, count = experts_raw.partition(":")
+    count = count.strip() or ("41" if form == "diagonal" else "5")
+    if form not in ("diagonal", "product") or not count.isdecimal() or int(count) < 2:
+        raise ConfigError(f"[algorithm.{spec.name}] experts must be diagonal:<k> or "
+                          f"product:<per-axis> with a count >= 2 (one expert has "
+                          f"nothing to weigh), got {experts_raw!r}")
+    k = int(count) if form == "diagonal" else int(count) ** box.d
+    if k * (t_len + box.d) > _MAX_GRID_VALUES:
+        raise ConfigError(f"[algorithm.{spec.name}] experts: {experts_raw} is {k} experts "
+                          f"in dimension {box.d}; with T = {t_len} the grid and its "
+                          f"losses would exceed {_MAX_GRID_VALUES} values")
+    lattice = diagonal_lattice if form == "diagonal" else product_lattice
+    experts = lattice(float(np.min(box.m_lo)), float(np.max(box.m_hi)), int(count), box.d)
+    eta = _positive(spec, "eta", "auto", allow_auto=True)
+    # Theorem 1's constants, from the expert losses a tile at a time: B the
+    # largest, and the best expert's total from the column totals carried
+    # across the tiles (the grid's pass recomputes the tiles)
+    maxima = []
+    for _, losses, sums in expert_loss_blocks(ctx.kind, experts, stream.features,
+                                              stream.targets):
+        maxima.append(np.max(losses))
+    b_max = float(np.max(maxima))
+    if not math.isfinite(b_max * b_max * t_len):
+        raise DataError(f"dataset {stream.name!r}: [algorithm.{spec.name}] needs B^2 T "
+                        f"finite for Theorem 1 and eta = auto, but the largest expert "
+                        f"loss is B = {b_max:.6g} on its {t_len} rows")
+    if eta is None:
+        eta = float(np.sqrt(8.0 * np.log(k) / (max(b_max, 1e-12) ** 2 * t_len)))
+    meta = {"B": b_max, "best_expert_total": float(np.min(sums[-1])), "eta": eta}
+    return EwaGridConfig(eta=eta, experts=experts), meta
 
 
 def materialize(cfg: ExperimentConfig) -> RunContext:
@@ -487,25 +467,18 @@ def materialize(cfg: ExperimentConfig) -> RunContext:
                             f"and the largest loss of a decision in the box B = {reach:.6g} "
                             f"on its {full.T} rows need L^2 T and B^2 n finite; rescale "
                             "the data or set standardize = true")
-    resolved = [_resolve_algorithm(spec, kind, stream, box, prior, lipschitz)
-                for spec in cfg.algorithms]
+    ctx = RunContext(cfg=cfg, kind=kind, stream=stream, holdout=holdout, box=box,
+                     prior=prior, lipschitz=lipschitz)
+    ctx.resolved = [(spec, *_LEARNERS[spec.tag].build(spec, ctx)) for spec in cfg.algorithms]
     sections = (cfg.run, cfg.dataset, *(spec.options for spec in cfg.algorithms))
     unread = [key for section in sections for key in section.unread()]
     if unread:
         raise ConfigError(f"keys that this run would ignore: {', '.join(unread)}")
-    return RunContext(cfg=cfg, kind=kind, stream=stream, holdout=holdout,
-                      box=box, prior=prior, lipschitz=lipschitz, resolved=resolved)
+    return ctx
 
 
 # ---------------------------------------------------------------------------
 # bound checking shared by `run` and `bounds`
-
-
-def _point_mass_comparator(theta_star: np.ndarray, box: BoxConstraints) -> MeanFieldGaussian:
-    """Near-point-mass comparator q = N(theta*, 0.01^2 I): the tightest
-    interpretable distributional comparator with finite KL."""
-    sigma = np.clip(np.full(theta_star.size, 0.01), box.sigma_floor_lo, box.sigma_hi)
-    return MeanFieldGaussian(theta_star, sigma)
 
 
 #: The rounding allowance of a computed regret, per step and unit of loss:
@@ -534,123 +507,147 @@ def _regret_allowance(t_len: int, total: float, other: float, summed: bool) -> f
     return _REGRET_ROUNDING * (t_len * (total + (other if summed else 0.0)) + abs(other))
 
 
-def _rounding_note(emp: float, bound: float, allowance: float) -> str:
-    """What a record's notes add when its regret exceeds the bound but not
-    the bound plus the rounding allowance: nothing otherwise."""
-    if emp <= bound or emp > bound + allowance:
-        return ""
-    return f"; above the bound by {emp - bound:.2g}, within the rounding allowance {allowance:.2g}"
+def _regret_fields(ctx: RunContext, total: float, other: float, bound: float, notes: str,
+                   summed: bool | None = None) -> dict:
+    """A bound record's fields for the regret ``total - other`` against
+    ``bound``.  A deterministic theorem holds it to the bound plus its
+    rounding allowance (``_regret_allowance`` with ``summed``), and its
+    notes say when only the allowance holds it; the informational Theorem 2
+    (``summed`` None) holds it to the bound as it stands."""
+    emp = total - other
+    fields = {"empirical_regret": emp, "bound": bound, "slack_ratio": emp / bound,
+              "holds": emp <= bound, "deterministic": summed is not None, "notes": notes}
+    if summed is not None:
+        allowance = _regret_allowance(ctx.horizon, total, other, summed)
+        fields["holds"] = emp <= bound + allowance
+        if not (emp <= bound or emp > bound + allowance):
+            fields["notes"] += (f"; above the bound by {emp - bound:.2g}, within the "
+                                f"rounding allowance {allowance:.2g}")
+    return fields
+
+
+def _check_ewagrid(ctx: RunContext, config, meta: dict, total: float, comparator):
+    k = config.experts.shape[0]
+    bound = ewa_bound(BoundInputs(T=ctx.horizon, eta=config.eta, B=meta["B"],
+                                  kl_term=float(np.log(k))))
+    return _regret_fields(ctx, total, meta["best_expert_total"], bound,
+                          f"vs best of {k} experts, B={meta['B']:.6g}", summed=True)
+
+
+def _check_sva(ctx: RunContext, config, meta: dict, total: float, comparator):
+    alpha = alpha_estimate(ctx.prior)
+    # the near-point-mass comparator N(theta*, 0.01^2 I): the tightest
+    # interpretable distributional comparator with finite KL
+    q_star = MeanFieldGaussian(comparator.theta_star, np.clip(
+        np.full(ctx.box.d, 0.01), ctx.box.sigma_floor_lo, ctx.box.sigma_hi))
+    kl = kl_divergence(q_star, ctx.prior.gaussian())
+    expected_total = float(np.sum(expected_loss_series(
+        ctx.kind, q_star, ctx.stream.features, ctx.stream.targets)))
+    bound = sva_bound(BoundInputs(T=ctx.horizon, eta=config.eta, L=ctx.lipschitz,
+                                  alpha=alpha, kl_term=kl))
+    # the box is symmetric, so every coordinate has one sigma
+    return _regret_fields(ctx, total, expected_total, bound,
+                          f"informational: alpha={alpha:.6g} (1/prior_s^2), "
+                          f"comparator sigma={q_star.sigma[0]:g}")
+
+
+def _check_svb(ctx: RunContext, config, meta: dict, total: float, comparator):
+    schedule = config.schedule
+    if not isinstance(schedule, Thm3ConvexSchedule):
+        return None
+    bound, _ = svb_bounds(BoundInputs(T=ctx.horizon, D=schedule.D, L=schedule.L))
+    # against the comparator's lower bound, so that a pass is a proof
+    return _regret_fields(ctx, total, comparator.lower_bound, bound,
+                          f"D={schedule.D:.6g}, L={schedule.L:.6g}, "
+                          f"vs comparator lower bound {comparator.lower_bound:.12g} "
+                          f"({comparator.diagnostics['method']}, gap {comparator.gap:.2g})",
+                          summed=False)
+
+
+def _check_ogael(ctx: RunContext, config, meta: dict, total: float, comparator):
+    mu1 = ctx.prior.gaussian().mu_vector()
+    probes = []
+    for q in _theorem4_probes(ctx.cfg.seed, ctx.box, 50):
+        expected_total = float(np.sum(expected_loss_series(
+            ctx.kind, q, ctx.stream.features, ctx.stream.targets)))
+        dist_sq = float(np.sum((q.mu_vector() - mu1) ** 2))
+        bound = ogael_bound(BoundInputs(T=ctx.horizon, eta=config.eta, L=ctx.lipschitz,
+                                        dist_sq=dist_sq))
+        probes.append(_regret_fields(ctx, total, expected_total, bound, "", summed=True))
+    worst = max(probes, key=lambda probe: probe["slack_ratio"])
+    # probes held to their bound by the rounding allowance alone
+    rounded = sum(bool(probe["notes"]) for probe in probes)
+    return {**worst, "empirical_regret": None, "holds": all(probe["holds"] for probe in probes),
+            "notes": (f"worst of {len(probes)} box probes"
+                      + (f"; {rounded} above their bound within the rounding allowance"
+                         if rounded else ""))}
+
+
+def _theorem4_probes(seed: int, box: BoxConstraints, count: int) -> list[MeanFieldGaussian]:
+    """``count`` Gaussians uniform over ``box`` from one draw: probe i's m,
+    then its sigma, take the uniforms that draws of d at a time would."""
+    u = CounterRng(seed, "thm4-probes").uniforms(2 * count * box.d).reshape(count, 2, box.d)
+    sigma_lo = box.sigma_floor_lo
+    m = box.m_lo + u[:, 0] * (box.m_hi - box.m_lo)
+    sigma = sigma_lo + u[:, 1] * (box.sigma_hi - sigma_lo)
+    return [MeanFieldGaussian(m[i], sigma[i]) for i in range(count)]
 
 
 def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all") -> list[dict]:
-    """One record per (algorithm, applicable theorem).
+    """One record per algorithm whose learner has a theorem that applies.
 
     Theorems 1, 3 and 4 are deterministic inequalities, each held to its
     bound up to the rounding of the computed regret (``_regret_allowance``);
     Theorem 2 (with the exact alpha = 1/prior_s^2) is informational only.
-    Each assumes a convex loss, so a squared-nn run gets no record.
+    Each assumes a convex loss (Theorem 1 for the Jensen step at the grid's
+    prediction), so a squared-nn run gets no record.
     """
-    want = lambda n: theorem in ("all", str(n))
+    if not ctx.kind.convex:
+        return []
     records = []
-    t_len = ctx.horizon
-
     for spec, config, meta in ctx.resolved:
-        if spec.name not in totals:
+        learner = _LEARNERS[spec.tag]
+        if learner.check is None or theorem not in ("all", str(learner.theorem)) \
+                or spec.name not in totals:
             continue
-        total = totals[spec.name]
-
-        if spec.tag == "ewagrid" and want(1) and ctx.kind.convex:
-            # the grid bound's Jensen step at the prediction needs convexity
-            best_expert, b_max = meta["best_expert_total"], meta["B"]
-            kl = float(np.log(config.experts.shape[0]))
-            bound = ewa_bound(BoundInputs(T=t_len, eta=config.eta, B=b_max, kl_term=kl))
-            emp = total - best_expert
-            allowance = _regret_allowance(t_len, total, best_expert, summed=True)
-            records.append({
-                "theorem": 1, "algorithm": spec.name, "empirical_regret": emp,
-                "bound": bound, "slack_ratio": emp / bound, "holds": emp <= bound + allowance,
-                "deterministic": True,
-                "notes": (f"vs best of {config.experts.shape[0]} experts, B={b_max:.6g}"
-                          + _rounding_note(emp, bound, allowance)),
-            })
-
-        if spec.tag == "sva" and want(2) and ctx.kind.convex and comparator is not None:
-            alpha = alpha_estimate(ctx.prior)
-            q_star = _point_mass_comparator(comparator.theta_star, ctx.box)
-            kl = kl_divergence(q_star, ctx.prior.gaussian())
-            expected_total = float(np.sum(expected_loss_series(
-                ctx.kind, q_star, ctx.stream.features, ctx.stream.targets)))
-            bound = sva_bound(BoundInputs(T=t_len, eta=config.eta, L=ctx.lipschitz,
-                                          alpha=alpha, kl_term=kl))
-            emp = total - expected_total
-            records.append({
-                "theorem": 2, "algorithm": spec.name, "empirical_regret": emp,
-                "bound": bound, "slack_ratio": emp / bound, "holds": emp <= bound,
-                "deterministic": False,
-                # the box is symmetric, so every coordinate has one sigma
-                "notes": (f"informational: alpha={alpha:.6g} (1/prior_s^2), "
-                          f"comparator sigma={q_star.sigma[0]:g}"),
-            })
-
-        if spec.tag == "svb" and want(3) and isinstance(config.schedule, Thm3ConvexSchedule) \
-                and ctx.kind.convex and comparator is not None:
-            bound, _ = svb_bounds(BoundInputs(T=t_len, D=config.schedule.D,
-                                              L=config.schedule.L))
-            # against the comparator's lower bound, so that a pass is a proof
-            emp = total - comparator.lower_bound
-            allowance = _regret_allowance(t_len, total, comparator.lower_bound, summed=False)
-            records.append({
-                "theorem": 3, "algorithm": spec.name, "empirical_regret": emp,
-                "bound": bound, "slack_ratio": emp / bound, "holds": emp <= bound + allowance,
-                "deterministic": True,
-                "notes": (f"D={config.schedule.D:.6g}, L={config.schedule.L:.6g}, "
-                          f"vs comparator lower bound {comparator.lower_bound:.12g} "
-                          f"({comparator.diagnostics['method']}, gap {comparator.gap:.2g})"
-                          + _rounding_note(emp, bound, allowance)),
-            })
-
-        if spec.tag == "ogael" and want(4) and ctx.kind.convex:
-            probes = _theorem4_probes(ctx, 50)
-            mu1 = ctx.prior.gaussian().mu_vector()
-            worst_ratio = -np.inf
-            worst_bound = None
-            holds = True
-            rounded = 0  # probes held to their bound by the rounding allowance alone
-            for q in probes:
-                expected_total = float(np.sum(expected_loss_series(
-                    ctx.kind, q, ctx.stream.features, ctx.stream.targets)))
-                dist_sq = float(np.sum((q.mu_vector() - mu1) ** 2))
-                bound = ogael_bound(BoundInputs(T=t_len, eta=config.eta, L=ctx.lipschitz,
-                                                dist_sq=dist_sq))
-                emp = total - expected_total
-                ratio = emp / bound
-                if ratio > worst_ratio:
-                    worst_ratio, worst_bound = ratio, bound
-                allowance = _regret_allowance(t_len, total, expected_total, summed=True)
-                holds = holds and emp <= bound + allowance
-                rounded += bool(_rounding_note(emp, bound, allowance))
-            records.append({
-                "theorem": 4, "algorithm": spec.name, "empirical_regret": None,
-                "bound": worst_bound, "slack_ratio": worst_ratio, "holds": holds,
-                "deterministic": True,
-                "notes": (f"worst of {len(probes)} box probes"
-                          + (f"; {rounded} above their bound within the rounding allowance"
-                             if rounded else "")),
-            })
+        fields = learner.check(ctx, config, meta, totals[spec.name], comparator)
+        if fields is not None:
+            records.append({"theorem": learner.theorem, "algorithm": spec.name, **fields})
     return records
 
 
-def _theorem4_probes(ctx: RunContext, count: int) -> list[MeanFieldGaussian]:
-    rng = CounterRng(ctx.cfg.seed, "thm4-probes")
-    sigma_lo = ctx.box.sigma_floor_lo
-    probes = []
-    for _ in range(count):
-        u_m = rng.uniforms(ctx.box.d)
-        u_s = rng.uniforms(ctx.box.d)
-        m = ctx.box.m_lo + u_m * (ctx.box.m_hi - ctx.box.m_lo)
-        sigma = sigma_lo + u_s * (ctx.box.sigma_hi - sigma_lo)
-        probes.append(MeanFieldGaussian(m, sigma))
-    return probes
+# ---------------------------------------------------------------------------
+# the learners
+
+
+@dataclass(frozen=True)
+class _Learner:
+    """One learner's rules: ``build(spec, ctx)`` reads the section's
+    ``keys`` and returns the config and the ``meta`` its summary reports; a
+    ``theorem`` that ``bounds`` checks comes with ``check(ctx, config, meta,
+    total, comparator)``, its record's fields or None if nothing applies."""
+
+    keys: tuple[str, ...]
+    build: Callable
+    theorem: int | None = None
+    check: Callable | None = None
+
+
+_LEARNERS = {
+    "sva": _Learner(("eta", "project"), _step_size_learner(
+        lambda eta, spec, ctx: SvaConfig(eta=eta, prior=ctx.prior, box=ctx.box,
+                                         project=spec.options.get("project", True, _BOOL))),
+        theorem=2, check=_check_sva),
+    "svb": _Learner(("schedule", "eta", "d", "l", "h"), _build_svb,
+                    theorem=3, check=_check_svb),
+    "ngvi": _Learner(("eta", "alpha"), _build_ngvi),
+    "oga": _Learner(("eta",), _step_size_learner(
+        lambda eta, spec, ctx: OgaConfig(eta=eta, box=ctx.box))),
+    "ogael": _Learner(("eta",), _step_size_learner(
+        lambda eta, spec, ctx: OgaElConfig(eta=eta, prior=ctx.prior, box=ctx.box)),
+        theorem=4, check=_check_ogael),
+    "ewagrid": _Learner(("experts", "eta"), _build_ewagrid, theorem=1, check=_check_ewagrid),
+}
 
 
 # ---------------------------------------------------------------------------

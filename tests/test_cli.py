@@ -1235,6 +1235,57 @@ class TestGradcheck:
         assert "--mc-samples must be >= 2" in capsys.readouterr().err
 
 
+class TestLearnerTable:
+    """``cli._LEARNERS`` holds one record per tag: its option keys, the
+    ``build`` that reads them, and the theorem that ``bounds`` checks."""
+
+    def test_each_record_names_the_keys_its_build_reads(self, run_dir):
+        ctx = materialize(load_experiment(run_dir / "config.ini"))
+        # every svb schedule, with the key that each one requires
+        svb = [{}, {"schedule": "fixed", "eta": "0.1"}, {"schedule": "thm3_convex"},
+               {"schedule": "thm3_strong", "h": "1"}]
+        for tag, learner in cli._LEARNERS.items():
+            read = set()
+            for options in svb if tag == "svb" else [{}]:
+                section = cli._Section(f"algorithm.{tag}", dict(options))
+                learner.build(cli.AlgoSpec(name=tag, tag=tag, options=section), ctx)
+                read |= section.read
+            assert read == set(learner.keys), tag
+
+    def test_readme_rows_are_the_records(self):
+        # the README's learner table: a row per tag, listing its keys and
+        # the theorem that bounds checks for it
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = {}
+        for line in readme.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            tag = re.fullmatch(r"`(\w+)`", cells[0])
+            if tag and len(cells) == 4:
+                theorem = re.search(r"Theorem (\d)", cells[3])
+                rows[tag[1]] = (tuple(re.findall(r"`(\w+)`", cells[2])),
+                                theorem and int(theorem[1]))
+        assert rows == {tag: (learner.keys, learner.theorem)
+                        for tag, learner in cli._LEARNERS.items()}
+
+    @pytest.mark.parametrize("d", [2, 10, 65])
+    def test_theorem4_probes_are_the_per_probe_draws(self, d):
+        # one draw of 2 count d uniforms gives each probe the bits that two
+        # draws of d (its m, then its sigma) give
+        from onlinevi.family import BoxConstraints
+        from onlinevi.rng import CounterRng
+
+        box = BoxConstraints.symmetric(d, 3.0, 1.0, 0.1)
+        probes = cli._theorem4_probes(7, box, 50)
+        rng = CounterRng(7, "thm4-probes")
+        lo = box.sigma_floor_lo
+        assert len(probes) == 50
+        for q in probes:
+            m = box.m_lo + rng.uniforms(d) * (box.m_hi - box.m_lo)
+            sigma = lo + rng.uniforms(d) * (box.sigma_hi - lo)
+            np.testing.assert_array_equal(q.m.view(np.uint64), m.view(np.uint64))
+            np.testing.assert_array_equal(q.sigma.view(np.uint64), sigma.view(np.uint64))
+
+
 class TestBounds:
     def test_all_hold(self, run_dir):
         assert main(["bounds", "--run", str(run_dir), "--theorem", "all"]) == 0

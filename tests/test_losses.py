@@ -13,6 +13,7 @@ from onlinevi.family import BoxConstraints, MeanFieldGaussian
 from onlinevi.losses import (
     DataExample,
     LossKind,
+    _point_loss_grad_many,
     expected_grad_xy,
     expected_loss,
     expected_loss_grad,
@@ -352,6 +353,27 @@ class TestMonteCarlo:
             assert abs(est - closed) <= 3.0 * se_loss + 1e-12
             assert np.all(np.abs(grad.g_m - cg.g_m) <= 3.0 * se_gm + 1e-9)
             assert np.all(np.abs(grad.g_sigma - cg.g_sigma) <= 3.0 * se_gs + 1e-9)
+
+
+class TestNetworkSubgradientBits:
+    def test_w1_block_keeps_the_signed_zeros_of_masked_units(self):
+        # the network's W1 block is g_b1[..., None] * x bit for bit.  Where
+        # the ReLU masks a hidden unit, g_b1 is dl/df w2 times 0, a zero with
+        # the product's sign, and so is each W1 entry it multiplies: -0.0
+        # where the signs differ.  A contraction such as
+        # np.einsum("...h,j->...hj", g_b1, x) starts its sums from +0.0 and
+        # writes +0.0 there.
+        kind = LossKind.squared_nn(6)
+        hw, d_in = 6, 2
+        x = np.array([0.7, -1.3])
+        d = kind.param_dim(d_in)
+        thetas = CounterRng(3, "nn-signed-zeros").normals(2 * 16 * d).reshape(2, 16, d)
+        _, grads = _point_loss_grad_many(kind, thetas, x, 0.4)
+        w1 = grads[..., : hw * d_in].reshape(2, 16, hw, d_in)
+        expected = grads[..., hw * d_in: hw * d_in + hw, None] * x
+        zeros = expected == 0.0
+        assert np.any(zeros & np.signbit(expected)) and np.any(zeros & ~np.signbit(expected))
+        np.testing.assert_array_equal(w1.view(np.uint64), expected.view(np.uint64))
 
 
 class TestLipschitz:
