@@ -64,7 +64,6 @@ from .learners import (
     run_online,
 )
 from .evaluation import (
-    BoundInputs,
     ComparatorResult,
     DecisionMean,
     JensenAudit,
@@ -76,7 +75,6 @@ from .evaluation import (
     generalization_estimate,
     ogael_bound,
     jensen_holdout_audit,
-    ogael_kl_bound,
     online_to_batch,
     regret,
     sva_bound,

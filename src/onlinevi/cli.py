@@ -41,7 +41,6 @@ from . import _import_start
 from . import data as data_mod
 from .errors import ConfigError, DataError, DomainError, OnlineViError
 from .evaluation import (
-    BoundInputs,
     ComparatorResult,
     DecisionMean,
     JensenAudit,
@@ -528,8 +527,7 @@ def _regret_fields(ctx: RunContext, total: float, other: float, bound: float, no
 
 def _check_ewagrid(ctx: RunContext, config, meta: dict, total: float, comparator):
     k = config.experts.shape[0]
-    bound = ewa_bound(BoundInputs(T=ctx.horizon, eta=config.eta, B=meta["B"],
-                                  kl_term=float(np.log(k))))
+    bound = ewa_bound(ctx.horizon, config.eta, meta["B"], float(np.log(k)))
     return _regret_fields(ctx, total, meta["best_expert_total"], bound,
                           f"vs best of {k} experts, B={meta['B']:.6g}", summed=True)
 
@@ -543,8 +541,7 @@ def _check_sva(ctx: RunContext, config, meta: dict, total: float, comparator):
     kl = kl_divergence(q_star, ctx.prior.gaussian())
     expected_total = float(np.sum(expected_loss_series(
         ctx.kind, q_star, ctx.stream.features, ctx.stream.targets)))
-    bound = sva_bound(BoundInputs(T=ctx.horizon, eta=config.eta, L=ctx.lipschitz,
-                                  alpha=alpha, kl_term=kl))
+    bound = sva_bound(ctx.horizon, config.eta, ctx.lipschitz, alpha, kl)
     # the box is symmetric, so every coordinate has one sigma
     return _regret_fields(ctx, total, expected_total, bound,
                           f"informational: alpha={alpha:.6g} (1/prior_s^2), "
@@ -555,13 +552,23 @@ def _check_svb(ctx: RunContext, config, meta: dict, total: float, comparator):
     schedule = config.schedule
     if not isinstance(schedule, Thm3ConvexSchedule):
         return None
-    bound, _ = svb_bounds(BoundInputs(T=ctx.horizon, D=schedule.D, L=schedule.L))
+    bound = svb_bounds(ctx.horizon, schedule.D, schedule.L)
+    notes = (f"D={schedule.D:.6g}, L={schedule.L:.6g}, "
+             f"vs comparator lower bound {comparator.lower_bound:.12g} "
+             f"({comparator.diagnostics['method']}, gap {comparator.gap:.2g})")
+    # the theorem's premise: D and L bound the box's diameter and the loss's
+    # Lipschitz constant (``auto`` gives exactly these)
+    failed = []
+    if schedule.D < ctx.box.diameter():
+        failed.append(f"D >= the box's diameter {ctx.box.diameter():.6g}")
+    if schedule.L < ctx.lipschitz:
+        failed.append(f"L >= the certified Lipschitz constant {ctx.lipschitz:.6g}")
+    if failed:
+        return _regret_fields(ctx, total, comparator.lower_bound, bound,
+                              f"informational: the premise {' and '.join(failed)} fails; "
+                              + notes)
     # against the comparator's lower bound, so that a pass is a proof
-    return _regret_fields(ctx, total, comparator.lower_bound, bound,
-                          f"D={schedule.D:.6g}, L={schedule.L:.6g}, "
-                          f"vs comparator lower bound {comparator.lower_bound:.12g} "
-                          f"({comparator.diagnostics['method']}, gap {comparator.gap:.2g})",
-                          summed=False)
+    return _regret_fields(ctx, total, comparator.lower_bound, bound, notes, summed=False)
 
 
 def _check_ogael(ctx: RunContext, config, meta: dict, total: float, comparator):
@@ -571,8 +578,7 @@ def _check_ogael(ctx: RunContext, config, meta: dict, total: float, comparator):
         expected_total = float(np.sum(expected_loss_series(
             ctx.kind, q, ctx.stream.features, ctx.stream.targets)))
         dist_sq = float(np.sum((q.mu_vector() - mu1) ** 2))
-        bound = ogael_bound(BoundInputs(T=ctx.horizon, eta=config.eta, L=ctx.lipschitz,
-                                        dist_sq=dist_sq))
+        bound = ogael_bound(ctx.horizon, config.eta, ctx.lipschitz, dist_sq)
         probes.append(_regret_fields(ctx, total, expected_total, bound, "", summed=True))
     worst = max(probes, key=lambda probe: probe["slack_ratio"])
     # probes held to their bound by the rounding allowance alone
@@ -598,7 +604,9 @@ def bound_records(ctx: RunContext, totals: dict, comparator, theorem: str = "all
 
     Theorems 1, 3 and 4 are deterministic inequalities, each held to its
     bound up to the rounding of the computed regret (``_regret_allowance``);
-    Theorem 2 (with the exact alpha = 1/prior_s^2) is informational only.
+    Theorem 2 (with the exact alpha = 1/prior_s^2) is informational only,
+    and so is Theorem 3 when its D or L is below the box's diameter or the
+    certified Lipschitz constant, the theorem's premise.
     Each assumes a convex loss (Theorem 1 for the Jensen step at the grid's
     prediction), so a squared-nn run gets no record.
     """
@@ -1114,7 +1122,11 @@ def cmd_bounds(run_dir: str, theorem: str) -> int:
 
     records = bound_records(ctx, totals, stored, theorem)
     if not records:
-        why = ("missing constants or no matching algorithm/schedule" if ctx.kind.convex
+        checked = ", ".join(f"{tag} (theorem {learner.theorem})"
+                            for tag, learner in _LEARNERS.items() if learner.check)
+        which = "" if theorem == "all" else f" {theorem}"
+        why = (f"no section has a checked theorem{which}; the checked tags are {checked}, "
+               "svb's only with schedule = thm3_convex" if ctx.kind.convex
                else f"the {ctx.kind.kind} loss is not convex, and every theorem needs "
                     "a convex loss")
         raise ConfigError(f"no applicable checks for theorem={theorem} in this run ({why})")

@@ -2,14 +2,13 @@
 online-to-batch conversion.
 
 Bound formulas implemented (slack on the cumulative loss of the learner
-against the stated comparator):
+against the stated comparator), each one call on its constants:
 
-    grid EWA            eta B^2 T / 8 + KL / eta
-    SVA                 eta L^2 T / alpha + KL / eta
-    SVB  (convex)       D L sqrt(2 T)
-    SVB  (strongly cvx) L^2 (1 + log T) / H
-    OGA-EL              eta L^2 T + ||mu - mu_1||^2 / eta
-    OGA-EL (KL form)    eta L^2 T + alpha KL / (2 eta)
+    grid EWA   ewa_bound     eta B^2 T / 8 + KL / eta
+    SVA        sva_bound     eta L^2 T / alpha + KL / eta
+    SVB        svb_bounds    D L sqrt(2 T), when D >= the box's diameter and
+                             L >= the loss's Lipschitz constant on the box
+    OGA-EL     ogael_bound   eta L^2 T + ||mu - mu_1||^2 / eta
 
 alpha is the strong-convexity constant of the KL to the N(0, s^2 I) prior,
 exactly 1/s^2 (``alpha_estimate``).  The hindsight comparator evaluates
@@ -44,8 +43,8 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, DimensionMismatchError, DomainError
 from .family import BoxConstraints, GaussianPrior
-from .losses import (HINGE, SQUARED_LINEAR, TILE_VALUES, LossKind, expert_loss_matrix,
-                     mean_loss_and_grad, nn_workspace, point_loss_series, row_blocks)
+from .losses import (HINGE, SQUARED_LINEAR, LossKind, expert_loss_matrix, mean_loss_and_grad,
+                     nn_workspace, point_loss_series, row_blocks)
 from .losses import nn_batch_mean_grad  # noqa: F401  (a name the benchmark's tracer wraps)
 from .rng import CounterRng
 
@@ -503,69 +502,44 @@ def regret(ledger: RegretLedger, comparator: ComparatorResult) -> float:
 # bound calculators
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Constants entering the regret bounds, as applicable per theorem."""
-
-    T: int
-    eta: float | None = None
-    B: float | None = None
-    L: float | None = None
-    H: float | None = None
-    alpha: float | None = None
-    D: float | None = None
-    kl_term: float | None = None
-    dist_sq: float | None = None
-
-
-def _require(inputs: BoundInputs, *names: str) -> list[float]:
-    values = []
-    for name in names:
-        value = getattr(inputs, name)
-        if value is None:
-            raise DomainError(f"bound requires {name}")
-        if name != "kl_term" and name != "dist_sq" and value <= 0:
+def _constants(**named: float) -> list[float]:
+    """The named constants as floats, in order, each checked against its
+    domain: kl_term and dist_sq >= 0, every other > 0."""
+    for name, value in named.items():
+        if name in ("kl_term", "dist_sq"):
+            if value < 0:
+                raise DomainError(f"bound requires {name} >= 0")
+        elif value <= 0:
             raise DomainError(f"bound requires {name} > 0")
-        if name in ("kl_term", "dist_sq") and value < 0:
-            raise DomainError(f"bound requires {name} >= 0")
-        values.append(float(value))
-    return values
+    return [float(value) for value in named.values()]
 
 
-def ewa_bound(inputs: BoundInputs) -> float:
+def ewa_bound(T: int, eta: float, B: float, kl: float) -> float:
     """eta B^2 T / 8 + kl / eta (kl = log K for a point mass on a uniform
     K-expert grid)."""
-    eta, b, t, kl = _require(inputs, "eta", "B", "T", "kl_term")
+    eta, b, t, kl = _constants(eta=eta, B=B, T=T, kl_term=kl)
     return eta * b * b * t / 8.0 + kl / eta
 
 
-def sva_bound(inputs: BoundInputs) -> float:
+def sva_bound(T: int, eta: float, L: float, alpha: float, kl: float) -> float:
     """eta L^2 T / alpha + kl / eta."""
-    eta, lip, alpha, t, kl = _require(inputs, "eta", "L", "alpha", "T", "kl_term")
+    eta, lip, alpha, t, kl = _constants(eta=eta, L=L, alpha=alpha, T=T, kl_term=kl)
     return eta * lip * lip * t / alpha + kl / eta
 
 
-def svb_bounds(inputs: BoundInputs) -> tuple[float, float | None]:
-    """(D L sqrt(2T), L^2 (1 + log T)/H); the second is None without H."""
-    d, lip, t = _require(inputs, "D", "L", "T")
-    convex = d * lip * np.sqrt(2.0 * t)
-    strong = None
-    if inputs.H is not None:
-        (h,) = _require(inputs, "H")
-        strong = lip * lip * (1.0 + np.log(t)) / h
-    return float(convex), strong
+def svb_bounds(T: int, D: float, L: float) -> float:
+    """D L sqrt(2T), Theorem 3's bound for a convex loss with a D that is at
+    least the box's diameter and an L that is at least its Lipschitz
+    constant."""
+    # the plural name is the one the benchmark's tracer wraps (cli:svb_bounds)
+    d, lip, t = _constants(D=D, L=L, T=T)
+    return float(d * lip * np.sqrt(2.0 * t))
 
 
-def ogael_bound(inputs: BoundInputs) -> float:
+def ogael_bound(T: int, eta: float, L: float, dist_sq: float) -> float:
     """eta L^2 T + ||mu - mu_1||^2 / eta."""
-    eta, lip, t, dist_sq = _require(inputs, "eta", "L", "T", "dist_sq")
+    eta, lip, t, dist_sq = _constants(eta=eta, L=L, T=T, dist_sq=dist_sq)
     return eta * lip * lip * t + dist_sq / eta
-
-
-def ogael_kl_bound(inputs: BoundInputs) -> float:
-    """eta L^2 T + alpha kl / (2 eta)."""
-    eta, lip, t, alpha, kl = _require(inputs, "eta", "L", "T", "alpha", "kl_term")
-    return eta * lip * lip * t + alpha * kl / (2.0 * eta)
 
 
 # ---------------------------------------------------------------------------
@@ -650,17 +624,12 @@ def alpha_estimate(prior: GaussianPrior) -> float:
 # per-realization Jensen audit used by the online-to-batch criterion
 
 
-#: Values in one tile of the hinge audit's (holdout rows, n) loss matrix of
-#: a block of n decisions: the package's one tile size, ``losses.TILE_VALUES``.
-_AUDIT_BLOCK_VALUES = TILE_VALUES
-
-
 def _add_loss_row_sums(kind: LossKind, preds: np.ndarray, features: np.ndarray,
                        targets: np.ndarray, row_sums: np.ndarray) -> None:
     """Add to ``row_sums[h]`` the point losses of the (n, d) decisions on
     example h: the row sums of their (H, n) loss matrix, built in the blocks
-    of rows of ``row_blocks`` in one reused tile."""
-    tile, blocks = row_blocks(features.shape[0], preds.shape[0], _AUDIT_BLOCK_VALUES)
+    of rows of ``row_blocks`` in one reused tile of ``losses.TILE_VALUES``."""
+    tile, blocks = row_blocks(features.shape[0], preds.shape[0])
     for a, b in blocks:
         row_sums[a:b] += expert_loss_matrix(kind, preds, features[a:b], targets[a:b],
                                             tile[:b - a]).sum(axis=1)

@@ -323,18 +323,15 @@ def point_loss_rows(kind: LossKind, thetas: np.ndarray, features: np.ndarray,
 TILE_VALUES = 2 ** 15
 
 
-def row_blocks(n_rows: int, width: int,
-               values: int | None = None) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def row_blocks(n_rows: int, width: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """How to build an (n_rows, width) loss matrix a block of rows at a time
-    in one reused tile of about ``values`` values (``TILE_VALUES`` by
-    default): returns the tile, uninitialized, and the (start, stop) of each
-    block, the blocks of ``np.array_split`` into that many.  Each block has
-    at least two rows (unless n_rows < 2), since a one-row product takes
-    BLAS's matrix-vector kernel, which rounds otherwise than the matrix one;
-    with that, each row of ``expert_loss_matrix`` has the same bits in any
-    block."""
-    values = TILE_VALUES if values is None else values
-    blocks = max(1, min(n_rows // 2, -(-n_rows * width // values)))
+    in one reused tile of about ``TILE_VALUES`` values: returns the tile,
+    uninitialized, and the (start, stop) of each block, the blocks of
+    ``np.array_split`` into that many.  Each block has at least two rows
+    (unless n_rows < 2), since a one-row product takes BLAS's matrix-vector
+    kernel, which rounds otherwise than the matrix one; with that, each row
+    of ``expert_loss_matrix`` has the same bits in any block."""
+    blocks = max(1, min(n_rows // 2, -(-n_rows * width // TILE_VALUES)))
     size, extra = divmod(n_rows, blocks)
     stops = [(i + 1) * size + min(i + 1, extra) for i in range(blocks)]
     return np.empty((-(-n_rows // blocks), width)), list(zip([0] + stops[:-1], stops))

@@ -22,7 +22,6 @@ from conftest import (fd_expected_grad, golden_section, ngvi_step, rel_vec_error
 from onlinevi.cli import main, sample_gradcheck_instance
 from onlinevi.data import gen_iid_regression, gen_toy_classification
 from onlinevi.evaluation import (
-    BoundInputs,
     alpha_estimate,
     best_in_hindsight,
     build_ledger,
@@ -189,8 +188,7 @@ class TestCriterion03Theorem1Deterministic:
                                          ds, HINGE, seed=0).losses)
         best_expert = float(expert_losses.sum(axis=0).min())
         emp_regret = ledger.total - best_expert
-        bound = ewa_bound(BoundInputs(T=t_len, eta=eta, B=b_max,
-                                      kl_term=float(np.log(41.0))))
+        bound = ewa_bound(t_len, eta, b_max, float(np.log(41.0)))
         elapsed = time.perf_counter() - start
         ok = emp_regret < bound and elapsed < 5.0
         _report(3, ok, f"regret {emp_regret:.2f} < bound {bound:.2f} "
@@ -209,7 +207,7 @@ class TestCriterion04Theorem3Deterministic:
         cfg = SvbConfig(schedule=Thm3ConvexSchedule(D=diam, L=lip),
                         prior=PRIOR2, box=BOX2)
         ledger = build_ledger(run_online(cfg, toy10k, HINGE, seed=0).losses)
-        bound, _ = svb_bounds(BoundInputs(T=toy10k.T, D=diam, L=lip))
+        bound = svb_bounds(toy10k.T, diam, lip)
         rhs = comparator.cumulative_loss_star + bound
         elapsed = time.perf_counter() - start
         ok = ledger.total <= rhs and elapsed < 20.0
@@ -245,8 +243,7 @@ class TestCriterion05Theorem4Deterministic:
             expected_total = float(np.sum(expected_loss_series(
                 HINGE, probe, ds.features, ds.targets)))
             dist_sq = float(np.sum((probe.mu_vector() - mu1) ** 2))
-            bound = ogael_bound(BoundInputs(T=t_len, eta=eta, L=lip,
-                                            dist_sq=dist_sq))
+            bound = ogael_bound(t_len, eta, lip, dist_sq)
             holds = holds and (ledger.total - expected_total <= bound)
             worst_ratio = max(worst_ratio, (ledger.total - expected_total) / bound)
         _report(5, holds, f"all 50 probes hold (worst slack ratio "
@@ -265,8 +262,7 @@ class TestCriterion06Theorem2Informational:
         kl = kl_divergence(q_star, PRIOR2.gaussian())
         expected_total = float(np.sum(expected_loss_series(
             HINGE, q_star, toy10k.features, toy10k.targets)))
-        bound = sva_bound(BoundInputs(T=t_len, eta=eta, L=lip,
-                                      alpha=alpha, kl_term=kl))
+        bound = sva_bound(t_len, eta, lip, alpha, kl)
         emp = paper_schedule_runs["sva"].total - expected_total
         slack_ratio = emp / bound
         violated = emp > bound

@@ -870,7 +870,7 @@ l = 5
         err = capsys.readouterr().err
         assert "no applicable checks" in err
         assert "squared_nn loss is not convex" in err
-        assert "missing constants" not in err
+        assert "no section has a checked theorem" not in err
 
 
 class TestNgviHalvings:
@@ -1322,6 +1322,48 @@ class TestBounds:
     def test_not_a_run_dir(self, tmp_path):
         assert main(["bounds", "--run", str(tmp_path), "--theorem", "all"]) == 2
 
+    @pytest.fixture(scope="class")
+    def premise_run(self, tmp_path_factory):
+        # Theorem 3's schedule with a D, then an L, far below the box's
+        # diameter (56.59) and the certified L (16.90): its bound no longer
+        # follows from the theorem
+        root = tmp_path_factory.mktemp("premise")
+        config = root / "exp.ini"
+        config.write_text("[run]\nseed = 1\n[dataset]\nsource = toy\nn = 2000\nloss = hinge\n"
+                          "[algorithm.svb_small_d]\nalgo = svb\nschedule = thm3_convex\n"
+                          "d = 0.01\n"
+                          "[algorithm.svb_small_l]\nalgo = svb\nschedule = thm3_convex\n"
+                          "l = 0.01\n", encoding="utf-8")
+        out = root / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("theorem", ["all", "3"])
+    def test_theorem3_is_informational_when_its_premise_fails(self, premise_run, capsys,
+                                                              theorem):
+        capsys.readouterr()
+        assert main(["bounds", "--run", str(premise_run), "--theorem", theorem]) == 0
+        small_d, small_l = capsys.readouterr().out.splitlines()
+        assert small_d.startswith("theorem 3 [informational] svb_small_d: regret=1163.42 "
+                                  "bound=10.6855 ")
+        assert "the premise D >= the box's diameter 56.5862 fails; D=0.01," in small_d
+        assert small_l.startswith("theorem 3 [informational] svb_small_l: regret=16157.8 "
+                                  "bound=35.7883 ")
+        assert "the premise L >= the certified Lipschitz constant 16.8953 fails; " \
+            "D=56.5862, L=0.01," in small_l
+        summary = json.loads((premise_run / "summary.json").read_text())
+        assert summary["algorithms"]["svb_small_d"]["bound_notes"].startswith(
+            "informational: the premise D")
+
+    def test_no_checked_theorem_names_the_checked_tags(self, premise_run, capsys):
+        capsys.readouterr()
+        assert main(["bounds", "--run", str(premise_run), "--theorem", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: no applicable checks for theorem=1 in "
+                              "this run (no section has a checked theorem 1; the checked tags "
+                              "are sva (theorem 2), svb (theorem 3), ogael (theorem 4), "
+                              "ewagrid (theorem 1), svb's only with schedule = thm3_convex)")
+
     def test_hinge_on_real_targets_certifies_l_from_the_labels(self, tmp_path, capsys):
         # hinge on an iid_regression stream: targets up to 3.55e6, where the
         # hinge gradient -y x Phi(z) is that many times ||x||.  With L from
@@ -1401,9 +1443,7 @@ class TestRegretRounding:
     def test_a_bound_below_the_regret_is_violated(self, run_dir, monkeypatch, capsys, name):
         # each deterministic theorem's bound set to -1e4, below every regret
         # on the 400-row toy stream (Theorem 4's reach -100) beyond rounding
-        bound = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *args: (
-            (-1e4, *bound(*args)[1:]) if name == "svb_bounds" else -1e4))
+        monkeypatch.setattr(cli, name, lambda *args: -1e4)
         capsys.readouterr()
         assert main(["bounds", "--run", str(run_dir), "--theorem", "all"]) == 1
         violated = [line for line in capsys.readouterr().out.splitlines() if "VIOLATED" in line]
@@ -1416,13 +1456,20 @@ class TestRegretRounding:
 # property: on a convex loss, a run that succeeds has bounds that hold
 
 _ETA = st.floats(1e-3, 10.0).map(repr)
+#: below every box diameter and certified L that ``_convex_config`` draws, or
+#: above every one
+_PREMISE_CONSTANT = st.one_of(st.just("auto"), st.floats(1e-4, 1e-3).map(repr),
+                              st.floats(1e9, 1e10).map(repr))
 _SECTION_OPTIONS = {
     "sva": st.fixed_dictionaries({"eta": st.one_of(st.just("auto"), _ETA),
                                   "project": st.sampled_from(["true", "false"])}),
     "svb": st.just({"schedule": "inv_sigma_sqrt_t"}),
     "svb_fixed": st.fixed_dictionaries({"algo": st.just("svb"), "schedule": st.just("fixed"),
                                         "eta": _ETA}),
-    "svb_thm3": st.just({"algo": "svb", "schedule": "thm3_convex"}),
+    # d and l at auto (the certified D and L), below them, where Theorem 3's
+    # premise fails and its record is informational, and above them
+    "svb_thm3": st.fixed_dictionaries({"algo": st.just("svb"), "schedule": st.just("thm3_convex"),
+                                       "d": _PREMISE_CONSTANT, "l": _PREMISE_CONSTANT}),
     "svb_strong": st.fixed_dictionaries({"algo": st.just("svb"),
                                          "schedule": st.just("thm3_strong"), "h": _ETA}),
     "ngvi": st.fixed_dictionaries({"eta": _ETA, "alpha": _ETA}),

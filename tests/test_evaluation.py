@@ -14,7 +14,6 @@ from onlinevi.data import (CLASSIFICATION, REGRESSION, Dataset, gen_iid_regressi
                            gen_toy_classification)
 from onlinevi.errors import DataError, DomainError
 from onlinevi.evaluation import (
-    BoundInputs,
     alpha_estimate,
     best_in_hindsight,
     build_ledger,
@@ -22,7 +21,6 @@ from onlinevi.evaluation import (
     generalization_estimate,
     jensen_holdout_audit,
     ogael_bound,
-    ogael_kl_bound,
     online_to_batch,
     regret,
     sva_bound,
@@ -483,54 +481,52 @@ class TestRegret:
 
 class TestBoundFormulas:
     def test_ewa_values(self):
-        assert ewa_bound(BoundInputs(T=8, eta=1.0, B=1.0, kl_term=0.0)) == 1.0
-        got = ewa_bound(BoundInputs(T=8, eta=1.0, B=1.0, kl_term=np.log(4.0)))
+        assert ewa_bound(8, 1.0, 1.0, 0.0) == 1.0
+        got = ewa_bound(8, 1.0, 1.0, np.log(4.0))
         assert got == pytest.approx(2.3862944, abs=1e-7)
 
     def test_ewa_optimal_eta_by_scan(self):
         b, t, kl = 2.0, 500, np.log(41.0)
         eta_star = np.sqrt(8.0 * kl / (b * b * t))
-        best = ewa_bound(BoundInputs(T=t, eta=eta_star, B=b, kl_term=kl))
+        best = ewa_bound(t, eta_star, b, kl)
         for eta in np.linspace(0.1 * eta_star, 10 * eta_star, 301):
-            assert best <= ewa_bound(BoundInputs(T=t, eta=float(eta), B=b,
-                                                 kl_term=kl)) + 1e-12
+            assert best <= ewa_bound(t, float(eta), b, kl) + 1e-12
 
     def test_sva_values(self):
-        assert sva_bound(BoundInputs(T=1, eta=1.0, L=1.0, alpha=1.0, kl_term=0.0)) == 1.0
-        got = sva_bound(BoundInputs(T=100, eta=0.5, L=2.0, alpha=4.0, kl_term=3.0))
+        assert sva_bound(1, 1.0, 1.0, 1.0, 0.0) == 1.0
+        got = sva_bound(100, 0.5, 2.0, 4.0, 3.0)
         assert got == 56.0
 
     def test_sva_convex_in_eta(self):
-        inputs = lambda eta: BoundInputs(T=50, eta=eta, L=1.5, alpha=0.7, kl_term=2.0)
         etas = np.linspace(0.01, 2.0, 200)
-        vals = np.array([sva_bound(inputs(float(e))) for e in etas])
+        vals = np.array([sva_bound(50, float(e), 1.5, 0.7, 2.0) for e in etas])
         second_diff = vals[2:] - 2 * vals[1:-1] + vals[:-2]
         assert np.all(second_diff >= -1e-9)
 
     def test_svb_values(self):
-        convex, strong = svb_bounds(BoundInputs(T=2, D=1.0, L=1.0))
-        assert convex == pytest.approx(2.0)
-        assert strong is None
-        _, strong = svb_bounds(BoundInputs(T=1, D=1.0, L=1.0, H=1.0))
-        assert strong == pytest.approx(1.0)
+        assert svb_bounds(2, 1.0, 1.0) == pytest.approx(2.0)
 
     def test_svb_box_diameter(self):
         box = BoxConstraints.symmetric(2, m_abs=20.0, sigma_hi=1.0)
-        convex, _ = svb_bounds(BoundInputs(T=2, D=box.diameter(), L=1.0))
+        convex = svb_bounds(2, box.diameter(), 1.0)
         assert box.diameter() == pytest.approx(56.586, abs=1e-3)
 
     def test_ogael_values(self):
-        assert ogael_bound(BoundInputs(T=1, eta=1.0, L=1.0, dist_sq=0.0)) == 1.0
-        assert ogael_bound(BoundInputs(T=50, eta=0.1, L=2.0, dist_sq=4.0)) == \
+        assert ogael_bound(1, 1.0, 1.0, 0.0) == 1.0
+        assert ogael_bound(50, 0.1, 2.0, 4.0) == \
             pytest.approx(60.0)
 
-    def test_ogael_kl_variant(self):
-        got = ogael_kl_bound(BoundInputs(T=50, eta=0.1, L=2.0, alpha=0.5, kl_term=4.0))
-        assert got == pytest.approx(0.1 * 4 * 50 + 0.5 * 4.0 / 0.2)
-
-    def test_missing_constant_rejected(self):
-        with pytest.raises(DomainError):
-            ewa_bound(BoundInputs(T=8, eta=1.0, kl_term=0.0))
+    @pytest.mark.parametrize("bound, args, message", [
+        (ewa_bound, (8, 0.0, 1.0, 0.0), "eta > 0"),
+        (ewa_bound, (8, 1.0, 1.0, -1.0), "kl_term >= 0"),
+        (sva_bound, (1, 1.0, 1.0, 0.0, 0.0), "alpha > 0"),
+        (svb_bounds, (0, 1.0, 1.0), "T > 0"),
+        (ogael_bound, (1, 1.0, -2.0, 0.0), "L > 0"),
+        (ogael_bound, (1, 1.0, 1.0, -1.0), "dist_sq >= 0"),
+    ])
+    def test_a_constant_outside_its_domain_is_rejected(self, bound, args, message):
+        with pytest.raises(DomainError, match=f"^bound requires {message}$"):
+            bound(*args)
 
 
 class TestTheorem1OnGrids:
@@ -551,8 +547,7 @@ class TestTheorem1OnGrids:
                             2e-3):
                     cfg = EwaGridConfig(eta=float(eta), experts=experts)
                     led = build_ledger(run_online(cfg, ds, HINGE, seed=0).losses)
-                    bound = ewa_bound(BoundInputs(T=ds.T, eta=float(eta),
-                                                  B=b_max, kl_term=kl))
+                    bound = ewa_bound(ds.T, float(eta), b_max, kl)
                     assert led.total - best <= bound
 
 
@@ -646,7 +641,7 @@ class TestJensenAudit:
         pytest.param(None, 4, id="default-4")])
     def test_row_means_bitwise_equal_to_one_matrix(self, monkeypatch, block_values, blocks):
         if block_values is not None:
-            monkeypatch.setattr(evaluation, "_AUDIT_BLOCK_VALUES", block_values)
+            monkeypatch.setattr(losses_mod, "TILE_VALUES", block_values)
         calls = []
         monkeypatch.setattr(evaluation, "expert_loss_matrix",
                             lambda *args: calls.append(args) or expert_loss_matrix(*args))
@@ -673,7 +668,7 @@ class TestJensenAudit:
         tiles = [args[4] for args in calls]
         assert len(tiles) == 4
         assert all(tile.base is tiles[0].base and tile.flags.c_contiguous for tile in tiles)
-        assert tiles[0].base.size <= max(evaluation._AUDIT_BLOCK_VALUES, 2 * preds.shape[0])
+        assert tiles[0].base.size <= max(losses_mod.TILE_VALUES, 2 * preds.shape[0])
 
     def test_every_case_holds_ties_included(self):
         for kind, preds, holdout in self._cases():
