@@ -44,7 +44,7 @@ from .data import Dataset
 from .errors import DataError, DimensionMismatchError, DomainError
 from .family import BoxConstraints, GaussianPrior
 from .losses import (HINGE, SQUARED_LINEAR, LossKind, expert_loss_matrix, mean_loss_and_grad,
-                     nn_workspace, point_loss_series, row_blocks)
+                     nn_buffers, point_loss_series, row_blocks)
 from .losses import nn_batch_mean_grad  # noqa: F401  (a name the benchmark's tracer wraps)
 from .rng import CounterRng
 
@@ -385,7 +385,8 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
     Each evaluation of the loss and its (sub)gradient is one pass of
     ``losses.mean_loss_and_grad``; ``diagnostics["evaluations"]`` counts
     them.  For squared_nn every evaluation writes its per-row arrays into
-    one ``nn_workspace``, allocated once per call.
+    the one set of ``nn_buffers`` that the search allocates, so a search
+    shares nothing with another and searches may run at once in threads.
 
     For the convex kinds the search is projected subgradient descent with
     step c/sqrt(k) from starts uniform over the box.  At the checkpoints of
@@ -414,6 +415,7 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
             f"box dimension {box.d} must match parameter dimension {d_param}")
     lo, hi = box.m_lo, box.m_hi
     evaluations = 0
+    work = None if kind.convex else nn_buffers(t_len, kind.hidden_width)
 
     def project(theta):
         return theta.clip(lo, hi)
@@ -421,7 +423,7 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
     def mean_value_and_grad(theta):
         nonlocal evaluations
         evaluations += 1
-        return mean_loss_and_grad(kind, theta, features, targets)
+        return mean_loss_and_grad(kind, theta, features, targets, work)
 
     rng = CounterRng(seed, "best-in-hindsight")
     if not kind.convex:
@@ -432,9 +434,8 @@ def best_in_hindsight(data: Dataset, kind: LossKind, box: BoxConstraints, *,
         end_point = np.zeros(d_param)
         end_point[-1] = min(max(float(np.mean(targets)), lo[-1]), hi[-1])
         starts = [project(rng.normals(d_param) * _NN_START_SCALE) for _ in range(restarts)]
-        with nn_workspace(t_len, kind.hidden_width):
-            end_value, _ = mean_value_and_grad(end_point)
-            theta_star, value = _spg_minimize(mean_value_and_grad, project, starts, iters)
+        end_value, _ = mean_value_and_grad(end_point)
+        theta_star, value = _spg_minimize(mean_value_and_grad, project, starts, iters)
         if not value < end_value:
             theta_star = end_point
         total = float(np.sum(point_loss_series(kind, theta_star, features, targets)))

@@ -37,8 +37,9 @@ both base * h(a v), in one h-map into a buffer.  Whatever does not change
 from step to step is computed once per pass as constant rows: SVA's
 (eta s) s and (eta/2) s, NGVI's beta terms, and each SVB schedule's
 eta_t = num / (c tau_t sigma^2) from num and a (T, rows, 1) table of
-c tau_t.  NGVI's recursion runs in place, in buffers; only a step on
-which some row leaves the family goes through the halvings.  Every
+c tau_t.  NGVI's recursion runs in place, in buffers, in one loop of
+attempts: a row that leaves the family has its eta halved and its lambda'
+recomputed from the same lambda, and the step counts its halvings.  Every
 operation is elementwise or along a row, in the order of products of the
 formulas above, so each row has the bits it would have alone, and a
 learner's trace does not depend on the company it walks in.  The loop
@@ -305,27 +306,6 @@ def _ngvi_terms(eta, alpha, lam_prior):
     return 1.0 - beta, beta * lam_prior, eta * beta
 
 
-def _ngvi_update(lam, g_mu, terms, eta, alpha, lam_prior):
-    """The recursion on lambda = (lambda1, lambda2) stacked as (2, k, d),
-    from ``terms``, ``_ngvi_terms`` at eta, with eta halved row by row (and
-    the terms recomputed) until lambda2 < 0 on the whole row; returns
-    (lambda, halvings): None if no row needed a halving, else the halvings
-    per row as a (k, 1) column, with MAX_STEP_RETRIES + 1 on a row that no
-    halving brought back."""
-    halvings = None
-    for _ in range(MAX_STEP_RETRIES + 1):
-        keep, pull, rate = terms
-        new = keep * lam + pull - rate * g_mu
-        inside = new[1] < 0.0
-        if inside.all():
-            break
-        ok = inside.all(axis=-1, keepdims=True)
-        eta = np.where(ok, eta, 0.5 * eta)
-        terms = _ngvi_terms(eta, alpha, lam_prior)
-        halvings = ~ok + (0 if halvings is None else halvings)
-    return new, halvings
-
-
 # ---------------------------------------------------------------------------
 # the online loop
 
@@ -393,10 +373,12 @@ class _Step:
     base h(a v) with (base, a, v) = (s, (eta/2) s, sum of g_sigma) and
     (sigma, (eta_t/2) sigma, g_sigma); OGA-EL's floored sigma step; and
     NGVI's recursion, in place: its gradient in expectation coordinates and
-    its lambda' go into buffers (two for lambda, swapped at each step), and
-    only a step on which some row leaves the family (lambda2' >= 0) goes
-    through ``_ngvi_update``'s halvings, recomputed from the same lambda, so
-    every row keeps its bits and the step its halvings record.  Every
+    its lambda' go into buffers (two for lambda, swapped at each step).  It
+    is one loop of at most MAX_STEP_RETRIES + 1 attempts: while some row
+    leaves the family (lambda2' >= 0), eta is halved on each such row, the
+    terms recomputed and lambda' recomputed from the same lambda into the
+    same buffer, so every row keeps its bits and the step its halvings
+    record; a step on which no row leaves takes one attempt.  Every
     operation is elementwise or along a row, in each row's own order of
     products, so each row gets the bits it would get on its own."""
 
@@ -490,20 +472,23 @@ class _Step:
         np.divide(g_sigma, np.multiply(2.0, sigma, out=g_var), out=g_var)
         np.subtract(g_m, np.multiply(np.multiply(2.0, m, out=g_mu[0]), g_var, out=g_mu[0]),
                     out=g_mu[0])
-        # lambda' = (keep lambda + pull) - rate g_mu
-        keep, pull, rate = self.terms
-        np.add(np.multiply(keep, self.lam, out=new), pull, out=new)
-        np.subtract(new, np.multiply(rate, g_mu, out=self.ngvi_work), out=new)
-        if not np.maximum.reduce(new[1], axis=None) < 0.0:
-            lam, halvings = _ngvi_update(self.lam, g_mu, self.terms, self.eta, self.alpha,
-                                         self.lam_prior)
-            failed = np.flatnonzero(halvings > MAX_STEP_RETRIES)
-            if failed.size:
+        # lambda' = (keep lambda + pull) - rate g_mu, from the same lambda on
+        # every attempt; while some row leaves the family (lambda2' >= 0),
+        # eta is halved on that row and the terms recomputed
+        (keep, pull, rate), eta = self.terms, self.eta
+        for attempt in range(MAX_STEP_RETRIES + 1):
+            np.add(np.multiply(keep, self.lam, out=new), pull, out=new)
+            np.subtract(new, np.multiply(rate, g_mu, out=self.ngvi_work), out=new)
+            if np.maximum.reduce(new[1], axis=None) < 0.0:
+                break
+            ok = (new[1] < 0.0).all(axis=-1, keepdims=True)
+            if attempt == MAX_STEP_RETRIES:
                 raise InvalidPrecisionError(
-                    f"step {t} ({self.ngvi_names[failed[0]]}): NGVI left the family "
-                    f"(lambda2 >= 0) after {MAX_STEP_RETRIES} eta halvings", step=t)
-            self.halvings[:, t - 1] = halvings[:, 0]
-            new[:] = lam
+                    f"step {t} ({self.ngvi_names[np.flatnonzero(~ok)[0]]}): NGVI left the "
+                    f"family (lambda2 >= 0) after {MAX_STEP_RETRIES} eta halvings", step=t)
+            self.halvings[:, t - 1] += ~ok[:, 0]
+            eta = np.where(ok, eta, 0.5 * eta)
+            keep, pull, rate = _ngvi_terms(eta, self.alpha, self.lam_prior)
         self.lam, self.lam_next = new, self.lam
         # (m, sigma) = (var lambda1, sqrt(var)), var = -0.5 / lambda2
         var = np.divide(-0.5, new[1], out=self.var)
@@ -511,16 +496,12 @@ class _Step:
         np.sqrt(var, out=sigma)
 
 
-#: Normals per block of Monte-Carlo steps that ``lockstep`` draws in one
-#: ``step_normals`` call (at least one step per block).
-_DRAW_BLOCK_VALUES = 2 ** 15
-
-
 def _step_eps(seed: int, t_max: int, samples: int, d: int):
     """The (samples, d) normals of steps 1, ..., t_max in order, row t being
     ``CounterRng(derive_seed(seed, t), MC_STREAM).normals(samples * d)``;
-    drawn a block of steps at a time."""
-    block = max(1, _DRAW_BLOCK_VALUES // (samples * d))
+    drawn a block of about ``TILE_VALUES`` normals (at least one step) at a
+    time."""
+    block = max(1, TILE_VALUES // (samples * d))
     for first in range(1, t_max + 1, block):
         count = min(block, t_max + 1 - first)
         yield from step_normals(seed, first, count, samples * d,

@@ -45,7 +45,6 @@ Phi(z) = erfc(-z / sqrt 2) / 2 takes erfc from the standard library's
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -307,9 +306,11 @@ def point_loss_rows(kind: LossKind, thetas: np.ndarray, features: np.ndarray,
     return _score_loss(kind, scores, targets)
 
 
-#: Values in one tile of a loss matrix that is built a block of rows at a
-#: time: the grid's (T, K) expert losses, and the hinge Jensen audit's
-#: (holdout rows, T) matrix.  That is about 256 KiB per float64 tile,
+#: Values in one block of the arrays that are built or walked a block of
+#: rows at a time: a tile of the grid's (T, K) expert losses and of the
+#: hinge Jensen audit's (holdout rows, T) matrix, and in ``learners``, a
+#: pass's block of decisions and of Monte-Carlo normals (whose row t is
+#: step t's draw in any block).  That is about 256 KiB per float64 tile,
 #: whatever the number of rows, unless two rows of the matrix are more.  It
 #: is sized to the L2 cache, not to a workload: a block that fits there
 #: keeps the passes over it out of main memory.  Every block is computed in
@@ -368,40 +369,26 @@ def _point_loss_grad_many(kind: LossKind, thetas: np.ndarray, x: np.ndarray,
     return _score_loss(kind, f, y), grads
 
 
-def _nn_buffers(n: int, hidden_width: int) -> tuple[np.ndarray, ...]:
+def nn_buffers(n: int, hidden_width: int) -> tuple[np.ndarray, ...]:
     """The four (n, hidden_width) arrays that ``mean_loss_and_grad``'s
     network branch writes on n rows: the pre-activations, the hidden units,
-    the ReLU mask and the gate dl/db1 per row."""
+    the ReLU mask and the gate dl/db1 per row.  A caller that evaluates many
+    thetas on one stream (the comparator) allocates them once and passes
+    them as ``work``: four fresh arrays per call would be fresh mmaps
+    whenever malloc has handed such sizes back to the system, and would
+    fault their pages in on every call."""
     shape = (n, hidden_width)
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
 
 
-#: The arrays of the open ``nn_workspace``, or None.
-_workspace: tuple[np.ndarray, ...] | None = None
-
-
-@contextlib.contextmanager
-def nn_workspace(n: int, hidden_width: int):
-    """Inside the block, ``mean_loss_and_grad``'s network branch on n rows
-    of a width-``hidden_width`` network writes its four per-row arrays into
-    one set allocated here, instead of allocating four per call: a caller
-    that evaluates many thetas on one stream (the comparator) allocates them
-    once.  The bits are the same either way.  Four fresh arrays per call
-    would be fresh mmaps whenever malloc has handed such sizes back to the
-    system, and would fault their pages in on every call."""
-    global _workspace
-    outer, _workspace = _workspace, _nn_buffers(n, hidden_width)
-    try:
-        yield
-    finally:
-        _workspace = outer
-
-
-def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray,
-                       targets: np.ndarray) -> tuple[float, np.ndarray]:
+def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray, targets: np.ndarray,
+                       work: tuple[np.ndarray, ...] | None = None) -> tuple[float, np.ndarray]:
     """Mean point loss of a fixed theta along a stream and its mean
     subgradient, from one pass of ``features @ theta`` (or of the network,
-    in the arrays of an open ``nn_workspace`` of its shape).
+    whose per-row arrays go into ``work``, the four arrays of
+    ``nn_buffers(n, hidden_width)``, or into four allocated here when it
+    is None; the bits are the same either way).  The convex kinds ignore
+    ``work``.
 
     The loss equals ``np.mean(point_loss_series(...))`` bit for bit; the
     subgradient follows ``point_grad`` (hinge 1{margin > 0}, ReLU
@@ -426,9 +413,7 @@ def mean_loss_and_grad(kind: LossKind, theta, features: np.ndarray,
         scores = features @ theta
         return (float(np.mean(_score_loss(kind, scores, targets))),
                 features.T @ _score_slope(kind, scores, targets) / n)
-    shape = (n, kind.hidden_width)
-    fits = _workspace is not None and _workspace[0].shape == shape
-    pre, hidden, mask, gate = _workspace if fits else _nn_buffers(*shape)
+    pre, hidden, mask, gate = nn_buffers(n, kind.hidden_width) if work is None else work
     f, pre, hidden, w2 = _nn_forward_rows(theta, features, kind.hidden_width, (pre, hidden))
     dloss = _score_slope(kind, f, targets)          # (n,)
     np.multiply(dloss[:, None], np.greater(pre, 0.0, out=mask), out=gate)  # per-row dl/db1

@@ -1343,7 +1343,12 @@ class TestBounds:
                                                               theorem):
         capsys.readouterr()
         assert main(["bounds", "--run", str(premise_run), "--theorem", theorem]) == 0
-        small_d, small_l = capsys.readouterr().out.splitlines()
+        report = capsys.readouterr().out
+        small_d, small_l = report.splitlines()
+        # above their bounds, but only a deterministic record is a violation
+        assert "VIOLATED" not in report
+        for line in (small_d, small_l):
+            assert "-> above (informational: the premise" in line
         assert small_d.startswith("theorem 3 [informational] svb_small_d: regret=1163.42 "
                                   "bound=10.6855 ")
         assert "the premise D >= the box's diameter 56.5862 fails; D=0.01," in small_d

@@ -1,7 +1,8 @@
 """Regret accounting, comparators against grid/analytic oracles, bound
 formulas, online-to-batch conversion, and the strong-convexity constant."""
 
-import contextlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -70,19 +71,48 @@ class TestBestInHindsight:
         data = gen_iid_regression(300, np.array([1.0, -0.5]), 0.3, seed=5)
         box = BoxConstraints.symmetric(kind.param_dim(2))
         allocated = []
-        allocate = losses_mod._nn_buffers
-        monkeypatch.setattr(losses_mod, "_nn_buffers",
-                            lambda *shape: allocated.append(shape) or allocate(*shape))
+        allocate = losses_mod.nn_buffers
+
+        def counted(*shape):
+            allocated.append(shape)
+            return allocate(*shape)
+
+        monkeypatch.setattr(losses_mod, "nn_buffers", counted)
+        monkeypatch.setattr(evaluation, "nn_buffers", counted)
         shared = best_in_hindsight(data, kind, box, restarts=2, iters=50, seed=1)
         assert shared.diagnostics["evaluations"] > 2 and allocated == [(300, 4)]
-        assert losses_mod._workspace is None
+        # the kernel's own allocations, without the search's unused set
         allocated.clear()
-        monkeypatch.setattr(evaluation, "nn_workspace",
-                            lambda n, width: contextlib.nullcontext())
+        monkeypatch.setattr(evaluation, "nn_buffers", allocate)
+        kernel = evaluation.mean_loss_and_grad
+        monkeypatch.setattr(evaluation, "mean_loss_and_grad",
+                            lambda kind, theta, features, targets, work=None:
+                            kernel(kind, theta, features, targets))
         own = best_in_hindsight(data, kind, box, restarts=2, iters=50, seed=1)
         assert len(allocated) == own.diagnostics["evaluations"]
         assert own.theta_star.tobytes() == shared.theta_star.tobytes()
         assert own.cumulative_loss_star == shared.cumulative_loss_star
+
+    def test_network_searches_in_threads_have_the_sequential_bits(self):
+        # each search owns its buffers, so four at once share none
+        kind = LossKind.squared_nn(4)
+        data = gen_iid_regression(300, np.array([1.0, -0.5]), 0.3, seed=5)
+        box = BoxConstraints.symmetric(kind.param_dim(2))
+
+        def search(_=None):
+            return best_in_hindsight(data, kind, box, restarts=2, iters=50, seed=1)
+
+        alone = search()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(search, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for result in threaded:
+            assert result.theta_star.tobytes() == alone.theta_star.tobytes()
+            assert result.cumulative_loss_star == alone.cumulative_loss_star
 
     def test_one_dim_least_squares(self):
         data = Dataset([[1.0], [1.0]], [1.0, 3.0], REGRESSION, "two")
@@ -162,7 +192,7 @@ class TestBestInHindsight:
         comp = best_in_hindsight(ds, kind, box, restarts=2, iters=120, seed=7)
         calls = []
 
-        def column_mean_kernel(kind, theta, features, targets):
+        def column_mean_kernel(kind, theta, features, targets, work=None):
             calls.append(1)
             hw, d_in, n = kind.hidden_width, features.shape[1], features.shape[0]
             w1 = theta[: hw * d_in].reshape(hw, d_in)

@@ -550,7 +550,7 @@ class TestReferenceLoop:
     def test_block_draws_match_the_per_step_draws(self, t_len, mc_samples, blocks):
         ds = gen_iid_regression(t_len, np.array([1.0, -1.0]), 0.3, seed=8)
         d = self.NN.param_dim(ds.d)
-        block = max(1, learners._DRAW_BLOCK_VALUES // (mc_samples * d))
+        block = max(1, learners.TILE_VALUES // (mc_samples * d))
         assert -(-t_len // block) == blocks
         box = BoxConstraints.symmetric(d, m_abs=5.0)
         for name, cfg in _learner_configs(d, ds.T, box).items():
