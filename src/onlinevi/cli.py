@@ -844,8 +844,8 @@ def _finish(sections: list, walks: list, readers: dict, pass_ms: float, ctx: Run
             "steps_to_plateau": _steps_to_plateau(ledger),
         }
         entry.update(meta)
-        if trace.in_box is not None and not bool(np.all(trace.in_box)):
-            entry["box_violations"] = int(np.sum(~trace.in_box))
+        if trace.box_violations:
+            entry["box_violations"] = trace.box_violations
         if trace.final_sigma is not None:
             entry["final_sigma"] = {"min": float(trace.final_sigma.min()),
                                     "max": float(trace.final_sigma.max())}
@@ -879,8 +879,9 @@ def _finish(sections: list, walks: list, readers: dict, pass_ms: float, ctx: Run
 def _steps_to_plateau(ledger) -> int:
     """First step after which the average cumulative loss stays within 10%
     of its final value."""
-    above = np.nonzero(ledger.averages > 1.1 * ledger.final_average)[0]
-    return int(above[-1]) + 2 if above.size else 1
+    final = ledger.final_average
+    outside = np.flatnonzero(abs(ledger.averages - final) > 0.1 * final)
+    return int(outside[-1]) + 2 if outside.size else 1
 
 
 #: Rows of a series file formatted per write: the Python floats and

@@ -30,34 +30,23 @@ OGA rows' sigmas stay 0, outside the live rows that the step and the
 checks see: on the convex losses one closed-form call then serves every
 row, since with sigma = 0 it gives the point subgradient bit for bit; on
 squared-nn one Monte-Carlo draw, shared by all Gaussian rows, and one
-point call for the OGA rows.  A step (``_Step``) shares the formulas the
-classes have in common.  The means of SVA, SVB, OGA-EL and OGA all move
-as m - c g_m, in one multiply-subtract; the sigmas of SVA and SVB are
-both base * h(a v), in one h-map into a buffer.  Whatever does not change
-from step to step is computed once per pass as constant rows: SVA's
-(eta s) s and (eta/2) s, NGVI's beta terms, and each SVB schedule's
-eta_t = num / (c tau_t sigma^2) from num and a (T, rows, 1) table of
-c tau_t.  NGVI's recursion runs in place, in buffers, in one loop of
-attempts: a row that leaves the family has its eta halved and its lambda'
-recomputed from the same lambda, and the step counts its halvings.  Every
+point call for the OGA rows.  A step (``_Step``) applies the formulas
+the classes share to all their rows at once, and NGVI's recursion in
+place, halving the step size of a row that leaves the family.  Every
 operation is elementwise or along a row, in the order of products of the
 formulas above, so each row has the bits it would have alone, and a
 learner's trace does not depend on the company it walks in.  The loop
-does only the sequential work: record the decisions, compute the
-gradients, update, clip to the boxes, record each state row's box
-membership, and check once for the whole stack that the gradients and
-the new states are finite with sigma > 0.  It never records the states.
+does only the sequential work: record the states and the gradients,
+update, and clip to the boxes.
 
 A pass streams its decisions.  It walks the stream in blocks of B steps,
-B k d being about ``losses.TILE_VALUES``, and keeps the k learners'
-decisions in one reused (k, B, d) buffer.  At the end of each block it
-computes their point losses (``point_loss_rows``, the bits of one call over
-all T) and hands each learner's rows to that learner's readers: objects
-with a ``take(start, block)`` that keep (T,) records or O(d^2) sums, such
-as ``evaluation.DecisionMean`` (theta_bar) and ``evaluation.JensenAudit``.
-So a pass holds O(k B d + k T) values, and no decision array of T rows
-unless a ``Decisions`` reader keeps one: ``run_online``, one learner in a
-pass of its own, does, so that its Trace has the (T, d) decisions.  The
+B k d being about ``losses.TILE_VALUES``, and at the end of each block
+checks the block's steps once and hands each learner's decisions to its
+readers (see ``lockstep``): objects with a ``take(start, block)`` that keep
+(T,) records or O(d^2) sums, such as ``evaluation.DecisionMean``
+(theta_bar) and ``evaluation.JensenAudit``.  So a pass holds no decision
+array of T rows unless a ``Decisions`` reader keeps one, as ``run_online``
+does for one learner in a pass of its own.  The
 grid's weights depend only on the data, so it walks nothing: ``lockstep``
 walks only the other learners and rejects a grid, and ``grid_pass`` gives
 the grid's T predictions from its expert losses, a tile of rows at a time
@@ -317,7 +306,7 @@ class Trace:
     ``Decisions`` reader kept them."""
 
     losses: np.ndarray                     # (T,) point loss at the decision
-    in_box: np.ndarray | None = None       # (T,) post-update box membership; None without a box
+    box_violations: int | None = None      # post-update states outside the box; None without a box
     final_sigma: np.ndarray | None = None  # (d,) sigma after the last step; None for oga, ewagrid
     halvings: np.ndarray | None = None     # (T,) NGVI eta halvings per step; NGVI only
     predictions: np.ndarray | None = None  # (T, d) decision theta_hat_t, if kept
@@ -518,32 +507,29 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     on the data, and ``grid_pass`` computes them in one pass, so an
     EwaGridConfig is a DomainError here.
 
-    The learners' states are rows of one stacked array of means and
-    sigmas, and their gradients rows of one buffer of the same layout.  One
-    gradient call per step fills it for every learner on the convex losses
-    (the closed form, OGA's rows with sigma = 0), and on squared-nn one
-    Monte-Carlo draw that all Gaussian learners share plus one point call
-    for the OGA learners; ``_Step`` updates every row.  Each row has the
-    bits it would have in a pass of its own, so a learner's walk does not
-    depend on the company it keeps.
+    The learners' states and gradients are rows of stacked arrays, one
+    gradient call and one ``_Step`` per step serving every row (see the
+    module docstring), and each row has the bits it would have in a pass of
+    its own.
 
     The pass walks the stream in blocks of B steps, B k d being about
-    ``TILE_VALUES``, and keeps the k learners' decisions in one reused (k,
-    B, d) buffer.  At the end of each block it computes every learner's
-    point loss at its B decisions (``point_loss_rows``: each score is a lone
-    dot product, or a network forward pass per row, so each has the bits of
-    one call over all T) and hands each learner's (n, d) rows to its
-    ``readers`` (one sequence of readers per config, each with a
-    ``take(start, block)``, such as ``Decisions``).  So a pass holds O(k B d
-    + k T) values, whatever its readers keep: each Trace holds the (T,)
-    point losses and, after each step, whether each state row lies in its
-    config's box (True by construction on a projected row, whose clip's
-    edges lie inside the box), and no decisions.
+    ``TILE_VALUES``, and records each block's states, whose means are the
+    k learners' decisions, and its gradients in reused buffers.  At the end
+    of each block it checks them, counts each learner's steps after which
+    its state lies outside its config's box (none on a projected row, whose
+    clip's edges lie inside the box), computes every learner's point loss at
+    its B decisions (``point_loss_rows``: each score is a lone dot product,
+    or a network forward pass per row, so each has the bits of one call
+    over all T) and hands each learner's (n, d) rows to its ``readers`` (one
+    sequence of readers per config, each with a ``take(start, block)``, such
+    as ``Decisions``).  So a pass holds O(k B d + k T) values, whatever its
+    readers keep: each Trace holds the (T,) point losses, the count of
+    steps outside the box, and no decisions.
 
-    Inputs are validated once here; each step then checks only that the
-    gradients and the new states are finite with sigma > 0.  The pass fails
-    at the first step where any learner fails; the error names the learner
-    by ``names`` (default: its kind, e.g. ``ngvi``).  Deterministic given
+    Inputs are validated once here, and the steps once per block: the pass
+    fails at the first step where any learner's gradient or new state is not
+    finite with sigma > 0, or NGVI leaves the family; the error names the
+    learner by ``names`` (default: its kind, e.g. ``ngvi``).  Deterministic given
     (configs, data, seed); the Monte-Carlo seed at step t is
     ``derive_seed(seed, t)`` so that all algorithms run under the same
     experiment seed share random numbers step by step (common random
@@ -592,24 +578,21 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
     advance = _Step([configs[i] for i in order], [names[i] for i in order], live, live_grad,
                     t_max)
     # the projection of the live rows: each row's box, or none; and the box
-    # each row's membership is checked against, or none
+    # each row's states are counted against, or none
     projections = [_projection_box(configs[i]) for i in order]
     lo, hi = _row_edges(projections, k_gauss, d, "sigma_floor_lo")
     box_lo, box_hi = _row_edges([configs[i].box for i in order], k_gauss, d, "sigma_lo")
     project = any(box is not None for box in projections)
-    # the decisions of one block of steps, learner-major, so that each
-    # learner's (n, d) rows are contiguous; every learner's point losses;
-    # and each state row's box membership after each step, column k + j for
-    # row j's sigma (always in for OGA, which has none)
+    # one block's live rows before each step and after its last, learner-
+    # major (column j of the means is step j + 1's decision, each learner's
+    # decisions contiguous), and its gradient rows; the point losses and
+    # each learner's steps outside its box
     block = max(1, TILE_VALUES // (k * d))
-    record = np.empty((k, min(block, t_max), d))
+    record = np.empty((rows, min(block, t_max) + 1, d))
+    grads = np.empty((min(block, t_max), rows, d))
     losses = np.empty((k, t_max))
-    member = np.ones((t_max, 2 * k), dtype=bool)
+    outside = np.zeros(k, dtype=int)
     row_readers = [readers[i] for i in order]
-    # the per-step checks: a finite array has a zero dot product with zeros,
-    # one with an inf or a NaN a NaN one; and the box comparisons' buffers
-    zeros, flat_state, flat_grad = np.zeros(rows * d), live.reshape(-1), live_grad.reshape(-1)
-    above, below = np.empty((rows, d), bool), np.empty((rows, d), bool)
 
     if kind.kind != SQUARED_NN:
         sigmas, g_all = state[k:], (grad[:k], grad[k:])
@@ -630,33 +613,49 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
             if k > k_gauss:
                 g_oga[:] = point_grad_xy(kind, m_oga, x, y)
 
-    def fail(step, bad_rows, what):
-        # a state row below k is a mean, and row k + j the sigma of row j
-        name = names[min(order[r - k if r >= k else r] for r in np.flatnonzero(bad_rows))]
-        raise DomainError(f"step {step} ({name}): {what}")
+    def check(start, stepped, updated):
+        # raises at the first of the block's first ``stepped`` gradients and
+        # the states after its first ``updated`` steps that is not finite or
+        # has a sigma <= 0, in step order, a step's gradient before its state
+        after = record[:, 1:updated + 1]
+        bad = np.zeros((stepped, 2, rows), dtype=bool)
+        bad[:, 0] = ~np.isfinite(grads[:stepped]).all(axis=2)
+        bad[:updated, 1] = ~(np.isfinite(after) & ((np.arange(rows) < k)[:, None, None]
+                                                   | (after > 0.0))).all(axis=2).T
+        if bad.any():
+            j, what = divmod(int(np.flatnonzero(bad.any(axis=2))[0]), 2)
+            # row r < k is a mean, and row k + r the sigma of row r
+            name = names[min(order[r % k] for r in np.flatnonzero(bad[j, what]))]
+            failure = ("the gradient is not finite",
+                       "the updated state is not finite with sigma > 0")[what]
+            raise DomainError(f"step {start + j + 1} ({name}): {failure}")
 
-    minimum, all_of = np.minimum.reduce, np.logical_and.reduce
     target_list = targets.tolist()
     for start in range(0, t_max, block):
         stop = min(start + block, t_max)
-        for j, (x, y) in enumerate(zip(features[start:stop], target_list[start:stop])):
-            step = start + j + 1
-            record[:, j] = means
-            gradient(x, y)
-            if not flat_grad @ zeros == 0.0:
-                fail(step, ~np.isfinite(live_grad).all(axis=1), "the gradient is not finite")
-            advance(step)
-            if project:
-                live.clip(lo, hi, out=live)
-            np.greater_equal(live, box_lo, out=above)
-            all_of(np.logical_and(above, np.less_equal(live, box_hi, out=below), out=above),
-                   axis=1, out=member[step - 1, :rows])
-            if not (flat_state @ zeros == 0.0
-                    and (not k_gauss or minimum(sigma, axis=None) > 0.0)):
-                fail(step, ~(np.isfinite(live) & ((np.arange(rows) < k)[:, None]
-                                                  | (live > 0.0))).all(axis=1),
-                     "the updated state is not finite with sigma > 0")
-        decided = record[:, :stop - start]
+        n = stop - start
+        # the steps after a failure compute with infs and NaNs, silently, until
+        # the block's check reports the first failure, or NGVI's exit does
+        # once the steps before it are checked
+        with np.errstate(all="ignore"):
+            for j, (x, y) in enumerate(zip(features[start:stop], target_list[start:stop])):
+                record[:, j] = live
+                gradient(x, y)
+                grads[j] = live_grad
+                try:
+                    advance(start + j + 1)
+                except InvalidPrecisionError:
+                    check(start, j + 1, j)
+                    raise
+                if project:
+                    live.clip(lo, hi, out=live)
+        record[:, n] = live
+        check(start, n, n)
+        after = record[:, 1:n + 1]
+        inside = ((after >= box_lo[:, None]) & (after <= box_hi[:, None])).all(axis=2)
+        inside[:k_gauss] &= inside[k:]
+        outside += n - np.count_nonzero(inside[:k], axis=1)
+        decided = record[:k, :n]
         losses[:, start:stop] = point_loss_rows(kind, decided, features[start:stop],
                                                 targets[start:stop])
         for rows_of_learner, readers_of_learner in zip(decided, row_readers):
@@ -665,9 +664,8 @@ def lockstep(configs: Sequence[LearnerConfig], data: Dataset, kind: LossKind, *,
 
     traces = [None] * k
     for row, i in enumerate(order):
-        box = configs[i].box
         traces[i] = Trace(losses=losses[row],
-                          in_box=None if box is None else member[:, row] & member[:, k + row],
+                          box_violations=None if configs[i].box is None else int(outside[row]),
                           final_sigma=sigma[row].copy() if row < k_gauss else None,
                           halvings=advance.halvings[row] if row < len(advance.halvings) else None)
     return traces

@@ -19,7 +19,7 @@ import pytest
 from conftest import (fd_expected_grad, golden_section, ngvi_step, rel_vec_error, sva_step,
                       svb_step)
 
-from onlinevi.cli import main, sample_gradcheck_instance
+from onlinevi.cli import _steps_to_plateau, main, sample_gradcheck_instance
 from onlinevi.data import gen_iid_regression, gen_toy_classification
 from onlinevi.evaluation import (
     alpha_estimate,
@@ -323,8 +323,7 @@ class TestCriterion08QualitativeReproduction:
             tail = ledger.averages[-window:]
             net_drift = (tail[-1] - tail[0]) / tail[0]
             trend_ok = net_drift <= 0.01  # pinned trend tolerance: <= 1% net rise
-            above = np.nonzero(ledger.averages > 1.1 * ledger.final_average)[0]
-            plateau_steps[name] = int(above[-1]) + 2 if above.size else 1
+            plateau_steps[name] = _steps_to_plateau(ledger)
             if not (finite and rel_gap <= 0.20 and trend_ok):
                 failures.append(name)
             details.append(f"{name}: gap {rel_gap:+.1%}, drift {net_drift:+.1e}")

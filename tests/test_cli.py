@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import onlinevi
 import onlinevi.cli as cli
 from onlinevi.cli import load_experiment, main, materialize
+from onlinevi.evaluation import build_ledger
 from onlinevi.family import SIGMA_FLOOR
 from onlinevi.learners import run_online
 
@@ -1158,6 +1159,22 @@ class TestSeriesWriter:
         with tempfile.TemporaryDirectory() as tmp:
             columns = tuple(zip(*rows))
             assert self._write(Path(tmp), columns, block) == _per_cell_series(*columns)
+
+
+class TestStepsToPlateau:
+    """The step after which the running average stays within 10% of its
+    final value, from below as from above."""
+
+    @pytest.mark.parametrize("losses, step", [
+        # averages 0, 0, 0, 0, 0.2, 0.33, 0.43, 0.5, 0.56, 0.6: the band
+        # [0.54, 0.66] holds from step 9 on
+        ([0.0] * 4 + [1.0] * 6, 9),
+        # averages 10, 5.5, 4, 3.25, 2.8: the band [2.52, 3.08] from step 5
+        ([10.0] + [1.0] * 4, 5),
+        ([2.0] * 5, 1),
+    ], ids=["rising", "falling", "flat"])
+    def test_the_band_has_two_sides(self, losses, step):
+        assert cli._steps_to_plateau(build_ledger(np.array(losses))) == step
 
 
 class TestGenToy:

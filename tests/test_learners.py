@@ -613,9 +613,9 @@ class TestReferenceLoop:
             trace = run_online(configs[name], ds, kind, mc_samples=8, seed=3)
             states = []
             _reference_run(configs[name], ds, kind, mc_samples=8, seed=3, states=states)
-            expected = [box.contains_arrays(m, sigma) for m, sigma in states]
-            np.testing.assert_array_equal(trace.in_box, expected, err_msg=name)
-            assert 0 < trace.in_box.sum() < ds.T, name
+            outside = sum(not box.contains_arrays(m, sigma) for m, sigma in states)
+            assert trace.box_violations == outside, name
+            assert 0 < trace.box_violations < ds.T, name
 
 
 def _reference_sigmas(config, ds, kind, trace, seed=0):
@@ -685,8 +685,8 @@ class TestRunOnline:
                 continue
             trace = run_online(cfg, ds, self.KIND, seed=5)
             assert np.all(np.abs(trace.predictions) <= 20.0), name
-            if trace.in_box is not None:
-                assert np.all(trace.in_box), name
+            if trace.box_violations is not None:
+                assert trace.box_violations == 0, name
             if trace.final_sigma is not None:
                 # every post-update sigma, from the reference loop, whose
                 # decisions and last sigma are the trace's bit for bit
@@ -695,15 +695,20 @@ class TestRunOnline:
                 assert np.all(sigmas <= self.BOX2.sigma_hi), name
 
     def test_ngvi_sigma_positive_and_violations_tracked(self):
+        # NGVI walks the same path in any box, and leaves this one at 41 steps
         ds = gen_toy_classification(300, seed=4)
-        cfg = self._configs(300)["ngvi"]
+        box = BoxConstraints.symmetric(2, m_abs=1.0, sigma_hi=0.9)
+        cfg = replace(self._configs(300)["ngvi"], box=box)
         trace = run_online(cfg, ds, self.KIND, seed=5)
-        sigmas = _reference_sigmas(cfg, ds, self.KIND, trace, seed=5)
-        assert trace.in_box is not None
+        states = []
+        predictions, _ = _reference_run(cfg, ds, self.KIND, seed=5, states=states)
+        assert_same_bits(trace.predictions, predictions)
+        means, sigmas = (np.array(part) for part in zip(*states))
+        assert_same_bits(trace.final_sigma, sigmas[-1])
         assert np.all(sigmas > 0.0)
-        means = np.vstack([trace.predictions[1:], [np.nan, np.nan]])
-        inside = np.all((np.abs(means) <= 20.0) & (sigmas <= 1.0), axis=1)
-        np.testing.assert_array_equal(trace.in_box[:-1], inside[:-1])
+        inside = np.all((np.abs(means) <= 1.0) & (sigmas <= 0.9), axis=1)
+        assert trace.box_violations == np.count_nonzero(~inside)
+        assert 0 < trace.box_violations < ds.T
 
     def test_sva_sigma_monotone_under_hinge(self):
         # hinge has g_sigma >= 0, so h(...) <= 1 and sigma never grows
@@ -753,16 +758,16 @@ def _assert_walk_is_reference(cfg, walk, ds, kind, mc_samples, seed, name):
     assert_same_bits(trace.losses, losses, name)
     if isinstance(cfg, OgaConfig):
         assert trace.final_sigma is None, name
-        assert trace.in_box.all(), name  # projected onto its box
+        assert trace.box_violations == 0, name  # projected onto its box
         return
     assert_same_bits(trace.final_sigma, states[-1][1], name)
     if isinstance(cfg, NgviConfig):
         np.testing.assert_array_equal(trace.halvings, halvings, err_msg=name)
     if cfg.box is None:
-        assert trace.in_box is None, name
+        assert trace.box_violations is None, name
     else:
-        expected = [cfg.box.contains_arrays(m, s) for m, s in states]
-        np.testing.assert_array_equal(trace.in_box, expected, err_msg=name)
+        outside = sum(not cfg.box.contains_arrays(m, s) for m, s in states)
+        assert trace.box_violations == outside, name
 
 
 def _failed_step(exc) -> int:
@@ -979,11 +984,69 @@ class TestStreamingReaders:
 
 class TestLockstepFailures:
     """A pass fails at the first step where any learner fails, with the
-    error type of a learner run alone, and names that learner."""
+    error type of a learner run alone, and names that learner; it checks
+    once per block of steps, and a failure reads the same wherever in a
+    block it falls."""
 
     KIND = LossKind.hinge()
     BOX2 = BoxConstraints.symmetric(2)
     PRIOR2 = GaussianPrior(1.0, 2)
+    NN = LossKind.squared_nn(3)
+
+    def _failures(self):
+        """Each case's learners, its stream and loss, and the step, the
+        learner (by its index) and the words with which the pass fails."""
+        huge = Dataset([[1.0, 1.0], [0.5, -1.0], [1e200, 0.0], [1.0, 1.0]],
+                       [1.0, -1.0, 1.0, -1.0], CLASSIFICATION, "huge")
+        oga, sva = OgaConfig(eta=0.1, box=self.BOX2), SvaConfig(eta=0.1, prior=self.PRIOR2,
+                                                                 box=self.BOX2)
+        absurd = [OgaElConfig(eta=0.1, prior=self.PRIOR2, box=self.BOX2),
+                  SvaConfig(eta=1e308, prior=self.PRIOR2)]
+        # three rows of x = 0 leave every state as it is
+        late = Dataset([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 2, [3.0] * 5, REGRESSION, "late")
+        nn_stream = gen_iid_regression(40, np.array([1.0, -1.0]), 0.3, seed=0)
+        prior = GaussianPrior(1.0, self.NN.param_dim(2))
+        # alone, NGVI at eta = 100 leaves the family at step 21 and the
+        # unboxed OGA-EL at eta = 1e10 has a gradient that is not finite at
+        # step 16
+        hot = [SvaConfig(eta=0.1, prior=prior), NgviConfig(eta=100.0, alpha=1.0, prior=prior)]
+        wild = OgaElConfig(eta=1e10, prior=prior)
+        gradient, state = "the gradient is not finite", \
+            "the updated state is not finite with sigma > 0"
+        return {
+            # SVB's and SVA's gradient at step 3; OGA's point gradient stays finite
+            "gradient": ([oga, SvbConfig(schedule=InvSigmaSqrtT(), prior=self.PRIOR2,
+                                         box=self.BOX2), sva], huge, self.KIND, 3, 1, gradient),
+            "state": (absurd, gen_iid_regression(5, np.array([3.0, -3.0]), 0.1, seed=15), SQL,
+                      1, 1, state),
+            "late-state": (absurd, late, SQL, 4, 1, state),
+            "ngvi": (hot, nn_stream, self.NN, 21, 1, "NGVI left the family"),
+            # the NaN gradient comes first, although NGVI leaves the family
+            # later in the same block
+            "gradient-then-ngvi": (hot + [wild], nn_stream, self.NN, 16, 2, gradient),
+            # NGVI's own gradient is NaN: no halving keeps it in the family,
+            # but the gradient is what failed
+            "ngvi-gradient": ([oga, NgviConfig(eta=1.0, alpha=0.02, prior=self.PRIOR2), sva],
+                              huge, self.KIND, 3, 1, gradient),
+        }
+
+    @pytest.mark.parametrize("where", ["default", "first", "middle"])
+    @pytest.mark.parametrize("case", ["gradient", "state", "late-state", "ngvi",
+                                      "gradient-then-ngvi", "ngvi-gradient"])
+    def test_a_failure_anywhere_in_a_block(self, monkeypatch, case, where):
+        # blocks of step - 1 steps put the failing step first in the second
+        # block, and blocks of step + 1 in the middle of the first (a failure
+        # at step 1 is first in any block)
+        configs, ds, kind, step, who, what = self._failures()[case]
+        names = [f"learner{i}" for i in range(len(configs))]
+        if where != "default":
+            steps = max(1, step - 1) if where == "first" else step + 1
+            monkeypatch.setattr(learners, "TILE_VALUES", steps * len(configs)
+                                * kind.param_dim(ds.d))
+        with pytest.raises((DomainError, InvalidPrecisionError)) as failure:
+            lockstep(configs, ds, kind, mc_samples=8, names=names)
+        assert str(failure.value).startswith(f"step {step} (learner{who}): {what}")
+        assert isinstance(failure.value, InvalidPrecisionError) == ("left the family" in what)
 
     def test_the_gradient_of_one_learner(self):
         # at step 3, sigma x^2 / s_z is inf / inf for the Gaussian learners;
